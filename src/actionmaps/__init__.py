@@ -12,7 +12,7 @@ from actionmaps.scene import (
     create_scene,
     stack_scenes,
 )
-from actionmaps.sideinfo import KernelConfig, LocationFeatures, build_gram_matrix
+from actionmaps.sideinfo import GramBasis, KernelConfig, LocationFeatures
 from actionmaps.solver import ActionMatrixBundle, FactorPair, SolverParams, fit, predict
 
 __all__ = [
@@ -24,9 +24,9 @@ __all__ = [
     "SceneStats",
     "create_scene",
     "stack_scenes",
+    "GramBasis",
     "KernelConfig",
     "LocationFeatures",
-    "build_gram_matrix",
     "ActionMatrixBundle",
     "FactorPair",
     "SolverParams",

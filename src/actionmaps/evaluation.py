@@ -68,25 +68,17 @@ def cells_in_triangle(tri: ViewTriangle, grid_shape: tuple[int, int]) -> list[tu
     return [(int(r) // height, int(r) % height) for r in rows]
 
 
-def image_scores(
-    am_scene: np.ndarray, tri: ViewTriangle, grid_shape: tuple[int, int]
-) -> np.ndarray:
-    """Mean of the (normalized) action map over the triangle cells."""
-    cells = cells_in_triangle(tri, grid_shape)
-    if not cells:
+def image_scores(am_scene: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Mean of the (normalized) action map over the view triangle's cell rows."""
+    if len(rows) == 0:
         return np.zeros(am_scene.shape[1])
-    rows = [i * grid_shape[1] + j for i, j in cells]
     return am_scene[rows].mean(axis=0)
 
 
-def image_gt(
-    labels_scene: np.ndarray, tri: ViewTriangle, grid_shape: tuple[int, int]
-) -> np.ndarray:
-    """Per-activity bit: 1 iff any triangle cell carries the label."""
-    cells = cells_in_triangle(tri, grid_shape)
-    if not cells:
+def image_gt(labels_scene: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Per-activity bit: 1 iff any of the view triangle's cell rows carries the label."""
+    if len(rows) == 0:
         return np.zeros(labels_scene.shape[1], dtype=bool)
-    rows = [i * grid_shape[1] + j for i, j in cells]
     return labels_scene[rows].any(axis=0)
 
 
@@ -187,8 +179,9 @@ def collect_image_data(
                 fov_deg=params.fov_deg,
                 range_cells=params.range_cells,
             )
-            all_scores.append(image_scores(am_scene, tri, shape))
-            all_gt.append(image_gt(labels, tri, shape))
+            view = [i * scene.height + j for i, j in cells_in_triangle(tri, shape)]
+            all_scores.append(image_scores(am_scene, view))
+            all_gt.append(image_gt(labels, view))
     if not all_scores:
         raise EvaluationError("no camera poses found for evaluation")
     return np.stack(all_scores), np.stack(all_gt)
@@ -280,7 +273,9 @@ def run_parameter_grid(
 ) -> EvalReport:
     """One fit+eval per parameter tuple per variant.
 
-    Individual run failures are recorded on their rows rather than raised.
+    Run failures from invalid input (ValueError, the base of every package
+    error) or a non-finite update (RuntimeError) are recorded on their rows
+    rather than raised; anything else, such as MemoryError, propagates.
     Deterministic given base_seed: run k uses seed base_seed + k.
     """
     index = dataset.index()
@@ -301,6 +296,6 @@ def run_parameter_grid(
                     dataset.scenes, index, am, eval_params, scene_ids
                 )
                 rows.append(GridRow(variant, alpha, lam, gamma, seed, scores))
-            except Exception as exc:  # recorded, not fatal
+            except (ValueError, RuntimeError) as exc:  # recorded, not fatal
                 rows.append(GridRow(variant, alpha, lam, gamma, seed, None, str(exc)))
     return EvalReport(rows=rows, activities=index.vocabulary.names)

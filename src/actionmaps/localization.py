@@ -88,26 +88,3 @@ def discrepancy_curve(
         per_activity=per_activity,
         aggregate=np.mean(np.stack(all_curves), axis=0),
     )
-
-
-def fuse_topk(
-    am_scene: np.ndarray,
-    grid_shape: tuple[int, int],
-    activities: Sequence[int],
-    k: int,
-) -> list[tuple[int, int]]:
-    """Optional sequence fusion: cells in every activity's top-K, ranked by
-    the product of their normalized scores. Off by default in the pipeline."""
-    if not activities:
-        raise LocalizationError("activity sequence must be non-empty")
-    height = grid_shape[1]
-    common: Optional[set[tuple[int, int]]] = None
-    for activity in activities:
-        top = set(rank_locations(am_scene, activity, grid_shape)[:k])
-        common = top if common is None else (common & top)
-    scored = []
-    for cell in common or ():
-        row = cell[0] * height + cell[1]
-        score = float(np.prod([am_scene[row, a] for a in activities]))
-        scored.append((-score, cell))
-    return [cell for _, cell in sorted(scored)]

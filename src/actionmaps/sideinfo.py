@@ -1,15 +1,16 @@
 """Per-location side-information and the combined similarity Gram matrix.
 
-Each location carries a scene-class score vector p, an object score vector o,
-and its 2D grid coordinates. Pairwise similarity mixes a spatial RBF kernel
-with chi-squared kernels on p and o; the object kernel is forced to zero when
-either location has no object evidence, and the spatial kernel is zero across
-scenes (scene coordinate frames are unrelated).
+All m locations travel as one record of stacked arrays: 2D grid coordinates,
+a scene-class score vector p, an object score vector o, and a scene code per
+location. Pairwise similarity mixes a spatial RBF kernel with chi-squared
+kernels on p and o; the object kernel is forced to zero when either location
+has no object evidence, and the spatial kernel is zero across scenes (scene
+coordinate frames are unrelated).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,26 +24,35 @@ class SideInfoError(ValueError):
 
 @dataclass(frozen=True)
 class LocationFeatures:
-    """Side-information attached to one grid location."""
+    """Side-information of all m locations as stacked arrays: grid coordinates
+    x (m, 2), scene-class scores p (m, C), object scores o (m, F), and integer
+    scene codes (m,); locations with different codes are in different scenes."""
 
-    x: tuple[float, float]
+    x: np.ndarray
     p: np.ndarray
     o: np.ndarray
-    scene_id: str = ""
+    scene_codes: np.ndarray
 
     def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
         p = np.asarray(self.p, dtype=float)
         o = np.asarray(self.o, dtype=float)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(o))):
+        codes = np.asarray(self.scene_codes, dtype=int)
+        shapes = f"x {x.shape}, p {p.shape}, o {o.shape}, scene codes {codes.shape}"
+        if x.ndim != 2 or x.shape[1] != 2 or p.ndim != 2 or o.ndim != 2 or codes.ndim != 1:
+            raise SideInfoError(f"need x (m, 2), p (m, C), o (m, F), codes (m,); got {shapes}")
+        if not x.shape[0] == p.shape[0] == o.shape[0] == codes.shape[0]:
+            raise SideInfoError(f"row counts differ across feature arrays: {shapes}")
+        if x.shape[0] == 0:
+            raise SideInfoError("need at least one location")
+        if not (np.isfinite(x).all() and np.isfinite(p).all() and np.isfinite(o).all()):
             raise SideInfoError("feature vectors must be finite")
         if (p < 0).any() or (o < 0).any():
             raise SideInfoError("feature vectors must be non-negative")
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "o", o)
-
-    @property
-    def has_object(self) -> bool:
-        return bool((self.o > 0).any())
+        object.__setattr__(self, "scene_codes", codes)
 
 
 @dataclass(frozen=True)
@@ -95,54 +105,6 @@ class GramMatrix:
         return self.matrix.shape[0]
 
 
-def aggregate_scene_scores(
-    grid_shape: tuple[int, int],
-    image_scores: Sequence[tuple[tuple[int, int], np.ndarray]],
-    radius_cells: float = 2.0,
-    n_classes: Optional[int] = None,
-) -> np.ndarray:
-    """Average the per-image class scores within a radius of each cell.
-
-    Returns a (width*height, C) array in row-major cell order; cells with no
-    image in radius get a zero vector.
-    """
-    if radius_cells < 0:
-        raise SideInfoError("radius must be >= 0")
-    width, height = grid_shape
-    if image_scores:
-        vecs = [np.asarray(v, dtype=float) for _, v in image_scores]
-        n_classes = vecs[0].shape[0]
-        for v in vecs:
-            if v.shape != (n_classes,):
-                raise SideInfoError(
-                    f"inconsistent score vector lengths: {v.shape[0]} vs {n_classes}"
-                )
-    elif n_classes is None:
-        raise SideInfoError("n_classes required when image_scores is empty")
-    out = np.zeros((width * height, n_classes))
-    if not image_scores:
-        return out
-    img_cells = np.array([cell for cell, _ in image_scores], dtype=float)
-    scores = np.stack(vecs)
-    ii, jj = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
-    centers = np.stack([ii.reshape(-1), jj.reshape(-1)], axis=1).astype(float)
-    d2 = ((centers[:, None, :] - img_cells[None, :, :]) ** 2).sum(axis=2)
-    within = d2 <= radius_cells * radius_cells
-    counts = within.sum(axis=1)
-    sums = within @ scores
-    nz = counts > 0
-    out[nz] = sums[nz] / counts[nz, None]
-    return out
-
-
-def object_score(z: float, radius: float = OBJECT_KERNEL_RADIUS) -> float:
-    """Gaussian floor-distance weighting of one detection; 0 beyond the radius."""
-    if z > radius:
-        return 0.0
-    r2 = radius * radius
-    return math.exp(-(z * z) / (2.0 * r2)) / math.sqrt(2.0 * r2 * math.pi)
-
-
 def aggregate_object_scores(
     grid_shape: tuple[int, int],
     detections: Sequence[tuple[int, tuple[float, float]]],
@@ -171,77 +133,19 @@ def aggregate_object_scores(
     return out
 
 
-def kernel_spatial(x_a, x_b, sigma_s: float, same_scene: bool = True) -> float:
-    """RBF similarity of two grid positions; zero across scenes."""
-    if not same_scene:
-        return 0.0
-    dx = float(x_a[0]) - float(x_b[0])
-    dy = float(x_a[1]) - float(x_b[1])
-    return math.exp(-(dx * dx + dy * dy) / (2.0 * sigma_s * sigma_s))
-
-
-def kernel_chi2(u, v, gamma: float, epsilon: float = 1e-10) -> float:
-    """Exponential chi-squared similarity of two non-negative vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise SideInfoError(f"length mismatch: {u.shape} vs {v.shape}")
-    if (u < 0).any() or (v < 0).any():
-        raise SideInfoError("chi-squared kernel requires non-negative entries")
-    diff = u - v
-    dist = float(np.sum(diff * diff / (u + v + epsilon)))
-    return math.exp(-gamma * dist)
-
-
-def combined_kernel(a: LocationFeatures, b: LocationFeatures, cfg: KernelConfig) -> float:
-    """Variant-weighted mix of spatial, scene-class, and object similarities."""
-    same = a.scene_id == b.scene_id
-    ks = kernel_spatial(a.x, b.x, cfg.sigma_s, same)
-    if cfg.variant == "S":
-        return ks
-    alpha = cfg.alpha
-    if cfg.variant == "SO":
-        ko = _object_kernel(a, b, cfg)
-        return (1.0 - alpha) * ks + alpha * ko
-    if cfg.variant == "SP":
-        kp = kernel_chi2(a.p, b.p, cfg.gamma_p, cfg.chi2_epsilon)
-        return (1.0 - alpha) * ks + alpha * kp
-    kp = kernel_chi2(a.p, b.p, cfg.gamma_p, cfg.chi2_epsilon)
-    ko = _object_kernel(a, b, cfg)
-    return (1.0 - alpha) * ks + 0.5 * alpha * kp + 0.5 * alpha * ko
-
-
-def _object_kernel(a: LocationFeatures, b: LocationFeatures, cfg: KernelConfig) -> float:
-    if not (a.has_object and b.has_object):
-        return 0.0
-    return kernel_chi2(a.o, b.o, cfg.gamma_o, cfg.chi2_epsilon)
-
-
 class GramBasis:
     """Pairwise distances that do not depend on alpha/gamma/sigma, reusable
     across parameter sweeps (the chi-squared guard epsilon is pinned here)."""
 
-    def __init__(self, features: Sequence[LocationFeatures], chi2_epsilon: float = 1e-10):
-        if not features:
-            raise SideInfoError("need at least one location")
-        n_p = features[0].p.shape[0]
-        n_o = features[0].o.shape[0]
-        for f in features:
-            if f.p.shape[0] != n_p or f.o.shape[0] != n_o:
-                raise SideInfoError("inconsistent feature dimensions across locations")
-        self.m = len(features)
-        x = np.array([f.x for f in features], dtype=float)
-        scene_ids = [f.scene_id for f in features]
-        uniq = {s: k for k, s in enumerate(dict.fromkeys(scene_ids))}
-        codes = np.array([uniq[s] for s in scene_ids])
+    def __init__(self, features: LocationFeatures, chi2_epsilon: float = 1e-10):
+        self.m = features.x.shape[0]
+        codes = features.scene_codes
         self.same_scene = codes[:, None] == codes[None, :]
-        d = x[:, None, :] - x[None, :, :]
+        d = features.x[:, None, :] - features.x[None, :, :]
         self.spatial_sq = (d * d).sum(axis=2)
-        p = np.stack([f.p for f in features])
-        o = np.stack([f.o for f in features])
-        self.chi2_p = _chi2_distances(p, chi2_epsilon)
-        self.chi2_o = _chi2_distances(o, chi2_epsilon)
-        has = np.array([f.has_object for f in features])
+        self.chi2_p = _chi2_distances(features.p, chi2_epsilon)
+        self.chi2_o = _chi2_distances(features.o, chi2_epsilon)
+        has = (features.o > 0).any(axis=1)
         self.object_pair = has[:, None] & has[None, :]
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:
@@ -283,10 +187,3 @@ def _chi2_distances(vectors: np.ndarray, epsilon: float = 1e-10) -> np.ndarray:
         diff = col[:, None] - col[None, :]
         out += diff * diff / (col[:, None] + col[None, :] + epsilon)
     return out
-
-
-def build_gram_matrix(
-    features: Sequence[LocationFeatures], cfg: KernelConfig
-) -> GramMatrix:
-    """Full symmetric similarity matrix over all locations."""
-    return GramBasis(features, cfg.chi2_epsilon).gram(cfg)

@@ -220,6 +220,11 @@ def fit(bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams) -> FitResult
         raise SolverError(f"K_U must be {m}x{m}, got {ku.shape}")
     if params.lam > 0 and ku is None:
         raise SolverError("lam > 0 requires a location kernel")
+    kv, _ = _as_kernel(K_V)
+    if kv is not None and kv.shape != (n_act, n_act):
+        raise SolverError(f"K_V must be {n_act}x{n_act}, got {kv.shape}")
+    if params.mu > 0 and kv is None:
+        raise SolverError("mu > 0 requires an activity kernel")
     rng = np.random.default_rng(params.seed)
     u = rng.uniform(0.1, 1.1, size=(m, params.rank))
     v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))

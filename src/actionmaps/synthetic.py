@@ -113,7 +113,6 @@ class GeneratedDataset:
     class_names: tuple[str, ...] = CLASS_NAMES
     category_names: tuple[str, ...] = CATEGORY_NAMES
     _index: Optional[GlobalIndex] = field(default=None, repr=False)
-    _locfeats: Optional[list[LocationFeatures]] = field(default=None, repr=False)
 
     @property
     def vocabulary(self) -> ActivityVocabulary:
@@ -130,23 +129,16 @@ class GeneratedDataset:
             self._index = stack_scenes(self.scenes)
         return self._index
 
-    def location_features(self) -> list[LocationFeatures]:
-        if self._locfeats is None:
-            feats = []
-            for scene in self.scenes:
-                p_arr, o_arr = self.features[scene.scene_id]
-                for row in range(scene.n_cells):
-                    i, j = scene.cell_of(row)
-                    feats.append(
-                        LocationFeatures(
-                            x=(float(i), float(j)),
-                            p=p_arr[row],
-                            o=o_arr[row],
-                            scene_id=scene.scene_id,
-                        )
-                    )
-            self._locfeats = feats
-        return self._locfeats
+    def location_features(self) -> LocationFeatures:
+        """Stacked side-information of every cell, in global row order."""
+        coords = [np.indices((s.width, s.height)).reshape(2, -1).T for s in self.scenes]
+        codes = [np.full(s.n_cells, k) for k, s in enumerate(self.scenes)]
+        return LocationFeatures(
+            x=np.concatenate(coords),
+            p=self.stacked_scene_scores(),
+            o=self.stacked_object_scores(),
+            scene_codes=np.concatenate(codes),
+        )
 
     def stacked_scene_scores(self) -> np.ndarray:
         return np.vstack([self.features[s.scene_id][0] for s in self.scenes])

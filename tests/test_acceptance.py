@@ -2,20 +2,23 @@
 pass/fail line (run with `pytest tests/test_acceptance.py -v -s`)."""
 
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import actionmaps
 from actionmaps import experiments
 from actionmaps.cli import main as cli_main
 from actionmaps.evaluation import GridSpec, aggregate, f1_sweep
 from actionmaps.geometry import Plane, RansacParams, refine_ground_plane_ransac, estimate_metric_scale, plane_distance
-from actionmaps.sideinfo import KernelConfig, LocationFeatures, build_gram_matrix, combined_kernel, kernel_chi2, kernel_spatial, object_score
+from actionmaps.sideinfo import GramBasis, KernelConfig, LocationFeatures
 from actionmaps.solver import ActionMatrixBundle, SolverParams, fit, laplacian_smoothness, predict
 from actionmaps.synthetic import PRESETS, generate_dataset
 from tests.conftest import random_bundle, random_kernel
+from tests.kernel_oracles import combined_kernel, kernel_chi2, kernel_spatial, locations, object_score
 from tests.test_evaluation import f1_sweep_oracle
 from tests.test_solver import pairwise_smoothness_oracle
 
@@ -80,24 +83,23 @@ def test_04_kernel_suite():
     ok &= abs(kernel_chi2([1.0, 0.0], [0.0, 1.0], 1.0, epsilon=0.0) - math.exp(-2)) <= 1e-12
     ok &= abs(object_score(0.0) - 1.0 / (2.0 * math.sqrt(math.pi))) <= 1e-12
     # symmetry, range, and unit diagonal with both appearance kernels active
-    feats = [
-        LocationFeatures(
-            x=(float(rng.integers(0, 5)), float(rng.integers(0, 5))),
-            p=rng.uniform(0, 1, 3),
-            o=rng.uniform(0.1, 1, 2),
-            scene_id=("s1", "s2")[k % 2],
-        )
-        for k in range(12)
-    ]
+    feats = LocationFeatures(
+        x=rng.integers(0, 5, (12, 2)).astype(float),
+        p=rng.uniform(0, 1, (12, 3)),
+        o=rng.uniform(0.1, 1, (12, 2)),
+        scene_codes=np.arange(12) % 2,
+    )
+    basis = GramBasis(feats)
     for variant in ("S", "SO", "SP", "SOP"):
         for alpha in (0.0, 0.3, 0.7, 1.0):
-            gram = build_gram_matrix(feats, KernelConfig(alpha=alpha, variant=variant, tau=0.0))
+            gram = basis.gram(KernelConfig(alpha=alpha, variant=variant, tau=0.0))
             m = gram.matrix
             ok &= bool(np.array_equal(m, m.T))
             ok &= float(m.min()) >= 0.0 and float(m.max()) <= 1.0 + 1e-12
+            ok &= bool(np.allclose(m.diagonal(), 1.0, rtol=0, atol=1e-12))
     for alpha in (0.0, 0.5, 1.0):
         cfg = KernelConfig(alpha=alpha, variant="SOP")
-        for f in feats:
+        for f in locations(feats):
             ok &= abs(combined_kernel(f, f, cfg) - 1.0) <= 1e-12
     _report(4, "kernel-suite", bool(ok))
 
@@ -270,12 +272,15 @@ def test_11_reproducibility(tmp_path):
         if not same:
             print(f"  reproducibility mismatch in {name}")
     # cross-process spot check: a fresh interpreter produces the same bytes
+    # (the child imports the same package source as this process)
     sub_dir = tmp_path / "subproc"
     sub_dir.mkdir()
+    src = os.path.dirname(os.path.dirname(actionmaps.__file__))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     subprocess.run(
         [sys.executable, "-m", "actionmaps.cli", "generate", "--preset", "mini",
          "--seed", "5", "--out", str(sub_dir)],
-        check=True, capture_output=True,
+        check=True, capture_output=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     inproc = tmp_path / "generate_r1"
     for f in sorted(p.relative_to(sub_dir) for p in sub_dir.rglob("*") if p.is_file()):

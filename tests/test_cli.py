@@ -164,6 +164,15 @@ def test_config_rejects_unknown_key(dataset_dir, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_fit_mu_without_activity_kernel_fails(dataset_dir, tmp_path, capsys):
+    factors = tmp_path / "f.txt"
+    code = run(["fit", "--data", dataset_dir, "--mu", 0.5, "--seed", 1,
+                "--out-factors", factors])
+    assert code == 1
+    assert "error: mu > 0 requires an activity kernel" in capsys.readouterr().err
+    assert not factors.exists()
+
+
 def test_missing_data_file_fails(tmp_path, capsys):
     code = run(["fit", "--data", tmp_path / "missing.txt", "--seed", 1,
                 "--out-factors", tmp_path / "f.txt"])

@@ -114,10 +114,14 @@ def _wedge():
     return ViewTriangle(apex=(0.1, 1.5), heading=(1.0, 0.0), fov_deg=80, range_cells=2.5)
 
 
+def _view(tri, grid_shape):
+    """Row indices of the triangle's cells, as collect_image_data passes them."""
+    return [i * grid_shape[1] + j for i, j in cells_in_triangle(tri, grid_shape)]
+
+
 def test_image_scores_uniform_value():
-    tri = _wedge()
     am = np.full((9, 2), 0.37)
-    assert image_scores(am, tri, (3, 3)) == pytest.approx([0.37, 0.37])
+    assert image_scores(am, _view(_wedge(), (3, 3))) == pytest.approx([0.37, 0.37])
 
 
 def test_image_scores_two_cell_mean():
@@ -126,24 +130,25 @@ def test_image_scores_two_cell_mean():
     assert cells == [(0, 0), (1, 0)]
     am = np.zeros((3, 1))
     am[0, 0], am[1, 0] = 0.2, 0.8
-    assert image_scores(am, tri, (3, 1))[0] == pytest.approx(0.5)
+    assert image_scores(am, _view(tri, (3, 1)))[0] == pytest.approx(0.5)
 
 
 def test_image_scores_ignore_outside_cells():
-    tri = _wedge()
-    inside = set(cells_in_triangle(tri, (3, 3)))
+    view = _view(_wedge(), (3, 3))
     am = np.random.default_rng(1).uniform(0, 1, (9, 2))
-    before = image_scores(am, tri, (3, 3))
-    for i in range(3):
-        for j in range(3):
-            if (i, j) not in inside:
-                am[i * 3 + j] = 123.0
-    assert image_scores(am, tri, (3, 3)) == pytest.approx(before)
+    before = image_scores(am, view)
+    outside = [r for r in range(9) if r not in view]
+    assert outside
+    am[outside] = 123.0
+    assert image_scores(am, view) == pytest.approx(before)
 
 
 def test_image_scores_empty_triangle_zero():
     tri = ViewTriangle(apex=(40.0, 40.0), heading=(1.0, 0.0))
-    assert image_scores(np.ones((9, 2)), tri, (3, 3)) == pytest.approx([0.0, 0.0])
+    view = _view(tri, (3, 3))
+    assert view == []
+    assert image_scores(np.ones((9, 2)), view) == pytest.approx([0.0, 0.0])
+    assert not image_gt(np.ones((9, 2), dtype=bool), view).any()
 
 
 def test_image_scores_matches_loop_oracle():
@@ -152,7 +157,7 @@ def test_image_scores_matches_loop_oracle():
     tri = ViewTriangle(apex=(1.2, 2.3), heading=(0.6, 0.8), fov_deg=75, range_cells=3.5)
     cells = cells_in_triangle(tri, (5, 5))
     expected = np.mean([am[i * 5 + j] for i, j in cells], axis=0)
-    assert image_scores(am, tri, (5, 5)) == pytest.approx(expected, abs=1e-12)
+    assert image_scores(am, _view(tri, (5, 5))) == pytest.approx(expected, abs=1e-12)
 
 
 def test_image_gt_any_rule():
@@ -160,7 +165,7 @@ def test_image_gt_any_rule():
     labels[1 * 3 + 1, 0] = True
     tri = _wedge()
     cells = set(cells_in_triangle(tri, (3, 3)))
-    gt = image_gt(labels, tri, (3, 3))
+    gt = image_gt(labels, _view(tri, (3, 3)))
     assert gt[0] == ((1, 1) in cells)
     assert not gt[1]
 
@@ -303,3 +308,29 @@ def test_score_action_map_perfect_map(mini_dataset):
     result = score_action_map(mini_dataset.scenes, index, labels)
     present = result.gt_counts > 0
     assert np.allclose(result.per_activity_max[present], 1.0)
+
+
+def test_run_parameter_grid_records_invalid_alpha(mini_dataset):
+    from actionmaps.solver import SolverParams
+
+    spec = GridSpec(alphas=(1.5,), lambdas=(1e-3,), gammas=(1.0,))
+    report = run_parameter_grid(
+        mini_dataset, spec, variants=("SOP",), solver=SolverParams(rank=2, max_iters=5)
+    )
+    assert report.rows[0].scores is None
+    assert "alpha" in report.rows[0].error
+
+
+def test_run_parameter_grid_propagates_memory_error(mini_dataset, monkeypatch):
+    from actionmaps.sideinfo import GramBasis
+    from actionmaps.solver import SolverParams
+
+    def out_of_memory(self, cfg):
+        raise MemoryError("gram")
+
+    monkeypatch.setattr(GramBasis, "gram", out_of_memory)
+    spec = GridSpec(alphas=(0.5,), lambdas=(1e-3,), gammas=(1.0,))
+    with pytest.raises(MemoryError):
+        run_parameter_grid(
+            mini_dataset, spec, variants=("SOP",), solver=SolverParams(rank=2, max_iters=5)
+        )

@@ -5,7 +5,6 @@ from actionmaps.localization import (
     LocalizationError,
     LocalizationQuery,
     discrepancy_curve,
-    fuse_topk,
     rank_locations,
 )
 
@@ -106,12 +105,3 @@ def test_curve_validation():
     with pytest.raises(LocalizationError):
         LocalizationQuery(activities=(0,), true_cells=((0, 0),), k_max=0)
 
-
-def test_fuse_topk_intersection():
-    am = np.zeros((9, 2))
-    am[4] = [0.9, 0.8]   # cell (1,1) strong in both
-    am[0] = [1.0, 0.0]   # strong only in activity 0
-    am[8] = [0.0, 1.0]   # strong only in activity 1
-    fused = fuse_topk(am, (3, 3), [0, 1], k=2)
-    assert fused[0] == (1, 1)
-    assert (0, 0) not in fused or (2, 2) not in fused

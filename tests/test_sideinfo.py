@@ -2,26 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from actionmaps.sideinfo import (
+    VARIANTS,
     GramBasis,
     KernelConfig,
     LocationFeatures,
     SideInfoError,
     aggregate_object_scores,
-    aggregate_scene_scores,
-    build_gram_matrix,
+)
+from tests.kernel_oracles import (
+    Location,
     combined_kernel,
+    gram_oracle,
     kernel_chi2,
     kernel_spatial,
+    locations,
     object_score,
+    stack,
 )
 
 PEAK = 1.0 / (2.0 * math.sqrt(math.pi))
 
 
 def _feat(x, p, o, scene="s"):
-    return LocationFeatures(x=x, p=np.asarray(p, float), o=np.asarray(o, float), scene_id=scene)
+    return Location(x=x, p=np.asarray(p, float), o=np.asarray(o, float), scene_id=scene)
 
 
 def _random_features(rng, m, scenes=("s",), c=3, f=2):
@@ -38,44 +46,11 @@ def _random_features(rng, m, scenes=("s",), c=3, f=2):
     return out
 
 
+def _gram(locs, cfg):
+    return GramBasis(stack(locs), cfg.chi2_epsilon).gram(cfg)
+
+
 # -- aggregation -------------------------------------------------------------
-
-
-def test_aggregate_scene_scores_single_image():
-    p = aggregate_scene_scores((3, 3), [((1, 1), np.array([0.8, 0.2]))], radius_cells=2)
-    row = 1 * 3 + 1
-    assert np.allclose(p[row], [0.8, 0.2])
-
-
-def test_aggregate_scene_scores_mean():
-    imgs = [((1, 1), np.array([1.0, 0.0])), ((1, 2), np.array([0.0, 1.0]))]
-    p = aggregate_scene_scores((3, 3), imgs, radius_cells=2)
-    assert np.allclose(p[1 * 3 + 1], [0.5, 0.5])
-
-
-def test_aggregate_scene_scores_matches_bruteforce():
-    rng = np.random.default_rng(0)
-    width, height, radius = 6, 5, 2.0
-    imgs = [
-        ((int(rng.integers(width)), int(rng.integers(height))), rng.uniform(0, 1, 4))
-        for _ in range(20)
-    ]
-    p = aggregate_scene_scores((width, height), imgs, radius)
-    for i in range(width):
-        for j in range(height):
-            nearby = [
-                v for (ci, cj), v in imgs if math.hypot(ci - i, cj - j) <= radius
-            ]
-            expected = np.mean(nearby, axis=0) if nearby else np.zeros(4)
-            assert np.allclose(p[i * height + j], expected, atol=1e-12)
-
-
-def test_aggregate_scene_scores_errors():
-    bad = [((0, 0), np.array([1.0])), ((1, 1), np.array([1.0, 2.0]))]
-    with pytest.raises(SideInfoError):
-        aggregate_scene_scores((2, 2), bad)
-    with pytest.raises(SideInfoError):
-        aggregate_scene_scores((2, 2), [], n_classes=None)
 
 
 def test_object_score_closed_form():
@@ -187,28 +162,24 @@ def test_combined_kernel_single_sided_variants_use_full_alpha():
 def test_gram_single_location():
     cfg = KernelConfig(alpha=0.3)
     feats = [_feat((0.0, 0.0), [1.0], [0.2])]
-    gram = build_gram_matrix(feats, cfg)
+    gram = _gram(feats, cfg)
     assert gram.matrix.shape == (1, 1)
     assert gram.matrix[0, 0] == pytest.approx(combined_kernel(feats[0], feats[0], cfg))
 
 
 def test_gram_matches_bruteforce_pairwise():
     rng = np.random.default_rng(2)
-    feats = _random_features(rng, 9, scenes=("s1", "s2"))
+    feats = stack(_random_features(rng, 9, scenes=("s1", "s2")))
     for variant in ("S", "SO", "SP", "SOP"):
         cfg = KernelConfig(alpha=0.6, variant=variant, tau=0.0)
-        gram = build_gram_matrix(feats, cfg)
-        for i in range(len(feats)):
-            for j in range(len(feats)):
-                assert gram.matrix[i, j] == pytest.approx(
-                    combined_kernel(feats[i], feats[j], cfg), abs=1e-12
-                )
+        gram = GramBasis(feats, cfg.chi2_epsilon).gram(cfg)
+        np.testing.assert_allclose(gram.matrix, gram_oracle(feats, cfg), rtol=0, atol=1e-12)
 
 
 def test_gram_cross_scene_block_zero_when_spatial_only():
     rng = np.random.default_rng(3)
     feats = _random_features(rng, 8, scenes=("s1", "s2"))
-    gram = build_gram_matrix(feats, KernelConfig(alpha=0.0, variant="SOP", tau=0.0))
+    gram = _gram(feats, KernelConfig(alpha=0.0, variant="SOP", tau=0.0))
     for i in range(8):
         for j in range(8):
             if feats[i].scene_id != feats[j].scene_id:
@@ -220,7 +191,7 @@ def test_gram_symmetry_range_and_degrees():
     feats = _random_features(rng, 12, scenes=("s1", "s2"))
     for variant in ("S", "SO", "SP", "SOP"):
         for alpha in (0.0, 0.4, 1.0):
-            gram = build_gram_matrix(feats, KernelConfig(alpha=alpha, variant=variant))
+            gram = _gram(feats, KernelConfig(alpha=alpha, variant=variant))
             m = gram.matrix
             assert np.array_equal(m, m.T)
             assert m.min() >= 0.0 and m.max() <= 1.0 + 1e-12
@@ -231,7 +202,7 @@ def test_gram_sop_diagonal_lower_bound():
     rng = np.random.default_rng(5)
     feats = _random_features(rng, 10)
     for alpha in (0.0, 0.5, 1.0):
-        gram = build_gram_matrix(feats, KernelConfig(alpha=alpha, variant="SOP"))
+        gram = _gram(feats, KernelConfig(alpha=alpha, variant="SOP"))
         assert gram.matrix.diagonal().min() >= 1.0 - alpha / 2.0 - 1e-12
 
 
@@ -240,14 +211,14 @@ def test_gram_appearance_bridges_scenes():
     f1 = _feat((0.0, 0.0), [1.0, 0.0], [0.5], scene="s1")
     f2 = _feat((0.0, 0.0), [1.0, 0.0], [0.5], scene="s2")
     cfg = KernelConfig(alpha=0.5, variant="SOP", tau=1e-4)
-    gram = build_gram_matrix([f1, f2], cfg)
+    gram = _gram([f1, f2], cfg)
     assert gram.matrix[0, 1] > cfg.tau
 
 
 def test_gram_sparsification_threshold():
     f1 = _feat((0.0, 0.0), [1.0], [0.0], scene="s1")
     f2 = _feat((50.0, 50.0), [1.0], [0.0], scene="s1")
-    gram = build_gram_matrix([f1, f2], KernelConfig(alpha=0.0, tau=1e-4))
+    gram = _gram([f1, f2], KernelConfig(alpha=0.0, tau=1e-4))
     assert gram.matrix[0, 1] == 0.0  # e^{-dist^2/8} is far below tau
 
 
@@ -255,28 +226,104 @@ def test_gram_size_cap():
     rng = np.random.default_rng(6)
     feats = _random_features(rng, 5)
     with pytest.raises(SideInfoError, match="cap"):
-        build_gram_matrix(feats, KernelConfig(max_dense=4))
+        _gram(feats, KernelConfig(max_dense=4))
 
 
 def test_gram_basis_matches_direct_build():
+    # one basis reused across configs equals a fresh basis per config, and a
+    # record split into rows and stacked again builds the same basis
     rng = np.random.default_rng(7)
-    feats = _random_features(rng, 7, scenes=("a", "b"))
+    feats = stack(_random_features(rng, 7, scenes=("a", "b")))
     basis = GramBasis(feats)
+    restacked = GramBasis(stack(locations(feats)))
     for variant in ("S", "SO", "SP", "SOP"):
         cfg = KernelConfig(alpha=0.7, gamma_p=0.9, gamma_o=1.3, variant=variant)
-        assert np.allclose(
-            basis.gram(cfg).matrix, build_gram_matrix(feats, cfg).matrix, atol=1e-15
-        )
+        direct = GramBasis(feats, cfg.chi2_epsilon).gram(cfg).matrix
+        assert np.array_equal(basis.gram(cfg).matrix, direct)
+        assert np.array_equal(restacked.gram(cfg).matrix, direct)
+
+
+def _record(m=3, c=2, f=2):
+    rng = np.random.default_rng(0)
+    return dict(
+        x=rng.integers(0, 5, (m, 2)).astype(float),
+        p=rng.uniform(0, 1, (m, c)),
+        o=rng.uniform(0, 1, (m, f)),
+        scene_codes=np.zeros(m, dtype=int),
+    )
 
 
 def test_feature_validation():
-    with pytest.raises(SideInfoError):
-        _feat((0.0, 0.0), [-0.1], [0.0])
-    with pytest.raises(SideInfoError):
-        _feat((0.0, 0.0), [np.inf], [0.0])
+    LocationFeatures(**_record())
+    bad = [
+        {"p": np.array([[-0.1, 0.2]] * 3)},  # negative
+        {"o": np.array([[np.inf, 0.0]] * 3)},  # not finite
+        {"x": np.array([[np.nan, 0.0]] * 3)},  # not finite
+        {"p": np.ones((2, 2))},  # row count differs
+        {"scene_codes": np.zeros(4, dtype=int)},  # row count differs
+        {"x": np.ones((3, 3))},  # coordinates are not 2D
+        {"o": np.ones(3)},  # not stacked
+        {"x": np.zeros((0, 2)), "p": np.zeros((0, 2)), "o": np.zeros((0, 2)),
+         "scene_codes": np.zeros(0, dtype=int)},  # no location
+    ]
+    for change in bad:
+        with pytest.raises(SideInfoError):
+            LocationFeatures(**{**_record(), **change})
     with pytest.raises(SideInfoError):
         KernelConfig(alpha=1.5)
     with pytest.raises(SideInfoError):
         KernelConfig(variant="XXX")
-    assert _feat((0.0, 0.0), [0.1], [0.0]).has_object is False
-    assert _feat((0.0, 0.0), [0.1], [0.2]).has_object is True
+    o = np.array([[0.0, 0.0], [0.0, 0.2], [0.3, 0.0]])
+    basis = GramBasis(LocationFeatures(**{**_record(), "o": o}))
+    assert basis.object_pair.diagonal().tolist() == [False, True, True]
+
+
+# -- property tests -----------------------------------------------------------
+
+
+@st.composite
+def _features(draw):
+    """Random stacked records over one or two scenes."""
+    m = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 4))
+    f = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    return LocationFeatures(
+        x=draw(hnp.arrays(float, (m, 2), elements=st.integers(0, 6).map(float))),
+        p=draw(hnp.arrays(float, (m, c), elements=unit)),
+        o=draw(hnp.arrays(float, (m, f), elements=st.one_of(st.just(0.0), unit))),
+        scene_codes=draw(hnp.arrays(int, (m,), elements=st.integers(0, 1))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    feats=_features(),
+    variant=st.sampled_from(VARIANTS),
+    alpha=st.floats(0.0, 1.0),
+    gamma_p=st.floats(0.01, 100.0),
+    gamma_o=st.floats(0.01, 100.0),
+)
+def test_gram_matches_oracle_property(feats, variant, alpha, gamma_p, gamma_o):
+    cfg = KernelConfig(alpha=alpha, gamma_p=gamma_p, gamma_o=gamma_o, variant=variant, tau=0.0)
+    gram = GramBasis(feats, cfg.chi2_epsilon).gram(cfg)
+    np.testing.assert_allclose(gram.matrix, gram_oracle(feats, cfg), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(feats=_features(), data=st.data())
+def test_invalid_features_raise_property(feats, data):
+    arrays = {"x": feats.x, "p": feats.p, "o": feats.o, "scene_codes": feats.scene_codes}
+    targets = {"negative": ("p", "o"), "nan": ("x", "p", "o"), "rows": tuple(arrays)}
+    kind = data.draw(st.sampled_from(tuple(targets)))
+    name = data.draw(st.sampled_from(targets[kind]))
+    if kind == "rows":
+        arrays[name] = np.concatenate([arrays[name], arrays[name][:1]])
+    else:
+        bad = arrays[name].copy()
+        row = data.draw(st.integers(0, bad.shape[0] - 1))
+        col = data.draw(st.integers(0, bad.shape[1] - 1))
+        bad[row, col] = -data.draw(st.floats(1e-6, 10.0)) if kind == "negative" else np.nan
+        arrays[name] = bad
+    with pytest.raises(SideInfoError):
+        LocationFeatures(**arrays)

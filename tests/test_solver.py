@@ -352,3 +352,20 @@ def test_factor_validation():
         SolverParams(rank=0)
     with pytest.raises(SolverError):
         SolverParams(lam=-1.0)
+
+
+def test_fit_requires_activity_kernel_when_mu_positive():
+    rng = np.random.default_rng(14)
+    bundle = random_bundle(rng)
+    with pytest.raises(SolverError, match="mu > 0"):
+        fit(bundle, None, None, SolverParams(lam=0.0, mu=0.5))
+
+
+def test_fit_checks_activity_kernel_shape():
+    rng = np.random.default_rng(15)
+    bundle = random_bundle(rng, m=12, a=4)
+    with pytest.raises(SolverError, match="K_V must be 4x4"):
+        fit(bundle, None, random_kernel(rng, 5), SolverParams(lam=0.0, mu=0.5))
+    result = fit(bundle, None, random_kernel(rng, 4),
+                 SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=20, seed=1))
+    assert np.all(np.diff(result.trace) <= 1e-9 * np.maximum(np.abs(result.trace[:-1]), 1.0))

@@ -3,7 +3,7 @@ import pytest
 
 from actionmaps.baselines import detection_action_map
 from actionmaps.evaluation import score_action_map
-from actionmaps.sideinfo import KernelConfig, combined_kernel
+from actionmaps.sideinfo import KernelConfig
 from actionmaps.solver import normalize_action_map
 from actionmaps.synthetic import (
     CLASS_NAMES,
@@ -14,6 +14,7 @@ from actionmaps.synthetic import (
     generate_scene,
     sample_demonstrations,
 )
+from tests.kernel_oracles import combined_kernel, locations
 
 ZERO_NOISE = WorldSpec(
     rooms_x=3,
@@ -122,7 +123,7 @@ def test_zero_noise_same_type_same_objects_kernel_is_one():
     # identical layouts in two scenes: cross-scene twin cells agree exactly,
     # so with alpha=1 the appearance kernels give similarity 1
     ds = generate_dataset(ZERO_NOISE, seed=7, n_scenes=2, identical_layouts=True)
-    feats = ds.location_features()
+    feats = locations(ds.location_features())
     index = ds.index()
     scene_a, scene_b = ds.scenes
     cfg = KernelConfig(alpha=1.0, variant="SOP")
