@@ -105,6 +105,19 @@ def _grid_from_args(args) -> GridSpec:
     )
 
 
+def _check_runs(report) -> None:
+    """Warn on stderr when grid runs failed; fail when all of them did.
+
+    Called after the outputs are written, so failed rows stay inspectable.
+    """
+    total = len(report.rows)
+    failed = sum(1 for row in report.rows if row.error)
+    if total and failed == total:
+        raise CliError(f"all {total} runs failed")
+    if failed:
+        print(f"warning: {failed} of {total} runs failed", file=sys.stderr)
+
+
 def _add_grid_args(p: argparse.ArgumentParser):
     p.add_argument("--alphas", default="0,0.1,0.3,0.5,0.7,0.9,1")
     p.add_argument("--lambdas", default="0.001,0.01")
@@ -159,7 +172,7 @@ def cmd_fit(args) -> int:
         _ensure_parent(args.out_trace)
         fileio.write_trace(result.trace, args.out_trace)
     print(f"{args.out_factors} iterations={len(result.trace) - 1} "
-          f"objective={fmt9(result.trace[-1])}")
+          f"objective={fmt9(result.trace[-1])} stop={result.stop_reason}")
     return 0
 
 
@@ -230,6 +243,7 @@ def cmd_grid(args) -> int:
     _ensure_parent(args.out_txt)
     fileio.write_report(report, args.out_tsv, args.out_txt)
     print(args.out_txt)
+    _check_runs(report)
     return 0
 
 
@@ -273,6 +287,7 @@ def cmd_transfer(args) -> int:
     _ensure_parent(args.out_tsv)
     fileio.write_report(report.grid, args.out_tsv, args.out_txt + ".variants")
     print(args.out_txt)
+    _check_runs(report.grid)
     return 0
 
 

@@ -277,19 +277,26 @@ def run_parameter_grid(
     error) or a non-finite update (RuntimeError) are recorded on their rows
     rather than raised; anything else, such as MemoryError, propagates.
     Deterministic given base_seed: run k uses seed base_seed + k.
+    Consecutive runs with the same kernel config share one Gram matrix,
+    and at most one Gram is alive at a time.
     """
     index = dataset.index()
     bundle = build_bundle(dataset.scenes, index, observed_scene_ids)
     basis = GramBasis(dataset.location_features(), kernel.chi2_epsilon)
     rows: list[GridRow] = []
     run_idx = 0
+    gram_cfg, gram = None, None
     for variant in variants:
         for alpha, lam, gamma in grid_spec.tuples():
             seed = base_seed + run_idx
             run_idx += 1
             try:
                 cfg = replace(kernel, alpha=alpha, gamma_p=gamma, gamma_o=gamma, variant=variant)
-                gram = basis.gram(cfg)
+                if cfg != gram_cfg:
+                    # drop the old Gram before building; a failed build leaves none cached
+                    gram_cfg, gram = None, None
+                    gram = basis.gram(cfg)
+                    gram_cfg = cfg
                 result = fit(bundle, gram, None, replace(solver, lam=lam, seed=seed))
                 am = normalize_action_map(predict(result.factors))
                 scores = score_action_map(

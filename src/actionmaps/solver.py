@@ -83,12 +83,17 @@ class SolverParams:
             raise SolverError("lambda and mu must be >= 0")
         if self.rel_tol <= 0:
             raise SolverError("rel_tol must be positive")
+        if self.max_iters < 0:
+            raise SolverError("max_iters must be >= 0")
+        if self.epsilon_stab <= 0:
+            raise SolverError("epsilon_stab must be positive")
 
 
 @dataclass
 class FitResult:
     factors: FactorPair
     trace: np.ndarray
+    stop_reason: str  # "tolerance" or "max_iters"
 
 
 def build_weight_matrix(
@@ -154,14 +159,26 @@ def _as_kernel(k) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     return k, k.sum(axis=1)
 
 
-def laplacian_smoothness(mat: np.ndarray, kernel: np.ndarray, degrees: np.ndarray) -> float:
+def laplacian_smoothness(
+    mat: np.ndarray, kernel: np.ndarray, degrees: np.ndarray, k_mat=None
+) -> float:
     """trace(M^T (Diag(deg) - K) M); equals the half-sum of pairwise
-    kernel-weighted squared row differences for symmetric K."""
-    return float(np.sum(mat * mat * degrees[:, None]) - np.sum(mat * (kernel @ mat)))
+    kernel-weighted squared row differences for symmetric K.
+
+    k_mat, when given, must be kernel @ mat; it spares the O(m^2) product.
+    """
+    if k_mat is None:
+        k_mat = kernel @ mat
+    return float(np.sum(mat * mat * degrees[:, None]) - np.sum(mat * k_mat))
 
 
-def objective(U, V, bundle: ActionMatrixBundle, K_U, K_V, lam: float, mu: float) -> float:
-    """Weighted squared error plus the Laplacian smoothness penalties."""
+def objective(
+    U, V, bundle: ActionMatrixBundle, K_U, K_V, lam: float, mu: float, ku_u=None
+) -> float:
+    """Weighted squared error plus the Laplacian smoothness penalties.
+
+    ku_u, when given, must be K_U @ U (see laplacian_smoothness).
+    """
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise SolverError("factors must be finite")
     if U.shape[0] != bundle.R.shape[0] or V.shape[0] != bundle.R.shape[1]:
@@ -172,7 +189,7 @@ def objective(U, V, bundle: ActionMatrixBundle, K_U, K_V, lam: float, mu: float)
     j = float(np.sum(bundle.W * err * err))
     ku, deg_u = _as_kernel(K_U)
     if lam > 0 and ku is not None:
-        j += lam * laplacian_smoothness(U, ku, deg_u)
+        j += lam * laplacian_smoothness(U, ku, deg_u, ku_u)
     kv, deg_v = _as_kernel(K_V)
     if mu > 0 and kv is not None:
         j += mu * laplacian_smoothness(V, kv, deg_v)
@@ -180,9 +197,12 @@ def objective(U, V, bundle: ActionMatrixBundle, K_U, K_V, lam: float, mu: float)
 
 
 def multiplicative_step(
-    U, V, bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams
+    U, V, bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams, ku_u=None
 ):
-    """One regularized multiplicative update of U then V (V sees the new U)."""
+    """One regularized multiplicative update of U then V (V sees the new U).
+
+    ku_u, when given, must be K_U @ U; otherwise the step computes it.
+    """
     eps = params.epsilon_stab
     wr = bundle.W * bundle.R
     ku, deg_u = _as_kernel(K_U)
@@ -191,7 +211,9 @@ def multiplicative_step(
     num_u = wr @ V
     den_u = (bundle.W * (U @ V.T)) @ V
     if params.lam > 0 and ku is not None:
-        num_u = num_u + params.lam * (ku @ U)
+        if ku_u is None:
+            ku_u = ku @ U
+        num_u = num_u + params.lam * ku_u
         den_u = den_u + params.lam * deg_u[:, None] * U
     u_new = U * (num_u / (den_u + eps))
 
@@ -211,8 +233,10 @@ def fit(bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams) -> FitResult
     """Iterate multiplicative updates from a seeded strictly positive init.
 
     Stops when the relative objective decrease falls below rel_tol or after
-    max_iters steps; returns the factors and the per-iteration objective
-    trace (the initial objective is trace[0]).
+    max_iters steps; returns the factors, the per-iteration objective trace
+    (the initial objective is trace[0]) and which rule stopped the fit.
+    K_U @ U is computed once per iterate and shared by the objective at that
+    iterate and the step from it: len(trace) products in all when lam > 0.
     """
     m, n_act = bundle.shape
     ku, _ = _as_kernel(K_U)
@@ -228,15 +252,21 @@ def fit(bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams) -> FitResult
     rng = np.random.default_rng(params.seed)
     u = rng.uniform(0.1, 1.1, size=(m, params.rank))
     v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
-    trace = [objective(u, v, bundle, K_U, K_V, params.lam, params.mu)]
+    ku_u = ku @ u if params.lam > 0 else None
+    trace = [objective(u, v, bundle, K_U, K_V, params.lam, params.mu, ku_u)]
+    stop_reason = "max_iters"
     for _ in range(params.max_iters):
-        u, v = multiplicative_step(u, v, bundle, K_U, K_V, params)
-        j = objective(u, v, bundle, K_U, K_V, params.lam, params.mu)
+        u, v = multiplicative_step(u, v, bundle, K_U, K_V, params, ku_u)
+        ku_u = ku @ u if params.lam > 0 else None
+        j = objective(u, v, bundle, K_U, K_V, params.lam, params.mu, ku_u)
         trace.append(j)
         prev = trace[-2]
         if prev - j < params.rel_tol * max(abs(prev), 1e-30):
+            stop_reason = "tolerance"
             break
-    return FitResult(factors=FactorPair(U=u, V=v), trace=np.array(trace))
+    return FitResult(
+        factors=FactorPair(U=u, V=v), trace=np.array(trace), stop_reason=stop_reason
+    )
 
 
 def predict(factors: FactorPair) -> np.ndarray:

@@ -200,3 +200,72 @@ def test_generate_unknown_preset(tmp_path, capsys):
     code = run(["generate", "--preset", "bogus", "--seed", 1, "--out", tmp_path])
     assert code == 1
     assert "unknown preset" in capsys.readouterr().err
+
+
+def test_fit_rejects_negative_max_iters(dataset_dir, tmp_path, capsys):
+    factors = tmp_path / "f.txt"
+    code = run(["fit", "--data", dataset_dir, "--max-iters", -3, "--seed", 1,
+                "--out-factors", factors])
+    assert code == 1
+    assert "error: max_iters must be >= 0" in capsys.readouterr().err
+    assert not factors.exists()
+
+
+@pytest.mark.parametrize(
+    "max_iters, rel_tol, reason",
+    [(2000, 1e-2, "tolerance"), (2, 1e-12, "max_iters")],
+)
+def test_fit_reports_stop_reason(dataset_dir, tmp_path, capsys, max_iters, rel_tol, reason):
+    args = list(FIT_ARGS)
+    args[args.index("--max-iters") + 1] = max_iters
+    args[args.index("--rel-tol") + 1] = rel_tol
+    assert run(["fit", "--data", dataset_dir, *args, "--seed", 3,
+                "--out-factors", tmp_path / "f.txt"]) == 0
+    fields = dict(tok.split("=") for tok in capsys.readouterr().out.split()[1:])
+    assert fields["stop"] == reason
+    iterations = int(fields["iterations"])
+    assert iterations == max_iters if reason == "max_iters" else iterations < max_iters
+
+
+GRID_ARGS = [
+    "--variants", "SOP", "--lambdas", "0.01", "--gammas", "1.0",
+    "--rank", 3, "--max-iters", 5, "--rel-tol", 1e-4, "--seed", 1,
+]
+
+
+@pytest.mark.parametrize(
+    "alphas, code, message",
+    [
+        ("1.5", 1, "error: all 1 runs failed"),
+        ("0.5,1.5", 0, "warning: 1 of 2 runs failed"),
+        ("0.5", 0, ""),
+    ],
+)
+def test_grid_reports_failed_runs(dataset_dir, tmp_path, capsys, alphas, code, message):
+    tsv, txt = tmp_path / "grid.tsv", tmp_path / "grid.txt"
+    assert run(["grid", "--data", dataset_dir, "--alphas", alphas, *GRID_ARGS,
+                "--out-tsv", tsv, "--out-txt", txt]) == code
+    err = capsys.readouterr().err
+    if message:
+        assert message in err
+    else:
+        assert err == ""
+    rows = tsv.read_text().splitlines()[1:]
+    assert len(rows) == len(alphas.split(","))
+    assert txt.exists()
+
+
+@pytest.mark.parametrize(
+    "alphas, code, message",
+    [
+        ("1.5", 1, "error: all 3 runs failed"),
+        ("0.5,1.5", 0, "warning: 3 of 6 runs failed"),
+    ],
+)
+def test_transfer_reports_failed_runs(pair_dir, tmp_path, capsys, alphas, code, message):
+    txt, tsv = tmp_path / "transfer.txt", tmp_path / "transfer.tsv"
+    assert run(["transfer", "--data", pair_dir, "--source", "office_a",
+                "--target", "office_b", "--variants", "SO,SP,SOP", "--alphas", alphas,
+                *GRID_ARGS[2:], "--out-txt", txt, "--out-tsv", tsv]) == code
+    assert message in capsys.readouterr().err
+    assert txt.exists() and tsv.exists()

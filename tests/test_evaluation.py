@@ -334,3 +334,74 @@ def test_run_parameter_grid_propagates_memory_error(mini_dataset, monkeypatch):
         run_parameter_grid(
             mini_dataset, spec, variants=("SOP",), solver=SolverParams(rank=2, max_iters=5)
         )
+
+
+def test_run_parameter_grid_builds_one_gram_per_consecutive_config(mini_dataset, monkeypatch):
+    from dataclasses import replace
+
+    from actionmaps.sideinfo import GramBasis, KernelConfig
+    from actionmaps.solver import SolverParams
+
+    real_gram = GramBasis.gram
+    built = []
+
+    def counting_gram(self, cfg):
+        built.append(cfg)
+        return real_gram(self, cfg)
+
+    monkeypatch.setattr(GramBasis, "gram", counting_gram)
+    spec = GridSpec(alphas=(0.0, 0.5), lambdas=(1e-3, 1e-2), gammas=(1.0, 2.0))
+    variants = ("S", "SOP")
+    report = run_parameter_grid(
+        mini_dataset, spec, variants=variants, solver=SolverParams(rank=2, max_iters=5)
+    )
+    assert all(not row.error for row in report.rows)
+    configs = [
+        replace(KernelConfig(), alpha=a, gamma_p=g, gamma_o=g, variant=v)
+        for v in variants
+        for a, _, g in spec.tuples()
+    ]
+    distinct = [c for i, c in enumerate(configs) if i == 0 or c != configs[i - 1]]
+    assert built == distinct
+    # with one gamma, runs that differ only in lambda are adjacent and share a Gram
+    built.clear()
+    run_parameter_grid(
+        mini_dataset, replace(spec, gammas=(1.0,)), variants=variants,
+        solver=SolverParams(rank=2, max_iters=5),
+    )
+    assert len(built) == 4
+
+
+def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch):
+    from actionmaps import evaluation
+    from actionmaps.sideinfo import GramBasis, KernelConfig, SideInfoError
+    from actionmaps.solver import SolverParams
+
+    real_gram, real_fit = GramBasis.gram, evaluation.fit
+    built, fitted = [], []
+    fail_once = {0.5}
+
+    def flaky_gram(self, cfg):
+        built.append(cfg.alpha)
+        if cfg.alpha in fail_once:
+            fail_once.discard(cfg.alpha)
+            raise SideInfoError("transient gram failure")
+        return real_gram(self, cfg)
+
+    def recording_fit(bundle, K_U, K_V, params):
+        fitted.append(K_U)
+        return real_fit(bundle, K_U, K_V, params)
+
+    monkeypatch.setattr(GramBasis, "gram", flaky_gram)
+    monkeypatch.setattr(evaluation, "fit", recording_fit)
+    spec = GridSpec(alphas=(0.0, 0.5), lambdas=(1e-3, 1e-2), gammas=(1.0,))
+    report = run_parameter_grid(
+        mini_dataset, spec, variants=("SOP",), solver=SolverParams(rank=2, max_iters=5)
+    )
+    assert [row.error for row in report.rows] == ["", "", "transient gram failure", ""]
+    assert built == [0.0, 0.5, 0.5]
+    assert fitted[0] is fitted[1]
+    cfg = KernelConfig(alpha=0.5, gamma_p=1.0, gamma_o=1.0, variant="SOP")
+    want = real_gram(GramBasis(mini_dataset.location_features(), cfg.chi2_epsilon), cfg)
+    assert np.array_equal(fitted[2].matrix, want.matrix)
+    assert not np.array_equal(fitted[2].matrix, fitted[0].matrix)

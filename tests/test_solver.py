@@ -1,7 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from actionmaps import solver
 from actionmaps.scene import ActivityVocabulary, Demonstration, SceneGrid, stack_scenes
+from actionmaps.sideinfo import GramMatrix
 from actionmaps.solver import (
     ActionMatrixBundle,
     FactorPair,
@@ -354,6 +360,16 @@ def test_factor_validation():
         SolverParams(lam=-1.0)
 
 
+def test_solver_params_reject_negative_iterations_and_stabilizer():
+    with pytest.raises(SolverError, match="max_iters"):
+        SolverParams(max_iters=-1)
+    with pytest.raises(SolverError, match="epsilon_stab"):
+        SolverParams(epsilon_stab=0.0)
+    with pytest.raises(SolverError, match="epsilon_stab"):
+        SolverParams(epsilon_stab=-1e-12)
+    assert SolverParams(max_iters=0).max_iters == 0
+
+
 def test_fit_requires_activity_kernel_when_mu_positive():
     rng = np.random.default_rng(14)
     bundle = random_bundle(rng)
@@ -369,3 +385,105 @@ def test_fit_checks_activity_kernel_shape():
     result = fit(bundle, None, random_kernel(rng, 4),
                  SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=20, seed=1))
     assert np.all(np.diff(result.trace) <= 1e-9 * np.maximum(np.abs(result.trace[:-1]), 1.0))
+
+
+# -- one K·U product per iterate ----------------------------------------------
+
+
+def fit_loop_oracle(bundle, k_u, k_v, params):
+    """fit's loop with every function computing K_U @ U itself."""
+    m, n_act = bundle.shape
+    rng = np.random.default_rng(params.seed)
+    u = rng.uniform(0.1, 1.1, size=(m, params.rank))
+    v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
+    trace = [objective(u, v, bundle, k_u, k_v, params.lam, params.mu)]
+    for _ in range(params.max_iters):
+        u, v = multiplicative_step(u, v, bundle, k_u, k_v, params)
+        trace.append(objective(u, v, bundle, k_u, k_v, params.lam, params.mu))
+        if trace[-2] - trace[-1] < params.rel_tol * max(abs(trace[-2]), 1e-30):
+            break
+    return u, v, np.array(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 14),
+    n_act=st.integers(1, 5),
+    rank=st.integers(1, 4),
+    lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    mu=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    gram=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, mu, gram, seed):
+    rng = np.random.default_rng(seed)
+    bundle = random_bundle(rng, m=m, a=n_act)
+    k = random_kernel(rng, m)
+    k_u = GramMatrix(matrix=k, degrees=k.sum(axis=1)) if gram else k
+    k_v = random_kernel(rng, n_act) if mu > 0 else None
+    params = SolverParams(rank=rank, lam=lam, mu=mu, max_iters=30, rel_tol=1e-9, seed=seed)
+    result = fit(bundle, k_u, k_v, params)
+    u, v, trace = fit_loop_oracle(bundle, k_u, k_v, params)
+    assert np.array_equal(result.factors.U, u)
+    assert np.array_equal(result.factors.V, v)
+    assert np.array_equal(result.trace, trace)
+    assert np.all(np.diff(trace) <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
+
+
+def _count_solver_hooks(monkeypatch):
+    """Wrap objective, multiplicative_step and _as_kernel in the solver module,
+    the way the traced benchmark does; K_U @ U products are counted on the
+    kernel view _as_kernel hands out."""
+    counts = Counter()
+
+    class CountingKernel(np.ndarray):
+        def __matmul__(self, other):
+            counts["products"] += 1
+            return np.matmul(self.view(np.ndarray), other)
+
+    as_kernel = solver._as_kernel
+
+    def counting_as_kernel(k):
+        mat, degrees = as_kernel(k)
+        return (None if mat is None else mat.view(CountingKernel)), degrees
+
+    def counted(name):
+        fn = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "_as_kernel", counting_as_kernel)
+    for name in ("objective", "multiplicative_step"):
+        monkeypatch.setattr(solver, name, counted(name))
+    return counts
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_fit_reaches_benchmark_hooks_with_one_product_per_iterate(monkeypatch, lam):
+    rng = np.random.default_rng(16)
+    bundle = random_bundle(rng, m=15, a=4)
+    k_u = random_kernel(rng, 15)
+    counts = _count_solver_hooks(monkeypatch)
+    result = fit(bundle, k_u, None,
+                 SolverParams(rank=3, lam=lam, max_iters=25, rel_tol=1e-12, seed=2))
+    iterations = len(result.trace) - 1
+    assert iterations > 0
+    assert counts["multiplicative_step"] == iterations
+    assert counts["objective"] == iterations + 1
+    assert counts["products"] == (iterations + 1 if lam > 0 else 0)
+
+
+def test_fit_stop_reason():
+    rng = np.random.default_rng(17)
+    bundle = random_bundle(rng, m=12, a=4)
+    k_u = random_kernel(rng, 12)
+    capped = fit(bundle, k_u, None, SolverParams(rank=2, lam=0.01, max_iters=3, rel_tol=1e-12))
+    assert capped.stop_reason == "max_iters" and len(capped.trace) == 4
+    converged = fit(bundle, k_u, None,
+                    SolverParams(rank=2, lam=0.01, max_iters=500, rel_tol=1e-2))
+    assert converged.stop_reason == "tolerance" and len(converged.trace) < 501
+    assert fit(bundle, k_u, None, SolverParams(rank=2, max_iters=0)).stop_reason == "max_iters"
