@@ -282,7 +282,7 @@ def run_parameter_grid(
     """
     index = dataset.index()
     bundle = build_bundle(dataset.scenes, index, observed_scene_ids)
-    basis = GramBasis(dataset.location_features(), kernel.chi2_epsilon)
+    basis = GramBasis(dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense)
     rows: list[GridRow] = []
     run_idx = 0
     gram_cfg, gram = None, None

@@ -39,7 +39,9 @@ def fit_action_map(
     index = dataset.index()
     bundle = build_bundle(dataset.scenes, index, observed_scene_ids)
     if gram is None:
-        gram = GramBasis(dataset.location_features(), kernel.chi2_epsilon).gram(kernel)
+        gram = GramBasis(
+            dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense
+        ).gram(kernel)
     result = fit(bundle, gram, None, solver)
     return normalize_action_map(predict(result.factors)), result
 
@@ -105,7 +107,9 @@ def run_elapse(
     subset_seed: int = 0,
 ) -> list[tuple[float, ScoreResult]]:
     """Sweep prefix-consistent demonstration fractions and re-fit each time."""
-    gram = GramBasis(dataset.location_features(), kernel.chi2_epsilon).gram(kernel)
+    gram = GramBasis(
+        dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense
+    ).gram(kernel)
     out = []
     for fraction in fractions:
         ds = dataset.with_demo_fraction(fraction, subset_seed)

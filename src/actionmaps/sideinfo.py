@@ -95,9 +95,10 @@ class GramMatrix:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SideInfoError(f"Gram matrix must be square, got {m.shape}")
-        if m.size and (float(m.min()) < -1e-12 or float(m.max()) > 1.0 + 1e-9):
+        # written so that NaN entries fail: every comparison with NaN is False
+        if m.size and not (float(m.min()) >= -1e-12 and float(m.max()) <= 1.0 + 1e-9):
             raise SideInfoError("Gram entries must lie in [0, 1]")
-        if m.size and np.abs(m - m.T).max() > 1e-9:
+        if m.size and _max_asymmetry(m) > 1e-9:
             raise SideInfoError("Gram matrix must be symmetric")
 
     @property
@@ -135,55 +136,125 @@ def aggregate_object_scores(
 
 class GramBasis:
     """Pairwise distances that do not depend on alpha/gamma/sigma, reusable
-    across parameter sweeps (the chi-squared guard epsilon is pinned here)."""
+    across parameter sweeps (the chi-squared guard epsilon is pinned here).
 
-    def __init__(self, features: LocationFeatures, chi2_epsilon: float = 1e-10):
+    Holds spatial_sq and chi2_p as m x m doubles, the same_scene and
+    object_pair masks as m x m bools, and chi2_o over the object_rows (the
+    rows with object evidence) only. Refuses more than max_dense locations
+    before allocating anything.
+    """
+
+    def __init__(
+        self,
+        features: LocationFeatures,
+        chi2_epsilon: float = 1e-10,
+        max_dense: int = KernelConfig.max_dense,
+    ):
         self.m = features.x.shape[0]
+        _check_dense_cap(self.m, max_dense)
         codes = features.scene_codes
         self.same_scene = codes[:, None] == codes[None, :]
-        d = features.x[:, None, :] - features.x[None, :, :]
-        self.spatial_sq = (d * d).sum(axis=2)
+        self.spatial_sq = _spatial_sq(features.x)
         self.chi2_p = _chi2_distances(features.p, chi2_epsilon)
-        self.chi2_o = _chi2_distances(features.o, chi2_epsilon)
         has = (features.o > 0).any(axis=1)
         self.object_pair = has[:, None] & has[None, :]
+        self.object_rows = np.flatnonzero(has)
+        self.chi2_o = _chi2_distances(features.o[self.object_rows], chi2_epsilon)
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:
-        if self.m > cfg.max_dense:
-            raise SideInfoError(
-                f"{self.m} locations exceed the dense Gram cap of {cfg.max_dense}; "
-                "raise max_dense or sparsify the input"
-            )
-        ks = np.where(
-            self.same_scene,
-            np.exp(-self.spatial_sq / (2.0 * cfg.sigma_s * cfg.sigma_s)),
-            0.0,
-        )
-        if cfg.variant == "S":
-            k = ks
-        else:
-            alpha = cfg.alpha
-            if cfg.variant == "SO":
-                ko = np.where(self.object_pair, np.exp(-cfg.gamma_o * self.chi2_o), 0.0)
-                k = (1.0 - alpha) * ks + alpha * ko
-            elif cfg.variant == "SP":
-                kp = np.exp(-cfg.gamma_p * self.chi2_p)
-                k = (1.0 - alpha) * ks + alpha * kp
-            else:
-                kp = np.exp(-cfg.gamma_p * self.chi2_p)
-                ko = np.where(self.object_pair, np.exp(-cfg.gamma_o * self.chi2_o), 0.0)
-                k = (1.0 - alpha) * ks + 0.5 * alpha * kp + 0.5 * alpha * ko
+        """Entries are ((1 - alpha) ks + w kp) + w ko, with w = alpha for SO/SP
+        and alpha/2 for SOP; ko is zero unless both locations have objects.
+        Written in row blocks into one m x m output."""
+        _check_dense_cap(self.m, cfg.max_dense)
+        m, variant, alpha = self.m, cfg.variant, cfg.alpha
+        w = 0.5 * alpha if variant == "SOP" else alpha
+        k = np.empty((m, m))
+        scratch = np.empty((min(_ROW_BLOCK, m), m))
+        for lo, hi in _blocks(m):
+            kb = k[lo:hi]
+            np.negative(self.spatial_sq[lo:hi], out=kb)
+            kb /= 2.0 * cfg.sigma_s * cfg.sigma_s
+            np.exp(kb, out=kb)
+            kb *= self.same_scene[lo:hi]
+            if variant != "S":
+                kb *= 1.0 - alpha
+            if variant in ("SP", "SOP"):
+                kp = scratch[: hi - lo]
+                np.multiply(self.chi2_p[lo:hi], -cfg.gamma_p, out=kp)
+                np.exp(kp, out=kp)
+                kp *= w
+                kb += kp
+        if variant in ("SO", "SOP"):
+            rows = self.object_rows
+            scratch = np.empty((min(_ROW_BLOCK, rows.size), rows.size))
+            for lo, hi in _blocks(rows.size):
+                ko = scratch[: hi - lo]
+                np.multiply(self.chi2_o[lo:hi], -cfg.gamma_o, out=ko)
+                np.exp(ko, out=ko)
+                ko *= w
+                k[np.ix_(rows[lo:hi], rows)] += ko
         if cfg.tau > 0:
-            k[k < cfg.tau] = 0.0
+            for lo, hi in _blocks(m):
+                kb = k[lo:hi]
+                kb[kb < cfg.tau] = 0.0
         return GramMatrix(matrix=k, degrees=k.sum(axis=1))
 
 
+_ROW_BLOCK = 64  # rows per block of an m x m array: scratch is _ROW_BLOCK x m
+_TILE = 128  # side of the square tiles compared by the symmetry check
+
+
+def _blocks(n: int):
+    """(lo, hi) bounds of consecutive row blocks covering range(n)."""
+    return ((lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK))
+
+
+def _check_dense_cap(m: int, max_dense: int) -> None:
+    if m > max_dense:
+        raise SideInfoError(
+            f"{m} locations exceed the dense Gram cap of {max_dense}; "
+            "raise max_dense or sparsify the input"
+        )
+
+
+def _spatial_sq(x: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances dx^2 + dy^2 of 2D coordinates."""
+    sq = np.subtract.outer(x[:, 0], x[:, 0])
+    sq *= sq
+    dy = np.subtract.outer(x[:, 1], x[:, 1])
+    dy *= dy
+    sq += dy
+    return sq
+
+
 def _chi2_distances(vectors: np.ndarray, epsilon: float = 1e-10) -> np.ndarray:
-    """Pairwise chi-squared distances, accumulated one feature dim at a time."""
+    """Pairwise chi-squared distances, accumulated one feature dim at a time
+    into each row block, through two block-sized scratch buffers."""
     m = vectors.shape[0]
     out = np.zeros((m, m))
-    for c in range(vectors.shape[1]):
-        col = vectors[:, c]
-        diff = col[:, None] - col[None, :]
-        out += diff * diff / (col[:, None] + col[None, :] + epsilon)
+    cols = np.ascontiguousarray(vectors.T)
+    diff = np.empty((min(_ROW_BLOCK, m), m))
+    den = np.empty_like(diff)
+    for lo, hi in _blocks(m):
+        d, s = diff[: hi - lo], den[: hi - lo]
+        for col in cols:
+            np.subtract.outer(col[lo:hi], col, out=d)
+            d *= d
+            np.add.outer(col[lo:hi], col, out=s)
+            s += epsilon
+            d /= s
+            out[lo:hi] += d
     return out
+
+
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max |a - a.T| over a square matrix, compared tile pair by tile pair
+    over the upper triangle, so no m x m temporary is allocated."""
+    n = a.shape[0]
+    worst = 0.0
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = a[i : i + _TILE, j : j + _TILE]
+            lower = a[j : j + _TILE, i : i + _TILE]
+            worst = max(worst, float(np.abs(upper - lower.T).max()))
+    return worst

@@ -239,16 +239,20 @@ def fit(bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams) -> FitResult
     iterate and the step from it: len(trace) products in all when lam > 0.
     """
     m, n_act = bundle.shape
-    ku, _ = _as_kernel(K_U)
+    ku, deg_u = _as_kernel(K_U)
     if ku is not None and ku.shape != (m, m):
         raise SolverError(f"K_U must be {m}x{m}, got {ku.shape}")
     if params.lam > 0 and ku is None:
         raise SolverError("lam > 0 requires a location kernel")
-    kv, _ = _as_kernel(K_V)
+    kv, deg_v = _as_kernel(K_V)
     if kv is not None and kv.shape != (n_act, n_act):
         raise SolverError(f"K_V must be {n_act}x{n_act}, got {kv.shape}")
     if params.mu > 0 and kv is None:
         raise SolverError("mu > 0 requires an activity kernel")
+    # a non-finite kernel entry makes its row degree non-finite: an O(m) check
+    for name, deg in (("K_U", deg_u), ("K_V", deg_v)):
+        if deg is not None and not np.isfinite(deg).all():
+            raise SolverError(f"{name} must be finite")
     rng = np.random.default_rng(params.seed)
     u = rng.uniform(0.1, 1.1, size=(m, params.rank))
     v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))

@@ -2,7 +2,9 @@
 
 These are test oracles for `GramBasis.gram`, which computes the same kernel
 for all pairs at once from the stacked `LocationFeatures` arrays. A
-`Location` is one row of that record.
+`Location` is one row of that record. `gram_reference` is the unblocked
+whole-matrix composition, with the same per-entry arithmetic as the
+row-blocked `GramBasis.gram`, so the two agree bit for bit.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 
 from actionmaps.sideinfo import (
     OBJECT_KERNEL_RADIUS,
+    GramMatrix,
     KernelConfig,
     LocationFeatures,
     SideInfoError,
@@ -110,3 +113,44 @@ def gram_oracle(features: LocationFeatures, cfg: KernelConfig) -> np.ndarray:
     """combined_kernel over every pair of rows of a stacked record (no sparsification)."""
     locs = locations(features)
     return np.array([[combined_kernel(a, b, cfg) for b in locs] for a in locs])
+
+
+def chi2_distances_reference(vectors: np.ndarray, epsilon: float) -> np.ndarray:
+    """Pairwise chi-squared distances over whole m x m arrays, one dim at a time."""
+    m = vectors.shape[0]
+    out = np.zeros((m, m))
+    for c in range(vectors.shape[1]):
+        col = vectors[:, c]
+        diff = col[:, None] - col[None, :]
+        out += diff * diff / (col[:, None] + col[None, :] + epsilon)
+    return out
+
+
+def gram_reference(features: LocationFeatures, cfg: KernelConfig) -> GramMatrix:
+    """The Gram matrix composed from whole m x m arrays with np.where."""
+    codes = features.scene_codes
+    same_scene = codes[:, None] == codes[None, :]
+    d = features.x[:, None, :] - features.x[None, :, :]
+    spatial_sq = (d * d).sum(axis=2)
+    chi2_p = chi2_distances_reference(features.p, cfg.chi2_epsilon)
+    chi2_o = chi2_distances_reference(features.o, cfg.chi2_epsilon)
+    has = (features.o > 0).any(axis=1)
+    object_pair = has[:, None] & has[None, :]
+    ks = np.where(same_scene, np.exp(-spatial_sq / (2.0 * cfg.sigma_s * cfg.sigma_s)), 0.0)
+    if cfg.variant == "S":
+        k = ks
+    else:
+        alpha = cfg.alpha
+        if cfg.variant == "SO":
+            ko = np.where(object_pair, np.exp(-cfg.gamma_o * chi2_o), 0.0)
+            k = (1.0 - alpha) * ks + alpha * ko
+        elif cfg.variant == "SP":
+            kp = np.exp(-cfg.gamma_p * chi2_p)
+            k = (1.0 - alpha) * ks + alpha * kp
+        else:
+            kp = np.exp(-cfg.gamma_p * chi2_p)
+            ko = np.where(object_pair, np.exp(-cfg.gamma_o * chi2_o), 0.0)
+            k = (1.0 - alpha) * ks + 0.5 * alpha * kp + 0.5 * alpha * ko
+    if cfg.tau > 0:
+        k[k < cfg.tau] = 0.0
+    return GramMatrix(matrix=k, degrees=k.sum(axis=1))

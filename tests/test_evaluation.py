@@ -336,6 +336,29 @@ def test_run_parameter_grid_propagates_memory_error(mini_dataset, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("pipeline", ["grid", "fit", "elapse"])
+def test_pipelines_refuse_dense_cap_before_building_basis(mini_dataset, monkeypatch, pipeline):
+    from actionmaps import sideinfo
+    from actionmaps.experiments import fit_action_map, run_elapse
+    from actionmaps.sideinfo import KernelConfig, SideInfoError
+    from actionmaps.solver import SolverParams
+
+    def no_distances(*args):
+        raise AssertionError("pairwise distances computed above the dense cap")
+
+    monkeypatch.setattr(sideinfo, "_chi2_distances", no_distances)
+    kernel = KernelConfig(max_dense=mini_dataset.index().total_rows - 1)
+    solver = SolverParams(rank=2, max_iters=5)
+    spec = GridSpec(alphas=(0.5,), lambdas=(1e-3,), gammas=(1.0,))
+    with pytest.raises(SideInfoError, match="cap"):
+        if pipeline == "grid":
+            run_parameter_grid(mini_dataset, spec, ("SOP",), solver=solver, kernel=kernel)
+        elif pipeline == "fit":
+            fit_action_map(mini_dataset, kernel, solver)
+        else:
+            run_elapse(mini_dataset, [1.0], kernel=kernel, solver=solver)
+
+
 def test_run_parameter_grid_builds_one_gram_per_consecutive_config(mini_dataset, monkeypatch):
     from dataclasses import replace
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +10,18 @@ from hypothesis.extra import numpy as hnp
 from actionmaps.sideinfo import (
     VARIANTS,
     GramBasis,
+    GramMatrix,
     KernelConfig,
     LocationFeatures,
     SideInfoError,
+    _max_asymmetry,
     aggregate_object_scores,
 )
 from tests.kernel_oracles import (
     Location,
     combined_kernel,
     gram_oracle,
+    gram_reference,
     kernel_chi2,
     kernel_spatial,
     locations,
@@ -229,6 +233,71 @@ def test_gram_size_cap():
         _gram(feats, KernelConfig(max_dense=4))
 
 
+def test_gram_basis_size_cap():
+    rng = np.random.default_rng(6)
+    feats = stack(_random_features(rng, 5))
+    with pytest.raises(SideInfoError, match="cap"):
+        GramBasis(feats, max_dense=4)
+    assert GramBasis(feats, max_dense=5).m == 5
+
+
+def test_gram_matrix_rejects_nan():
+    # every comparison with NaN is False, so a NaN entry must fail the range check
+    for bad in (np.full((2, 2), np.nan), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(SideInfoError, match="must lie in"):
+            GramMatrix(matrix=bad, degrees=np.zeros(2))
+
+
+def test_gram_matrix_rejects_asymmetry_in_off_diagonal_tile():
+    a = np.eye(260)
+    a[3, 200] = a[200, 3] = 0.5
+    GramMatrix(matrix=a.copy(), degrees=a.sum(axis=1))
+    a[200, 3] = 0.0
+    with pytest.raises(SideInfoError, match="symmetric"):
+        GramMatrix(matrix=a, degrees=a.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 300])
+def test_max_asymmetry_matches_dense_difference(n):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(0.0, 1.0, (n, n))
+    near = (a + a.T) / 2.0
+    near[rng.integers(0, n), rng.integers(0, n)] += 1e-7
+    for mat in (a, near, (a + a.T) / 2.0):
+        assert _max_asymmetry(mat) == np.abs(mat - mat.T).max()
+
+
+def _two_scene_record(m=700, seed=11):
+    rng = np.random.default_rng(seed)
+    return LocationFeatures(
+        x=rng.integers(0, 20, (m, 2)).astype(float),
+        p=rng.dirichlet(np.ones(8), m),
+        o=rng.uniform(0.0, 1.0, (m, 5)) * (rng.random((m, 1)) < 0.2),
+        scene_codes=(np.arange(m) >= m // 2).astype(int),
+    )
+
+
+def test_basis_and_gram_memory_peaks():
+    # the basis keeps two m x m doubles (plus bool masks and the object-row
+    # block); gram() allocates one m x m output plus row-block scratch
+    feats = _two_scene_record()
+    m2_bytes = 8 * feats.x.shape[0] ** 2
+    cfg = KernelConfig(variant="SOP", gamma_p=100.0, gamma_o=100.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis = GramBasis(feats, cfg.chi2_epsilon)
+        basis_peak = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        basis.gram(cfg)
+        gram_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert basis_peak <= 3 * m2_bytes
+    assert gram_peak <= 1.5 * m2_bytes
+
+
 def test_gram_basis_matches_direct_build():
     # one basis reused across configs equals a fresh basis per config, and a
     # record split into rows and stacked again builds the same basis
@@ -308,6 +377,50 @@ def test_gram_matches_oracle_property(feats, variant, alpha, gamma_p, gamma_o):
     cfg = KernelConfig(alpha=alpha, gamma_p=gamma_p, gamma_o=gamma_o, variant=variant, tau=0.0)
     gram = GramBasis(feats, cfg.chi2_epsilon).gram(cfg)
     np.testing.assert_allclose(gram.matrix, gram_oracle(feats, cfg), rtol=0, atol=1e-12)
+
+
+@st.composite
+def _block_records(draw):
+    """Records of 1 to 200 rows over 1-3 scenes, so m falls below, on and
+    across row-block and tile boundaries; no, some or every row has objects."""
+    m = draw(st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 127, 128, 129])))
+    n_scenes = draw(st.integers(1, 3))
+    objects = draw(st.sampled_from(("none", "some", "all")))
+    c = draw(st.integers(1, 8))
+    f = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    o = rng.uniform(0.01, 1.0, (m, f))
+    if objects == "none":
+        o[:] = 0.0
+    elif objects == "some":
+        o *= rng.random((m, f)) < 0.15
+    return LocationFeatures(
+        x=rng.integers(0, 25, (m, 2)).astype(float),
+        p=rng.dirichlet(np.ones(c), m),
+        o=o,
+        scene_codes=rng.integers(0, n_scenes, m),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    feats=_block_records(),
+    variant=st.sampled_from(VARIANTS),
+    tau=st.sampled_from((0.0, 1e-4)),
+    alpha=st.floats(0.0, 1.0),
+    sigma_s=st.floats(0.5, 4.0),
+    gamma_p=st.floats(0.01, 1000.0),
+    gamma_o=st.floats(0.01, 1000.0),
+)
+def test_gram_equals_unblocked_reference_property(
+    feats, variant, tau, alpha, sigma_s, gamma_p, gamma_o
+):
+    cfg = KernelConfig(alpha=alpha, sigma_s=sigma_s, gamma_p=gamma_p, gamma_o=gamma_o,
+                       variant=variant, tau=tau)
+    gram = GramBasis(feats, cfg.chi2_epsilon).gram(cfg)
+    want = gram_reference(feats, cfg)
+    assert np.array_equal(gram.matrix, want.matrix)
+    assert np.array_equal(gram.degrees, want.degrees)
 
 
 @settings(max_examples=60, deadline=None)

@@ -387,6 +387,24 @@ def test_fit_checks_activity_kernel_shape():
     assert np.all(np.diff(result.trace) <= 1e-9 * np.maximum(np.abs(result.trace[:-1]), 1.0))
 
 
+@pytest.mark.parametrize("which", ["raw K_U", "Gram K_U", "K_V"])
+def test_fit_rejects_non_finite_kernel(which):
+    # before the check, fit ran one step and raised a misleading RuntimeError
+    rng = np.random.default_rng(16)
+    bundle = random_bundle(rng, m=6, a=3)
+    nan_k = np.full((6, 6), np.nan)
+    k_u, k_v, params = nan_k, None, SolverParams(rank=2, lam=0.1, max_iters=5)
+    if which == "Gram K_U":
+        k_u = GramMatrix(matrix=random_kernel(rng, 6), degrees=np.zeros(6))
+        k_u.matrix[0, 1] = k_u.matrix[1, 0] = np.inf
+        k_u.degrees = k_u.matrix.sum(axis=1)
+    elif which == "K_V":
+        k_u, k_v = None, np.full((3, 3), np.nan)
+        params = SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=5)
+    with pytest.raises(SolverError, match="must be finite"):
+        fit(bundle, k_u, k_v, params)
+
+
 # -- one K·U product per iterate ----------------------------------------------
 
 
