@@ -13,7 +13,13 @@ import sys
 from dataclasses import fields
 
 from actionmaps import experiments, fileio
-from actionmaps.evaluation import SUMMARY_METRICS, EvalParams, GridSpec, score_action_map
+from actionmaps.evaluation import (
+    SUMMARY_METRICS,
+    EvalParams,
+    GridSpec,
+    pose_views,
+    score_action_map,
+)
 from actionmaps.fileio import format_summary_value
 from actionmaps.sideinfo import KernelConfig
 from actionmaps.solver import SolverParams, normalize_action_map, predict
@@ -197,9 +203,8 @@ def cmd_evaluate(args) -> int:
     am = fileio.read_action_map(args.am, index)
     am = normalize_action_map(am)
     scene_ids = _str_list(args.scenes) if args.scenes else None
-    scores = score_action_map(
-        dataset.scenes, index, am, _eval_from_args(args), scene_ids
-    )
+    views = pose_views(dataset.scenes, index, _eval_from_args(args), scene_ids)
+    scores = score_action_map(views, am)
     names = index.vocabulary.names
     lines = [f"{'activity':<18}{'Max F1':>12}{'Mean F1':>12}{'GT count':>12}"]
     for a, name in enumerate(names):

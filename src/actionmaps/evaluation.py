@@ -155,21 +155,36 @@ class ScoreResult:
         }
 
 
-def collect_image_data(
+@dataclass(frozen=True, eq=False)
+class PoseViews:
+    """What scoring needs of the camera poses, independent of any map.
+
+    rows[p] holds the global row indices of pose p's view triangle, gt[p] is
+    that view's ground truth (P, A), and n_rows is the row count of the index
+    the rows refer to. Build it once with pose_views and score any number of
+    action maps against it.
+    """
+
+    rows: tuple[np.ndarray, ...]
+    gt: np.ndarray
+    params: EvalParams
+    n_rows: int
+
+
+def pose_views(
     scenes: Sequence[SceneGrid],
     index: GlobalIndex,
-    am_norm: np.ndarray,
     params: EvalParams = EvalParams(),
     scene_ids: Optional[Sequence[str]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image score and ground-truth matrices over the camera poses."""
+) -> PoseViews:
+    """Rasterize each camera pose's view triangle once, scene by scene in
+    the given order, keeping the scenes in scene_ids (all when None)."""
     wanted = set(scene_ids) if scene_ids is not None else None
-    all_scores, all_gt = [], []
+    all_rows, all_gt = [], []
     for scene in scenes:
         if wanted is not None and scene.scene_id not in wanted:
             continue
-        rows = index.rows_of(scene.scene_id)
-        am_scene = am_norm[rows]
+        offset = index.rows_of(scene.scene_id).start
         labels = scene.label_matrix()
         shape = (scene.width, scene.height)
         for pose in scene.poses:
@@ -179,24 +194,31 @@ def collect_image_data(
                 fov_deg=params.fov_deg,
                 range_cells=params.range_cells,
             )
-            view = [i * scene.height + j for i, j in cells_in_triangle(tri, shape)]
-            all_scores.append(image_scores(am_scene, view))
+            view = np.array(
+                [i * scene.height + j for i, j in cells_in_triangle(tri, shape)],
+                dtype=np.intp,
+            )
+            all_rows.append(offset + view)
             all_gt.append(image_gt(labels, view))
-    if not all_scores:
+    if not all_rows:
         raise EvaluationError("no camera poses found for evaluation")
-    return np.stack(all_scores), np.stack(all_gt)
+    return PoseViews(tuple(all_rows), np.stack(all_gt), params, index.total_rows)
 
 
-def score_action_map(
-    scenes: Sequence[SceneGrid],
-    index: GlobalIndex,
-    am_norm: np.ndarray,
-    params: EvalParams = EvalParams(),
-    scene_ids: Optional[Sequence[str]] = None,
-) -> ScoreResult:
-    """Evaluate a normalized action map against the labelled camera poses."""
-    scores, gt = collect_image_data(scenes, index, am_norm, params, scene_ids)
-    max_f1, mean_f1 = f1_sweep(scores, gt, params.n_thresholds)
+def score_action_map(views: PoseViews, am_norm: np.ndarray) -> ScoreResult:
+    """Evaluate a normalized action map against the labelled camera poses.
+
+    Each pose's score is am_norm[rows].mean(axis=0), not a summed incidence
+    product: another summation order would change the last bits of the F1
+    values.
+    """
+    if am_norm.ndim != 2 or am_norm.shape[0] != views.n_rows:
+        raise EvaluationError(
+            f"action map has shape {am_norm.shape}, expected {views.n_rows} rows"
+        )
+    scores = np.stack([image_scores(am_norm, rows) for rows in views.rows])
+    gt = views.gt
+    max_f1, mean_f1 = f1_sweep(scores, gt, views.params.n_thresholds)
     counts = gt.sum(axis=0)
     w_max, u_max = aggregate(max_f1, counts)
     w_mean, u_mean = aggregate(mean_f1, counts)
@@ -278,9 +300,11 @@ def run_parameter_grid(
     rather than raised; anything else, such as MemoryError, propagates.
     Deterministic given base_seed: run k uses seed base_seed + k.
     Consecutive runs with the same kernel config share one Gram matrix,
-    and at most one Gram is alive at a time.
+    and at most one Gram is alive at a time; every run is scored against
+    one set of pose views.
     """
     index = dataset.index()
+    views = pose_views(dataset.scenes, index, eval_params, scene_ids)
     bundle = build_bundle(dataset.scenes, index, observed_scene_ids)
     basis = GramBasis(dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense)
     rows: list[GridRow] = []
@@ -299,9 +323,7 @@ def run_parameter_grid(
                     gram_cfg = cfg
                 result = fit(bundle, gram, None, replace(solver, lam=lam, seed=seed))
                 am = normalize_action_map(predict(result.factors))
-                scores = score_action_map(
-                    dataset.scenes, index, am, eval_params, scene_ids
-                )
+                scores = score_action_map(views, am)
                 rows.append(GridRow(variant, alpha, lam, gamma, seed, scores))
             except (ValueError, RuntimeError) as exc:  # recorded, not fatal
                 rows.append(GridRow(variant, alpha, lam, gamma, seed, None, str(exc)))

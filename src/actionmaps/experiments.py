@@ -13,6 +13,7 @@ from actionmaps.evaluation import (
     EvalReport,
     GridSpec,
     ScoreResult,
+    pose_views,
     run_parameter_grid,
     score_action_map,
 )
@@ -69,10 +70,11 @@ def run_transfer(
     """Fit with zero target demonstrations and evaluate on the targets."""
     observed = set(source_ids)
     index = dataset.index()
+    views = pose_views(dataset.scenes, index, eval_params, target_ids)
     det_am = normalize_action_map(
         detection_action_map(dataset.stacked_object_scores(), dataset.catmap)
     )
-    det = score_action_map(dataset.scenes, index, det_am, eval_params, target_ids)
+    det = score_action_map(views, det_am)
 
     bundle = build_bundle(dataset.scenes, index, observed)
     nmf_am = augmented_wnmf(
@@ -82,7 +84,7 @@ def run_transfer(
         replace(solver, seed=base_seed),
         dataset.explored_rows(),
     )
-    nmf = score_action_map(dataset.scenes, index, nmf_am, eval_params, target_ids)
+    nmf = score_action_map(views, nmf_am)
 
     grid = run_parameter_grid(
         dataset,
@@ -106,7 +108,11 @@ def run_elapse(
     eval_params: EvalParams = EvalParams(),
     subset_seed: int = 0,
 ) -> list[tuple[float, ScoreResult]]:
-    """Sweep prefix-consistent demonstration fractions and re-fit each time."""
+    """Sweep prefix-consistent demonstration fractions and re-fit each time.
+
+    Subsets keep every scene's poses and labels, so one set of pose views
+    scores every fraction."""
+    views = pose_views(dataset.scenes, dataset.index(), eval_params)
     gram = GramBasis(
         dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense
     ).gram(kernel)
@@ -114,7 +120,7 @@ def run_elapse(
     for fraction in fractions:
         ds = dataset.with_demo_fraction(fraction, subset_seed)
         am, _ = fit_action_map(ds, kernel, solver, gram=gram)
-        out.append((fraction, score_action_map(ds.scenes, ds.index(), am, eval_params)))
+        out.append((fraction, score_action_map(views, am)))
     return out
 
 
@@ -132,7 +138,9 @@ def run_joint_vs_single(
     out = {}
     for scene in dataset.scenes:
         sid = scene.scene_id
-        joint = score_action_map(dataset.scenes, index, joint_am, eval_params, [sid])
+        joint = score_action_map(
+            pose_views(dataset.scenes, index, eval_params, [sid]), joint_am
+        )
         single_ds = GeneratedDataset(
             scenes=[scene],
             features={sid: dataset.features[sid]},
@@ -142,7 +150,7 @@ def run_joint_vs_single(
         )
         single_am, _ = fit_action_map(single_ds, kernel, solver)
         single = score_action_map(
-            single_ds.scenes, single_ds.index(), single_am, eval_params
+            pose_views(single_ds.scenes, single_ds.index(), eval_params), single_am
         )
         out[sid] = (joint, single)
     return out

@@ -45,6 +45,16 @@ class _Reader:
             raise SchemaError(path, 0, f"cannot read file: {exc}") from exc
         self.pos = 0
 
+    def __enter__(self) -> "_Reader":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        # a value that the objects built from the document reject (SceneError,
+        # BaselineError, numpy shape errors) is reported at the line holding it
+        if isinstance(exc, ValueError) and not isinstance(exc, SchemaError):
+            raise self.error(str(exc)) from exc
+        return False
+
     def error(self, msg: str) -> SchemaError:
         return SchemaError(self.path, self.pos, msg)
 
@@ -62,6 +72,30 @@ class _Reader:
         if tokens[0] != tag:
             raise self.error(f"expected section {tag!r}, found {tokens[0]!r}")
         return tokens[1:]
+
+    def expect_value(self, tag: str) -> str:
+        """The single value of a `tag value` line."""
+        tokens = self.expect(tag)
+        if len(tokens) != 1:
+            raise self.error(f"{tag!r} needs exactly one value, found {len(tokens)}")
+        return tokens[0]
+
+    def expect_count(self, tag: str) -> int:
+        """The entry count of a `tag n` section header."""
+        n = self.int_(self.expect_value(tag))
+        if n < 0:
+            raise self.error(f"{tag!r} count must be >= 0, found {n}")
+        return n
+
+    def expect_names(self, tag: str) -> tuple[str, ...]:
+        """The names of a `tag n name_1 ... name_n` line."""
+        tokens = self.expect(tag)
+        if not tokens:
+            raise self.error(f"{tag!r} needs a count")
+        n = self.int_(tokens[0])
+        if len(tokens) != n + 1:
+            raise self.error(f"{tag!r} announces {n} names, found {len(tokens) - 1}")
+        return tuple(tokens[1:])
 
     def check_schema(self, schema: str):
         tokens = self.next()
@@ -149,92 +183,76 @@ def write_scene(
 
 def read_scene(path):
     """Returns (scene, P, O, class_names, category_names)."""
-    r = _Reader(path)
-    r.check_schema(SCENE_SCHEMA)
-    (scene_id,) = r.expect("scene")
-    dims = r.expect("dims")
-    if len(dims) != 3:
-        raise r.error("dims needs width, height, cell size")
-    width, height = r.int_(dims[0]), r.int_(dims[1])
-    cell_size = r.float_(dims[2])
-    act_toks = r.expect("activities")
-    n_act = r.int_(act_toks[0])
-    if len(act_toks) != n_act + 1:
-        raise r.error(f"expected {n_act} activity names, found {len(act_toks) - 1}")
-    vocab = ActivityVocabulary(tuple(act_toks[1:]))
-    cls_toks = r.expect("classes")
-    n_classes = r.int_(cls_toks[0])
-    if len(cls_toks) != n_classes + 1:
-        raise r.error(f"expected {n_classes} class names, found {len(cls_toks) - 1}")
-    class_names = tuple(cls_toks[1:])
-    cat_toks = r.expect("categories")
-    n_categories = r.int_(cat_toks[0])
-    if len(cat_toks) != n_categories + 1:
-        raise r.error(f"expected {n_categories} category names, found {len(cat_toks) - 1}")
-    category_names = tuple(cat_toks[1:])
+    with _Reader(path) as r:
+        r.check_schema(SCENE_SCHEMA)
+        scene_id = r.expect_value("scene")
+        dims = r.expect("dims")
+        if len(dims) != 3:
+            raise r.error("dims needs width, height, cell size")
+        width, height = r.int_(dims[0]), r.int_(dims[1])
+        cell_size = r.float_(dims[2])
+        vocab = ActivityVocabulary(r.expect_names("activities"))
+        class_names = r.expect_names("classes")
+        category_names = r.expect_names("categories")
+        n_classes, n_categories = len(class_names), len(category_names)
 
-    scene = SceneGrid(scene_id, width, height, cell_size, vocab)
-    (n_explored,) = r.expect("explored")
-    for _ in range(r.int_(n_explored)):
-        toks = r.next()
-        if len(toks) != 2:
-            raise r.error("explored entries need two cell coordinates")
-        scene.mark_explored((r.int_(toks[0]), r.int_(toks[1])))
-    (n_gt,) = r.expect("gt")
-    for _ in range(r.int_(n_gt)):
-        toks = r.next()
-        if len(toks) < 3:
-            raise r.error("gt entries need cell, count, and activity indices")
-        i, j, k = r.int_(toks[0]), r.int_(toks[1]), r.int_(toks[2])
-        if len(toks) != 3 + k:
-            raise r.error(f"gt entry announces {k} labels but has {len(toks) - 3}")
-        for tok in toks[3:]:
-            scene.add_label((i, j), r.int_(tok))
-    (n_demos,) = r.expect("demos")
-    for _ in range(r.int_(n_demos)):
-        toks = r.next()
-        if len(toks) != 4:
-            raise r.error("demo entries need cell, activity, value")
-        scene.add_demonstration(
-            Demonstration(
-                scene_id,
-                (r.int_(toks[0]), r.int_(toks[1])),
-                r.int_(toks[2]),
-                r.float_(toks[3]),
+        scene = SceneGrid(scene_id, width, height, cell_size, vocab)
+        for _ in range(r.expect_count("explored")):
+            toks = r.next()
+            if len(toks) != 2:
+                raise r.error("explored entries need two cell coordinates")
+            scene.mark_explored((r.int_(toks[0]), r.int_(toks[1])))
+        for _ in range(r.expect_count("gt")):
+            toks = r.next()
+            if len(toks) < 3:
+                raise r.error("gt entries need cell, count, and activity indices")
+            i, j, k = r.int_(toks[0]), r.int_(toks[1]), r.int_(toks[2])
+            if len(toks) != 3 + k:
+                raise r.error(f"gt entry announces {k} labels but has {len(toks) - 3}")
+            for tok in toks[3:]:
+                scene.add_label((i, j), r.int_(tok))
+        for _ in range(r.expect_count("demos")):
+            toks = r.next()
+            if len(toks) != 4:
+                raise r.error("demo entries need cell, activity, value")
+            scene.add_demonstration(
+                Demonstration(
+                    scene_id,
+                    (r.int_(toks[0]), r.int_(toks[1])),
+                    r.int_(toks[2]),
+                    r.float_(toks[3]),
+                )
             )
-        )
-    (n_poses,) = r.expect("poses")
-    for _ in range(r.int_(n_poses)):
-        toks = r.next()
-        if len(toks) != 4:
-            raise r.error("pose entries need position and heading")
-        scene.add_pose(
-            GridPose(
-                position=(r.float_(toks[0]), r.float_(toks[1])),
-                heading=(r.float_(toks[2]), r.float_(toks[3])),
+        for _ in range(r.expect_count("poses")):
+            toks = r.next()
+            if len(toks) != 4:
+                raise r.error("pose entries need position and heading")
+            scene.add_pose(
+                GridPose(
+                    position=(r.float_(toks[0]), r.float_(toks[1])),
+                    heading=(r.float_(toks[2]), r.float_(toks[3])),
+                )
             )
-        )
-    (n_feat,) = r.expect("features")
-    if r.int_(n_feat) != scene.n_cells:
-        raise r.error(f"feature section must cover all {scene.n_cells} cells")
-    p_scores = np.zeros((scene.n_cells, n_classes))
-    o_scores = np.zeros((scene.n_cells, n_categories))
-    seen = np.zeros(scene.n_cells, dtype=bool)
-    for _ in range(scene.n_cells):
-        toks = r.next()
-        if len(toks) != 2 + n_classes + n_categories:
-            raise r.error(
-                f"feature rows need cell_x, cell_y, {n_classes} class scores, "
-                f"{n_categories} object scores"
-            )
-        row = scene.row_of((r.int_(toks[0]), r.int_(toks[1])))
-        if seen[row]:
-            raise r.error(f"duplicate feature row for cell {toks[0]},{toks[1]}")
-        seen[row] = True
-        vals = [r.float_(t) for t in toks[2:]]
-        p_scores[row] = vals[:n_classes]
-        o_scores[row] = vals[n_classes:]
-    r.expect("end")
+        if r.expect_count("features") != scene.n_cells:
+            raise r.error(f"feature section must cover all {scene.n_cells} cells")
+        p_scores = np.zeros((scene.n_cells, n_classes))
+        o_scores = np.zeros((scene.n_cells, n_categories))
+        seen = np.zeros(scene.n_cells, dtype=bool)
+        for _ in range(scene.n_cells):
+            toks = r.next()
+            if len(toks) != 2 + n_classes + n_categories:
+                raise r.error(
+                    f"feature rows need cell_x, cell_y, {n_classes} class scores, "
+                    f"{n_categories} object scores"
+                )
+            row = scene.row_of((r.int_(toks[0]), r.int_(toks[1])))
+            if seen[row]:
+                raise r.error(f"duplicate feature row for cell {toks[0]},{toks[1]}")
+            seen[row] = True
+            vals = [r.float_(t) for t in toks[2:]]
+            p_scores[row] = vals[:n_classes]
+            o_scores[row] = vals[n_classes:]
+        r.expect("end")
     return scene, p_scores, o_scores, class_names, category_names
 
 
@@ -267,30 +285,21 @@ def write_catmap(
 
 
 def read_catmap(path):
-    r = _Reader(path)
-    r.check_schema(CATMAP_SCHEMA)
-    cat_toks = r.expect("categories")
-    n_categories = r.int_(cat_toks[0])
-    category_names = tuple(cat_toks[1:])
-    if len(category_names) != n_categories:
-        raise r.error("category count does not match names")
-    act_toks = r.expect("activities")
-    n_act = r.int_(act_toks[0])
-    activity_names = tuple(act_toks[1:])
-    if len(activity_names) != n_act:
-        raise r.error("activity count does not match names")
-    (n_map,) = r.expect("map")
-    pairs: dict[str, list[str]] = {}
-    for _ in range(r.int_(n_map)):
-        toks = r.next()
-        if toks[0] not in category_names:
-            raise r.error(f"unknown category {toks[0]!r}")
-        for a in toks[1:]:
-            if a not in activity_names:
-                raise r.error(f"unknown activity {a!r}")
-        pairs[toks[0]] = list(toks[1:])
-    r.expect("end")
-    catmap = CategoryActivityMap.from_names(pairs, category_names, activity_names)
+    with _Reader(path) as r:
+        r.check_schema(CATMAP_SCHEMA)
+        category_names = r.expect_names("categories")
+        activity_names = r.expect_names("activities")
+        pairs: dict[str, list[str]] = {}
+        for _ in range(r.expect_count("map")):
+            toks = r.next()
+            if toks[0] not in category_names:
+                raise r.error(f"unknown category {toks[0]!r}")
+            for a in toks[1:]:
+                if a not in activity_names:
+                    raise r.error(f"unknown activity {a!r}")
+            pairs[toks[0]] = list(toks[1:])
+        r.expect("end")
+        catmap = CategoryActivityMap.from_names(pairs, category_names, activity_names)
     return catmap, category_names, activity_names
 
 
@@ -325,10 +334,17 @@ def write_dataset(dataset: GeneratedDataset, outdir, name: str = "dataset") -> s
 def load_dataset(manifest_path) -> GeneratedDataset:
     r = _Reader(manifest_path)
     r.check_schema(DATASET_SCHEMA)
-    (n_scenes,) = r.expect("scenes")
+    n_scenes = r.expect_count("scenes")
+    if n_scenes == 0:
+        raise r.error("a dataset needs at least one scene")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    scene_files = [r.next()[0] for _ in range(r.int_(n_scenes))]
-    (catmap_file,) = r.expect("catmap")
+    scene_files = []
+    for _ in range(n_scenes):
+        toks = r.next()
+        if len(toks) != 1:
+            raise r.error("scene entries need one file name")
+        scene_files.append(toks[0])
+    catmap_file = r.expect_value("catmap")
     r.expect("end")
 
     scenes = []
@@ -376,21 +392,21 @@ def write_factors(factors: FactorPair, path):
 
 
 def read_factors(path) -> FactorPair:
-    r = _Reader(path)
-    r.check_schema(FACTORS_SCHEMA)
-    shape = r.expect("shape")
-    if len(shape) != 3:
-        raise r.error("shape needs M, A, D")
-    m, a, d = (r.int_(t) for t in shape)
-    r.expect("U")
-    u = np.array([[r.float_(t) for t in r.next()] for _ in range(m)])
-    v_head = r.next()
-    if v_head != ["V"]:
-        raise r.error("expected section 'V'")
-    v = np.array([[r.float_(t) for t in r.next()] for _ in range(a)])
-    r.expect("end")
-    if u.shape != (m, d) or v.shape != (a, d):
-        raise r.error("factor rows do not match the declared shape")
+    with _Reader(path) as r:
+        r.check_schema(FACTORS_SCHEMA)
+        shape = r.expect("shape")
+        if len(shape) != 3:
+            raise r.error("shape needs M, A, D")
+        m, a, d = (r.int_(t) for t in shape)
+        r.expect("U")
+        u = np.array([[r.float_(t) for t in r.next()] for _ in range(m)])
+        v_head = r.next()
+        if v_head != ["V"]:
+            raise r.error("expected section 'V'")
+        v = np.array([[r.float_(t) for t in r.next()] for _ in range(a)])
+        r.expect("end")
+        if u.shape != (m, d) or v.shape != (a, d):
+            raise r.error("factor rows do not match the declared shape")
     return FactorPair(U=u, V=v)
 
 
@@ -419,29 +435,31 @@ def write_action_map(am: np.ndarray, index, path):
 
 
 def read_action_map(path, index) -> np.ndarray:
-    r = _Reader(path)
-    r.check_schema(ACTIONMAP_SCHEMA)
-    act_toks = r.expect("activities")
-    n_act = r.int_(act_toks[0])
-    if tuple(act_toks[1:]) != index.vocabulary.names:
-        raise r.error("action map activities do not match the dataset")
-    (n_rows,) = r.expect("rows")
-    if r.int_(n_rows) != index.total_rows:
-        raise r.error(
-            f"action map has {n_rows} rows, dataset expects {index.total_rows}"
-        )
-    am = np.zeros((index.total_rows, n_act))
-    seen = np.zeros(index.total_rows, dtype=bool)
-    for _ in range(index.total_rows):
-        toks = r.next()
-        if len(toks) != 3 + n_act:
-            raise r.error("action map rows need scene, cell, and per-activity values")
-        row = index.row(toks[0], (r.int_(toks[1]), r.int_(toks[2])))
-        if seen[row]:
-            raise r.error(f"duplicate action map row for {toks[0]} {toks[1]},{toks[2]}")
-        seen[row] = True
-        am[row] = [r.float_(t) for t in toks[3:]]
-    r.expect("end")
+    with _Reader(path) as r:
+        r.check_schema(ACTIONMAP_SCHEMA)
+        names = r.expect_names("activities")
+        if names != index.vocabulary.names:
+            raise r.error("action map activities do not match the dataset")
+        n_act = len(names)
+        n_rows = r.expect_count("rows")
+        if n_rows != index.total_rows:
+            raise r.error(
+                f"action map has {n_rows} rows, dataset expects {index.total_rows}"
+            )
+        am = np.zeros((index.total_rows, n_act))
+        seen = np.zeros(index.total_rows, dtype=bool)
+        for _ in range(index.total_rows):
+            toks = r.next()
+            if len(toks) != 3 + n_act:
+                raise r.error("action map rows need scene, cell, and per-activity values")
+            if toks[0] not in index.offsets:
+                raise r.error(f"unknown scene {toks[0]!r}")
+            row = index.row(toks[0], (r.int_(toks[1]), r.int_(toks[2])))
+            if seen[row]:
+                raise r.error(f"duplicate action map row for {toks[0]} {toks[1]},{toks[2]}")
+            seen[row] = True
+            am[row] = [r.float_(t) for t in toks[3:]]
+        r.expect("end")
     return am
 
 

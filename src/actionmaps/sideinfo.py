@@ -138,10 +138,10 @@ class GramBasis:
     """Pairwise distances that do not depend on alpha/gamma/sigma, reusable
     across parameter sweeps (the chi-squared guard epsilon is pinned here).
 
-    Holds spatial_sq and chi2_p as m x m doubles, the same_scene and
-    object_pair masks as m x m bools, and chi2_o over the object_rows (the
-    rows with object evidence) only. Refuses more than max_dense locations
-    before allocating anything.
+    Holds spatial_sq and chi2_p as m x m doubles, the same_scene mask as
+    m x m bools, and chi2_o over the object_rows (the rows with object
+    evidence) only. Refuses more than max_dense locations before allocating
+    anything.
     """
 
     def __init__(
@@ -156,9 +156,7 @@ class GramBasis:
         self.same_scene = codes[:, None] == codes[None, :]
         self.spatial_sq = _spatial_sq(features.x)
         self.chi2_p = _chi2_distances(features.p, chi2_epsilon)
-        has = (features.o > 0).any(axis=1)
-        self.object_pair = has[:, None] & has[None, :]
-        self.object_rows = np.flatnonzero(has)
+        self.object_rows = np.flatnonzero((features.o > 0).any(axis=1))
         self.chi2_o = _chi2_distances(features.o[self.object_rows], chi2_epsilon)
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from actionmaps.evaluation import (
+    EvalParams,
     EvaluationError,
     GridSpec,
     ViewTriangle,
@@ -12,9 +13,11 @@ from actionmaps.evaluation import (
     f1_sweep,
     image_gt,
     image_scores,
+    pose_views,
     run_parameter_grid,
     score_action_map,
 )
+from actionmaps.scene import GlobalIndex, GridPose
 
 
 def barycentric_inside(point, verts, eps=1e-9):
@@ -115,7 +118,7 @@ def _wedge():
 
 
 def _view(tri, grid_shape):
-    """Row indices of the triangle's cells, as collect_image_data passes them."""
+    """Row indices of the triangle's cells, as pose_views computes them."""
     return [i * grid_shape[1] + j for i, j in cells_in_triangle(tri, grid_shape)]
 
 
@@ -305,7 +308,7 @@ def test_score_action_map_perfect_map(mini_dataset):
     # the ground-truth map itself scores a perfect max F1 on labelled classes
     index = mini_dataset.index()
     labels = np.vstack([s.label_matrix() for s in mini_dataset.scenes]).astype(float)
-    result = score_action_map(mini_dataset.scenes, index, labels)
+    result = score_action_map(pose_views(mini_dataset.scenes, index), labels)
     present = result.gt_counts > 0
     assert np.allclose(result.per_activity_max[present], 1.0)
 
@@ -428,3 +431,126 @@ def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch)
     want = real_gram(GramBasis(mini_dataset.location_features(), cfg.chi2_epsilon), cfg)
     assert np.array_equal(fitted[2].matrix, want.matrix)
     assert not np.array_equal(fitted[2].matrix, fitted[0].matrix)
+
+
+# -- scoring against pose views -------------------------------------------------
+
+
+def collect_image_data_oracle(scenes, index, am_norm, params=EvalParams(), scene_ids=None):
+    """Per-pose scores and ground truth, rasterizing every view triangle
+    again for the given map (the scoring loop before pose views existed)."""
+    wanted = set(scene_ids) if scene_ids is not None else None
+    all_scores, all_gt = [], []
+    for scene in scenes:
+        if wanted is not None and scene.scene_id not in wanted:
+            continue
+        am_scene = am_norm[index.rows_of(scene.scene_id)]
+        labels = scene.label_matrix()
+        for pose in scene.poses:
+            tri = ViewTriangle(pose.position, pose.heading, params.fov_deg, params.range_cells)
+            cells = cells_in_triangle(tri, (scene.width, scene.height))
+            view = [i * scene.height + j for i, j in cells]
+            all_scores.append(image_scores(am_scene, view))
+            all_gt.append(image_gt(labels, view))
+    return np.stack(all_scores), np.stack(all_gt)
+
+
+def _with_blind_pose(dataset):
+    """Unfrozen copies of the scenes; the first gains a pose that sees no cell."""
+    scenes = [s.copy_with_demonstrations(s.demonstrations) for s in dataset.scenes]
+    scenes[0].add_pose(GridPose(position=(0.2, 0.2), heading=(-1.0, 0.0)))
+    return scenes, GlobalIndex(scenes)
+
+
+@pytest.mark.parametrize("scene_ids", [None, ["office_b"], ["office_a", "office_b"]])
+def test_score_action_map_matches_per_pose_oracle(pair_dataset, scene_ids):
+    scenes, index = _with_blind_pose(pair_dataset)
+    blind = scenes[0].poses[-1]
+    tri = ViewTriangle(blind.position, blind.heading)
+    assert cells_in_triangle(tri, (scenes[0].width, scenes[0].height)) == []
+    params = EvalParams(fov_deg=70.0, range_cells=5.0, n_thresholds=37)
+    views = pose_views(scenes, index, params, scene_ids)
+    rng = np.random.default_rng(5)
+    n_acts = len(index.vocabulary)
+    for trial in range(20):
+        am = rng.random((index.total_rows, n_acts))
+        if trial % 4 == 0:
+            am[rng.random(am.shape) < 0.5] = 0.0
+        got = score_action_map(views, am)
+        scores, gt = collect_image_data_oracle(scenes, index, am, params, scene_ids)
+        max_f1, mean_f1 = f1_sweep(scores, gt, params.n_thresholds)
+        assert np.array_equal(got.per_activity_max, max_f1)
+        assert np.array_equal(got.per_activity_mean, mean_f1)
+        assert np.array_equal(got.gt_counts, gt.sum(axis=0))
+    n_poses = sum(len(s.poses) for s in scenes if scene_ids is None or s.scene_id in scene_ids)
+    assert len(views.rows) == views.gt.shape[0] == n_poses
+
+
+def test_score_action_map_rejects_wrong_row_count(mini_dataset):
+    index = mini_dataset.index()
+    views = pose_views(mini_dataset.scenes, index)
+    n_acts = len(index.vocabulary)
+    for rows in (index.total_rows - 1, index.total_rows + 1):
+        with pytest.raises(EvaluationError, match="rows"):
+            score_action_map(views, np.zeros((rows, n_acts)))
+    with pytest.raises(EvaluationError):
+        score_action_map(views, np.zeros(index.total_rows))
+
+
+def test_pose_views_without_poses_raise(mini_dataset):
+    with pytest.raises(EvaluationError, match="no camera poses"):
+        pose_views(mini_dataset.scenes, mini_dataset.index(), scene_ids=["nowhere"])
+
+
+def _count_triangles(monkeypatch):
+    from actionmaps import evaluation
+
+    real, calls = evaluation.cells_in_triangle, []
+
+    def counting(tri, shape):
+        calls.append((tri, shape))
+        return real(tri, shape)
+
+    monkeypatch.setattr(evaluation, "cells_in_triangle", counting)
+    return calls
+
+
+def _n_poses(dataset, scene_ids=None):
+    return sum(len(s.poses) for s in dataset.scenes if scene_ids is None or s.scene_id in scene_ids)
+
+
+def test_run_parameter_grid_rasterizes_each_pose_once(mini_dataset, monkeypatch):
+    from actionmaps.solver import SolverParams
+
+    calls = _count_triangles(monkeypatch)
+    spec = GridSpec(alphas=(0.3, 0.7), lambdas=(1e-3, 1e-2), gammas=(1.0,))
+    report = run_parameter_grid(
+        mini_dataset, spec, variants=("S", "SOP"), solver=SolverParams(rank=2, max_iters=5)
+    )
+    assert len(report.rows) == 8 and all(row.scores for row in report.rows)
+    assert len(calls) == _n_poses(mini_dataset)
+
+
+def test_run_transfer_rasterizes_target_poses_at_most_twice(pair_dataset, monkeypatch):
+    from actionmaps.experiments import run_transfer
+    from actionmaps.solver import SolverParams
+
+    calls = _count_triangles(monkeypatch)
+    report = run_transfer(
+        pair_dataset, ["office_a"], ["office_b"],
+        grid_spec=GridSpec(alphas=(0.3, 0.7), lambdas=(1e-2,), gammas=(1.0,)),
+        variants=("SO", "SOP"),
+        solver=SolverParams(rank=2, max_iters=5),
+    )
+    assert len(report.grid.rows) == 4 and set(report.baselines) == {"Det.", "NMF"}
+    assert len(calls) <= 2 * _n_poses(pair_dataset, ["office_b"])
+
+
+def test_run_elapse_rasterizes_each_pose_once(mini_dataset, monkeypatch):
+    from actionmaps.experiments import run_elapse
+    from actionmaps.solver import SolverParams
+
+    calls = _count_triangles(monkeypatch)
+    out = run_elapse(mini_dataset, [0.25, 0.5, 1.0], solver=SolverParams(rank=2, max_iters=5))
+    assert [fraction for fraction, _ in out] == [0.25, 0.5, 1.0]
+    assert len(calls) == _n_poses(mini_dataset)

@@ -1,5 +1,11 @@
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionmaps import fileio
 from actionmaps.scene import GridPose
@@ -195,3 +201,111 @@ def test_fmt9_q9_round_trip():
     for _ in range(100):
         x = float(rng.uniform(-1e3, 1e3))
         assert float(fmt9(q9(x))) == q9(x)
+
+
+# -- malformed documents --------------------------------------------------------
+
+
+def _replace_line(path, tag, template):
+    """Replace the first line starting with `tag` by template, where {line}
+    stands for the old line; returns its 1-based number."""
+    lines = path.read_text().splitlines()
+    lineno = next(k for k, line in enumerate(lines) if line.split()[:1] == [tag])
+    lines[lineno] = template.format(line=lines[lineno])
+    path.write_text("\n".join(lines) + "\n")
+    return lineno + 1
+
+
+@pytest.mark.parametrize(
+    "doc,tag,template",
+    [
+        ("catmap.txt", "map", "map"),
+        ("catmap.txt", "map", "map 6 7"),
+        ("catmap.txt", "activities", "activities"),
+        ("dataset.txt", "scenes", "scenes"),
+        ("dataset.txt", "scenes", "scenes 0"),
+        ("dataset.txt", "catmap", "catmap"),
+        ("office_a.scene", "scene", "scene"),
+        ("office_a.scene", "explored", "{line} 9"),
+        ("office_a.scene", "activities", "activities"),
+        ("office_a.scene", "classes", "classes"),
+        ("office_a.scene", "categories", "categories 2"),
+        ("office_a.scene", "gt", "gt"),
+        ("office_a.scene", "demos", "demos -1"),
+        ("office_a.scene", "poses", "{line} 1"),
+        ("office_a.scene", "features", "features"),
+    ],
+)
+def test_malformed_header_reports_path_and_line(pair_dataset, tmp_path, doc, tag, template):
+    manifest = _scene_files(pair_dataset, tmp_path)
+    lineno = _replace_line(tmp_path / "data" / doc, tag, template)
+    with pytest.raises(fileio.SchemaError, match=re.escape(f"{doc}:{lineno}: ")):
+        fileio.load_dataset(manifest)
+
+
+def test_rejected_values_report_path_and_line(pair_dataset, tmp_path):
+    # values the scene objects refuse are reported at the line that holds them
+    manifest = _scene_files(pair_dataset, tmp_path)
+    path = tmp_path / "data" / "office_b.scene"
+    lines = path.read_text().splitlines()
+    first_demo = lines.index(next(line for line in lines if line.startswith("demos "))) + 1
+    i, j, _act, value = lines[first_demo].split()
+    lines[first_demo] = f"{i} {j} 99 {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.SchemaError, match=rf"office_b\.scene:{first_demo + 1}: .*activity"):
+        fileio.load_dataset(manifest)
+
+
+def test_action_map_unknown_scene_reports_line(mini_dataset, tmp_path):
+    index = mini_dataset.index()
+    path = tmp_path / "am.txt"
+    fileio.write_action_map(np.zeros((index.total_rows, len(index.vocabulary))), index, path)
+    lines = path.read_text().splitlines()
+    lines[3] = "elsewhere " + lines[3].split(maxsplit=1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.SchemaError, match=r"am\.txt:4: unknown scene"):
+        fileio.read_action_map(path, index)
+
+
+@pytest.fixture(scope="module")
+def pair_documents(pair_dataset, tmp_path_factory):
+    manifest = fileio.write_dataset(pair_dataset, tmp_path_factory.mktemp("pair"))
+    base = os.path.dirname(manifest)
+    return {name: open(os.path.join(base, name)).read().splitlines() for name in os.listdir(base)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_truncated_or_garbled_documents_raise_schema_error(pair_documents, data):
+    docs = dict(pair_documents)
+    name = data.draw(st.sampled_from(sorted(docs)), label="document")
+    lines = list(docs[name])
+    headers = [k for k, line in enumerate(lines) if line[:1].isalpha()]
+    at = data.draw(
+        st.one_of(st.sampled_from(headers), st.integers(0, len(lines) - 1)), label="line"
+    )
+    action = data.draw(st.sampled_from(["truncate", "drop", "add", "set"]), label="action")
+    if action == "truncate":
+        lines = lines[:at]
+    else:
+        tokens = lines[at].split()
+        pos = data.draw(st.integers(0, len(tokens)), label="token")
+        value = data.draw(st.sampled_from(["x", "nan", "-1"]), label="value")
+        if action == "add":
+            tokens.insert(pos, value)
+        elif tokens:
+            pos = min(pos, len(tokens) - 1)
+            if action == "drop":
+                del tokens[pos]
+            else:
+                tokens[pos] = value
+        lines[at] = " ".join(tokens)
+    docs[name] = lines
+    with tempfile.TemporaryDirectory() as base:
+        for doc, doc_lines in docs.items():
+            with open(os.path.join(base, doc), "w") as fh:
+                fh.write("".join(line + "\n" for line in doc_lines))
+        try:
+            fileio.load_dataset(os.path.join(base, "dataset.txt"))
+        except fileio.SchemaError as exc:
+            assert re.match(rf"{re.escape(base + os.sep)}[^:]+:\d+: ", str(exc)), str(exc)

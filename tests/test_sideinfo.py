@@ -278,8 +278,8 @@ def _two_scene_record(m=700, seed=11):
 
 
 def test_basis_and_gram_memory_peaks():
-    # the basis keeps two m x m doubles (plus bool masks and the object-row
-    # block); gram() allocates one m x m output plus row-block scratch
+    # the basis keeps two m x m doubles (plus the same-scene mask and the
+    # object-row block); gram() allocates one m x m output plus row-block scratch
     feats = _two_scene_record()
     m2_bytes = 8 * feats.x.shape[0] ** 2
     cfg = KernelConfig(variant="SOP", gamma_p=100.0, gamma_o=100.0)
@@ -344,7 +344,7 @@ def test_feature_validation():
         KernelConfig(variant="XXX")
     o = np.array([[0.0, 0.0], [0.0, 0.2], [0.3, 0.0]])
     basis = GramBasis(LocationFeatures(**{**_record(), "o": o}))
-    assert basis.object_pair.diagonal().tolist() == [False, True, True]
+    assert basis.object_rows.tolist() == [1, 2]
 
 
 # -- property tests -----------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from actionmaps.baselines import detection_action_map
-from actionmaps.evaluation import score_action_map
+from actionmaps.evaluation import pose_views, score_action_map
 from actionmaps.sideinfo import KernelConfig
 from actionmaps.solver import normalize_action_map
 from actionmaps.synthetic import (
@@ -156,7 +156,7 @@ def test_detection_baseline_ceiling_on_clean_data():
     am = normalize_action_map(
         detection_action_map(ds.stacked_object_scores(), ds.catmap)
     )
-    result = score_action_map(ds.scenes, ds.index(), am)
+    result = score_action_map(pose_views(ds.scenes, ds.index()), am)
     present = result.gt_counts > 0
     assert np.allclose(result.per_activity_max[present], 1.0)
 
