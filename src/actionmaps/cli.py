@@ -13,18 +13,11 @@ import sys
 from dataclasses import fields
 
 from actionmaps import experiments, fileio
-from actionmaps.evaluation import (
-    SUMMARY_METRICS,
-    EvalParams,
-    GridSpec,
-    pose_views,
-    score_action_map,
-)
-from actionmaps.fileio import format_summary_value
+from actionmaps.evaluation import EvalParams, pose_views, score_action_map
+from actionmaps.experiments import GridSpec
 from actionmaps.sideinfo import KernelConfig
 from actionmaps.solver import SolverParams, normalize_action_map, predict
 from actionmaps.synthetic import PRESETS, WorldSpec, generate_dataset
-from actionmaps.textfmt import fmt9
 
 
 class CliError(ValueError):
@@ -40,11 +33,6 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _str_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.split(",") if tok)
-
-
-def _ensure_parent(path):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
 
 
 def _load_data(path):
@@ -103,11 +91,22 @@ def _eval_from_args(args) -> EvalParams:
     )
 
 
-def _grid_from_args(args) -> GridSpec:
-    return GridSpec(
-        alphas=_float_list(args.alphas),
-        lambdas=_float_list(args.lambdas),
-        gammas=_float_list(args.gammas),
+def _grid_from_args(args) -> dict:
+    """Keyword arguments of run_parameter_grid and run_transfer; each grid run
+    sets its own alpha, lambda, gamma, variant and seed."""
+    return dict(
+        grid_spec=GridSpec(
+            alphas=_float_list(args.alphas),
+            lambdas=_float_list(args.lambdas),
+            gammas=_float_list(args.gammas),
+        ),
+        variants=_str_list(args.variants),
+        solver=SolverParams(
+            rank=args.rank, mu=args.mu, max_iters=args.max_iters, rel_tol=args.rel_tol
+        ),
+        kernel=KernelConfig(sigma_s=args.sigma_s, tau=args.tau),
+        eval_params=_eval_from_args(args),
+        base_seed=args.seed,
     )
 
 
@@ -169,16 +168,13 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     dataset = _load_data(args.data)
-    kernel = _kernel_from_args(args)
-    solver = _solver_from_args(args)
-    _, result = experiments.fit_action_map(dataset, kernel, solver)
-    _ensure_parent(args.out_factors)
+    _, result = experiments.fit_action_map(
+        dataset, _kernel_from_args(args), _solver_from_args(args)
+    )
     fileio.write_factors(result.factors, args.out_factors)
     if args.out_trace:
-        _ensure_parent(args.out_trace)
         fileio.write_trace(result.trace, args.out_trace)
-    print(f"{args.out_factors} iterations={len(result.trace) - 1} "
-          f"objective={fmt9(result.trace[-1])} stop={result.stop_reason}")
+    print(f"{args.out_factors} {fileio.describe_fit(result)}")
     return 0
 
 
@@ -191,7 +187,6 @@ def cmd_predict(args) -> int:
             f"factors cover {factors.U.shape[0]} rows, dataset has {index.total_rows}"
         )
     am = normalize_action_map(predict(factors))
-    _ensure_parent(args.out)
     fileio.write_action_map(am, index, args.out)
     print(args.out)
     return 0
@@ -200,52 +195,18 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = _load_data(args.data)
     index = dataset.index()
-    am = fileio.read_action_map(args.am, index)
-    am = normalize_action_map(am)
+    am = normalize_action_map(fileio.read_action_map(args.am, index))
     scene_ids = _str_list(args.scenes) if args.scenes else None
     views = pose_views(dataset.scenes, index, _eval_from_args(args), scene_ids)
     scores = score_action_map(views, am)
-    names = index.vocabulary.names
-    lines = [f"{'activity':<18}{'Max F1':>12}{'Mean F1':>12}{'GT count':>12}"]
-    for a, name in enumerate(names):
-        lines.append(
-            f"{name:<18}{fmt9(scores.per_activity_max[a]):>12}"
-            f"{fmt9(scores.per_activity_mean[a]):>12}{int(scores.gt_counts[a]):>12}"
-        )
-    lines.append("")
-    summary = scores.summary()
-    for metric, header in zip(SUMMARY_METRICS, ("W. Max F1", "W. Mean F1", "Max F1", "Mean F1")):
-        lines.append(f"{header:<18}{fmt9(summary[metric]):>12}")
-    _ensure_parent(args.out_txt)
-    with open(args.out_txt, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    rows = ["metric\tvalue"]
-    rows.extend(f"{m}\t{fmt9(summary[m])}" for m in SUMMARY_METRICS)
-    for a, name in enumerate(names):
-        rows.append(f"max_f1[{name}]\t{fmt9(scores.per_activity_max[a])}")
-        rows.append(f"mean_f1[{name}]\t{fmt9(scores.per_activity_mean[a])}")
-    _ensure_parent(args.out_tsv)
-    with open(args.out_tsv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    fileio.write_evaluation(scores, index.vocabulary.names, args.out_txt, args.out_tsv)
     print(args.out_txt)
     return 0
 
 
 def cmd_grid(args) -> int:
     dataset = _load_data(args.data)
-    report = experiments.run_parameter_grid(
-        dataset,
-        _grid_from_args(args),
-        variants=_str_list(args.variants),
-        base_seed=args.seed,
-        solver=SolverParams(
-            rank=args.rank, mu=args.mu, max_iters=args.max_iters, rel_tol=args.rel_tol
-        ),
-        kernel=KernelConfig(sigma_s=args.sigma_s, tau=args.tau),
-        eval_params=_eval_from_args(args),
-    )
-    _ensure_parent(args.out_tsv)
-    _ensure_parent(args.out_txt)
+    report = experiments.run_parameter_grid(dataset, **_grid_from_args(args))
     fileio.write_report(report, args.out_tsv, args.out_txt)
     print(args.out_txt)
     _check_runs(report)
@@ -258,39 +219,8 @@ def cmd_transfer(args) -> int:
     target = _str_list(args.target)
     for sid in (*source, *target):
         dataset.scene(sid)  # validates
-    report = experiments.run_transfer(
-        dataset,
-        source,
-        target,
-        grid_spec=_grid_from_args(args),
-        variants=_str_list(args.variants),
-        solver=SolverParams(
-            rank=args.rank, mu=args.mu, max_iters=args.max_iters, rel_tol=args.rel_tol
-        ),
-        kernel=KernelConfig(sigma_s=args.sigma_s, tau=args.tau),
-        eval_params=_eval_from_args(args),
-        base_seed=args.seed,
-    )
-    rows: list[tuple[str, dict[str, str]]] = []
-    for method in ("Det.", "NMF"):
-        summary = report.baselines[method].summary()
-        rows.append((method, {m: fmt9(summary[m]) for m in SUMMARY_METRICS}))
-    summaries = report.grid.summaries()
-    for variant in _str_list(args.variants):
-        if variant in summaries:
-            rows.append(
-                (
-                    variant,
-                    {
-                        m: format_summary_value(m, summaries[variant][m])
-                        for m in SUMMARY_METRICS
-                    },
-                )
-            )
-    _ensure_parent(args.out_txt)
-    fileio.write_method_table(rows, args.out_txt)
-    _ensure_parent(args.out_tsv)
-    fileio.write_report(report.grid, args.out_tsv, args.out_txt + ".variants")
+    report = experiments.run_transfer(dataset, source, target, **_grid_from_args(args))
+    fileio.write_transfer(report, args.out_txt, args.out_tsv)
     print(args.out_txt)
     _check_runs(report.grid)
     return 0
@@ -307,15 +237,7 @@ def cmd_elapse(args) -> int:
         eval_params=_eval_from_args(args),
         subset_seed=args.seed,
     )
-    lines = ["fraction\tw_max_f1\tw_mean_f1\tmax_f1\tmean_f1"]
-    for fraction, scores in results:
-        summary = scores.summary()
-        lines.append(
-            "\t".join([fmt9(fraction)] + [fmt9(summary[m]) for m in SUMMARY_METRICS])
-        )
-    _ensure_parent(args.out)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fileio.write_elapse(results, args.out)
     print(args.out)
     return 0
 
@@ -325,7 +247,6 @@ def cmd_localize(args) -> int:
     index = dataset.index()
     am = normalize_action_map(fileio.read_action_map(args.am, index))
     curve = experiments.run_localization(dataset, args.scene, am, args.k_max)
-    _ensure_parent(args.out)
     fileio.write_curve(curve, index.vocabulary.names, args.out)
     print(args.out)
     return 0
@@ -337,30 +258,7 @@ def cmd_export_heatmap(args) -> int:
     am = fileio.read_action_map(args.am, index)
     if am.min() < 0 or am.max() > 1:
         am = normalize_action_map(am)
-    os.makedirs(args.out_dir, exist_ok=True)
-    names = index.vocabulary.names
-    written = []
-    for scene in dataset.scenes:
-        rows = index.rows_of(scene.scene_id)
-        am_scene = am[rows]
-        table = [
-            "i\tj\t" + "\t".join(names),
-        ]
-        for row in range(scene.n_cells):
-            i, j = scene.cell_of(row)
-            table.append(
-                f"{i}\t{j}\t" + "\t".join(fmt9(v) for v in am_scene[row])
-            )
-        table_path = os.path.join(args.out_dir, f"{scene.scene_id}_am.tsv")
-        with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(table) + "\n")
-        written.append(table_path)
-        for a, name in enumerate(names):
-            grid = am_scene[:, a].reshape(scene.width, scene.height)
-            pgm_path = os.path.join(args.out_dir, f"{scene.scene_id}_{name}.pgm")
-            fileio.write_pgm(grid, pgm_path)
-            written.append(pgm_path)
-    print("\n".join(written))
+    print("\n".join(fileio.write_heatmaps(am, index, args.out_dir)))
     return 0
 
 

@@ -1,17 +1,13 @@
-"""Per-image scoring of action maps via view triangles, threshold-swept F1,
-and the parameter-grid harness."""
+"""Per-image scoring of action maps via view triangles and threshold-swept F1."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from actionmaps.scene import GlobalIndex, SceneGrid
-from actionmaps.sideinfo import GramBasis, KernelConfig
-from actionmaps.solver import SolverParams, build_bundle, fit, normalize_action_map, predict
 
 SUMMARY_METRICS = ("w_max_f1", "w_mean_f1", "max_f1", "mean_f1")
-SUMMARY_HEADERS = ("W. Max F1", "W. Mean F1", "Max F1", "Mean F1")
 
 
 class EvaluationError(ValueError):
@@ -30,10 +26,11 @@ class ViewTriangle:
     def __post_init__(self):
         if not 0.0 < self.fov_deg < 180.0:
             raise EvaluationError(f"fov must be in (0, 180), got {self.fov_deg}")
-        if self.range_cells <= 0:
+        # written so that NaN fails: every comparison with NaN is False
+        if not self.range_cells > 0:
             raise EvaluationError(f"range must be positive, got {self.range_cells}")
         norm = float(np.hypot(*self.heading))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise EvaluationError(f"heading must be a unit vector, norm={norm}")
 
     def vertices(self) -> np.ndarray:
@@ -77,8 +74,6 @@ def image_scores(am_scene: np.ndarray, rows: Sequence[int]) -> np.ndarray:
 
 def image_gt(labels_scene: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     """Per-activity bit: 1 iff any of the view triangle's cell rows carries the label."""
-    if len(rows) == 0:
-        return np.zeros(labels_scene.shape[1], dtype=bool)
     return labels_scene[rows].any(axis=0)
 
 
@@ -132,6 +127,10 @@ class EvalParams:
     fov_deg: float = 60.0
     range_cells: float = 6.0
     n_thresholds: int = 100
+
+    def __post_init__(self):
+        if not self.n_thresholds >= 1:
+            raise EvaluationError(f"need at least one threshold, got {self.n_thresholds}")
 
 
 @dataclass
@@ -231,100 +230,3 @@ def score_action_map(views: PoseViews, am_norm: np.ndarray) -> ScoreResult:
         per_activity_mean=mean_f1,
         gt_counts=counts,
     )
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Parameter grid swept by the harness (one gamma drives both chi-squared
-    kernels, matching how the sweep is reported)."""
-
-    alphas: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-    lambdas: tuple[float, ...] = (1e-3, 1e-2)
-    gammas: tuple[float, ...] = (100.0, 1000.0)
-
-    def tuples(self) -> list[tuple[float, float, float]]:
-        return [(a, l, g) for a in self.alphas for l in self.lambdas for g in self.gammas]
-
-
-@dataclass
-class GridRow:
-    variant: str
-    alpha: float
-    lam: float
-    gamma: float
-    seed: int
-    scores: Optional[ScoreResult]
-    error: str = ""
-
-
-@dataclass
-class EvalReport:
-    """Per-run breakdown plus cross-run summary statistics per variant."""
-
-    rows: list[GridRow]
-    activities: tuple[str, ...]
-
-    def summaries(self) -> dict[str, dict[str, tuple[float, float, float]]]:
-        """variant -> metric -> (max, mean, stdev) across successful runs."""
-        out: dict[str, dict[str, tuple[float, float, float]]] = {}
-        for variant in dict.fromkeys(row.variant for row in self.rows):
-            runs = [r.scores.summary() for r in self.rows if r.variant == variant and r.scores]
-            if not runs:
-                continue
-            out[variant] = {}
-            for metric in SUMMARY_METRICS:
-                vals = np.array([run[metric] for run in runs])
-                out[variant][metric] = (
-                    float(vals.max()),
-                    float(vals.mean()),
-                    float(vals.std()),
-                )
-        return out
-
-
-def run_parameter_grid(
-    dataset,
-    grid_spec: GridSpec,
-    variants: Sequence[str] = ("S", "SO", "SP", "SOP"),
-    base_seed: int = 0,
-    solver: SolverParams = SolverParams(),
-    kernel: KernelConfig = KernelConfig(),
-    eval_params: EvalParams = EvalParams(),
-    scene_ids: Optional[Sequence[str]] = None,
-    observed_scene_ids: Optional[set[str]] = None,
-) -> EvalReport:
-    """One fit+eval per parameter tuple per variant.
-
-    Run failures from invalid input (ValueError, the base of every package
-    error) or a non-finite update (RuntimeError) are recorded on their rows
-    rather than raised; anything else, such as MemoryError, propagates.
-    Deterministic given base_seed: run k uses seed base_seed + k.
-    Consecutive runs with the same kernel config share one Gram matrix,
-    and at most one Gram is alive at a time; every run is scored against
-    one set of pose views.
-    """
-    index = dataset.index()
-    views = pose_views(dataset.scenes, index, eval_params, scene_ids)
-    bundle = build_bundle(dataset.scenes, index, observed_scene_ids)
-    basis = GramBasis(dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense)
-    rows: list[GridRow] = []
-    run_idx = 0
-    gram_cfg, gram = None, None
-    for variant in variants:
-        for alpha, lam, gamma in grid_spec.tuples():
-            seed = base_seed + run_idx
-            run_idx += 1
-            try:
-                cfg = replace(kernel, alpha=alpha, gamma_p=gamma, gamma_o=gamma, variant=variant)
-                if cfg != gram_cfg:
-                    # drop the old Gram before building; a failed build leaves none cached
-                    gram_cfg, gram = None, None
-                    gram = basis.gram(cfg)
-                    gram_cfg = cfg
-                result = fit(bundle, gram, None, replace(solver, lam=lam, seed=seed))
-                am = normalize_action_map(predict(result.factors))
-                scores = score_action_map(views, am)
-                rows.append(GridRow(variant, alpha, lam, gamma, seed, scores))
-            except (ValueError, RuntimeError) as exc:  # recorded, not fatal
-                rows.append(GridRow(variant, alpha, lam, gamma, seed, None, str(exc)))
-    return EvalReport(rows=rows, activities=index.vocabulary.names)

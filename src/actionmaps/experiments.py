@@ -1,5 +1,5 @@
-"""Reusable experiment regimes: single fits, novel-scene transfer,
-demonstration-fraction sweeps, joint-versus-single fitting, and the
+"""Fit-and-score pipelines: single fits, the parameter grid, novel-scene
+transfer, demonstration-fraction sweeps, joint-versus-single fitting, and the
 localization study."""
 
 from dataclasses import dataclass, replace
@@ -9,17 +9,17 @@ import numpy as np
 
 from actionmaps.baselines import augmented_wnmf, detection_action_map
 from actionmaps.evaluation import (
+    SUMMARY_METRICS,
     EvalParams,
-    EvalReport,
-    GridSpec,
+    PoseViews,
     ScoreResult,
     pose_views,
-    run_parameter_grid,
     score_action_map,
 )
 from actionmaps.localization import DiscrepancyCurve, LocalizationQuery, discrepancy_curve
 from actionmaps.sideinfo import GramBasis, KernelConfig
 from actionmaps.solver import (
+    ActionMatrixBundle,
     FitResult,
     SolverParams,
     build_bundle,
@@ -29,22 +29,132 @@ from actionmaps.solver import (
 )
 
 
+def _gram_basis(dataset, kernel: KernelConfig) -> GramBasis:
+    return GramBasis(dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense)
+
+
 def fit_action_map(
     dataset,
     kernel: KernelConfig,
     solver: SolverParams,
-    observed_scene_ids: Optional[set[str]] = None,
     gram=None,
 ) -> tuple[np.ndarray, FitResult]:
     """Fit the regularized model on a dataset; returns the normalized map."""
-    index = dataset.index()
-    bundle = build_bundle(dataset.scenes, index, observed_scene_ids)
+    bundle = build_bundle(dataset.scenes, dataset.index())
     if gram is None:
-        gram = GramBasis(
-            dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense
-        ).gram(kernel)
+        gram = _gram_basis(dataset, kernel).gram(kernel)
     result = fit(bundle, gram, None, solver)
     return normalize_action_map(predict(result.factors)), result
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Parameter grid swept by the harness (one gamma drives both chi-squared
+    kernels, matching how the sweep is reported)."""
+
+    alphas: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+    lambdas: tuple[float, ...] = (1e-3, 1e-2)
+    gammas: tuple[float, ...] = (100.0, 1000.0)
+
+    def tuples(self) -> list[tuple[float, float, float]]:
+        return [(a, l, g) for a in self.alphas for l in self.lambdas for g in self.gammas]
+
+
+@dataclass
+class GridRow:
+    variant: str
+    alpha: float
+    lam: float
+    gamma: float
+    seed: int
+    scores: Optional[ScoreResult]
+    error: str = ""
+
+
+@dataclass
+class EvalReport:
+    """Per-run breakdown plus cross-run summary statistics per variant."""
+
+    rows: list[GridRow]
+    activities: tuple[str, ...]
+
+    def summaries(self) -> dict[str, dict[str, tuple[float, float, float]]]:
+        """variant -> metric -> (max, mean, stdev) across successful runs."""
+        out: dict[str, dict[str, tuple[float, float, float]]] = {}
+        for variant in dict.fromkeys(row.variant for row in self.rows):
+            runs = [r.scores.summary() for r in self.rows if r.variant == variant and r.scores]
+            if not runs:
+                continue
+            out[variant] = {}
+            for metric in SUMMARY_METRICS:
+                vals = np.array([run[metric] for run in runs])
+                out[variant][metric] = (
+                    float(vals.max()),
+                    float(vals.mean()),
+                    float(vals.std()),
+                )
+        return out
+
+
+def run_parameter_grid(
+    dataset,
+    grid_spec: GridSpec,
+    variants: Sequence[str] = ("S", "SO", "SP", "SOP"),
+    base_seed: int = 0,
+    solver: SolverParams = SolverParams(),
+    kernel: KernelConfig = KernelConfig(),
+    eval_params: EvalParams = EvalParams(),
+) -> EvalReport:
+    """One fit+eval per parameter tuple per variant, on every scene.
+
+    Run failures from invalid input (ValueError, the base of every package
+    error) or a non-finite update (RuntimeError) are recorded on their rows
+    rather than raised; anything else, such as MemoryError, propagates.
+    Deterministic given base_seed: run k uses seed base_seed + k.
+    """
+    index = dataset.index()
+    views = pose_views(dataset.scenes, index, eval_params)
+    bundle = build_bundle(dataset.scenes, index)
+    return _run_grid(dataset, views, bundle, grid_spec, variants, base_seed, solver, kernel)
+
+
+def _run_grid(
+    dataset,
+    views: PoseViews,
+    bundle: ActionMatrixBundle,
+    grid_spec: GridSpec,
+    variants: Sequence[str],
+    base_seed: int,
+    solver: SolverParams,
+    kernel: KernelConfig,
+) -> EvalReport:
+    """The grid loop of run_parameter_grid, on a given bundle and views.
+
+    Consecutive runs with the same kernel config share one Gram matrix, and
+    at most one Gram is alive at a time.
+    """
+    basis = _gram_basis(dataset, kernel)
+    rows: list[GridRow] = []
+    run_idx = 0
+    gram_cfg, gram = None, None
+    for variant in variants:
+        for alpha, lam, gamma in grid_spec.tuples():
+            seed = base_seed + run_idx
+            run_idx += 1
+            try:
+                cfg = replace(kernel, alpha=alpha, gamma_p=gamma, gamma_o=gamma, variant=variant)
+                if cfg != gram_cfg:
+                    # drop the old Gram before building; a failed build leaves none cached
+                    gram_cfg, gram = None, None
+                    gram = basis.gram(cfg)
+                    gram_cfg = cfg
+                result = fit(bundle, gram, None, replace(solver, lam=lam, seed=seed))
+                am = normalize_action_map(predict(result.factors))
+                scores = score_action_map(views, am)
+                rows.append(GridRow(variant, alpha, lam, gamma, seed, scores))
+            except (ValueError, RuntimeError) as exc:  # recorded, not fatal
+                rows.append(GridRow(variant, alpha, lam, gamma, seed, None, str(exc)))
+    return EvalReport(rows=rows, activities=dataset.index().vocabulary.names)
 
 
 @dataclass
@@ -67,7 +177,10 @@ def run_transfer(
     eval_params: EvalParams = EvalParams(),
     base_seed: int = 0,
 ) -> TransferReport:
-    """Fit with zero target demonstrations and evaluate on the targets."""
+    """Fit with zero target demonstrations and evaluate on the targets.
+
+    The baselines and the kernel grid share one bundle and one set of pose
+    views."""
     observed = set(source_ids)
     index = dataset.index()
     views = pose_views(dataset.scenes, index, eval_params, target_ids)
@@ -86,16 +199,8 @@ def run_transfer(
     )
     nmf = score_action_map(views, nmf_am)
 
-    grid = run_parameter_grid(
-        dataset,
-        grid_spec,
-        variants,
-        base_seed=base_seed + 1,
-        solver=solver,
-        kernel=kernel,
-        eval_params=eval_params,
-        scene_ids=target_ids,
-        observed_scene_ids=observed,
+    grid = _run_grid(
+        dataset, views, bundle, grid_spec, variants, base_seed + 1, solver, kernel
     )
     return TransferReport(baselines={"Det.": det, "NMF": nmf}, grid=grid)
 
@@ -113,9 +218,7 @@ def run_elapse(
     Subsets keep every scene's poses and labels, so one set of pose views
     scores every fraction."""
     views = pose_views(dataset.scenes, dataset.index(), eval_params)
-    gram = GramBasis(
-        dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense
-    ).gram(kernel)
+    gram = _gram_basis(dataset, kernel).gram(kernel)
     out = []
     for fraction in fractions:
         ds = dataset.with_demo_fraction(fraction, subset_seed)

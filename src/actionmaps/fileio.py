@@ -1,4 +1,5 @@
-"""Line-oriented, whitespace-delimited file formats.
+"""Line-oriented, whitespace-delimited file formats, and every output file the
+commands write (reports, tables, curves, greymaps).
 
 Every document starts with a schema-version line and ends with `end`. All
 numeric output uses 9 significant digits; generated data is quantized to that
@@ -6,16 +7,18 @@ precision at creation, so write/read round-trips are exact and every file is
 byte-deterministic given a seed.
 """
 
+import math
 import os
 from typing import Sequence
 
 import numpy as np
 
 from actionmaps.baselines import CategoryActivityMap
-from actionmaps.evaluation import SUMMARY_HEADERS, SUMMARY_METRICS, EvalReport
+from actionmaps.evaluation import SUMMARY_METRICS, ScoreResult
+from actionmaps.experiments import EvalReport, TransferReport
 from actionmaps.localization import DiscrepancyCurve
-from actionmaps.scene import ActivityVocabulary, Demonstration, GridPose, SceneGrid
-from actionmaps.solver import FactorPair
+from actionmaps.scene import ActivityVocabulary, Demonstration, GlobalIndex, GridPose, SceneGrid
+from actionmaps.solver import FactorPair, FitResult
 from actionmaps.synthetic import GeneratedDataset
 from actionmaps.textfmt import fmt9
 
@@ -24,6 +27,7 @@ DATASET_SCHEMA = "amdataset 1"
 CATMAP_SCHEMA = "amcatmap 1"
 FACTORS_SCHEMA = "amfactors 1"
 ACTIONMAP_SCHEMA = "amactionmap 1"
+SUMMARY_HEADERS = ("W. Max F1", "W. Mean F1", "Max F1", "Mean F1")
 
 
 class SchemaError(ValueError):
@@ -112,9 +116,12 @@ class _Reader:
 
     def float_(self, tok: str) -> float:
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise self.error(f"expected a number, found {tok!r}") from None
+        if not math.isfinite(value):
+            raise self.error(f"expected a finite number, found {tok!r}")
+        return value
 
 
 def _check_token(name: str):
@@ -123,6 +130,7 @@ def _check_token(name: str):
 
 
 def _write_text(path, lines: list[str]):
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -305,7 +313,6 @@ def read_catmap(path):
 
 def write_dataset(dataset: GeneratedDataset, outdir, name: str = "dataset") -> str:
     """Write all scene documents, the category map, and the manifest."""
-    os.makedirs(outdir, exist_ok=True)
     scene_files = []
     for scene in dataset.scenes:
         fname = f"{scene.scene_id}.scene"
@@ -410,6 +417,13 @@ def read_factors(path) -> FactorPair:
     return FactorPair(U=u, V=v)
 
 
+def describe_fit(result: FitResult) -> str:
+    return (
+        f"iterations={len(result.trace) - 1} "
+        f"objective={fmt9(result.trace[-1])} stop={result.stop_reason}"
+    )
+
+
 def write_trace(trace: np.ndarray, path):
     lines = ["iteration\tobjective"]
     lines.extend(f"{k}\t{fmt9(j)}" for k, j in enumerate(trace))
@@ -468,6 +482,36 @@ def read_action_map(path, index) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def write_evaluation(scores: ScoreResult, activity_names: Sequence[str], txt_path, tsv_path):
+    """Per-activity and summary F1 of one scored map, as text and as TSV."""
+    summary = scores.summary()
+    lines = [f"{'activity':<18}{'Max F1':>12}{'Mean F1':>12}{'GT count':>12}"]
+    for a, name in enumerate(activity_names):
+        lines.append(
+            f"{name:<18}{fmt9(scores.per_activity_max[a]):>12}"
+            f"{fmt9(scores.per_activity_mean[a]):>12}{int(scores.gt_counts[a]):>12}"
+        )
+    lines.append("")
+    for metric, header in zip(SUMMARY_METRICS, SUMMARY_HEADERS):
+        lines.append(f"{header:<18}{fmt9(summary[metric]):>12}")
+    _write_text(txt_path, lines)
+    rows = ["metric\tvalue"]
+    rows.extend(f"{m}\t{fmt9(summary[m])}" for m in SUMMARY_METRICS)
+    for a, name in enumerate(activity_names):
+        rows.append(f"max_f1[{name}]\t{fmt9(scores.per_activity_max[a])}")
+        rows.append(f"mean_f1[{name}]\t{fmt9(scores.per_activity_mean[a])}")
+    _write_text(tsv_path, rows)
+
+
+def write_elapse(results: Sequence[tuple[float, ScoreResult]], path):
+    """One summary row per demonstration fraction."""
+    lines = ["fraction\t" + "\t".join(SUMMARY_METRICS)]
+    for fraction, scores in results:
+        summary = scores.summary()
+        lines.append("\t".join([fmt9(fraction)] + [fmt9(summary[m]) for m in SUMMARY_METRICS]))
+    _write_text(path, lines)
+
+
 def format_summary_value(metric: str, stats: tuple[float, float, float]) -> str:
     mx, mean, std = stats
     if metric.endswith("max_f1"):
@@ -507,6 +551,19 @@ def write_report(report: EvalReport, tsv_path, txt_path):
     _write_text(txt_path, lines)
 
 
+def write_transfer(report: TransferReport, txt_path, tsv_path):
+    """Method table (baselines, then each variant's cross-run summary) at
+    txt_path; the variants' grid report at tsv_path and txt_path.variants."""
+    rows: list[tuple[str, dict[str, str]]] = []
+    for method, scores in report.baselines.items():
+        summary = scores.summary()
+        rows.append((method, {m: fmt9(summary[m]) for m in SUMMARY_METRICS}))
+    for variant, stats in report.grid.summaries().items():
+        rows.append((variant, {m: format_summary_value(m, stats[m]) for m in SUMMARY_METRICS}))
+    write_method_table(rows, txt_path)
+    write_report(report.grid, tsv_path, f"{txt_path}.variants")
+
+
 def write_method_table(rows: list[tuple[str, dict[str, str]]], path):
     """Method-by-metric table (the novel-scene comparison shape)."""
     lines = [f"{'method':<10}" + "".join(f"{h:>34}" for h in SUMMARY_HEADERS)]
@@ -527,9 +584,30 @@ def write_curve(curve: DiscrepancyCurve, activity_names: Sequence[str], path):
     _write_text(path, lines)
 
 
+def write_heatmaps(am: np.ndarray, index: GlobalIndex, out_dir) -> list[str]:
+    """Per scene, a cell-by-activity table and one greymap per activity;
+    am must lie in [0, 1]. Returns the written paths."""
+    names = index.vocabulary.names
+    written = []
+    for scene in index.scenes:
+        am_scene = am[index.rows_of(scene.scene_id)]
+        table = ["i\tj\t" + "\t".join(names)]
+        for row in range(scene.n_cells):
+            i, j = scene.cell_of(row)
+            table.append(f"{i}\t{j}\t" + "\t".join(fmt9(v) for v in am_scene[row]))
+        table_path = os.path.join(out_dir, f"{scene.scene_id}_am.tsv")
+        _write_text(table_path, table)
+        written.append(table_path)
+        for a, name in enumerate(names):
+            pgm_path = os.path.join(out_dir, f"{scene.scene_id}_{name}.pgm")
+            write_pgm(am_scene[:, a].reshape(scene.width, scene.height), pgm_path)
+            written.append(pgm_path)
+    return written
+
+
 def write_pgm(values: np.ndarray, path):
     """ASCII portable greymap; grey = round(255 * value), values in [0, 1]."""
-    if values.min() < 0 or values.max() > 1:
+    if not (values.min() >= 0 and values.max() <= 1):  # NaN fails too
         raise ValueError("heatmap values must lie in [0, 1]")
     width, height = values.shape
     grey = np.floor(values * 255.0 + 0.5).astype(int)

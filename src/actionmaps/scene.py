@@ -57,7 +57,7 @@ class Demonstration:
     value: float = 1.0
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:  # written so that NaN fails
             raise SceneError(f"demonstration value must be >= 0, got {self.value}")
 
 
@@ -70,7 +70,7 @@ class GridPose:
 
     def __post_init__(self):
         norm = float(np.hypot(*self.heading))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # written so that NaN fails
             raise SceneError(f"heading must be a unit vector, norm={norm}")
 
 
@@ -96,7 +96,7 @@ class SceneGrid:
     ):
         if width < 1 or height < 1:
             raise SceneError(f"grid dims must be >= 1, got {width}x{height}")
-        if cell_size_m <= 0:
+        if not cell_size_m > 0:
             raise SceneError(f"cell size must be positive, got {cell_size_m}")
         self.scene_id = scene_id
         self.width = int(width)

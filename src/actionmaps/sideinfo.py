@@ -9,7 +9,7 @@ coordinate frames are unrelated).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -76,20 +76,22 @@ class KernelConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise SideInfoError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.sigma_s <= 0 or self.gamma_p <= 0 or self.gamma_o <= 0:
+        # written so that NaN fails: every comparison with NaN is False
+        if not (self.sigma_s > 0 and self.gamma_p > 0 and self.gamma_o > 0):
             raise SideInfoError("kernel bandwidths must be positive")
         if self.variant not in VARIANTS:
             raise SideInfoError(f"variant must be one of {VARIANTS}, got {self.variant}")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise SideInfoError("sparsification threshold must be >= 0")
 
 
 @dataclass
 class GramMatrix:
-    """Symmetric location-similarity matrix with its row-sum degree vector."""
+    """Symmetric location-similarity matrix with its row-sum degree vector,
+    derived from the matrix on construction."""
 
     matrix: np.ndarray
-    degrees: np.ndarray
+    degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -100,6 +102,7 @@ class GramMatrix:
             raise SideInfoError("Gram entries must lie in [0, 1]")
         if m.size and _max_asymmetry(m) > 1e-9:
             raise SideInfoError("Gram matrix must be symmetric")
+        self.degrees = m.sum(axis=1)
 
     @property
     def n(self) -> int:
@@ -195,7 +198,7 @@ class GramBasis:
             for lo, hi in _blocks(m):
                 kb = k[lo:hi]
                 kb[kb < cfg.tau] = 0.0
-        return GramMatrix(matrix=k, degrees=k.sum(axis=1))
+        return GramMatrix(matrix=k)
 
 
 _ROW_BLOCK = 64  # rows per block of an m x m array: scratch is _ROW_BLOCK x m

@@ -77,15 +77,16 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank < 1:
+        # written so that NaN fails: every comparison with NaN is False
+        if not self.rank >= 1:
             raise SolverError("rank must be >= 1")
-        if self.lam < 0 or self.mu < 0:
+        if not (self.lam >= 0 and self.mu >= 0):
             raise SolverError("lambda and mu must be >= 0")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise SolverError("rel_tol must be positive")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise SolverError("max_iters must be >= 0")
-        if self.epsilon_stab <= 0:
+        if not self.epsilon_stab > 0:
             raise SolverError("epsilon_stab must be positive")
 
 

@@ -90,7 +90,7 @@ class WorldSpec:
             ("feature_noise", self.feature_noise),
             ("localization_jitter", self.localization_jitter),
         ):
-            if v < 0:
+            if not v >= 0:  # written so that NaN fails
                 raise GenerationError(f"{name} must be >= 0")
         for name, v in (
             ("detection_miss_rate", self.detection_miss_rate),

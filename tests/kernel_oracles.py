@@ -153,4 +153,4 @@ def gram_reference(features: LocationFeatures, cfg: KernelConfig) -> GramMatrix:
             k = (1.0 - alpha) * ks + 0.5 * alpha * kp + 0.5 * alpha * ko
     if cfg.tau > 0:
         k[k < cfg.tau] = 0.0
-    return GramMatrix(matrix=k, degrees=k.sum(axis=1))
+    return GramMatrix(matrix=k)

@@ -12,7 +12,8 @@ import numpy as np
 import actionmaps
 from actionmaps import experiments
 from actionmaps.cli import main as cli_main
-from actionmaps.evaluation import GridSpec, aggregate, f1_sweep
+from actionmaps.evaluation import aggregate, f1_sweep
+from actionmaps.experiments import GridSpec
 from actionmaps.geometry import Plane, RansacParams, refine_ground_plane_ransac, estimate_metric_scale, plane_distance
 from actionmaps.sideinfo import GramBasis, KernelConfig, LocationFeatures
 from actionmaps.solver import ActionMatrixBundle, SolverParams, fit, laplacian_smoothness, predict

@@ -269,3 +269,78 @@ def test_transfer_reports_failed_runs(pair_dir, tmp_path, capsys, alphas, code, 
                 *GRID_ARGS[2:], "--out-txt", txt, "--out-tsv", tsv]) == code
     assert message in capsys.readouterr().err
     assert txt.exists() and tsv.exists()
+
+
+def test_every_command_creates_missing_output_directories(dataset_dir, pair_dir, tmp_path):
+    new = tmp_path / "not" / "yet"
+    fit_out = [new / "fit" / "factors.txt", new / "fit" / "trace" / "trace.tsv"]
+    commands = [
+        ["generate", "--preset", "mini", "--seed", 5, "--out", new / "data"],
+        ["fit", "--data", dataset_dir, *FIT_ARGS, "--seed", 3,
+         "--out-factors", fit_out[0], "--out-trace", fit_out[1]],
+        ["predict", "--data", dataset_dir, "--factors", fit_out[0], "--out", new / "am" / "am.txt"],
+        ["evaluate", "--data", dataset_dir, "--am", new / "am" / "am.txt",
+         "--out-txt", new / "eval" / "eval.txt", "--out-tsv", new / "eval-tsv" / "eval.tsv"],
+        ["grid", "--data", dataset_dir, *GRID_ARGS, "--alphas", "0.5",
+         "--out-tsv", new / "grid" / "grid.tsv", "--out-txt", new / "grid-txt" / "grid.txt"],
+        ["transfer", "--data", pair_dir, "--source", "office_a", "--target", "office_b",
+         *GRID_ARGS, "--alphas", "0.5",
+         "--out-txt", new / "transfer" / "t.txt", "--out-tsv", new / "transfer-tsv" / "t.tsv"],
+        ["elapse", "--data", dataset_dir, "--fractions", "1.0", *FIT_ARGS, "--seed", 6,
+         "--out", new / "elapse" / "elapse.tsv"],
+        ["localize", "--data", dataset_dir, "--am", new / "am" / "am.txt", "--scene", "scene",
+         "--k-max", 5, "--out", new / "curve" / "curve.tsv"],
+        ["export-heatmap", "--data", dataset_dir, "--am", new / "am" / "am.txt",
+         "--out-dir", new / "maps" / "deep"],
+    ]
+    for args in commands:
+        assert run(args) == 0, args[0]
+    written = {p.relative_to(new).as_posix() for p in new.rglob("*") if p.is_file()}
+    for path in ("data/dataset.txt", "fit/factors.txt", "fit/trace/trace.tsv", "am/am.txt",
+                 "eval/eval.txt", "eval-tsv/eval.tsv", "grid/grid.tsv", "grid-txt/grid.txt",
+                 "transfer/t.txt", "transfer/t.txt.variants", "transfer-tsv/t.tsv",
+                 "elapse/elapse.tsv", "curve/curve.tsv", "maps/deep/scene_am.tsv"):
+        assert path in written
+
+
+@pytest.mark.parametrize("flag", ["--lam", "--mu", "--rel-tol", "--tau"])
+def test_fit_rejects_nan_parameters(dataset_dir, tmp_path, capsys, flag):
+    factors = tmp_path / "f.txt"
+    args = list(FIT_ARGS)
+    if flag in args:
+        args[args.index(flag) + 1] = "nan"
+    else:
+        args += [flag, "nan"]
+    code = run(["fit", "--data", dataset_dir, *args, "--seed", 1, "--out-factors", factors])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not factors.exists()
+
+
+@pytest.fixture(scope="module")
+def am_path(dataset_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("am")
+    run(["fit", "--data", dataset_dir, *FIT_ARGS, "--seed", 3, "--out-factors", out / "f.txt"])
+    run(["predict", "--data", dataset_dir, "--factors", out / "f.txt", "--out", out / "am.txt"])
+    return out / "am.txt"
+
+
+def test_evaluate_rejects_zero_thresholds(dataset_dir, am_path, tmp_path, capsys):
+    code = run(["evaluate", "--data", dataset_dir, "--am", am_path, "--thresholds", 0,
+                "--out-txt", tmp_path / "e.txt", "--out-tsv", tmp_path / "e.tsv"])
+    assert code == 1
+    assert "error: need at least one threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-heatmap"])
+def test_nan_in_action_map_fails_with_path_and_line(dataset_dir, am_path, tmp_path, capsys,
+                                                    command):
+    lines = am_path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(maxsplit=1)[0] + " nan"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    outs = {"evaluate": ["--out-txt", tmp_path / "e.txt", "--out-tsv", tmp_path / "e.tsv"],
+            "export-heatmap": ["--out-dir", tmp_path / "maps"]}[command]
+    assert run([command, "--data", dataset_dir, "--am", bad, *outs]) == 1
+    assert "bad.txt:4: expected a finite number" in capsys.readouterr().err
+    assert not any(tmp_path.glob("e.*")) and not (tmp_path / "maps").exists()

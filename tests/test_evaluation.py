@@ -6,7 +6,6 @@ import pytest
 from actionmaps.evaluation import (
     EvalParams,
     EvaluationError,
-    GridSpec,
     ViewTriangle,
     aggregate,
     cells_in_triangle,
@@ -14,9 +13,9 @@ from actionmaps.evaluation import (
     image_gt,
     image_scores,
     pose_views,
-    run_parameter_grid,
     score_action_map,
 )
+from actionmaps.experiments import GridSpec, run_parameter_grid
 from actionmaps.scene import GlobalIndex, GridPose
 
 
@@ -108,6 +107,28 @@ def test_triangle_validation():
         ViewTriangle(apex=(0, 0), heading=(2.0, 0.0))
     with pytest.raises(EvaluationError):
         ViewTriangle(apex=(0, 0), heading=(1.0, 0.0), range_cells=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"heading": (math.nan, math.nan)},
+        {"heading": (math.nan, 0.0)},
+        {"range_cells": math.nan},
+    ],
+    ids=["heading", "heading-x", "range"],
+)
+def test_triangle_rejects_nan(kwargs):
+    # every comparison with NaN is False, so a check must be written to fail on it
+    with pytest.raises(EvaluationError):
+        ViewTriangle(**{"apex": (0, 0), "heading": (1.0, 0.0), **kwargs})
+
+
+@pytest.mark.parametrize("n_thresholds", [0, -3, math.nan])
+def test_eval_params_need_a_threshold(n_thresholds):
+    with pytest.raises(EvaluationError, match="threshold"):
+        EvalParams(n_thresholds=n_thresholds)
+    assert EvalParams(n_thresholds=1).n_thresholds == 1
 
 
 # -- image scores -------------------------------------------------------------
@@ -399,11 +420,11 @@ def test_run_parameter_grid_builds_one_gram_per_consecutive_config(mini_dataset,
 
 
 def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch):
-    from actionmaps import evaluation
+    from actionmaps import experiments
     from actionmaps.sideinfo import GramBasis, KernelConfig, SideInfoError
     from actionmaps.solver import SolverParams
 
-    real_gram, real_fit = GramBasis.gram, evaluation.fit
+    real_gram, real_fit = GramBasis.gram, experiments.fit
     built, fitted = [], []
     fail_once = {0.5}
 
@@ -419,7 +440,7 @@ def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch)
         return real_fit(bundle, K_U, K_V, params)
 
     monkeypatch.setattr(GramBasis, "gram", flaky_gram)
-    monkeypatch.setattr(evaluation, "fit", recording_fit)
+    monkeypatch.setattr(experiments, "fit", recording_fit)
     spec = GridSpec(alphas=(0.0, 0.5), lambdas=(1e-3, 1e-2), gammas=(1.0,))
     report = run_parameter_grid(
         mini_dataset, spec, variants=("SOP",), solver=SolverParams(rank=2, max_iters=5)
@@ -531,11 +552,21 @@ def test_run_parameter_grid_rasterizes_each_pose_once(mini_dataset, monkeypatch)
     assert len(calls) == _n_poses(mini_dataset)
 
 
-def test_run_transfer_rasterizes_target_poses_at_most_twice(pair_dataset, monkeypatch):
+def test_run_transfer_rasterizes_target_poses_once_and_builds_one_bundle(
+    pair_dataset, monkeypatch
+):
+    from actionmaps import experiments
     from actionmaps.experiments import run_transfer
     from actionmaps.solver import SolverParams
 
     calls = _count_triangles(monkeypatch)
+    real_bundle, bundles = experiments.build_bundle, []
+
+    def counting_bundle(*args):
+        bundles.append(args)
+        return real_bundle(*args)
+
+    monkeypatch.setattr(experiments, "build_bundle", counting_bundle)
     report = run_transfer(
         pair_dataset, ["office_a"], ["office_b"],
         grid_spec=GridSpec(alphas=(0.3, 0.7), lambdas=(1e-2,), gammas=(1.0,)),
@@ -543,7 +574,8 @@ def test_run_transfer_rasterizes_target_poses_at_most_twice(pair_dataset, monkey
         solver=SolverParams(rank=2, max_iters=5),
     )
     assert len(report.grid.rows) == 4 and set(report.baselines) == {"Det.", "NMF"}
-    assert len(calls) <= 2 * _n_poses(pair_dataset, ["office_b"])
+    assert len(calls) == _n_poses(pair_dataset, ["office_b"])
+    assert len(bundles) == 1
 
 
 def test_run_elapse_rasterizes_each_pose_once(mini_dataset, monkeypatch):

@@ -180,6 +180,8 @@ def test_pgm_codec(tmp_path):
     assert lines[4].split() == [str(int(np.floor(0.5 * 255 + 0.5))), str(int(np.floor(0.25 * 255 + 0.5)))]
     with pytest.raises(ValueError):
         fileio.write_pgm(np.array([[1.5]]), tmp_path / "bad.pgm")
+    with pytest.raises(ValueError):
+        fileio.write_pgm(np.array([[0.5, np.nan]]), tmp_path / "nan.pgm")
 
 
 def test_catmap_round_trip(mini_dataset, tmp_path):
@@ -264,6 +266,33 @@ def test_action_map_unknown_scene_reports_line(mini_dataset, tmp_path):
     lines[3] = "elsewhere " + lines[3].split(maxsplit=1)[1]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(fileio.SchemaError, match=r"am\.txt:4: unknown scene"):
+        fileio.read_action_map(path, index)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("section", ["demos", "poses", "features"])
+def test_non_finite_scene_values_report_path_and_line(pair_dataset, tmp_path, section, token):
+    manifest = _scene_files(pair_dataset, tmp_path)
+    path = tmp_path / "data" / "office_b.scene"
+    lines = path.read_text().splitlines()
+    first = lines.index(next(line for line in lines if line.startswith(section + " "))) + 1
+    toks = lines[first].split()
+    toks[-1] = token
+    lines[first] = " ".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.SchemaError, match=rf"office_b\.scene:{first + 1}: .*finite"):
+        fileio.load_dataset(manifest)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_action_map_values_report_path_and_line(mini_dataset, tmp_path, token):
+    index = mini_dataset.index()
+    path = tmp_path / "am.txt"
+    fileio.write_action_map(np.zeros((index.total_rows, len(index.vocabulary))), index, path)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(maxsplit=1)[0] + " " + token
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.SchemaError, match=r"am\.txt:6: expected a finite number"):
         fileio.read_action_map(path, index)
 
 

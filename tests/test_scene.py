@@ -4,6 +4,7 @@ import pytest
 from actionmaps.scene import (
     ActivityVocabulary,
     Demonstration,
+    GridPose,
     SceneError,
     SceneGrid,
     create_scene,
@@ -144,3 +145,22 @@ def test_vocabulary_validation():
     assert vocab.index("wash") == 5
     with pytest.raises(SceneError):
         vocab.index("juggle")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GridPose((1.0, 1.0), (NAN, NAN)),
+        lambda: GridPose((1.0, 1.0), (NAN, 0.0)),
+        lambda: Demonstration("s", (0, 0), 0, NAN),
+        lambda: SceneGrid("s", 2, 2, NAN),
+    ],
+    ids=["pose-heading", "pose-heading-x", "demo-value", "cell-size"],
+)
+def test_nan_is_rejected(build):
+    # every comparison with NaN is False, so a check must be written to fail on it
+    with pytest.raises(SceneError):
+        build()

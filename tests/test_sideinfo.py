@@ -245,16 +245,24 @@ def test_gram_matrix_rejects_nan():
     # every comparison with NaN is False, so a NaN entry must fail the range check
     for bad in (np.full((2, 2), np.nan), np.array([[1.0, np.nan], [np.nan, 1.0]])):
         with pytest.raises(SideInfoError, match="must lie in"):
-            GramMatrix(matrix=bad, degrees=np.zeros(2))
+            GramMatrix(matrix=bad)
+
+
+def test_gram_matrix_derives_degrees_from_matrix():
+    k = np.array([[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    assert np.array_equal(GramMatrix(matrix=k).degrees, k.sum(axis=1))
+    # degrees that could disagree with the matrix are not accepted
+    with pytest.raises(TypeError):
+        GramMatrix(matrix=k, degrees=np.zeros(3))
 
 
 def test_gram_matrix_rejects_asymmetry_in_off_diagonal_tile():
     a = np.eye(260)
     a[3, 200] = a[200, 3] = 0.5
-    GramMatrix(matrix=a.copy(), degrees=a.sum(axis=1))
+    GramMatrix(matrix=a.copy())
     a[200, 3] = 0.0
     with pytest.raises(SideInfoError, match="symmetric"):
-        GramMatrix(matrix=a, degrees=a.sum(axis=1))
+        GramMatrix(matrix=a)
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 300])
@@ -345,6 +353,13 @@ def test_feature_validation():
     o = np.array([[0.0, 0.0], [0.0, 0.2], [0.3, 0.0]])
     basis = GramBasis(LocationFeatures(**{**_record(), "o": o}))
     assert basis.object_rows.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("field", ["sigma_s", "gamma_p", "gamma_o", "tau"])
+def test_kernel_config_rejects_nan(field):
+    # every comparison with NaN is False, so a check must be written to fail on it
+    with pytest.raises(SideInfoError):
+        KernelConfig(**{field: math.nan})
 
 
 # -- property tests -----------------------------------------------------------

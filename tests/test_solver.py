@@ -370,6 +370,15 @@ def test_solver_params_reject_negative_iterations_and_stabilizer():
     assert SolverParams(max_iters=0).max_iters == 0
 
 
+@pytest.mark.parametrize(
+    "field", ["lam", "mu", "rel_tol", "epsilon_stab", "rank", "max_iters"]
+)
+def test_solver_params_reject_nan(field):
+    # every comparison with NaN is False, so a check must be written to fail on it
+    with pytest.raises(SolverError):
+        SolverParams(**{field: float("nan")})
+
+
 def test_fit_requires_activity_kernel_when_mu_positive():
     rng = np.random.default_rng(14)
     bundle = random_bundle(rng)
@@ -395,7 +404,7 @@ def test_fit_rejects_non_finite_kernel(which):
     nan_k = np.full((6, 6), np.nan)
     k_u, k_v, params = nan_k, None, SolverParams(rank=2, lam=0.1, max_iters=5)
     if which == "Gram K_U":
-        k_u = GramMatrix(matrix=random_kernel(rng, 6), degrees=np.zeros(6))
+        k_u = GramMatrix(matrix=random_kernel(rng, 6))
         k_u.matrix[0, 1] = k_u.matrix[1, 0] = np.inf
         k_u.degrees = k_u.matrix.sum(axis=1)
     elif which == "K_V":
@@ -437,7 +446,7 @@ def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, mu, gram, seed):
     rng = np.random.default_rng(seed)
     bundle = random_bundle(rng, m=m, a=n_act)
     k = random_kernel(rng, m)
-    k_u = GramMatrix(matrix=k, degrees=k.sum(axis=1)) if gram else k
+    k_u = GramMatrix(matrix=k) if gram else k
     k_v = random_kernel(rng, n_act) if mu > 0 else None
     params = SolverParams(rank=rank, lam=lam, mu=mu, max_iters=30, rel_tol=1e-9, seed=seed)
     result = fit(bundle, k_u, k_v, params)

@@ -170,6 +170,13 @@ def test_spec_validation():
         WorldSpec(feature_noise=-0.1)
 
 
+@pytest.mark.parametrize("field", ["feature_noise", "localization_jitter"])
+def test_spec_rejects_nan(field):
+    # a NaN noise level used to pass its check and then switch the noise off
+    with pytest.raises(GenerationError):
+        WorldSpec(**{field: float("nan")})
+
+
 def test_class_names_cover_room_types_and_wall():
     assert set(CLASS_NAMES) >= {"office", "corridor", "kitchen", "common", "wall"}
 
