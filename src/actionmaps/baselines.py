@@ -94,6 +94,6 @@ def augmented_wnmf(
     w_feat = np.repeat(explored_rows[:, None].astype(float), feats.shape[1], axis=1)
     w_aug = np.hstack([bundle.W, w_feat])
     r_aug[w_aug == 0] = 0.0
-    aug = ActionMatrixBundle(R=r_aug, W=w_aug, mask=w_aug > 0)
+    aug = ActionMatrixBundle(R=r_aug, W=w_aug)
     result = fit(aug, None, None, replace(params, lam=0.0, mu=0.0))
     return normalize_action_map(predict(result.factors)[:, :n_act])

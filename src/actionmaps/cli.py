@@ -15,7 +15,7 @@ from dataclasses import fields
 from actionmaps import experiments, fileio
 from actionmaps.evaluation import EvalParams, pose_views, score_action_map
 from actionmaps.experiments import GridSpec
-from actionmaps.sideinfo import KernelConfig
+from actionmaps.sideinfo import VARIANTS, KernelConfig
 from actionmaps.solver import SolverParams, normalize_action_map, predict
 from actionmaps.synthetic import PRESETS, WorldSpec, generate_dataset
 
@@ -42,38 +42,30 @@ def _load_data(path):
 
 
 def _kernel_from_args(args) -> KernelConfig:
-    return KernelConfig(
-        alpha=args.alpha,
-        sigma_s=args.sigma_s,
-        gamma_p=args.gamma,
-        gamma_o=args.gamma,
-        variant=args.variant,
-        tau=args.tau,
-    )
+    return KernelConfig(alpha=args.alpha, sigma_s=args.sigma_s, gamma=args.gamma,
+                        variant=args.variant, tau=args.tau)
 
 
 def _solver_from_args(args) -> SolverParams:
-    return SolverParams(
-        rank=args.rank,
-        lam=args.lam,
-        mu=args.mu,
-        max_iters=args.max_iters,
-        rel_tol=args.rel_tol,
-        seed=args.seed,
-    )
+    return SolverParams(rank=args.rank, lam=args.lam, mu=args.mu, max_iters=args.max_iters,
+                        rel_tol=args.rel_tol, seed=args.seed)
 
 
 def _add_kernel_args(p: argparse.ArgumentParser):
-    p.add_argument("--variant", default="SOP", choices=("S", "SO", "SP", "SOP"))
-    p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--sigma-s", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=1.0, help="chi-squared bandwidth")
     p.add_argument("--tau", type=float, default=1e-4, help="Gram sparsification threshold")
+
+
+def _add_single_fit_args(p: argparse.ArgumentParser):
+    """The settings that grid and transfer sweep as lists instead."""
+    p.add_argument("--variant", default="SOP", choices=VARIANTS)
+    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, default=1.0, help="chi-squared bandwidth")
+    p.add_argument("--lam", type=float, default=1e-3)
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--rank", type=int, default=6)
-    p.add_argument("--lam", type=float, default=1e-3)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--rel-tol", type=float, default=1e-6)
@@ -127,8 +119,6 @@ def _add_grid_args(p: argparse.ArgumentParser):
     p.add_argument("--alphas", default="0,0.1,0.3,0.5,0.7,0.9,1")
     p.add_argument("--lambdas", default="0.001,0.01")
     p.add_argument("--gammas", default="100,1000")
-    p.add_argument("--sigma-s", type=float, default=2.0)
-    p.add_argument("--tau", type=float, default=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        # no prefix matching: --lam would otherwise be read as --lambdas
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
 
     p = add_parser("generate", help="write a synthetic dataset")
     p.add_argument("--preset", default="mini")
@@ -293,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("fit", help="fit factors on a dataset")
     p.add_argument("--data", required=True)
+    _add_single_fit_args(p)
     _add_kernel_args(p)
     _add_solver_args(p)
     p.add_argument("--seed", type=int, required=True)
@@ -317,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("grid", help="run the parameter grid")
     p.add_argument("--data", required=True)
-    p.add_argument("--variants", default="S,SO,SP,SOP")
+    p.add_argument("--variants", default=",".join(VARIANTS))
     _add_grid_args(p)
+    _add_kernel_args(p)
     _add_solver_args(p)
     _add_eval_args(p)
     p.add_argument("--seed", type=int, required=True)
@@ -332,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--variants", default="SO,SP,SOP")
     _add_grid_args(p)
+    _add_kernel_args(p)
     _add_solver_args(p)
     _add_eval_args(p)
     p.add_argument("--seed", type=int, required=True)
@@ -342,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("elapse", help="sweep demonstration fractions")
     p.add_argument("--data", required=True)
     p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    _add_single_fit_args(p)
     _add_kernel_args(p)
     _add_solver_args(p)
     _add_eval_args(p)

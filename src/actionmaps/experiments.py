@@ -16,8 +16,8 @@ from actionmaps.evaluation import (
     pose_views,
     score_action_map,
 )
-from actionmaps.localization import DiscrepancyCurve, LocalizationQuery, discrepancy_curve
-from actionmaps.sideinfo import GramBasis, KernelConfig
+from actionmaps.localization import DiscrepancyCurve, discrepancy_curve
+from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig
 from actionmaps.solver import (
     ActionMatrixBundle,
     FitResult,
@@ -49,8 +49,7 @@ def fit_action_map(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Parameter grid swept by the harness (one gamma drives both chi-squared
-    kernels, matching how the sweep is reported)."""
+    """Parameter grid swept by the harness; gamma is the chi-squared bandwidth."""
 
     alphas: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
     lambdas: tuple[float, ...] = (1e-3, 1e-2)
@@ -99,7 +98,7 @@ class EvalReport:
 def run_parameter_grid(
     dataset,
     grid_spec: GridSpec,
-    variants: Sequence[str] = ("S", "SO", "SP", "SOP"),
+    variants: Sequence[str] = VARIANTS,
     base_seed: int = 0,
     solver: SolverParams = SolverParams(),
     kernel: KernelConfig = KernelConfig(),
@@ -142,7 +141,7 @@ def _run_grid(
             seed = base_seed + run_idx
             run_idx += 1
             try:
-                cfg = replace(kernel, alpha=alpha, gamma_p=gamma, gamma_o=gamma, variant=variant)
+                cfg = replace(kernel, alpha=alpha, gamma=gamma, variant=variant)
                 if cfg != gram_cfg:
                     # drop the old Gram before building; a failed build leaves none cached
                     gram_cfg, gram = None, None
@@ -259,28 +258,8 @@ def run_joint_vs_single(
     return out
 
 
-def localization_queries(scene, k_max: int) -> list[LocalizationQuery]:
-    """One single-step query per labelled (cell, activity) pair."""
-    queries = []
-    for cell, acts in scene.labelled_cells():
-        for a in acts:
-            queries.append(
-                LocalizationQuery(activities=(a,), true_cells=(cell,), k_max=k_max)
-            )
-    return queries
-
-
 def run_localization(dataset, scene_id: str, am_norm: np.ndarray, k_max: int) -> DiscrepancyCurve:
     """Discrepancy curve over all labelled cells of one scene."""
     scene = dataset.scene(scene_id)
     rows = dataset.index().rows_of(scene_id)
-    queries = localization_queries(scene, k_max)
-    return discrepancy_curve(
-        am_norm[rows], (scene.width, scene.height), queries, k_max
-    )
-
-
-def guesses_to_reach(curve_values: np.ndarray, threshold: float) -> int:
-    """Smallest K with mean discrepancy below threshold (len+1 if never)."""
-    below = np.nonzero(curve_values < threshold)[0]
-    return int(below[0]) + 1 if below.size else len(curve_values) + 1
+    return discrepancy_curve(am_norm[rows], scene, k_max)

@@ -61,13 +61,13 @@ class KernelConfig:
 
     Variants: S spatial only; SO spatial+objects; SP spatial+scene classes;
     SOP all three (objects and classes each weighted alpha/2, alpha for the
-    single active kernel in SO/SP).
+    single active kernel in SO/SP). One chi-squared bandwidth gamma serves
+    both the scene-class and the object kernel.
     """
 
     alpha: float = 0.5
     sigma_s: float = 2.0
-    gamma_p: float = 1.0
-    gamma_o: float = 1.0
+    gamma: float = 1.0
     variant: str = "SOP"
     chi2_epsilon: float = 1e-10
     tau: float = 1e-4
@@ -77,7 +77,7 @@ class KernelConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise SideInfoError(f"alpha must be in [0, 1], got {self.alpha}")
         # written so that NaN fails: every comparison with NaN is False
-        if not (self.sigma_s > 0 and self.gamma_p > 0 and self.gamma_o > 0):
+        if not (self.sigma_s > 0 and self.gamma > 0):
             raise SideInfoError("kernel bandwidths must be positive")
         if self.variant not in VARIANTS:
             raise SideInfoError(f"variant must be one of {VARIANTS}, got {self.variant}")
@@ -181,7 +181,7 @@ class GramBasis:
                 kb *= 1.0 - alpha
             if variant in ("SP", "SOP"):
                 kp = scratch[: hi - lo]
-                np.multiply(self.chi2_p[lo:hi], -cfg.gamma_p, out=kp)
+                np.multiply(self.chi2_p[lo:hi], -cfg.gamma, out=kp)
                 np.exp(kp, out=kp)
                 kp *= w
                 kb += kp
@@ -190,7 +190,7 @@ class GramBasis:
             scratch = np.empty((min(_ROW_BLOCK, rows.size), rows.size))
             for lo, hi in _blocks(rows.size):
                 ko = scratch[: hi - lo]
-                np.multiply(self.chi2_o[lo:hi], -cfg.gamma_o, out=ko)
+                np.multiply(self.chi2_o[lo:hi], -cfg.gamma, out=ko)
                 np.exp(ko, out=ko)
                 ko *= w
                 k[np.ix_(rows[lo:hi], rows)] += ko

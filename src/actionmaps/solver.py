@@ -22,22 +22,19 @@ class SolverError(ValueError):
 
 @dataclass
 class ActionMatrixBundle:
-    """Observed matrix R, weight matrix W, and the observed-entry mask."""
+    """Observed matrix R and weight matrix W; the observed entries are W > 0."""
 
     R: np.ndarray
     W: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
-        if self.R.shape != self.W.shape or self.R.shape != self.mask.shape:
-            raise SolverError(
-                f"shape mismatch: R {self.R.shape}, W {self.W.shape}, mask {self.mask.shape}"
-            )
-        if (self.R < 0).any() or (self.W < 0).any():
-            raise SolverError("R and W must be non-negative")
-        if not np.array_equal(self.mask, self.W > 0):
-            raise SolverError("mask must indicate exactly the entries with W > 0")
-        if self.R[~self.mask].any():
+        if self.R.shape != self.W.shape:
+            raise SolverError(f"shape mismatch: R {self.R.shape}, W {self.W.shape}")
+        # written so that NaN fails: every comparison with NaN is False
+        for name, m in (("R", self.R), ("W", self.W)):
+            if not (np.isfinite(m).all() and (m >= 0).all()):
+                raise SolverError(f"{name} must be finite and non-negative")
+        if self.R[self.W == 0].any():
             raise SolverError("unobserved entries of R must be 0")
 
     @property
@@ -138,7 +135,7 @@ def build_bundle(
     index: GlobalIndex,
     observed_scene_ids: Optional[set[str]] = None,
 ) -> ActionMatrixBundle:
-    """Stacked R (demo values) with its weight matrix and observation mask."""
+    """Stacked R (demo values) with its weight matrix."""
     n_act = len(index.vocabulary)
     r = np.zeros((index.total_rows, n_act))
     for scene in scenes:
@@ -148,16 +145,17 @@ def build_bundle(
         for demo in scene.demonstrations:
             r[off + scene.row_of(demo.cell), demo.activity] = demo.value
     w = build_weight_matrix(scenes, index, observed_scene_ids)
-    return ActionMatrixBundle(R=r, W=w, mask=w > 0)
+    return ActionMatrixBundle(R=r, W=w)
 
 
-def _as_kernel(k) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+def _as_kernel(k: Optional[GramMatrix]) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """(matrix, degrees) of a kernel; only a GramMatrix, which checked its
+    symmetry and range on construction, keeps the updates monotone."""
     if k is None:
         return None, None
-    if isinstance(k, GramMatrix):
-        return k.matrix, k.degrees
-    k = np.asarray(k, dtype=float)
-    return k, k.sum(axis=1)
+    if not isinstance(k, GramMatrix):
+        raise SolverError(f"kernels must be GramMatrix or None, got {type(k).__name__}")
+    return k.matrix, k.degrees
 
 
 def laplacian_smoothness(

@@ -32,7 +32,7 @@ def random_bundle(rng, m=12, a=4, density=0.5):
 
     w = rng.uniform(0.2, 1.0, size=(m, a)) * (rng.random((m, a)) < density)
     r = rng.uniform(0.0, 1.0, size=(m, a)) * (w > 0)
-    return ActionMatrixBundle(R=r, W=w, mask=w > 0)
+    return ActionMatrixBundle(R=r, W=w)
 
 
 def random_kernel(rng, m):
@@ -40,3 +40,10 @@ def random_kernel(rng, m):
     k = (b + b.T) / 2.0
     np.fill_diagonal(k, 1.0)
     return k
+
+
+def random_gram(rng, m):
+    """random_kernel as the GramMatrix the solver takes."""
+    from actionmaps.sideinfo import GramMatrix
+
+    return GramMatrix(matrix=random_kernel(rng, m))

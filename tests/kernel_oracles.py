@@ -96,9 +96,9 @@ def combined_kernel(a: Location, b: Location, cfg: KernelConfig) -> float:
         ko = _object_kernel(a, b, cfg)
         return (1.0 - alpha) * ks + alpha * ko
     if cfg.variant == "SP":
-        kp = kernel_chi2(a.p, b.p, cfg.gamma_p, cfg.chi2_epsilon)
+        kp = kernel_chi2(a.p, b.p, cfg.gamma, cfg.chi2_epsilon)
         return (1.0 - alpha) * ks + alpha * kp
-    kp = kernel_chi2(a.p, b.p, cfg.gamma_p, cfg.chi2_epsilon)
+    kp = kernel_chi2(a.p, b.p, cfg.gamma, cfg.chi2_epsilon)
     ko = _object_kernel(a, b, cfg)
     return (1.0 - alpha) * ks + 0.5 * alpha * kp + 0.5 * alpha * ko
 
@@ -106,7 +106,7 @@ def combined_kernel(a: Location, b: Location, cfg: KernelConfig) -> float:
 def _object_kernel(a: Location, b: Location, cfg: KernelConfig) -> float:
     if not (a.has_object and b.has_object):
         return 0.0
-    return kernel_chi2(a.o, b.o, cfg.gamma_o, cfg.chi2_epsilon)
+    return kernel_chi2(a.o, b.o, cfg.gamma, cfg.chi2_epsilon)
 
 
 def gram_oracle(features: LocationFeatures, cfg: KernelConfig) -> np.ndarray:
@@ -142,14 +142,14 @@ def gram_reference(features: LocationFeatures, cfg: KernelConfig) -> GramMatrix:
     else:
         alpha = cfg.alpha
         if cfg.variant == "SO":
-            ko = np.where(object_pair, np.exp(-cfg.gamma_o * chi2_o), 0.0)
+            ko = np.where(object_pair, np.exp(-cfg.gamma * chi2_o), 0.0)
             k = (1.0 - alpha) * ks + alpha * ko
         elif cfg.variant == "SP":
-            kp = np.exp(-cfg.gamma_p * chi2_p)
+            kp = np.exp(-cfg.gamma * chi2_p)
             k = (1.0 - alpha) * ks + alpha * kp
         else:
-            kp = np.exp(-cfg.gamma_p * chi2_p)
-            ko = np.where(object_pair, np.exp(-cfg.gamma_o * chi2_o), 0.0)
+            kp = np.exp(-cfg.gamma * chi2_p)
+            ko = np.where(object_pair, np.exp(-cfg.gamma * chi2_o), 0.0)
             k = (1.0 - alpha) * ks + 0.5 * alpha * kp + 0.5 * alpha * ko
     if cfg.tau > 0:
         k[k < cfg.tau] = 0.0

@@ -18,12 +18,12 @@ from actionmaps.geometry import Plane, RansacParams, refine_ground_plane_ransac,
 from actionmaps.sideinfo import GramBasis, KernelConfig, LocationFeatures
 from actionmaps.solver import ActionMatrixBundle, SolverParams, fit, laplacian_smoothness, predict
 from actionmaps.synthetic import PRESETS, generate_dataset
-from tests.conftest import random_bundle, random_kernel
+from tests.conftest import random_bundle, random_gram, random_kernel
 from tests.kernel_oracles import combined_kernel, kernel_chi2, kernel_spatial, locations, object_score
 from tests.test_evaluation import f1_sweep_oracle
 from tests.test_solver import pairwise_smoothness_oracle
 
-TREND_KERNEL = KernelConfig(alpha=0.7, sigma_s=2.0, gamma_p=0.5, gamma_o=0.5, variant="SOP")
+TREND_KERNEL = KernelConfig(alpha=0.7, sigma_s=2.0, gamma=0.5, variant="SOP")
 TREND_SOLVER = SolverParams(rank=6, lam=1e-2, max_iters=300, rel_tol=1e-5, seed=17)
 
 
@@ -39,7 +39,7 @@ def test_01_solver_monotonicity():
     worst = 0.0
     for _ in range(50):
         bundle = random_bundle(rng, m=200, a=6, density=0.4)
-        k_u = random_kernel(rng, 200)
+        k_u = random_gram(rng, 200)
         params = SolverParams(rank=6, lam=1e-2, mu=0.0, max_iters=500, rel_tol=1e-300,
                               seed=int(rng.integers(1 << 30)))
         trace = fit(bundle, k_u, None, params).trace
@@ -55,7 +55,7 @@ def test_02_exact_recovery():
     u_true = rng.uniform(0.5, 1.5, (60, 2))
     v_true = rng.uniform(0.5, 1.5, (6, 2))
     r = u_true @ v_true.T
-    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r), mask=np.ones(r.shape, bool))
+    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
     result = fit(bundle, None, None,
                  SolverParams(rank=2, lam=0.0, mu=0.0, max_iters=5000, rel_tol=1e-12, seed=7))
     rel = float(np.linalg.norm(predict(result.factors) - r) / np.linalg.norm(r))
@@ -196,6 +196,12 @@ def test_09_geometry():
     _report(9, "geometry", bool(ok))
 
 
+def guesses_to_reach(curve_values: np.ndarray, threshold: float) -> int:
+    """Smallest K with mean discrepancy below threshold (len+1 if never)."""
+    below = np.nonzero(curve_values < threshold)[0]
+    return int(below[0]) + 1 if below.size else len(curve_values) + 1
+
+
 def test_10_localization():
     ok_mono = True
     wins = 0
@@ -210,8 +216,8 @@ def test_10_localization():
         for values in curve.per_activity.values():
             ok_mono &= bool(np.all(np.diff(values) <= 1e-12))
         ok_mono &= bool(np.all(np.diff(curve.aggregate) <= 1e-12))
-        k_rare = experiments.guesses_to_reach(curve.per_activity[rare], 2.0)
-        k_common = experiments.guesses_to_reach(curve.per_activity[common], 2.0)
+        k_rare = guesses_to_reach(curve.per_activity[rare], 2.0)
+        k_common = guesses_to_reach(curve.per_activity[common], 2.0)
         wins += k_rare < k_common
     ok = ok_mono and wins >= 8
     _report(10, "localization", ok, f"(monotone {ok_mono}, specialization {wins}/10)")

@@ -125,7 +125,7 @@ def test_augmented_wnmf_trace_non_increasing():
     r_aug = np.hstack([bundle.R, feats_n])
     w_aug = np.hstack([bundle.W, np.repeat(explored[:, None], 3, axis=1).astype(float)])
     r_aug[w_aug == 0] = 0.0
-    aug = ActionMatrixBundle(R=r_aug, W=w_aug, mask=w_aug > 0)
+    aug = ActionMatrixBundle(R=r_aug, W=w_aug)
     result = fit(aug, None, None, SolverParams(rank=3, lam=0, mu=0, max_iters=120, seed=8))
     trace = result.trace
     assert np.all(np.diff(trace) <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))

@@ -1,0 +1,84 @@
+"""The package surface the benchmark harness in perfbench/ pins.
+
+The traced child patches boundary functions by name and counts K·U products
+through solver._as_kernel; the setup child builds the basis and the bundle
+directly. Each runs here on the mini preset, in a fresh interpreter, as the
+benchmark runs it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# boundaries every grid reaches; transfer also reaches both baselines
+GRID_SPANS = {
+    "cli", "fileio.load", "fileio.write", "synthetic.location_features",
+    "sideinfo.basis", "sideinfo.gram", "solver.bundle", "solver.fit", "solver.step",
+    "solver.objective", "evaluation.score", "evaluation.triangles", "evaluation.f1_sweep",
+}
+BASELINE_SPANS = {"baselines.det", "baselines.nmf"}
+SWEEP = ["--alphas", "0.5", "--lambdas", "0.01", "--gammas", "100", "--rank", "3",
+         "--mu", "0", "--max-iters", "5", "--rel-tol", "1e-4", "--seed", "1"]
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          cwd=ROOT, env=env, timeout=120, check=False)
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bench")
+    paths = {}
+    for scenes in (1, 2):
+        proc = _python("-m", "actionmaps.cli", "generate", "--preset", "mini", "--scenes",
+                       scenes, "--seed", 1, "--out", out / f"mini{scenes}")
+        assert proc.returncode == 0, proc.stderr
+        paths[scenes] = proc.stdout.strip()
+    return paths
+
+
+def _trace(tmp_path, cli_args):
+    out = tmp_path / "trace.json"
+    proc = _python(PERFBENCH / "trace_child.py", out, "--", *cli_args)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_traced_grid_reaches_every_boundary(manifests, tmp_path):
+    report = _trace(tmp_path, ["grid", "--data", manifests[1], "--variants", "S,SOP", *SWEEP,
+                               "--out-tsv", tmp_path / "g.tsv", "--out-txt", tmp_path / "g.txt"])
+    assert report["exit_code"] == 0
+    assert set(report["span_calls"]) == GRID_SPANS
+    metrics = report["metrics"]
+    assert metrics["solver.kernel_products"] > 0
+    assert metrics["solver.fit.calls"] == 2
+    assert metrics["sideinfo.gram.calls"] == 2
+    assert all(metrics[f"{layer}.errors"] == 0 for layer in ("sideinfo", "solver", "evaluation"))
+
+
+def test_traced_transfer_reaches_the_baselines(manifests, tmp_path):
+    report = _trace(tmp_path, ["transfer", "--data", manifests[2], "--source", "scene_a",
+                               "--target", "scene_b", "--variants", "SOP", *SWEEP,
+                               "--out-txt", tmp_path / "t.txt", "--out-tsv", tmp_path / "t.tsv"])
+    assert report["exit_code"] == 0
+    assert set(report["span_calls"]) == GRID_SPANS | BASELINE_SPANS
+    metrics = report["metrics"]
+    assert metrics["solver.kernel_products"] > 0
+    assert metrics["baselines.nmf.iterations"] > 0
+    assert report["kernel_fits"] == 1
+
+
+def test_setup_child_times_the_setup(manifests):
+    proc = _python(PERFBENCH / "setup_child.py", manifests[2], "scene_a")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["setup_s"] > 0

@@ -344,3 +344,37 @@ def test_nan_in_action_map_fails_with_path_and_line(dataset_dir, am_path, tmp_pa
     assert run([command, "--data", dataset_dir, "--am", bad, *outs]) == 1
     assert "bad.txt:4: expected a finite number" in capsys.readouterr().err
     assert not any(tmp_path.glob("e.*")) and not (tmp_path / "maps").exists()
+
+
+def _sweep_command(command, dataset_dir, pair_dir, out):
+    if command == "grid":
+        return ["grid", "--data", dataset_dir, *GRID_ARGS, "--alphas", "0.5",
+                "--out-tsv", out / "g.tsv", "--out-txt", out / "g.txt"]
+    return ["transfer", "--data", pair_dir, "--source", "office_a", "--target", "office_b",
+            *GRID_ARGS, "--alphas", "0.5", "--out-txt", out / "t.txt", "--out-tsv", out / "t.tsv"]
+
+
+@pytest.mark.parametrize("command", ["grid", "transfer"])
+def test_sweeps_reject_lam(dataset_dir, pair_dir, tmp_path, capsys, command):
+    # the sweeps take lambda from --lambdas; a single --lam used to be accepted
+    # and ignored
+    args = _sweep_command(command, dataset_dir, pair_dir, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--lam", 7])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lam" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 7}))
+    assert run([*args, "--config", cfg]) == 1
+    assert "unknown config key 'lam'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.t*"))
+
+
+def test_variant_choices_are_the_kernel_variants(dataset_dir, tmp_path, capsys):
+    from actionmaps.sideinfo import VARIANTS
+
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--data", dataset_dir, "--variant", "SPO", "--seed", 1,
+             "--out-factors", tmp_path / "f.txt"])
+    assert exc.value.code == 2
+    assert f"choose from {', '.join(repr(v) for v in VARIANTS)}" in capsys.readouterr().err

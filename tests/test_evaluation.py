@@ -404,7 +404,7 @@ def test_run_parameter_grid_builds_one_gram_per_consecutive_config(mini_dataset,
     )
     assert all(not row.error for row in report.rows)
     configs = [
-        replace(KernelConfig(), alpha=a, gamma_p=g, gamma_o=g, variant=v)
+        replace(KernelConfig(), alpha=a, gamma=g, variant=v)
         for v in variants
         for a, _, g in spec.tuples()
     ]
@@ -448,7 +448,7 @@ def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch)
     assert [row.error for row in report.rows] == ["", "", "transient gram failure", ""]
     assert built == [0.0, 0.5, 0.5]
     assert fitted[0] is fitted[1]
-    cfg = KernelConfig(alpha=0.5, gamma_p=1.0, gamma_o=1.0, variant="SOP")
+    cfg = KernelConfig(alpha=0.5, gamma=1.0, variant="SOP")
     want = real_gram(GramBasis(mini_dataset.location_features(), cfg.chi2_epsilon), cfg)
     assert np.array_equal(fitted[2].matrix, want.matrix)
     assert not np.array_equal(fitted[2].matrix, fitted[0].matrix)

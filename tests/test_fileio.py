@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from actionmaps import fileio
-from actionmaps.scene import GridPose
+from actionmaps.evaluation import pose_views
+from actionmaps.scene import ActivityVocabulary, GridPose, SceneGrid, stack_scenes
 from actionmaps.solver import FactorPair
 from actionmaps.textfmt import fmt9, q9
 
@@ -156,6 +158,66 @@ def test_action_map_round_trip(mini_dataset, tmp_path):
     fileio.write_action_map(am, index, path)
     loaded = fileio.read_action_map(path, index)
     assert np.array_equal(loaded, am)
+
+
+# disk values: finite, non-negative and already at the 9 digits written
+_Q9 = st.floats(0.0, 1e300, allow_subnormal=False).map(q9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 5), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_factors_round_trip_property(shape, data):
+    m, a, d = shape
+    factors = FactorPair(
+        U=data.draw(hnp.arrays(float, (m, d), elements=_Q9)),
+        V=data.draw(hnp.arrays(float, (a, d), elements=_Q9)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "factors.txt")
+        fileio.write_factors(factors, path)
+        loaded = fileio.read_factors(path)
+    assert np.array_equal(loaded.U, factors.U)
+    assert np.array_equal(loaded.V, factors.V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grids=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3),
+    n_act=st.integers(1, 4),
+    data=st.data(),
+)
+def test_action_map_round_trip_property(grids, n_act, data):
+    vocab = ActivityVocabulary(tuple(f"act{k}" for k in range(n_act)))
+    index = stack_scenes(
+        [SceneGrid(f"s{k}", w, h, 0.25, vocab) for k, (w, h) in enumerate(grids)]
+    )
+    am = data.draw(hnp.arrays(float, (index.total_rows, n_act), elements=_Q9))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "am.txt")
+        fileio.write_action_map(am, index, path)
+        loaded = fileio.read_action_map(path, index)
+    assert np.array_equal(loaded, am)
+
+
+@pytest.mark.parametrize("fixture", ["mini_dataset", "pair_dataset"])
+def test_loaded_dataset_gives_same_features_and_views(request, fixture, tmp_path):
+    dataset = request.getfixturevalue(fixture)
+    loaded = fileio.load_dataset(fileio.write_dataset(dataset, tmp_path / "data"))
+    want, got = dataset.location_features(), loaded.location_features()
+    for name in ("x", "p", "o", "scene_codes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    want_views = pose_views(dataset.scenes, dataset.index())
+    got_views = pose_views(loaded.scenes, loaded.index())
+    assert got_views.n_rows == want_views.n_rows
+    assert len(got_views.rows) == len(want_views.rows) > 0
+    for got_rows, want_rows in zip(got_views.rows, want_views.rows):
+        assert np.array_equal(got_rows, want_rows)
+    assert np.array_equal(got_views.gt, want_views.gt)
+    for got_scene, want_scene in zip(loaded.scenes, dataset.scenes):
+        assert np.array_equal(got_scene.label_matrix(), want_scene.label_matrix())
 
 
 def test_trace_format(tmp_path):

@@ -158,7 +158,7 @@ def test_combined_kernel_single_sided_variants_use_full_alpha():
         # identical features: (1 - alpha) * 1 + alpha * 1 = 1
         assert combined_kernel(a, b, cfg) == pytest.approx(1.0, abs=1e-12)
     c = _feat((0.0, 0.0), [0.0, 1.0], [0.5])
-    cfg = KernelConfig(alpha=0.6, variant="SP", gamma_p=1.0, chi2_epsilon=0.0)
+    cfg = KernelConfig(alpha=0.6, variant="SP", gamma=1.0, chi2_epsilon=0.0)
     expected = 0.4 + 0.6 * math.exp(-2.0)
     assert combined_kernel(a, c, cfg) == pytest.approx(expected, abs=1e-12)
 
@@ -290,7 +290,7 @@ def test_basis_and_gram_memory_peaks():
     # object-row block); gram() allocates one m x m output plus row-block scratch
     feats = _two_scene_record()
     m2_bytes = 8 * feats.x.shape[0] ** 2
-    cfg = KernelConfig(variant="SOP", gamma_p=100.0, gamma_o=100.0)
+    cfg = KernelConfig(variant="SOP", gamma=100.0)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -314,7 +314,7 @@ def test_gram_basis_matches_direct_build():
     basis = GramBasis(feats)
     restacked = GramBasis(stack(locations(feats)))
     for variant in ("S", "SO", "SP", "SOP"):
-        cfg = KernelConfig(alpha=0.7, gamma_p=0.9, gamma_o=1.3, variant=variant)
+        cfg = KernelConfig(alpha=0.7, gamma=0.9, variant=variant)
         direct = GramBasis(feats, cfg.chi2_epsilon).gram(cfg).matrix
         assert np.array_equal(basis.gram(cfg).matrix, direct)
         assert np.array_equal(restacked.gram(cfg).matrix, direct)
@@ -355,7 +355,7 @@ def test_feature_validation():
     assert basis.object_rows.tolist() == [1, 2]
 
 
-@pytest.mark.parametrize("field", ["sigma_s", "gamma_p", "gamma_o", "tau"])
+@pytest.mark.parametrize("field", ["sigma_s", "gamma", "tau"])
 def test_kernel_config_rejects_nan(field):
     # every comparison with NaN is False, so a check must be written to fail on it
     with pytest.raises(SideInfoError):
@@ -385,11 +385,10 @@ def _features(draw):
     feats=_features(),
     variant=st.sampled_from(VARIANTS),
     alpha=st.floats(0.0, 1.0),
-    gamma_p=st.floats(0.01, 100.0),
-    gamma_o=st.floats(0.01, 100.0),
+    gamma=st.floats(0.01, 100.0),
 )
-def test_gram_matches_oracle_property(feats, variant, alpha, gamma_p, gamma_o):
-    cfg = KernelConfig(alpha=alpha, gamma_p=gamma_p, gamma_o=gamma_o, variant=variant, tau=0.0)
+def test_gram_matches_oracle_property(feats, variant, alpha, gamma):
+    cfg = KernelConfig(alpha=alpha, gamma=gamma, variant=variant, tau=0.0)
     gram = GramBasis(feats, cfg.chi2_epsilon).gram(cfg)
     np.testing.assert_allclose(gram.matrix, gram_oracle(feats, cfg), rtol=0, atol=1e-12)
 
@@ -424,14 +423,10 @@ def _block_records(draw):
     tau=st.sampled_from((0.0, 1e-4)),
     alpha=st.floats(0.0, 1.0),
     sigma_s=st.floats(0.5, 4.0),
-    gamma_p=st.floats(0.01, 1000.0),
-    gamma_o=st.floats(0.01, 1000.0),
+    gamma=st.floats(0.01, 1000.0),
 )
-def test_gram_equals_unblocked_reference_property(
-    feats, variant, tau, alpha, sigma_s, gamma_p, gamma_o
-):
-    cfg = KernelConfig(alpha=alpha, sigma_s=sigma_s, gamma_p=gamma_p, gamma_o=gamma_o,
-                       variant=variant, tau=tau)
+def test_gram_equals_unblocked_reference_property(feats, variant, tau, alpha, sigma_s, gamma):
+    cfg = KernelConfig(alpha=alpha, sigma_s=sigma_s, gamma=gamma, variant=variant, tau=tau)
     gram = GramBasis(feats, cfg.chi2_epsilon).gram(cfg)
     want = gram_reference(feats, cfg)
     assert np.array_equal(gram.matrix, want.matrix)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from actionmaps import solver
 from actionmaps.scene import ActivityVocabulary, Demonstration, SceneGrid, stack_scenes
-from actionmaps.sideinfo import GramMatrix
+from actionmaps.sideinfo import GramMatrix, SideInfoError
 from actionmaps.solver import (
     ActionMatrixBundle,
     FactorPair,
@@ -22,7 +22,7 @@ from actionmaps.solver import (
     objective,
     predict,
 )
-from tests.conftest import random_bundle, random_kernel
+from tests.conftest import random_bundle, random_gram, random_kernel
 
 
 def pairwise_smoothness_oracle(mat, kernel):
@@ -107,12 +107,12 @@ def test_weight_matrix_all_unexplored():
 
 
 def test_bundle_values_and_mask():
+    # the observed entries are W > 0; R is zero everywhere else
     scene = _two_activity_scene()
     index = stack_scenes([scene])
     bundle = build_bundle([scene], index)
     assert bundle.R[index.row("s", (0, 0)), 0] == 1.0
-    assert np.array_equal(bundle.mask, bundle.W > 0)
-    assert not bundle.R[~bundle.mask].any()
+    assert not bundle.R[bundle.W == 0].any()
 
 
 def test_bundle_excluding_scene_zeroes_it():
@@ -127,14 +127,25 @@ def test_bundle_excluding_scene_zeroes_it():
 
 
 def test_bundle_validation():
-    with pytest.raises(SolverError):
-        ActionMatrixBundle(
-            R=np.ones((2, 2)), W=np.ones((2, 3)), mask=np.ones((2, 2), dtype=bool)
-        )
-    with pytest.raises(SolverError):
-        ActionMatrixBundle(
-            R=np.ones((2, 2)), W=np.zeros((2, 2)), mask=np.zeros((2, 2), dtype=bool)
-        )
+    with pytest.raises(SolverError, match="shape mismatch"):
+        ActionMatrixBundle(R=np.ones((2, 2)), W=np.ones((2, 3)))
+    with pytest.raises(SolverError, match="unobserved entries"):
+        ActionMatrixBundle(R=np.ones((2, 2)), W=np.zeros((2, 2)))
+    with pytest.raises(SolverError, match="non-negative"):
+        ActionMatrixBundle(R=-np.ones((2, 2)), W=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("where", ["R", "W"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_bundle_rejects_non_finite(where, value):
+    # a NaN in W (with R = 0 there) used to construct, and fit then failed
+    # after one step with a RuntimeError about the update
+    r, w = np.ones((3, 2)), np.ones((3, 2))
+    if where == "W":
+        r[1, 0] = 0.0
+    {"R": r, "W": w}[where][1, 0] = value
+    with pytest.raises(SolverError, match=f"{where} must be finite"):
+        ActionMatrixBundle(R=r, W=w)
 
 
 # -- objective ----------------------------------------------------------------
@@ -154,7 +165,7 @@ def test_objective_exact_factorization_is_zero():
     u = rng.uniform(0.1, 1, (8, 2))
     v = rng.uniform(0.1, 1, (4, 2))
     r = u @ v.T
-    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r), mask=np.ones(r.shape, dtype=bool))
+    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
     assert objective(u, v, bundle, None, None, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -162,12 +173,12 @@ def test_objective_matches_loop_oracle():
     rng = np.random.default_rng(2)
     for _ in range(5):
         bundle = random_bundle(rng, m=10, a=4)
-        k_u = random_kernel(rng, 10)
-        k_v = random_kernel(rng, 4)
+        k_u = random_gram(rng, 10)
+        k_v = random_gram(rng, 4)
         u = rng.uniform(0.1, 1, (10, 3))
         v = rng.uniform(0.1, 1, (4, 3))
         got = objective(u, v, bundle, k_u, k_v, 0.3, 0.2)
-        want = objective_oracle(u, v, bundle, k_u, k_v, 0.3, 0.2)
+        want = objective_oracle(u, v, bundle, k_u.matrix, k_v.matrix, 0.3, 0.2)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -187,7 +198,7 @@ def test_objective_identity_kv_contributes_nothing():
     u = rng.uniform(0.1, 1, (10, 3))
     v = rng.uniform(0.1, 1, (4, 3))
     base = objective(u, v, bundle, None, None, 0.0, 0.0)
-    with_id = objective(u, v, bundle, None, np.eye(4), 0.0, 0.7)
+    with_id = objective(u, v, bundle, None, GramMatrix(matrix=np.eye(4)), 0.0, 0.7)
     assert with_id == pytest.approx(base, abs=1e-12)
 
 
@@ -199,7 +210,7 @@ def test_step_fixed_point_on_noiseless_instance():
     u0 = rng.uniform(0.5, 1.5, (10, 2))
     v0 = rng.uniform(0.5, 1.5, (4, 2))
     r = u0 @ v0.T
-    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r), mask=np.ones(r.shape, dtype=bool))
+    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
     params = SolverParams(rank=2, lam=0.0, mu=0.0)
     u1, v1 = multiplicative_step(u0, v0, bundle, None, None, params)
     assert np.abs(u1 - u0).max() < 1e-8
@@ -210,7 +221,7 @@ def test_step_never_increases_objective():
     rng = np.random.default_rng(6)
     for _ in range(10):
         bundle = random_bundle(rng, m=15, a=5)
-        k_u = random_kernel(rng, 15)
+        k_u = random_gram(rng, 15)
         params = SolverParams(rank=3, lam=0.05, mu=0.0, seed=0)
         u = rng.uniform(0.1, 1.1, (15, 3))
         v = rng.uniform(0.1, 1.1, (5, 3))
@@ -237,8 +248,8 @@ def test_step_reduces_to_plain_weighted_nmf():
 def test_step_preserves_nonnegativity():
     rng = np.random.default_rng(8)
     bundle = random_bundle(rng, m=15, a=5)
-    k_u = random_kernel(rng, 15)
-    k_v = random_kernel(rng, 5)
+    k_u = random_gram(rng, 15)
+    k_v = random_gram(rng, 5)
     params = SolverParams(rank=3, lam=0.1, mu=0.1)
     u = rng.uniform(0.1, 1.1, (15, 3))
     v = rng.uniform(0.1, 1.1, (5, 3))
@@ -250,8 +261,8 @@ def test_step_preserves_nonnegativity():
 def test_general_kv_path_monotone():
     rng = np.random.default_rng(9)
     bundle = random_bundle(rng, m=12, a=6)
-    k_u = random_kernel(rng, 12)
-    k_v = random_kernel(rng, 6)
+    k_u = random_gram(rng, 12)
+    k_v = random_gram(rng, 6)
     params = SolverParams(rank=3, lam=0.02, mu=0.05, seed=1)
     u = rng.uniform(0.1, 1.1, (12, 3))
     v = rng.uniform(0.1, 1.1, (6, 3))
@@ -271,7 +282,7 @@ def test_fit_recovers_rank_one_instance():
     u_true = rng.uniform(0.5, 2.0, (20, 1))
     v_true = rng.uniform(0.5, 2.0, (5, 1))
     r = u_true @ v_true.T
-    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r), mask=np.ones(r.shape, dtype=bool))
+    bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
     result = fit(bundle, None, None, SolverParams(rank=1, lam=0, mu=0, max_iters=3000, rel_tol=1e-12, seed=3))
     rel = np.linalg.norm(predict(result.factors) - r) / np.linalg.norm(r)
     assert rel < 1e-3
@@ -281,7 +292,7 @@ def test_fit_trace_non_increasing():
     rng = np.random.default_rng(11)
     for seed in range(3):
         bundle = random_bundle(rng, m=20, a=5)
-        k_u = random_kernel(rng, 20)
+        k_u = random_gram(rng, 20)
         result = fit(bundle, k_u, None, SolverParams(rank=4, lam=0.01, max_iters=150, seed=seed))
         trace = result.trace
         assert np.all(np.diff(trace) <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
@@ -290,7 +301,7 @@ def test_fit_trace_non_increasing():
 def test_fit_seed_reproducible():
     rng = np.random.default_rng(12)
     bundle = random_bundle(rng, m=15, a=4)
-    k_u = random_kernel(rng, 15)
+    k_u = random_gram(rng, 15)
     params = SolverParams(rank=3, lam=0.01, max_iters=60, seed=9)
     a = fit(bundle, k_u, None, params)
     b = fit(bundle, k_u, None, params)
@@ -311,11 +322,11 @@ def test_weight_scaling_behavior():
     # c, so the minimizer set is unchanged
     rng = np.random.default_rng(14)
     bundle = random_bundle(rng, m=10, a=4)
-    k_u = random_kernel(rng, 10)
+    k_u = random_gram(rng, 10)
     u = rng.uniform(0.1, 1.1, (10, 3))
     v = rng.uniform(0.1, 1.1, (4, 3))
     c = 3.7
-    scaled = ActionMatrixBundle(R=bundle.R, W=c * bundle.W, mask=bundle.mask)
+    scaled = ActionMatrixBundle(R=bundle.R, W=c * bundle.W)
     j1 = objective(u, v, bundle, k_u, None, 0.02, 0.0)
     j2 = objective(u, v, scaled, k_u, None, c * 0.02, 0.0)
     assert j2 == pytest.approx(c * j1, rel=1e-12)
@@ -390,28 +401,61 @@ def test_fit_checks_activity_kernel_shape():
     rng = np.random.default_rng(15)
     bundle = random_bundle(rng, m=12, a=4)
     with pytest.raises(SolverError, match="K_V must be 4x4"):
-        fit(bundle, None, random_kernel(rng, 5), SolverParams(lam=0.0, mu=0.5))
-    result = fit(bundle, None, random_kernel(rng, 4),
+        fit(bundle, None, random_gram(rng, 5), SolverParams(lam=0.0, mu=0.5))
+    result = fit(bundle, None, random_gram(rng, 4),
                  SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=20, seed=1))
     assert np.all(np.diff(result.trace) <= 1e-9 * np.maximum(np.abs(result.trace[:-1]), 1.0))
 
 
 @pytest.mark.parametrize("which", ["raw K_U", "Gram K_U", "K_V"])
 def test_fit_rejects_non_finite_kernel(which):
-    # before the check, fit ran one step and raised a misleading RuntimeError
+    # before the check, fit ran one step and raised a misleading RuntimeError;
+    # a raw array is refused for not being a GramMatrix, which cannot be
+    # built with a NaN, so only one changed after construction gets through
     rng = np.random.default_rng(16)
     bundle = random_bundle(rng, m=6, a=3)
-    nan_k = np.full((6, 6), np.nan)
-    k_u, k_v, params = nan_k, None, SolverParams(rank=2, lam=0.1, max_iters=5)
-    if which == "Gram K_U":
-        k_u = GramMatrix(matrix=random_kernel(rng, 6))
+    k_u, k_v, params = None, None, SolverParams(rank=2, lam=0.1, max_iters=5)
+    match = "must be finite"
+    if which == "raw K_U":
+        k_u, match = np.full((6, 6), np.nan), "GramMatrix"
+    elif which == "Gram K_U":
+        k_u = random_gram(rng, 6)
         k_u.matrix[0, 1] = k_u.matrix[1, 0] = np.inf
         k_u.degrees = k_u.matrix.sum(axis=1)
-    elif which == "K_V":
-        k_u, k_v = None, np.full((3, 3), np.nan)
+    else:
+        k_v = random_gram(rng, 3)
+        k_v.matrix[0, 0] = np.nan
+        k_v.degrees = k_v.matrix.sum(axis=1)
         params = SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=5)
-    with pytest.raises(SolverError, match="must be finite"):
+    with pytest.raises(SolverError, match=match):
         fit(bundle, k_u, k_v, params)
+
+
+@pytest.mark.parametrize("kind", ["ndarray", "list", "asymmetric"])
+@pytest.mark.parametrize("slot", ["K_U", "K_V"])
+def test_solver_takes_only_gram_kernels(kind, slot):
+    # raw kernels used to be accepted unchecked; an asymmetric one let the
+    # objective rise between iterates
+    rng = np.random.default_rng(18)
+    bundle = random_bundle(rng, m=6, a=3)
+    n = 6 if slot == "K_U" else 3
+    k = random_kernel(rng, n)
+    if kind == "asymmetric":
+        k[0, 1] = 0.0
+        with pytest.raises(SideInfoError, match="symmetric"):
+            GramMatrix(matrix=k)
+    raw = k.tolist() if kind == "list" else k
+    k_u, k_v = (raw, None) if slot == "K_U" else (None, raw)
+    params = SolverParams(rank=2, lam=0.1 * (slot == "K_U"), mu=0.1 * (slot == "K_V"))
+    u, v = rng.uniform(0.1, 1.1, (6, 2)), rng.uniform(0.1, 1.1, (3, 2))
+    calls = [
+        lambda: fit(bundle, k_u, k_v, params),
+        lambda: objective(u, v, bundle, k_u, k_v, params.lam, params.mu),
+        lambda: multiplicative_step(u, v, bundle, k_u, k_v, params),
+    ]
+    for call in calls:
+        with pytest.raises(SolverError, match="GramMatrix"):
+            call()
 
 
 # -- one K·U product per iterate ----------------------------------------------
@@ -439,15 +483,13 @@ def fit_loop_oracle(bundle, k_u, k_v, params):
     rank=st.integers(1, 4),
     lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
     mu=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
-    gram=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, mu, gram, seed):
+def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, mu, seed):
     rng = np.random.default_rng(seed)
     bundle = random_bundle(rng, m=m, a=n_act)
-    k = random_kernel(rng, m)
-    k_u = GramMatrix(matrix=k) if gram else k
-    k_v = random_kernel(rng, n_act) if mu > 0 else None
+    k_u = random_gram(rng, m)
+    k_v = random_gram(rng, n_act) if mu > 0 else None
     params = SolverParams(rank=rank, lam=lam, mu=mu, max_iters=30, rel_tol=1e-9, seed=seed)
     result = fit(bundle, k_u, k_v, params)
     u, v, trace = fit_loop_oracle(bundle, k_u, k_v, params)
@@ -493,7 +535,7 @@ def _count_solver_hooks(monkeypatch):
 def test_fit_reaches_benchmark_hooks_with_one_product_per_iterate(monkeypatch, lam):
     rng = np.random.default_rng(16)
     bundle = random_bundle(rng, m=15, a=4)
-    k_u = random_kernel(rng, 15)
+    k_u = random_gram(rng, 15)
     counts = _count_solver_hooks(monkeypatch)
     result = fit(bundle, k_u, None,
                  SolverParams(rank=3, lam=lam, max_iters=25, rel_tol=1e-12, seed=2))
@@ -507,7 +549,7 @@ def test_fit_reaches_benchmark_hooks_with_one_product_per_iterate(monkeypatch, l
 def test_fit_stop_reason():
     rng = np.random.default_rng(17)
     bundle = random_bundle(rng, m=12, a=4)
-    k_u = random_kernel(rng, 12)
+    k_u = random_gram(rng, 12)
     capped = fit(bundle, k_u, None, SolverParams(rank=2, lam=0.01, max_iters=3, rel_tol=1e-12))
     assert capped.stop_reason == "max_iters" and len(capped.trace) == 4
     converged = fit(bundle, k_u, None,
