@@ -355,11 +355,22 @@ def test_feature_validation():
     assert basis.object_rows.tolist() == [1, 2]
 
 
-@pytest.mark.parametrize("field", ["sigma_s", "gamma", "tau"])
-def test_kernel_config_rejects_nan(field):
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        pytest.param({"sigma_s": math.nan}, id="sigma_s"),
+        pytest.param({"gamma": math.nan}, id="gamma"),
+        # the one chi-squared bandwidth when only the scene-class (P) or only
+        # the object (O) kernel uses it
+        pytest.param({"gamma": math.nan, "variant": "SP"}, id="gamma_p"),
+        pytest.param({"gamma": math.nan, "variant": "SO"}, id="gamma_o"),
+        pytest.param({"tau": math.nan}, id="tau"),
+    ],
+)
+def test_kernel_config_rejects_nan(kwargs):
     # every comparison with NaN is False, so a check must be written to fail on it
     with pytest.raises(SideInfoError):
-        KernelConfig(**{field: math.nan})
+        KernelConfig(**kwargs)
 
 
 # -- property tests -----------------------------------------------------------
