@@ -85,10 +85,11 @@ class KernelConfig:
             raise SideInfoError("sparsification threshold must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramMatrix:
     """Symmetric location-similarity matrix with its row-sum degree vector,
-    derived from the matrix on construction."""
+    derived from the matrix on construction. Both are frozen and read-only,
+    so the construction checks hold for the object's lifetime."""
 
     matrix: np.ndarray
     degrees: np.ndarray = field(init=False)
@@ -102,7 +103,10 @@ class GramMatrix:
             raise SideInfoError("Gram entries must lie in [0, 1]")
         if m.size and _max_asymmetry(m) > 1e-9:
             raise SideInfoError("Gram matrix must be symmetric")
-        self.degrees = m.sum(axis=1)
+        degrees = m.sum(axis=1)
+        m.setflags(write=False)
+        degrees.setflags(write=False)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def n(self) -> int:
@@ -141,10 +145,16 @@ class GramBasis:
     """Pairwise distances that do not depend on alpha/gamma/sigma, reusable
     across parameter sweeps (the chi-squared guard epsilon is pinned here).
 
-    Holds spatial_sq and chi2_p as m x m doubles, the same_scene mask as
-    m x m bools, and chi2_o over the object_rows (the rows with object
-    evidence) only. Refuses more than max_dense locations before allocating
-    anything.
+    Every kernel term is symmetric, so only the upper triangle is held, in
+    the 64-row blocks that gram() writes. Each term packs its blocks into one
+    flat array; block i starts at offsets[i]. For the block of rows lo:hi:
+    chi2_p covers columns lo:m; spatial_sq covers columns lo:end, where end
+    is one past the last row of every scene with rows in the block (the
+    spatial term is zero across scenes), and holds +inf for pairs in
+    different scenes inside that range; chi2_o covers the block's object rows
+    (object_rows[object_starts[i]:object_starts[i + 1]], the rows with object
+    evidence) against the object rows >= lo. Refuses more than max_dense
+    locations before allocating anything.
     """
 
     def __init__(
@@ -153,51 +163,61 @@ class GramBasis:
         chi2_epsilon: float = 1e-10,
         max_dense: int = KernelConfig.max_dense,
     ):
-        self.m = features.x.shape[0]
-        _check_dense_cap(self.m, max_dense)
-        codes = features.scene_codes
-        self.same_scene = codes[:, None] == codes[None, :]
-        self.spatial_sq = _spatial_sq(features.x)
-        self.chi2_p = _chi2_distances(features.p, chi2_epsilon)
+        self.m = m = features.x.shape[0]
+        _check_dense_cap(m, max_dense)
+        bounds = np.append(np.arange(0, m, _ROW_BLOCK), m)
+        _, scene = np.unique(features.scene_codes, return_inverse=True)
+        scene_end = np.zeros(scene.max() + 1, dtype=np.intp)
+        np.maximum.at(scene_end, scene, np.arange(1, m + 1))
+        ends = np.maximum.reduceat(scene_end[scene], bounds[:-1])
+        self.spatial_sq, self.spatial_offsets = _spatial_sq(features.x, scene, bounds, ends)
+        self.chi2_p, self.chi2_p_offsets = _chi2_distances(features.p, chi2_epsilon, bounds)
         self.object_rows = np.flatnonzero((features.o > 0).any(axis=1))
-        self.chi2_o = _chi2_distances(features.o[self.object_rows], chi2_epsilon)
+        self.object_starts = np.searchsorted(self.object_rows, bounds)
+        self.chi2_o, self.chi2_o_offsets = _chi2_distances(
+            features.o[self.object_rows], chi2_epsilon, self.object_starts
+        )
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:
-        """Entries are ((1 - alpha) ks + w kp) + w ko, with w = alpha for SO/SP
-        and alpha/2 for SOP; ko is zero unless both locations have objects.
-        Written in row blocks into one m x m output."""
+        """Entries are (w kp + (1 - alpha) ks) + w ko, with w = alpha for SO/SP
+        and alpha/2 for SOP; kp is zero for S and SO, ks is not scaled for S,
+        and ko is zero unless both locations have objects. Each 64-row block
+        is written over columns lo:m, thresholded, then mirrored below the
+        diagonal, into one m x m output."""
         _check_dense_cap(self.m, cfg.max_dense)
         m, variant, alpha = self.m, cfg.variant, cfg.alpha
         w = 0.5 * alpha if variant == "SOP" else alpha
+        rows, starts = self.object_rows, self.object_starts
         k = np.empty((m, m))
         scratch = np.empty((min(_ROW_BLOCK, m), m))
-        for lo, hi in _blocks(m):
-            kb = k[lo:hi]
-            np.negative(self.spatial_sq[lo:hi], out=kb)
-            kb /= 2.0 * cfg.sigma_s * cfg.sigma_s
-            np.exp(kb, out=kb)
-            kb *= self.same_scene[lo:hi]
-            if variant != "S":
-                kb *= 1.0 - alpha
+        for i, (lo, hi) in enumerate(_blocks(m)):
+            kb = k[lo:hi, lo:]
             if variant in ("SP", "SOP"):
-                kp = scratch[: hi - lo]
-                np.multiply(self.chi2_p[lo:hi], -cfg.gamma, out=kp)
-                np.exp(kp, out=kp)
-                kp *= w
-                kb += kp
-        if variant in ("SO", "SOP"):
-            rows = self.object_rows
-            scratch = np.empty((min(_ROW_BLOCK, rows.size), rows.size))
-            for lo, hi in _blocks(rows.size):
-                ko = scratch[: hi - lo]
-                np.multiply(self.chi2_o[lo:hi], -cfg.gamma, out=ko)
+                chi2 = _block(self.chi2_p, self.chi2_p_offsets, i, hi - lo)
+                np.multiply(chi2, -cfg.gamma, out=kb)
+                np.exp(kb, out=kb)
+                kb *= w
+            else:
+                kb.fill(0.0)
+            sq = _block(self.spatial_sq, self.spatial_offsets, i, hi - lo)
+            ks = scratch[: hi - lo, : sq.shape[1]]
+            np.negative(sq, out=ks)
+            ks /= 2.0 * cfg.sigma_s * cfg.sigma_s
+            np.exp(ks, out=ks)
+            if variant != "S":
+                ks *= 1.0 - alpha
+            kb[:, : sq.shape[1]] += ks
+            a, b = starts[i], starts[i + 1]
+            if variant in ("SO", "SOP") and b > a:
+                ko = scratch[: b - a, : rows.size - a]
+                chi2 = _block(self.chi2_o, self.chi2_o_offsets, i, b - a)
+                np.multiply(chi2, -cfg.gamma, out=ko)
                 np.exp(ko, out=ko)
                 ko *= w
-                k[np.ix_(rows[lo:hi], rows)] += ko
-        if cfg.tau > 0:
-            for lo, hi in _blocks(m):
-                kb = k[lo:hi]
+                kb[np.ix_(rows[a:b] - lo, rows[a:] - lo)] += ko
+            if cfg.tau > 0:
                 kb[kb < cfg.tau] = 0.0
+            k[hi:, lo:hi] = kb[:, hi - lo :].T
         return GramMatrix(matrix=k)
 
 
@@ -218,34 +238,60 @@ def _check_dense_cap(m: int, max_dense: int) -> None:
         )
 
 
-def _spatial_sq(x: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances dx^2 + dy^2 of 2D coordinates."""
-    sq = np.subtract.outer(x[:, 0], x[:, 0])
-    sq *= sq
-    dy = np.subtract.outer(x[:, 1], x[:, 1])
-    dy *= dy
-    sq += dy
-    return sq
+def _packed(bounds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed flat array for blocks i of rows bounds[i]:bounds[i + 1] and
+    columns bounds[i]:ends[i], with the offset where each block starts."""
+    sizes = np.diff(bounds) * (ends - bounds[:-1])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return np.zeros(offsets[-1]), offsets
 
 
-def _chi2_distances(vectors: np.ndarray, epsilon: float = 1e-10) -> np.ndarray:
-    """Pairwise chi-squared distances, accumulated one feature dim at a time
-    into each row block, through two block-sized scratch buffers."""
-    m = vectors.shape[0]
-    out = np.zeros((m, m))
+def _block(flat: np.ndarray, offsets: np.ndarray, i: int, rows: int) -> np.ndarray:
+    """Block i of a packed array as a (rows, columns) view."""
+    return flat[offsets[i] : offsets[i + 1]].reshape(rows, -1)
+
+
+def _spatial_sq(x, scene, bounds, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances dx^2 + dy^2 of 2D coordinates in packed blocks of
+    rows bounds[i]:bounds[i + 1] and columns bounds[i]:ends[i]; +inf where
+    the scene indices of the two rows differ."""
+    out, offsets = _packed(bounds, ends)
+    x0, x1 = x[:, 0], x[:, 1]
+    dy = np.empty((min(_ROW_BLOCK, x.shape[0]), x.shape[0]))
+    for i, (lo, hi, end) in enumerate(zip(bounds[:-1], bounds[1:], ends)):
+        sq, d = _block(out, offsets, i, hi - lo), dy[: hi - lo, : end - lo]
+        np.subtract.outer(x0[lo:hi], x0[lo:end], out=sq)
+        sq *= sq
+        np.subtract.outer(x1[lo:hi], x1[lo:end], out=d)
+        d *= d
+        sq += d
+        sq[scene[lo:hi, None] != scene[None, lo:end]] = np.inf
+    return out, offsets
+
+
+def _chi2_distances(vectors: np.ndarray, epsilon: float, bounds: np.ndarray):
+    """Pairwise chi-squared distances in packed blocks of rows
+    bounds[i]:bounds[i + 1] and columns bounds[i]:n, with the block offsets;
+    accumulated one feature dim at a time through two block-sized scratch
+    buffers."""
+    n = vectors.shape[0]
+    out, offsets = _packed(bounds, np.full(len(bounds) - 1, n))
     cols = np.ascontiguousarray(vectors.T)
-    diff = np.empty((min(_ROW_BLOCK, m), m))
+    diff = np.empty((np.diff(bounds).max(initial=0), n))
     den = np.empty_like(diff)
-    for lo, hi in _blocks(m):
-        d, s = diff[: hi - lo], den[: hi - lo]
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi == lo:
+            continue
+        block = _block(out, offsets, i, hi - lo)
+        d, s = diff[: hi - lo, : n - lo], den[: hi - lo, : n - lo]
         for col in cols:
-            np.subtract.outer(col[lo:hi], col, out=d)
+            np.subtract.outer(col[lo:hi], col[lo:], out=d)
             d *= d
-            np.add.outer(col[lo:hi], col, out=s)
+            np.add.outer(col[lo:hi], col[lo:], out=s)
             s += epsilon
             d /= s
-            out[lo:hi] += d
-    return out
+            block += d
+    return out, offsets
 
 
 def _max_asymmetry(a: np.ndarray) -> float:

@@ -92,6 +92,42 @@ def test_transfer_report_rows(pair_dir, tmp_path):
     assert "W. Max F1" in header and "Mean F1" in header
 
 
+@pytest.fixture(scope="module")
+def mini_pair_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mini_pair")
+    assert run(["generate", "--preset", "mini", "--scenes", 2, "--scene-prefix", "office",
+                "--seed", 5, "--out", out]) == 0
+    return out / "dataset.txt"
+
+
+def test_transfer_outputs_equal_with_reference_gram(mini_pair_dir, tmp_path, monkeypatch):
+    # the blocked, mirrored gram() and the whole-matrix oracle write the same
+    # bytes; m = 216 spans four row blocks and two scenes
+    from actionmaps.fileio import load_dataset
+    from actionmaps.sideinfo import GramBasis
+    from tests.kernel_oracles import gram_reference
+
+    def outputs(out):
+        assert run(["transfer", "--data", mini_pair_dir, "--source", "office_a",
+                    "--target", "office_b", "--variants", "S,SO,SP,SOP",
+                    "--alphas", "0.3,0.9", "--lambdas", "0.01", "--gammas", "0.5,100",
+                    "--rank", 4, "--max-iters", 30, "--rel-tol", 1e-4, "--seed", 2,
+                    "--out-txt", out / "t.txt", "--out-tsv", out / "t.tsv"]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    blocked = outputs(tmp_path / "blocked")
+    features = load_dataset(mini_pair_dir).location_features()
+    calls = []
+
+    def reference_gram(self, cfg):
+        calls.append(cfg)
+        return gram_reference(features, cfg)
+
+    monkeypatch.setattr(GramBasis, "gram", reference_gram)
+    assert outputs(tmp_path / "reference") == blocked
+    assert len(calls) == 16 and set(blocked) >= {"t.txt", "t.tsv"}
+
+
 def test_elapse_command(dataset_dir, tmp_path):
     out = tmp_path / "elapse.tsv"
     assert run(["elapse", "--data", dataset_dir, "--fractions", "0.5,1.0",

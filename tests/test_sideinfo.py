@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from actionmaps.sideinfo import (
     VARIANTS,
+    _ROW_BLOCK,
     GramBasis,
     GramMatrix,
     KernelConfig,
@@ -256,6 +258,18 @@ def test_gram_matrix_derives_degrees_from_matrix():
         GramMatrix(matrix=k, degrees=np.zeros(3))
 
 
+def test_gram_matrix_is_frozen_and_read_only():
+    # the checks made on construction hold for the object's lifetime
+    gram = GramMatrix(matrix=np.array([[1.0, 0.25], [0.25, 1.0]]))
+    with pytest.raises(ValueError, match="read-only"):
+        gram.matrix[0, 1] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        gram.degrees[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        gram.degrees = np.zeros(2)
+    assert np.array_equal(gram.degrees, [1.25, 1.25])
+
+
 def test_gram_matrix_rejects_asymmetry_in_off_diagonal_tile():
     a = np.eye(260)
     a[3, 200] = a[200, 3] = 0.5
@@ -286,8 +300,8 @@ def _two_scene_record(m=700, seed=11):
 
 
 def test_basis_and_gram_memory_peaks():
-    # the basis keeps two m x m doubles (plus the same-scene mask and the
-    # object-row block); gram() allocates one m x m output plus row-block scratch
+    # building the basis needs its upper-triangle blocks plus row-block
+    # scratch; gram() allocates one m x m output plus row-block scratch
     feats = _two_scene_record()
     m2_bytes = 8 * feats.x.shape[0] ** 2
     cfg = KernelConfig(variant="SOP", gamma=100.0)
@@ -304,6 +318,23 @@ def test_basis_and_gram_memory_peaks():
         tracemalloc.stop()
     assert basis_peak <= 3 * m2_bytes
     assert gram_peak <= 1.5 * m2_bytes
+
+
+def test_basis_retains_upper_triangle_blocks_only():
+    # every kernel term is symmetric and the spatial term is zero across
+    # scenes: on two equal scenes the basis holds about m^2 / 2 chi2_p and
+    # m^2 / 4 spatial doubles, where full m x m arrays held 2.1 x 8m^2 bytes
+    feats = _two_scene_record()
+    m2_bytes = 8 * feats.x.shape[0] ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis = GramBasis(feats)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert basis.m == feats.x.shape[0]
+    assert held <= 0.9 * m2_bytes
 
 
 def test_gram_basis_matches_direct_build():
@@ -442,6 +473,42 @@ def test_gram_equals_unblocked_reference_property(feats, variant, tau, alpha, si
     want = gram_reference(feats, cfg)
     assert np.array_equal(gram.matrix, want.matrix)
     assert np.array_equal(gram.degrees, want.degrees)
+
+
+@st.composite
+def _contiguous_scene_records(draw):
+    """Records of m rows on either side of the 64-row block edges, over
+    contiguous scenes with boundaries off the block edges, one scene being a
+    single row."""
+    m = draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
+    cuts = {c for c in range(1, m) if c % _ROW_BLOCK}
+    singles = [r for r in range(m) if all(c in cuts for c in (r, r + 1) if 0 < c < m)]
+    single = draw(st.sampled_from(singles))
+    extra = draw(st.lists(st.sampled_from(sorted(cuts)), max_size=3))
+    edges = sorted({single, single + 1, *extra} & cuts)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return LocationFeatures(
+        x=rng.integers(0, 25, (m, 2)).astype(float),
+        p=rng.dirichlet(np.ones(4), m),
+        o=rng.uniform(0.01, 1.0, (m, 3)) * (rng.random((m, 1)) < 0.3),
+        scene_codes=np.searchsorted(edges, np.arange(m), side="right"),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    feats=_contiguous_scene_records(),
+    tau=st.sampled_from((0.0, 1e-4)),
+    alpha=st.floats(0.0, 1.0),
+    gamma=st.floats(0.01, 1000.0),
+)
+def test_mirrored_gram_is_exactly_symmetric_property(feats, tau, alpha, gamma):
+    basis = GramBasis(feats)
+    for variant in VARIANTS:
+        cfg = KernelConfig(alpha=alpha, gamma=gamma, variant=variant, tau=tau)
+        k = basis.gram(cfg).matrix
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(k, gram_reference(feats, cfg).matrix)
 
 
 @settings(max_examples=60, deadline=None)

@@ -411,7 +411,8 @@ def test_fit_checks_activity_kernel_shape():
 def test_fit_rejects_non_finite_kernel(which):
     # before the check, fit ran one step and raised a misleading RuntimeError;
     # a raw array is refused for not being a GramMatrix, which cannot be
-    # built with a NaN, so only one changed after construction gets through
+    # built with a NaN and is frozen after, so only one whose write flag and
+    # frozen fields are forced open gets through to fit's own check
     rng = np.random.default_rng(16)
     bundle = random_bundle(rng, m=6, a=3)
     k_u, k_v, params = None, None, SolverParams(rank=2, lam=0.1, max_iters=5)
@@ -420,12 +421,14 @@ def test_fit_rejects_non_finite_kernel(which):
         k_u, match = np.full((6, 6), np.nan), "GramMatrix"
     elif which == "Gram K_U":
         k_u = random_gram(rng, 6)
+        k_u.matrix.setflags(write=True)
         k_u.matrix[0, 1] = k_u.matrix[1, 0] = np.inf
-        k_u.degrees = k_u.matrix.sum(axis=1)
+        object.__setattr__(k_u, "degrees", k_u.matrix.sum(axis=1))
     else:
         k_v = random_gram(rng, 3)
+        k_v.matrix.setflags(write=True)
         k_v.matrix[0, 0] = np.nan
-        k_v.degrees = k_v.matrix.sum(axis=1)
+        object.__setattr__(k_v, "degrees", k_v.matrix.sum(axis=1))
         params = SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=5)
     with pytest.raises(SolverError, match=match):
         fit(bundle, k_u, k_v, params)
