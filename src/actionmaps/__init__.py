@@ -10,7 +10,6 @@ from actionmaps.scene import (
     SceneGrid,
     SceneStats,
     create_scene,
-    stack_scenes,
 )
 from actionmaps.sideinfo import GramBasis, KernelConfig, LocationFeatures
 from actionmaps.solver import ActionMatrixBundle, FactorPair, SolverParams, fit, predict
@@ -23,7 +22,6 @@ __all__ = [
     "SceneGrid",
     "SceneStats",
     "create_scene",
-    "stack_scenes",
     "GramBasis",
     "KernelConfig",
     "LocationFeatures",

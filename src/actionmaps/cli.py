@@ -35,6 +35,14 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.split(",") if tok)
 
 
+def _sweep(args, flag: str, parse=_float_list) -> tuple:
+    """The values of a sweep flag such as --alphas; none at all is an error."""
+    values = parse(getattr(args, flag[2:]))
+    if not values:
+        raise CliError(f"{flag} needs at least one value")
+    return values
+
+
 def _load_data(path):
     if not os.path.exists(path):
         raise CliError(f"dataset manifest does not exist: {path}")
@@ -88,11 +96,11 @@ def _grid_from_args(args) -> dict:
     sets its own alpha, lambda, gamma, variant and seed."""
     return dict(
         grid_spec=GridSpec(
-            alphas=_float_list(args.alphas),
-            lambdas=_float_list(args.lambdas),
-            gammas=_float_list(args.gammas),
+            alphas=_sweep(args, "--alphas"),
+            lambdas=_sweep(args, "--lambdas"),
+            gammas=_sweep(args, "--gammas"),
         ),
-        variants=_str_list(args.variants),
+        variants=_sweep(args, "--variants", _str_list),
         solver=SolverParams(
             rank=args.rank, mu=args.mu, max_iters=args.max_iters, rel_tol=args.rel_tol
         ),
@@ -187,7 +195,7 @@ def cmd_evaluate(args) -> int:
     index = dataset.index()
     am = normalize_action_map(fileio.read_action_map(args.am, index))
     scene_ids = _str_list(args.scenes) if args.scenes else None
-    views = pose_views(dataset.scenes, index, _eval_from_args(args), scene_ids)
+    views = pose_views(index, _eval_from_args(args), scene_ids)
     scores = score_action_map(views, am)
     fileio.write_evaluation(scores, index.vocabulary.names, args.out_txt, args.out_tsv)
     print(args.out_txt)
@@ -195,8 +203,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    dataset = _load_data(args.data)
-    report = experiments.run_parameter_grid(dataset, **_grid_from_args(args))
+    grid = _grid_from_args(args)
+    report = experiments.run_parameter_grid(_load_data(args.data), **grid)
     fileio.write_report(report, args.out_tsv, args.out_txt)
     print(args.out_txt)
     _check_runs(report)
@@ -204,12 +212,13 @@ def cmd_grid(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    grid = _grid_from_args(args)
     dataset = _load_data(args.data)
     source = _str_list(args.source)
     target = _str_list(args.target)
     for sid in (*source, *target):
-        dataset.scene(sid)  # validates
-    report = experiments.run_transfer(dataset, source, target, **_grid_from_args(args))
+        dataset.index().scene(sid)  # validates
+    report = experiments.run_transfer(dataset, source, target, **grid)
     fileio.write_transfer(report, args.out_txt, args.out_tsv)
     print(args.out_txt)
     _check_runs(report.grid)
@@ -217,10 +226,9 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_elapse(args) -> int:
-    dataset = _load_data(args.data)
-    fractions = _float_list(args.fractions)
+    fractions = _sweep(args, "--fractions")
     results = experiments.run_elapse(
-        dataset,
+        _load_data(args.data),
         fractions,
         kernel=_kernel_from_args(args),
         solver=_solver_from_args(args),

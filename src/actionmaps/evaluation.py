@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from actionmaps.scene import GlobalIndex, SceneGrid
+from actionmaps.scene import GlobalIndex, GridPose, grid_coords
 
 SUMMARY_METRICS = ("w_max_f1", "w_mean_f1", "max_f1", "mean_f1")
 
@@ -44,16 +44,14 @@ class ViewTriangle:
         return np.stack(out)
 
 
-def cells_in_triangle(tri: ViewTriangle, grid_shape: tuple[int, int]) -> list[tuple[int, int]]:
-    """Cells whose centers lie inside the triangle, in row-major order."""
-    width, height = grid_shape
+def cells_in_triangle(tri: ViewTriangle, grid_shape: tuple[int, int]) -> np.ndarray:
+    """Ascending rows of the cells whose centers lie inside the triangle."""
     verts = tri.vertices()
     # orient the vertex loop counter-clockwise for uniform half-plane tests
     d1, d2 = verts[1] - verts[0], verts[2] - verts[0]
     if d1[0] * d2[1] - d1[1] * d2[0] < 0:
         verts = verts[[0, 2, 1]]
-    ii, jj = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
-    centers = np.stack([ii.reshape(-1) + 0.5, jj.reshape(-1) + 0.5], axis=1)
+    centers = grid_coords(*grid_shape) + 0.5
     inside = np.ones(centers.shape[0], dtype=bool)
     for k in range(3):
         a, b = verts[k], verts[(k + 1) % 3]
@@ -61,8 +59,7 @@ def cells_in_triangle(tri: ViewTriangle, grid_shape: tuple[int, int]) -> list[tu
             centers[:, 0] - a[0]
         )
         inside &= cross >= -1e-9
-    rows = np.nonzero(inside)[0]
-    return [(int(r) // height, int(r) % height) for r in rows]
+    return np.flatnonzero(inside)
 
 
 def image_scores(am_scene: np.ndarray, rows: Sequence[int]) -> np.ndarray:
@@ -170,35 +167,29 @@ class PoseViews:
     n_rows: int
 
 
+def view_rows(pose: GridPose, grid_shape: tuple[int, int], params: EvalParams) -> np.ndarray:
+    """Ascending rows of the cells a camera pose's view triangle covers."""
+    tri = ViewTriangle(pose.position, pose.heading, params.fov_deg, params.range_cells)
+    return cells_in_triangle(tri, grid_shape)
+
+
 def pose_views(
-    scenes: Sequence[SceneGrid],
     index: GlobalIndex,
     params: EvalParams = EvalParams(),
     scene_ids: Optional[Sequence[str]] = None,
 ) -> PoseViews:
     """Rasterize each camera pose's view triangle once, scene by scene in
-    the given order, keeping the scenes in scene_ids (all when None)."""
+    index order, keeping the scenes in scene_ids (all when None)."""
     wanted = set(scene_ids) if scene_ids is not None else None
     all_rows, all_gt = [], []
-    for scene in scenes:
+    for scene in index.scenes:
         if wanted is not None and scene.scene_id not in wanted:
             continue
-        offset = index.rows_of(scene.scene_id).start
-        labels = scene.label_matrix()
-        shape = (scene.width, scene.height)
+        offset = index.offsets[scene.scene_id]
         for pose in scene.poses:
-            tri = ViewTriangle(
-                apex=pose.position,
-                heading=pose.heading,
-                fov_deg=params.fov_deg,
-                range_cells=params.range_cells,
-            )
-            view = np.array(
-                [i * scene.height + j for i, j in cells_in_triangle(tri, shape)],
-                dtype=np.intp,
-            )
+            view = view_rows(pose, (scene.width, scene.height), params)
             all_rows.append(offset + view)
-            all_gt.append(image_gt(labels, view))
+            all_gt.append(image_gt(scene.labels, view))
     if not all_rows:
         raise EvaluationError("no camera poses found for evaluation")
     return PoseViews(tuple(all_rows), np.stack(all_gt), params, index.total_rows)

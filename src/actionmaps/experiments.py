@@ -112,7 +112,7 @@ def run_parameter_grid(
     Deterministic given base_seed: run k uses seed base_seed + k.
     """
     index = dataset.index()
-    views = pose_views(dataset.scenes, index, eval_params)
+    views = pose_views(index, eval_params)
     bundle = build_bundle(dataset.scenes, index)
     return _run_grid(dataset, views, bundle, grid_spec, variants, base_seed, solver, kernel)
 
@@ -182,7 +182,7 @@ def run_transfer(
     views."""
     observed = set(source_ids)
     index = dataset.index()
-    views = pose_views(dataset.scenes, index, eval_params, target_ids)
+    views = pose_views(index, eval_params, target_ids)
     det_am = normalize_action_map(
         detection_action_map(dataset.stacked_object_scores(), dataset.catmap)
     )
@@ -216,7 +216,7 @@ def run_elapse(
 
     Subsets keep every scene's poses and labels, so one set of pose views
     scores every fraction."""
-    views = pose_views(dataset.scenes, dataset.index(), eval_params)
+    views = pose_views(dataset.index(), eval_params)
     gram = _gram_basis(dataset, kernel).gram(kernel)
     out = []
     for fraction in fractions:
@@ -241,7 +241,7 @@ def run_joint_vs_single(
     for scene in dataset.scenes:
         sid = scene.scene_id
         joint = score_action_map(
-            pose_views(dataset.scenes, index, eval_params, [sid]), joint_am
+            pose_views(index, eval_params, [sid]), joint_am
         )
         single_ds = GeneratedDataset(
             scenes=[scene],
@@ -252,7 +252,7 @@ def run_joint_vs_single(
         )
         single_am, _ = fit_action_map(single_ds, kernel, solver)
         single = score_action_map(
-            pose_views(single_ds.scenes, single_ds.index(), eval_params), single_am
+            pose_views(single_ds.index(), eval_params), single_am
         )
         out[sid] = (joint, single)
     return out
@@ -260,6 +260,5 @@ def run_joint_vs_single(
 
 def run_localization(dataset, scene_id: str, am_norm: np.ndarray, k_max: int) -> DiscrepancyCurve:
     """Discrepancy curve over all labelled cells of one scene."""
-    scene = dataset.scene(scene_id)
-    rows = dataset.index().rows_of(scene_id)
-    return discrepancy_curve(am_norm[rows], scene, k_max)
+    index = dataset.index()
+    return discrepancy_curve(am_norm[index.rows_of(scene_id)], index.scene(scene_id), k_max)

@@ -17,7 +17,9 @@ from actionmaps.baselines import CategoryActivityMap
 from actionmaps.evaluation import SUMMARY_METRICS, ScoreResult
 from actionmaps.experiments import EvalReport, TransferReport
 from actionmaps.localization import DiscrepancyCurve
-from actionmaps.scene import ActivityVocabulary, Demonstration, GlobalIndex, GridPose, SceneGrid
+from actionmaps.scene import (
+    ActivityVocabulary, Demonstration, GlobalIndex, GridPose, SceneGrid, grid_coords
+)
 from actionmaps.solver import FactorPair, FitResult
 from actionmaps.synthetic import GeneratedDataset
 from actionmaps.textfmt import fmt9
@@ -164,7 +166,8 @@ def write_scene(
         f"classes {n_classes} " + " ".join(class_names),
         f"categories {n_categories} " + " ".join(category_names),
     ]
-    explored = [(i, j) for i, j in scene.cells() if scene.explored[i, j]]
+    coords = grid_coords(scene.width, scene.height)
+    explored = coords[scene.explored_rows()].tolist()
     lines.append(f"explored {len(explored)}")
     lines.extend(f"{i} {j}" for i, j in explored)
     labelled = scene.labelled_cells()
@@ -182,8 +185,8 @@ def write_scene(
             f"{fmt9(pose.heading[0])} {fmt9(pose.heading[1])}"
         )
     lines.append(f"features {scene.n_cells}")
-    for row, (i, j) in enumerate(scene.cells()):
-        vals = [fmt9(v) for v in p_scores[row]] + [fmt9(v) for v in o_scores[row]]
+    for (i, j), p_row, o_row in zip(coords.tolist(), p_scores, o_scores):
+        vals = [fmt9(v) for v in p_row] + [fmt9(v) for v in o_row]
         lines.append(f"{i} {j} " + " ".join(vals))
     lines.append("end")
     _write_text(path, lines)
@@ -439,10 +442,9 @@ def write_action_map(am: np.ndarray, index, path):
         f"rows {index.total_rows}",
     ]
     for scene in index.scenes:
-        off = index.offsets[scene.scene_id]
-        for row in range(scene.n_cells):
-            i, j = scene.cell_of(row)
-            vals = " ".join(fmt9(v) for v in am[off + row])
+        coords = grid_coords(scene.width, scene.height).tolist()
+        for (i, j), values in zip(coords, am[index.rows_of(scene.scene_id)]):
+            vals = " ".join(fmt9(v) for v in values)
             lines.append(f"{scene.scene_id} {i} {j} {vals}")
     lines.append("end")
     _write_text(path, lines)
@@ -592,9 +594,8 @@ def write_heatmaps(am: np.ndarray, index: GlobalIndex, out_dir) -> list[str]:
     for scene in index.scenes:
         am_scene = am[index.rows_of(scene.scene_id)]
         table = ["i\tj\t" + "\t".join(names)]
-        for row in range(scene.n_cells):
-            i, j = scene.cell_of(row)
-            table.append(f"{i}\t{j}\t" + "\t".join(fmt9(v) for v in am_scene[row]))
+        for (i, j), values in zip(grid_coords(scene.width, scene.height).tolist(), am_scene):
+            table.append(f"{i}\t{j}\t" + "\t".join(fmt9(v) for v in values))
         table_path = os.path.join(out_dir, f"{scene.scene_id}_am.tsv")
         _write_text(table_path, table)
         written.append(table_path)

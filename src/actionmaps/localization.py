@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from actionmaps.scene import SceneGrid
+from actionmaps.scene import SceneGrid, grid_coords
 
 
 class LocalizationError(ValueError):
@@ -38,20 +38,19 @@ def discrepancy_curve(am_scene: np.ndarray, scene: SceneGrid, k_max: int) -> Dis
         raise LocalizationError(
             f"map is {am_scene.shape}, scene needs {(scene.n_cells, scene.n_activities)}"
         )
-    cells_of: dict[int, list[tuple[int, int]]] = {}  # activities in first-seen order
-    for cell, acts in scene.labelled_cells():
-        for a in acts:
-            cells_of.setdefault(a, []).append(cell)
-    if not cells_of:
+    first_row = scene.labels.argmax(axis=0)
+    present = np.flatnonzero(scene.labels.any(axis=0))
+    if present.size == 0:
         raise LocalizationError(f"scene {scene.scene_id!r} has no labelled cells")
     k_max = min(k_max, scene.n_cells)
-    curves = {}
-    for a, cells in cells_of.items():
+    coords = grid_coords(scene.width, scene.height)
+    curves = {}  # activities in first-seen order: by first labelled row, then index
+    for a in present[np.lexsort((present, first_row[present]))].tolist():
         order = np.argsort(-am_scene[:, a], kind="stable")[:k_max]
-        true = np.array(cells, dtype=float)
+        true = coords[scene.labels[:, a]].astype(float)
         dists = np.hypot(
-            (order // scene.height)[None, :] - true[:, :1],
-            (order % scene.height)[None, :] - true[:, 1:],
+            coords[order, 0][None, :] - true[:, :1],
+            coords[order, 1][None, :] - true[:, 1:],
         )
         curves[a] = np.minimum.accumulate(dists, axis=1)
     return DiscrepancyCurve(

@@ -3,7 +3,8 @@
 A scene is a rectangular grid of square floor cells. Cells are addressed as
 (i, j) with 0 <= i < width and 0 <= j < height, and enumerated in row-major
 order (i outer, j inner), which also fixes the row order of the stacked
-location-by-activity matrix.
+location-by-activity matrix. Only this module computes that order; the others
+pass row indices and read coordinates from grid_coords.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,11 @@ Cell = tuple[int, int]
 
 class SceneError(ValueError):
     """Invalid scene construction or mutation."""
+
+
+def grid_coords(width: int, height: int) -> np.ndarray:
+    """The (i, j) of every row of a width x height grid, as (n_cells, 2) ints."""
+    return np.indices((width, height)).reshape(2, -1).T
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,8 @@ class SceneStats:
 
 
 class SceneGrid:
-    """Discretized floor with explored mask, ground-truth labels, and demos."""
+    """Discretized floor with an explored (width, height) mask, ground-truth
+    labels as a boolean (n_cells, A) matrix in row order, and demos."""
 
     def __init__(
         self,
@@ -104,8 +111,8 @@ class SceneGrid:
         self.cell_size_m = float(cell_size_m)
         self.vocabulary = vocabulary or ActivityVocabulary()
         self.explored = np.zeros((self.width, self.height), dtype=bool)
+        self.labels = np.zeros((self.n_cells, self.n_activities), dtype=bool)
         self.poses: list[GridPose] = []
-        self._labels: dict[Cell, set[int]] = {}
         self._demos: dict[tuple[Cell, int], float] = {}
         self._frozen = False
 
@@ -133,11 +140,6 @@ class SceneGrid:
             raise SceneError(f"row {row} outside scene with {self.n_cells} cells")
         return (row // self.height, row % self.height)
 
-    def cells(self) -> Iterable[Cell]:
-        for i in range(self.width):
-            for j in range(self.height):
-                yield (i, j)
-
     # -- mutation ---------------------------------------------------------
 
     def _check_mutable(self):
@@ -152,13 +154,12 @@ class SceneGrid:
 
     def add_label(self, cell: Cell, activity: int):
         self._check_mutable()
-        if not self.in_bounds(cell):
-            raise SceneError(f"cell {cell} outside {self.width}x{self.height} grid")
+        row = self.row_of(cell)
         if not 0 <= activity < self.n_activities:
             raise SceneError(
                 f"activity index {activity} out of range for A={self.n_activities}"
             )
-        self._labels.setdefault(cell, set()).add(activity)
+        self.labels[row, activity] = True
 
     def add_demonstration(self, demo: Demonstration):
         """Register a demonstration; marks its cell explored.
@@ -185,7 +186,10 @@ class SceneGrid:
         self.poses.append(pose)
 
     def freeze(self):
+        """Forbid mutation, through the methods and through the arrays."""
         self._frozen = True
+        self.explored.setflags(write=False)
+        self.labels.setflags(write=False)
 
     # -- queries ----------------------------------------------------------
 
@@ -196,24 +200,13 @@ class SceneGrid:
             for (cell, act), value in self._demos.items()
         )
 
-    def labels_at(self, cell: Cell) -> frozenset[int]:
-        return frozenset(self._labels.get(cell, ()))
-
     def labelled_cells(self) -> list[tuple[Cell, tuple[int, ...]]]:
-        out = []
-        for cell in self.cells():
-            acts = self._labels.get(cell)
-            if acts:
-                out.append((cell, tuple(sorted(acts))))
-        return out
-
-    def label_matrix(self) -> np.ndarray:
-        """Ground truth as a boolean (n_cells, A) matrix in row order."""
-        mat = np.zeros((self.n_cells, self.n_activities), dtype=bool)
-        for cell, acts in self._labels.items():
-            for a in acts:
-                mat[self.row_of(cell), a] = True
-        return mat
+        """(cell, sorted activities) of every labelled cell, in row order."""
+        coords = grid_coords(self.width, self.height).tolist()
+        return [
+            (tuple(coords[row]), tuple(np.flatnonzero(self.labels[row]).tolist()))
+            for row in np.flatnonzero(self.labels.any(axis=1))
+        ]
 
     def explored_rows(self) -> np.ndarray:
         return self.explored.reshape(-1).copy()
@@ -233,7 +226,7 @@ class SceneGrid:
             self.scene_id, self.width, self.height, self.cell_size_m, self.vocabulary
         )
         out.explored = self.explored.copy()
-        out._labels = {cell: set(acts) for cell, acts in self._labels.items()}
+        out.labels = self.labels.copy()
         out.poses = list(self.poses)
         for demo in demos:
             out.add_demonstration(demo)
@@ -310,8 +303,3 @@ class GlobalIndex:
         scene = self.scene(scene_id)
         off = self.offsets[scene_id]
         return slice(off, off + scene.n_cells)
-
-
-def stack_scenes(scenes: Sequence[SceneGrid]) -> GlobalIndex:
-    """Stack scenes into one global row index (deterministic order)."""
-    return GlobalIndex(scenes)

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from actionmaps.scene import grid_coords
+
 VARIANTS = ("S", "SO", "SP", "SOP")
 OBJECT_KERNEL_RADIUS = math.sqrt(2.0)  # grid cells
 
@@ -128,8 +130,7 @@ def aggregate_object_scores(
     out = np.zeros((width * height, n_categories))
     if not detections:
         return out
-    ii, jj = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
-    centers = np.stack([ii.reshape(-1) + 0.5, jj.reshape(-1) + 0.5], axis=1)
+    centers = grid_coords(width, height) + 0.5
     r2 = radius * radius
     peak = 1.0 / math.sqrt(2.0 * r2 * math.pi)
     for cat, point in detections:

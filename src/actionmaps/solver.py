@@ -94,12 +94,12 @@ class FitResult:
     stop_reason: str  # "tolerance" or "max_iters"
 
 
-def build_weight_matrix(
+def build_bundle(
     scenes: Sequence[SceneGrid],
     index: GlobalIndex,
     observed_scene_ids: Optional[set[str]] = None,
-) -> np.ndarray:
-    """Class-imbalance weights over the stacked location-by-activity matrix.
+) -> ActionMatrixBundle:
+    """Stacked R (demo values) with its class-imbalance weights W.
 
     Each observed (location, activity) entry gets 1/n_c where n_c counts that
     activity's observations; explored entries without an observation get
@@ -109,6 +109,7 @@ def build_weight_matrix(
     """
     n_act = len(index.vocabulary)
     m = index.total_rows
+    r = np.zeros((m, n_act))
     observed = np.zeros((m, n_act), dtype=bool)
     explored = np.zeros(m, dtype=bool)
     for scene in scenes:
@@ -117,7 +118,9 @@ def build_weight_matrix(
         off = index.offsets[scene.scene_id]
         explored[off : off + scene.n_cells] = scene.explored_rows()
         for demo in scene.demonstrations:
-            observed[off + scene.row_of(demo.cell), demo.activity] = True
+            row = off + scene.row_of(demo.cell)
+            r[row, demo.activity] = demo.value
+            observed[row, demo.activity] = True
     w = np.zeros((m, n_act))
     n_c = observed.sum(axis=0)
     for a in range(n_act):
@@ -127,24 +130,6 @@ def build_weight_matrix(
     n_z = int(empty.sum())
     if n_z > 0:
         w[empty] = 1.0 / n_z
-    return w
-
-
-def build_bundle(
-    scenes: Sequence[SceneGrid],
-    index: GlobalIndex,
-    observed_scene_ids: Optional[set[str]] = None,
-) -> ActionMatrixBundle:
-    """Stacked R (demo values) with its weight matrix."""
-    n_act = len(index.vocabulary)
-    r = np.zeros((index.total_rows, n_act))
-    for scene in scenes:
-        if observed_scene_ids is not None and scene.scene_id not in observed_scene_ids:
-            continue
-        off = index.offsets[scene.scene_id]
-        for demo in scene.demonstrations:
-            r[off + scene.row_of(demo.cell), demo.activity] = demo.value
-    w = build_weight_matrix(scenes, index, observed_scene_ids)
     return ActionMatrixBundle(R=r, W=w)
 
 

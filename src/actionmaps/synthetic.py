@@ -9,13 +9,13 @@ against target sparsity ratios.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from actionmaps.baselines import CategoryActivityMap
-from actionmaps.evaluation import EvalParams, ViewTriangle, cells_in_triangle
+from actionmaps.evaluation import EvalParams, view_rows
 from actionmaps.scene import (
     DEFAULT_ACTIVITIES,
     ActivityVocabulary,
@@ -24,7 +24,7 @@ from actionmaps.scene import (
     GlobalIndex,
     GridPose,
     SceneGrid,
-    stack_scenes,
+    grid_coords,
 )
 from actionmaps.sideinfo import LocationFeatures, aggregate_object_scores
 from actionmaps.textfmt import q9
@@ -58,6 +58,10 @@ def default_category_activity_map() -> CategoryActivityMap:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     """Layout ranges, noise levels, and sparsity targets for generation."""
@@ -82,6 +86,16 @@ class WorldSpec:
     max_layout_retries: int = 20
 
     def __post_init__(self):
+        # checked by the annotations, so spec JSON cannot slip a float or a bool in
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and not _is_int(value):
+                raise GenerationError(f"{f.name} must be an integer, got {value!r}")
+            is_pair = isinstance(value, (tuple, list)) and len(value) == 2
+            if f.type == tuple[int, int] and not (is_pair and all(map(_is_int, value))):
+                raise GenerationError(f"{f.name} must be a (lo, hi) integer pair, got {value!r}")
+            if f.type == tuple[int, int] and value[0] > value[1]:
+                raise GenerationError(f"{f.name} range ({value[0]}, {value[1]}) has lo > hi")
         if self.rooms_x < 1 or self.rooms_y not in (1, 2):
             raise GenerationError("rooms_x must be >= 1 and rooms_y 1 or 2")
         if self.room_width[0] < 3 or self.room_height[0] < 3:
@@ -118,20 +132,14 @@ class GeneratedDataset:
     def vocabulary(self) -> ActivityVocabulary:
         return self.scenes[0].vocabulary
 
-    def scene(self, scene_id: str) -> SceneGrid:
-        for scene in self.scenes:
-            if scene.scene_id == scene_id:
-                return scene
-        raise GenerationError(f"unknown scene {scene_id!r}")
-
     def index(self) -> GlobalIndex:
         if self._index is None:
-            self._index = stack_scenes(self.scenes)
+            self._index = GlobalIndex(self.scenes)
         return self._index
 
     def location_features(self) -> LocationFeatures:
         """Stacked side-information of every cell, in global row order."""
-        coords = [np.indices((s.width, s.height)).reshape(2, -1).T for s in self.scenes]
+        coords = [grid_coords(s.width, s.height) for s in self.scenes]
         codes = [np.full(s.n_cells, k) for k, s in enumerate(self.scenes)]
         return LocationFeatures(
             x=np.concatenate(coords),
@@ -191,12 +199,10 @@ class _Layout:
         return self.room_id.shape
 
     def floor_cells(self) -> list[Cell]:
-        w, h = self.shape
-        return [(i, j) for i in range(w) for j in range(h) if self.room_id[i, j] >= 0]
+        return [tuple(c) for c in np.argwhere(self.room_id >= 0).tolist()]
 
     def room_cells(self, room: int) -> list[Cell]:
-        w, h = self.shape
-        return [(i, j) for i in range(w) for j in range(h) if self.room_id[i, j] == room]
+        return [tuple(c) for c in np.argwhere(self.room_id == room).tolist()]
 
 
 def _build_layout(spec: WorldSpec, rng: np.random.Generator) -> _Layout:
@@ -462,16 +468,6 @@ class _Infeasible(Exception):
     pass
 
 
-def _triangle_cells(pose: GridPose, shape, eval_params: EvalParams):
-    tri = ViewTriangle(
-        apex=pose.position,
-        heading=pose.heading,
-        fov_deg=eval_params.fov_deg,
-        range_cells=eval_params.range_cells,
-    )
-    return cells_in_triangle(tri, shape)
-
-
 def _generate_once(
     spec: WorldSpec, seed_key, scene_id: str
 ) -> tuple[SceneGrid, np.ndarray, np.ndarray]:
@@ -493,24 +489,28 @@ def _generate_once(
         if spec.target_explored_ratio is not None
         else None
     )
-    explored: set[Cell] = set()
+    coords = grid_coords(w, h)
+    explored = np.zeros((w, h), dtype=bool)
     used_poses: list[GridPose] = []
-    for pose in candidates:
-        if target_cells is not None and len(explored) >= target_cells and used_poses:
-            break
-        explored.update(_triangle_cells(pose, (w, h), eval_params))
+
+    def look(pose: GridPose):
+        explored[tuple(coords[view_rows(pose, (w, h), eval_params)].T)] = True
         used_poses.append(pose)
+
+    for pose in candidates:
+        if target_cells is not None and explored.sum() >= target_cells and used_poses:
+            break
+        look(pose)
     if target_cells is not None:
         floor = layout.floor_cells()
         extra = 0
-        while len(explored) < target_cells and extra < 300:
+        while explored.sum() < target_cells and extra < 300:
             cell = floor[int(rng.integers(len(floor)))]
             angle = rng.uniform(0.0, 2.0 * math.pi)
             pose = _pose_at(cell, (cell[0] + 0.5 + math.cos(angle), cell[1] + 0.5 + math.sin(angle)))
-            explored.update(_triangle_cells(pose, (w, h), eval_params))
-            used_poses.append(pose)
+            look(pose)
             extra += 1
-        if len(explored) < target_cells - int(0.05 * total):
+        if explored.sum() < target_cells - int(0.05 * total):
             raise _Infeasible("cannot reach the explored-ratio target")
 
     # make sure enough labelled (cell, activity) pairs are observable and
@@ -519,7 +519,7 @@ def _generate_once(
         return [
             (cell, act)
             for cell in sorted(labels)
-            if cell in explored
+            if explored[cell]
             for act in sorted(labels[cell])
         ]
 
@@ -532,15 +532,13 @@ def _generate_once(
         if enough:
             break
         if missing:
-            unseen = [c for c in sorted(labels) if c not in explored and missing[0] in labels[c]]
+            unseen = [c for c in sorted(labels) if not explored[c] and missing[0] in labels[c]]
         else:
-            unseen = [c for c in sorted(labels) if c not in explored]
+            unseen = [c for c in sorted(labels) if not explored[c]]
         if not unseen:
             break
         cell = unseen[int(rng.integers(len(unseen)))]
-        pose = _pose_at(cell, (cell[0] + 1.5, cell[1] + 0.5))
-        explored.update(_triangle_cells(pose, (w, h), eval_params))
-        used_poses.append(pose)
+        look(_pose_at(cell, (cell[0] + 1.5, cell[1] + 0.5)))
         guard += 1
     pairs_avail = observable_pairs()
     if len(pairs_avail) < spec.n_demonstrations:
@@ -588,16 +586,15 @@ def _generate_once(
         if abs(ratio - spec.target_action_ratio) > 0.009:
             raise _Infeasible(f"action-cell ratio {ratio:.3f} off target")
     if spec.target_explored_ratio is not None:
-        final_explored = explored | {cell for cell, _ in demo_cells}
-        if abs(len(final_explored) / total - spec.target_explored_ratio) > 0.045:
+        n_final = explored.sum() + len({cell for cell, _ in demo_cells if not explored[cell]})
+        if abs(n_final / total - spec.target_explored_ratio) > 0.045:
             raise _Infeasible("explored ratio off target after demonstrations")
 
     scene = SceneGrid(scene_id, w, h, vocabulary=vocabulary)
     for cell, acts in labels.items():
         for a in acts:
             scene.add_label(cell, a)
-    for cell in explored:
-        scene.mark_explored(cell)
+    scene.explored |= explored
     for pose in used_poses:
         scene.add_pose(pose)
     for (cell, act) in demo_cells:
@@ -683,6 +680,8 @@ def generate_dataset(
     identical_layouts replays the same sub-seed for every scene (useful for
     controlled experiments); otherwise layouts are randomized per scene.
     """
+    if not 1 <= n_scenes <= 26:  # scene ids end in a..z
+        raise GenerationError(f"n_scenes must be in 1..26, got {n_scenes}")
     scenes = []
     features = {}
     for k in range(n_scenes):

@@ -208,7 +208,7 @@ def test_10_localization():
     for seed in range(10):
         ds = generate_dataset(PRESETS["pair"], seed=200 + seed)
         scene = ds.scenes[0]
-        counts = scene.label_matrix().sum(axis=0)
+        counts = scene.labels.sum(axis=0)
         rare = int(np.argmin(np.where(counts > 0, counts, 1 << 30)))
         common = int(np.argmax(counts))
         am, _ = experiments.fit_action_map(ds, TREND_KERNEL, TREND_SOLVER)

@@ -414,3 +414,54 @@ def test_variant_choices_are_the_kernel_variants(dataset_dir, tmp_path, capsys):
              "--out-factors", tmp_path / "f.txt"])
     assert exc.value.code == 2
     assert f"choose from {', '.join(repr(v) for v in VARIANTS)}" in capsys.readouterr().err
+
+
+def _sweep_with(command, flag, dataset_dir, pair_dir, out):
+    if command == "elapse":
+        return ["elapse", "--data", dataset_dir, *FIT_ARGS, "--seed", 6,
+                "--out", out / "elapse.tsv", flag, ""]
+    return [*_sweep_command(command, dataset_dir, pair_dir, out), flag, ""]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *[(c, f) for c in ("grid", "transfer")
+          for f in ("--alphas", "--lambdas", "--gammas", "--variants")],
+        ("elapse", "--fractions"),
+    ],
+)
+def test_sweeps_reject_empty_lists(dataset_dir, pair_dir, tmp_path, capsys, monkeypatch,
+                                   command, flag):
+    # an empty list used to run zero fits, write a header-only table and exit 0
+    from actionmaps import cli
+
+    def no_load(path):
+        raise AssertionError("the dataset is loaded before the sweep lists are checked")
+
+    monkeypatch.setattr(cli, "_load_data", no_load)
+    out = tmp_path / "out"
+    assert run(_sweep_with(command, flag, dataset_dir, pair_dir, out)) == 1
+    assert f"error: {flag} needs at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, spec, message",
+    [
+        (["--scenes", 0], None, "n_scenes must be in 1..26, got 0"),
+        (["--scenes", 27], None, "n_scenes must be in 1..26, got 27"),
+        ([], {"rooms_x": 2.5}, "rooms_x must be an integer, got 2.5"),
+        ([], {"room_width": [6, 4]}, "room_width range (6, 4) has lo > hi"),
+    ],
+    ids=["zero-scenes", "27-scenes", "float-rooms", "empty-range"],
+)
+def test_generate_rejects_bad_counts_and_specs(tmp_path, capsys, extra, spec, message):
+    # each of these used to end in a traceback or in numpy's bare "low >= high"
+    args = ["generate", "--seed", 1, "--out", tmp_path / "ds", *extra]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        args += ["--spec-json", tmp_path / "spec.json"]
+    assert run(args) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()

@@ -58,8 +58,8 @@ def f1_sweep_oracle(scores, gt, n_thresholds=100):
 
 def test_triangle_degenerate_range():
     tri = ViewTriangle(apex=(1.5, 1.5), heading=(1.0, 0.0), fov_deg=60, range_cells=0.5)
-    cells = cells_in_triangle(tri, (4, 4))
-    assert set(cells) <= {(1, 1)}
+    rows = cells_in_triangle(tri, (4, 4))
+    assert set(rows.tolist()) <= {1 * 4 + 1}
 
 
 def test_triangle_matches_bruteforce_oracle():
@@ -73,31 +73,32 @@ def test_triangle_matches_bruteforce_oracle():
             fov_deg=float(rng.uniform(20, 150)),
             range_cells=float(rng.uniform(1, 6)),
         )
-        got = set(cells_in_triangle(tri, (8, 8)))
+        got = cells_in_triangle(tri, (8, 8))
         verts = tri.vertices()
-        want = {
-            (i, j)
+        want = [
+            i * 8 + j
             for i in range(8)
             for j in range(8)
             if barycentric_inside((i + 0.5, j + 0.5), verts)
-        }
-        assert got == want
+        ]
+        assert got.dtype.kind == "i"
+        assert got.tolist() == want  # ascending rows
 
 
 def test_triangle_heading_x_fov90():
     tri = ViewTriangle(apex=(0.0, 2.5), heading=(1.0, 0.0), fov_deg=90, range_cells=3)
-    got = set(cells_in_triangle(tri, (6, 6)))
+    got = cells_in_triangle(tri, (6, 6))
     verts = tri.vertices()
-    want = {
-        (i, j) for i in range(6) for j in range(6)
+    want = [
+        i * 6 + j for i in range(6) for j in range(6)
         if barycentric_inside((i + 0.5, j + 0.5), verts)
-    }
-    assert got == want
+    ]
+    assert got.tolist() == want
 
 
 def test_triangle_outside_grid_empty():
     tri = ViewTriangle(apex=(50.0, 50.0), heading=(1.0, 0.0), fov_deg=60, range_cells=3)
-    assert cells_in_triangle(tri, (4, 4)) == []
+    assert cells_in_triangle(tri, (4, 4)).size == 0
 
 
 def test_triangle_validation():
@@ -138,27 +139,22 @@ def _wedge():
     return ViewTriangle(apex=(0.1, 1.5), heading=(1.0, 0.0), fov_deg=80, range_cells=2.5)
 
 
-def _view(tri, grid_shape):
-    """Row indices of the triangle's cells, as pose_views computes them."""
-    return [i * grid_shape[1] + j for i, j in cells_in_triangle(tri, grid_shape)]
-
-
 def test_image_scores_uniform_value():
     am = np.full((9, 2), 0.37)
-    assert image_scores(am, _view(_wedge(), (3, 3))) == pytest.approx([0.37, 0.37])
+    assert image_scores(am, cells_in_triangle(_wedge(), (3, 3))) == pytest.approx([0.37, 0.37])
 
 
 def test_image_scores_two_cell_mean():
     tri = ViewTriangle(apex=(0.0, 0.5), heading=(1.0, 0.0), fov_deg=30, range_cells=2.2)
-    cells = cells_in_triangle(tri, (3, 1))
-    assert cells == [(0, 0), (1, 0)]
+    rows = cells_in_triangle(tri, (3, 1))
+    assert rows.tolist() == [0, 1]  # cells (0, 0) and (1, 0)
     am = np.zeros((3, 1))
     am[0, 0], am[1, 0] = 0.2, 0.8
-    assert image_scores(am, _view(tri, (3, 1)))[0] == pytest.approx(0.5)
+    assert image_scores(am, rows)[0] == pytest.approx(0.5)
 
 
 def test_image_scores_ignore_outside_cells():
-    view = _view(_wedge(), (3, 3))
+    view = cells_in_triangle(_wedge(), (3, 3))
     am = np.random.default_rng(1).uniform(0, 1, (9, 2))
     before = image_scores(am, view)
     outside = [r for r in range(9) if r not in view]
@@ -169,8 +165,8 @@ def test_image_scores_ignore_outside_cells():
 
 def test_image_scores_empty_triangle_zero():
     tri = ViewTriangle(apex=(40.0, 40.0), heading=(1.0, 0.0))
-    view = _view(tri, (3, 3))
-    assert view == []
+    view = cells_in_triangle(tri, (3, 3))
+    assert view.size == 0
     assert image_scores(np.ones((9, 2)), view) == pytest.approx([0.0, 0.0])
     assert not image_gt(np.ones((9, 2), dtype=bool), view).any()
 
@@ -179,18 +175,18 @@ def test_image_scores_matches_loop_oracle():
     rng = np.random.default_rng(2)
     am = rng.uniform(0, 1, (25, 3))
     tri = ViewTriangle(apex=(1.2, 2.3), heading=(0.6, 0.8), fov_deg=75, range_cells=3.5)
-    cells = cells_in_triangle(tri, (5, 5))
-    expected = np.mean([am[i * 5 + j] for i, j in cells], axis=0)
-    assert image_scores(am, _view(tri, (5, 5))) == pytest.approx(expected, abs=1e-12)
+    rows = cells_in_triangle(tri, (5, 5))
+    expected = np.mean([am[r] for r in rows], axis=0)
+    assert image_scores(am, rows) == pytest.approx(expected, abs=1e-12)
 
 
 def test_image_gt_any_rule():
     labels = np.zeros((9, 2), dtype=bool)
     labels[1 * 3 + 1, 0] = True
     tri = _wedge()
-    cells = set(cells_in_triangle(tri, (3, 3)))
-    gt = image_gt(labels, _view(tri, (3, 3)))
-    assert gt[0] == ((1, 1) in cells)
+    rows = cells_in_triangle(tri, (3, 3))
+    gt = image_gt(labels, rows)
+    assert gt[0] == (1 * 3 + 1 in rows)
     assert not gt[1]
 
 
@@ -328,8 +324,8 @@ def test_run_parameter_grid_reproducible(mini_dataset):
 def test_score_action_map_perfect_map(mini_dataset):
     # the ground-truth map itself scores a perfect max F1 on labelled classes
     index = mini_dataset.index()
-    labels = np.vstack([s.label_matrix() for s in mini_dataset.scenes]).astype(float)
-    result = score_action_map(pose_views(mini_dataset.scenes, index), labels)
+    labels = np.vstack([s.labels for s in mini_dataset.scenes]).astype(float)
+    result = score_action_map(pose_views(index), labels)
     present = result.gt_counts > 0
     assert np.allclose(result.per_activity_max[present], 1.0)
 
@@ -466,13 +462,11 @@ def collect_image_data_oracle(scenes, index, am_norm, params=EvalParams(), scene
         if wanted is not None and scene.scene_id not in wanted:
             continue
         am_scene = am_norm[index.rows_of(scene.scene_id)]
-        labels = scene.label_matrix()
         for pose in scene.poses:
             tri = ViewTriangle(pose.position, pose.heading, params.fov_deg, params.range_cells)
-            cells = cells_in_triangle(tri, (scene.width, scene.height))
-            view = [i * scene.height + j for i, j in cells]
+            view = cells_in_triangle(tri, (scene.width, scene.height))
             all_scores.append(image_scores(am_scene, view))
-            all_gt.append(image_gt(labels, view))
+            all_gt.append(image_gt(scene.labels, view))
     return np.stack(all_scores), np.stack(all_gt)
 
 
@@ -488,9 +482,9 @@ def test_score_action_map_matches_per_pose_oracle(pair_dataset, scene_ids):
     scenes, index = _with_blind_pose(pair_dataset)
     blind = scenes[0].poses[-1]
     tri = ViewTriangle(blind.position, blind.heading)
-    assert cells_in_triangle(tri, (scenes[0].width, scenes[0].height)) == []
+    assert cells_in_triangle(tri, (scenes[0].width, scenes[0].height)).size == 0
     params = EvalParams(fov_deg=70.0, range_cells=5.0, n_thresholds=37)
-    views = pose_views(scenes, index, params, scene_ids)
+    views = pose_views(index, params, scene_ids)
     rng = np.random.default_rng(5)
     n_acts = len(index.vocabulary)
     for trial in range(20):
@@ -509,7 +503,7 @@ def test_score_action_map_matches_per_pose_oracle(pair_dataset, scene_ids):
 
 def test_score_action_map_rejects_wrong_row_count(mini_dataset):
     index = mini_dataset.index()
-    views = pose_views(mini_dataset.scenes, index)
+    views = pose_views(index)
     n_acts = len(index.vocabulary)
     for rows in (index.total_rows - 1, index.total_rows + 1):
         with pytest.raises(EvaluationError, match="rows"):
@@ -520,7 +514,7 @@ def test_score_action_map_rejects_wrong_row_count(mini_dataset):
 
 def test_pose_views_without_poses_raise(mini_dataset):
     with pytest.raises(EvaluationError, match="no camera poses"):
-        pose_views(mini_dataset.scenes, mini_dataset.index(), scene_ids=["nowhere"])
+        pose_views(mini_dataset.index(), scene_ids=["nowhere"])
 
 
 def _count_triangles(monkeypatch):

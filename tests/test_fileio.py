@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from actionmaps import fileio
 from actionmaps.evaluation import pose_views
-from actionmaps.scene import ActivityVocabulary, GridPose, SceneGrid, stack_scenes
+from actionmaps.scene import ActivityVocabulary, Demonstration, GlobalIndex, GridPose, SceneGrid
 from actionmaps.solver import FactorPair
 from actionmaps.textfmt import fmt9, q9
 
@@ -128,7 +129,7 @@ def test_handwritten_fixture_parses():
     assert scene.cell_size_m == 0.5
     assert scene.vocabulary.names == ("sit", "wash")
     assert scene.explored[0, 0] and scene.explored[1, 1] and not scene.explored[0, 1]
-    assert scene.labels_at((0, 0)) == frozenset({0, 1})
+    assert scene.labels[scene.row_of((0, 0))].tolist() == [True, True]
     assert scene.demonstrations[0].value == 0.75
     assert scene.poses[0] == GridPose((0.5, 0.5), (1.0, 0.0))
     assert p[0].tolist() == [0.9, 0.1]
@@ -191,7 +192,7 @@ def test_factors_round_trip_property(shape, data):
 )
 def test_action_map_round_trip_property(grids, n_act, data):
     vocab = ActivityVocabulary(tuple(f"act{k}" for k in range(n_act)))
-    index = stack_scenes(
+    index = GlobalIndex(
         [SceneGrid(f"s{k}", w, h, 0.25, vocab) for k, (w, h) in enumerate(grids)]
     )
     am = data.draw(hnp.arrays(float, (index.total_rows, n_act), elements=_Q9))
@@ -202,6 +203,54 @@ def test_action_map_round_trip_property(grids, n_act, data):
     assert np.array_equal(loaded, am)
 
 
+@st.composite
+def _drawn_scenes(draw):
+    """A scene with explored cells, labels, demonstrations (in insertion
+    order) and poses drawn at the precision written to disk, plus its
+    feature rows."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    vocab = ActivityVocabulary(("sit", "type", "wash"))
+    scene = SceneGrid("s", width, height, draw(st.floats(0.01, 10.0).map(q9)), vocab)
+    cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    acts = st.integers(0, len(vocab) - 1)
+    for cell in draw(st.lists(cells, max_size=8)):
+        scene.mark_explored(cell)
+    for cell, act in draw(st.lists(st.tuples(cells, acts), max_size=12)):
+        scene.add_label(cell, act)
+    for cell, act, value in draw(
+        st.lists(st.tuples(cells, acts, st.floats(0.0, 1.0).map(q9)), max_size=12)
+    ):
+        scene.add_demonstration(Demonstration("s", cell, act, value))
+    coord = st.floats(-2.0, 8.0).map(q9)
+    for x, y, angle in draw(st.lists(st.tuples(coord, coord, st.floats(0.0, 6.3)), max_size=5)):
+        scene.add_pose(GridPose((x, y), (q9(math.cos(angle)), q9(math.sin(angle)))))
+    p = draw(hnp.arrays(float, (scene.n_cells, 2), elements=_Q9))
+    o = draw(hnp.arrays(float, (scene.n_cells, 1), elements=_Q9))
+    return scene, p, o
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=_drawn_scenes())
+def test_scene_round_trip_property(drawn):
+    scene, p, o = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.scene"), os.path.join(tmp, "b.scene")
+        fileio.write_scene(scene, p, o, ("room", "wall"), ("chair",), first)
+        loaded, p2, o2, cls, cats = fileio.read_scene(first)
+        fileio.write_scene(loaded, p2, o2, cls, cats, second)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
+    assert (loaded.width, loaded.height, loaded.cell_size_m) == (
+        scene.width, scene.height, scene.cell_size_m
+    )
+    assert np.array_equal(loaded.labels, scene.labels)
+    assert np.array_equal(loaded.explored, scene.explored)
+    assert loaded.demonstrations == scene.demonstrations  # order included
+    assert loaded.poses == scene.poses
+    assert np.array_equal(p2, p) and np.array_equal(o2, o)
+    assert (cls, cats) == (("room", "wall"), ("chair",))
+
+
 @pytest.mark.parametrize("fixture", ["mini_dataset", "pair_dataset"])
 def test_loaded_dataset_gives_same_features_and_views(request, fixture, tmp_path):
     dataset = request.getfixturevalue(fixture)
@@ -209,15 +258,15 @@ def test_loaded_dataset_gives_same_features_and_views(request, fixture, tmp_path
     want, got = dataset.location_features(), loaded.location_features()
     for name in ("x", "p", "o", "scene_codes"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    want_views = pose_views(dataset.scenes, dataset.index())
-    got_views = pose_views(loaded.scenes, loaded.index())
+    want_views = pose_views(dataset.index())
+    got_views = pose_views(loaded.index())
     assert got_views.n_rows == want_views.n_rows
     assert len(got_views.rows) == len(want_views.rows) > 0
     for got_rows, want_rows in zip(got_views.rows, want_views.rows):
         assert np.array_equal(got_rows, want_rows)
     assert np.array_equal(got_views.gt, want_views.gt)
     for got_scene, want_scene in zip(loaded.scenes, dataset.scenes):
-        assert np.array_equal(got_scene.label_matrix(), want_scene.label_matrix())
+        assert np.array_equal(got_scene.labels, want_scene.labels)
 
 
 def test_trace_format(tmp_path):

@@ -6,9 +6,10 @@ from actionmaps.scene import (
     Demonstration,
     GridPose,
     SceneError,
+    GlobalIndex,
     SceneGrid,
     create_scene,
-    stack_scenes,
+    grid_coords,
 )
 from actionmaps.synthetic import PRESETS, generate_dataset
 
@@ -26,7 +27,9 @@ def test_create_scene_with_labels():
     gt = [((0, 0), [0]), ((1, 2), [1, 2]), ((3, 3), [0])]
     scene = create_scene(4, 4, 0.25, gt)
     assert len(scene.labelled_cells()) == 3
-    assert scene.labels_at((1, 2)) == frozenset({1, 2})
+    assert np.flatnonzero(scene.labels[scene.row_of((1, 2))]).tolist() == [1, 2]
+    assert scene.labels.shape == (16, scene.n_activities)
+    assert scene.labels.sum() == 4
 
 
 def test_create_scene_errors():
@@ -77,7 +80,7 @@ def test_demonstration_errors():
 
 def test_stack_single_scene_row_order():
     scene = create_scene(2, 2, scene_id="s")
-    index = stack_scenes([scene])
+    index = GlobalIndex([scene])
     assert index.total_rows == 4
     assert [index.location(r) for r in range(4)] == [
         ("s", (0, 0)),
@@ -90,7 +93,7 @@ def test_stack_single_scene_row_order():
 def test_stack_two_scenes_offsets():
     a = create_scene(2, 2, scene_id="a")
     b = create_scene(2, 3, scene_id="b")
-    index = stack_scenes([a, b])
+    index = GlobalIndex([a, b])
     assert index.offsets == {"a": 0, "b": 4}
     assert index.total_rows == 10
 
@@ -98,7 +101,7 @@ def test_stack_two_scenes_offsets():
 def test_stack_round_trip_identity():
     a = create_scene(3, 4, scene_id="a")
     b = create_scene(2, 5, scene_id="b")
-    index = stack_scenes([a, b])
+    index = GlobalIndex([a, b])
     for row in range(index.total_rows):
         scene_id, cell = index.location(row)
         assert index.row(scene_id, cell) == row
@@ -108,16 +111,37 @@ def test_stack_vocabulary_mismatch():
     a = create_scene(2, 2, scene_id="a")
     b = SceneGrid("b", 2, 2, vocabulary=ActivityVocabulary(("sit", "type")))
     with pytest.raises(SceneError):
-        stack_scenes([a, b])
+        GlobalIndex([a, b])
 
 
 def test_stacked_scene_is_frozen():
     scene = create_scene(2, 2, scene_id="s")
-    stack_scenes([scene])
+    GlobalIndex([scene])
     with pytest.raises(SceneError):
         scene.add_demonstration(Demonstration("s", (0, 0), 0, 1.0))
     with pytest.raises(SceneError):
         scene.mark_explored((0, 0))
+    with pytest.raises(SceneError):
+        scene.add_label((0, 0), 0)
+    # the arrays are read-only too, so a stacked scene cannot change through them
+    with pytest.raises(ValueError, match="read-only"):
+        scene.labels[0, 0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        scene.explored[0, 0] = True
+    copy = scene.copy_with_demonstrations([Demonstration("s", (1, 1), 0, 1.0)])
+    copy.add_label((0, 0), 1)
+    assert copy.labels[0, 1] and copy.explored[1, 1]
+    assert not scene.labels.any() and not scene.explored.any()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 1), (3, 5)])
+def test_grid_coords_follow_the_row_order(shape):
+    scene = create_scene(*shape)
+    coords = grid_coords(*shape)
+    assert coords.shape == (scene.n_cells, 2) and coords.dtype.kind == "i"
+    for row, (i, j) in enumerate(coords.tolist()):
+        assert scene.row_of((i, j)) == row
+        assert scene.cell_of(row) == (i, j)
 
 
 def test_stats_match_recount(tiny_scene):
@@ -134,7 +158,7 @@ def test_copy_with_demonstrations(tiny_scene):
     copy = tiny_scene.copy_with_demonstrations([])
     assert copy.stats().demo_count == 0
     assert np.array_equal(copy.explored, tiny_scene.explored)
-    assert copy.labels_at((0, 0)) == tiny_scene.labels_at((0, 0))
+    assert np.array_equal(copy.labels, tiny_scene.labels)
 
 
 def test_vocabulary_validation():

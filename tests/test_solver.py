@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actionmaps import solver
-from actionmaps.scene import ActivityVocabulary, Demonstration, SceneGrid, stack_scenes
+from actionmaps.scene import ActivityVocabulary, Demonstration, GlobalIndex, SceneGrid
 from actionmaps.sideinfo import GramMatrix, SideInfoError
 from actionmaps.solver import (
     ActionMatrixBundle,
@@ -14,7 +14,6 @@ from actionmaps.solver import (
     SolverError,
     SolverParams,
     build_bundle,
-    build_weight_matrix,
     fit,
     laplacian_smoothness,
     multiplicative_step,
@@ -74,8 +73,8 @@ def test_weight_matrix_counts():
     # 2 sit observations, 1 type observation; the 3 explored rows leave
     # 3 observed-empty entries, each weighted 1/3
     scene = _two_activity_scene()
-    index = stack_scenes([scene])
-    w = build_weight_matrix([scene], index)
+    index = GlobalIndex([scene])
+    w = build_bundle([scene], index).W
     assert w[index.row("s", (0, 0)), 0] == pytest.approx(0.5)
     assert w[index.row("s", (1, 0)), 0] == pytest.approx(0.5)
     assert w[index.row("s", (2, 0)), 1] == pytest.approx(1.0)
@@ -93,8 +92,8 @@ def test_weight_matrix_no_demos():
     scene = SceneGrid("s", 2, 2)
     scene.mark_explored((0, 0))
     scene.mark_explored((1, 1))
-    index = stack_scenes([scene])
-    w = build_weight_matrix([scene], index)
+    index = GlobalIndex([scene])
+    w = build_bundle([scene], index).W
     n_z = 2 * 6
     assert w[index.row("s", (0, 0))] == pytest.approx([1 / n_z] * 6)
     assert not w[index.row("s", (0, 1))].any()
@@ -102,14 +101,14 @@ def test_weight_matrix_no_demos():
 
 def test_weight_matrix_all_unexplored():
     scene = SceneGrid("s", 2, 2)
-    index = stack_scenes([scene])
-    assert not build_weight_matrix([scene], index).any()
+    index = GlobalIndex([scene])
+    assert not build_bundle([scene], index).W.any()
 
 
 def test_bundle_values_and_mask():
     # the observed entries are W > 0; R is zero everywhere else
     scene = _two_activity_scene()
-    index = stack_scenes([scene])
+    index = GlobalIndex([scene])
     bundle = build_bundle([scene], index)
     assert bundle.R[index.row("s", (0, 0)), 0] == 1.0
     assert not bundle.R[bundle.W == 0].any()
@@ -119,7 +118,7 @@ def test_bundle_excluding_scene_zeroes_it():
     scene = _two_activity_scene()
     other = SceneGrid("t", 2, 2, vocabulary=scene.vocabulary)
     other.add_demonstration(Demonstration("t", (0, 0), 0, 1.0))
-    index = stack_scenes([scene, other])
+    index = GlobalIndex([scene, other])
     bundle = build_bundle([scene, other], index, observed_scene_ids={"s"})
     rows = index.rows_of("t")
     assert not bundle.W[rows].any()

@@ -84,7 +84,7 @@ def test_demos_are_gt_positive_without_jitter():
     spec = ZERO_NOISE
     scene, _p, _o = generate_scene(spec, seed=3)
     for demo in scene.demonstrations:
-        assert demo.activity in scene.labels_at(demo.cell)
+        assert scene.labels[scene.row_of(demo.cell), demo.activity]
 
 
 def test_every_labelled_activity_is_demonstrated():
@@ -156,7 +156,7 @@ def test_detection_baseline_ceiling_on_clean_data():
     am = normalize_action_map(
         detection_action_map(ds.stacked_object_scores(), ds.catmap)
     )
-    result = score_action_map(pose_views(ds.scenes, ds.index()), am)
+    result = score_action_map(pose_views(ds.index()), am)
     present = result.gt_counts > 0
     assert np.allclose(result.per_activity_max[present], 1.0)
 
@@ -193,3 +193,41 @@ def test_infeasible_spec_raises():
     )
     with pytest.raises(GenerationError, match="infeasible"):
         generate_scene(spec, seed=0)
+
+
+@pytest.mark.parametrize("n_scenes", [0, -1, 27])
+def test_generate_dataset_rejects_scene_counts(n_scenes):
+    # 0 scenes used to end in an IndexError, 27 in the scene id "scene_{"
+    with pytest.raises(GenerationError, match="n_scenes must be in 1..26"):
+        generate_dataset(PRESETS["mini"], seed=0, n_scenes=n_scenes)
+
+
+def test_generate_dataset_names_26_scenes_a_to_z():
+    spec = WorldSpec(rooms_x=1, room_width=(3, 3), room_height=(3, 3), n_demonstrations=1,
+                     poses_per_room=1, corridor_poses=1)
+    ids = [s.scene_id for s in generate_dataset(spec, seed=0, n_scenes=26).scenes]
+    assert ids == [f"scene_{c}" for c in "abcdefghijklmnopqrstuvwxyz"]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"rooms_x": 2.5}, "rooms_x must be an integer, got 2.5"),
+        ({"rooms_x": True}, "rooms_x must be an integer, got True"),
+        ({"n_demonstrations": "60"}, "n_demonstrations must be an integer"),
+        ({"max_layout_retries": None}, "max_layout_retries must be an integer"),
+        ({"room_width": (6, 4)}, r"room_width range \(6, 4\) has lo > hi"),
+        ({"room_height": (7, 5)}, r"room_height range \(7, 5\) has lo > hi"),
+        ({"room_width": (4.5, 6)}, "room_width must be a .lo, hi. integer pair"),
+        ({"room_height": (5,)}, "room_height must be a .lo, hi. integer pair"),
+        ({"room_width": 5}, "room_width must be a .lo, hi. integer pair"),
+    ],
+)
+def test_spec_rejects_bad_integer_fields(kwargs, message):
+    with pytest.raises(GenerationError, match=message):
+        WorldSpec(**kwargs)
+
+
+def test_spec_accepts_numpy_integers_and_equal_bounds():
+    spec = WorldSpec(rooms_x=np.int64(2), room_width=(np.int32(5), 5))
+    assert spec.rooms_x == 2 and spec.room_width == (5, 5)
