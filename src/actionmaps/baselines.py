@@ -95,5 +95,5 @@ def augmented_wnmf(
     w_aug = np.hstack([bundle.W, w_feat])
     r_aug[w_aug == 0] = 0.0
     aug = ActionMatrixBundle(R=r_aug, W=w_aug)
-    result = fit(aug, None, None, replace(params, lam=0.0, mu=0.0))
+    result = fit(aug, None, params=replace(params, lam=0.0))
     return normalize_action_map(predict(result.factors)[:, :n_act])

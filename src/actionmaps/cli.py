@@ -55,7 +55,7 @@ def _kernel_from_args(args) -> KernelConfig:
 
 
 def _solver_from_args(args) -> SolverParams:
-    return SolverParams(rank=args.rank, lam=args.lam, mu=args.mu, max_iters=args.max_iters,
+    return SolverParams(rank=args.rank, lam=args.lam, max_iters=args.max_iters,
                         rel_tol=args.rel_tol, seed=args.seed)
 
 
@@ -74,7 +74,7 @@ def _add_single_fit_args(p: argparse.ArgumentParser):
 
 def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--rank", type=int, default=6)
-    p.add_argument("--mu", type=float, default=0.0)
+    p.add_argument("--mu", type=float, default=0.0, help="activity-kernel weight; only 0")
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--rel-tol", type=float, default=1e-6)
 
@@ -101,9 +101,7 @@ def _grid_from_args(args) -> dict:
             gammas=_sweep(args, "--gammas"),
         ),
         variants=_sweep(args, "--variants", _str_list),
-        solver=SolverParams(
-            rank=args.rank, mu=args.mu, max_iters=args.max_iters, rel_tol=args.rel_tol
-        ),
+        solver=SolverParams(rank=args.rank, max_iters=args.max_iters, rel_tol=args.rel_tol),
         kernel=KernelConfig(sigma_s=args.sigma_s, tau=args.tau),
         eval_params=_eval_from_args(args),
         base_seed=args.seed,
@@ -275,11 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default="", help="JSON config overriding flags")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
+    def add_parser(name, func, **kwargs):
         # no prefix matching: --lam would otherwise be read as --lambdas
-        return sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+        p.set_defaults(func=func, parser=p)  # the parser converts config values
+        return p
 
-    p = add_parser("generate", help="write a synthetic dataset")
+    p = add_parser("generate", cmd_generate, help="write a synthetic dataset")
     p.add_argument("--preset", default="mini")
     p.add_argument("--spec-json", default="", help="world-spec JSON (overrides preset)")
     p.add_argument("--scenes", type=int, default=1)
@@ -288,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--name", default="dataset")
-    p.set_defaults(func=cmd_generate)
 
-    p = add_parser("fit", help="fit factors on a dataset")
+    p = add_parser("fit", cmd_fit, help="fit factors on a dataset")
     p.add_argument("--data", required=True)
     _add_single_fit_args(p)
     _add_kernel_args(p)
@@ -298,24 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-factors", required=True)
     p.add_argument("--out-trace", default="")
-    p.set_defaults(func=cmd_fit)
 
-    p = add_parser("predict", help="write the normalized action map of saved factors")
+    p = add_parser("predict", cmd_predict, help="write the normalized action map of saved factors")
     p.add_argument("--data", required=True)
     p.add_argument("--factors", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = add_parser("evaluate", help="score an action map against a dataset")
+    p = add_parser("evaluate", cmd_evaluate, help="score an action map against a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--am", required=True)
     p.add_argument("--scenes", default="", help="comma-separated scene filter")
     _add_eval_args(p)
     p.add_argument("--out-txt", required=True)
     p.add_argument("--out-tsv", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = add_parser("grid", help="run the parameter grid")
+    p = add_parser("grid", cmd_grid, help="run the parameter grid")
     p.add_argument("--data", required=True)
     p.add_argument("--variants", default=",".join(VARIANTS))
     _add_grid_args(p)
@@ -325,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-tsv", required=True)
     p.add_argument("--out-txt", required=True)
-    p.set_defaults(func=cmd_grid)
 
-    p = add_parser("transfer", help="novel-scene comparison with baselines")
+    p = add_parser("transfer", cmd_transfer, help="novel-scene comparison with baselines")
     p.add_argument("--data", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
@@ -339,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-txt", required=True)
     p.add_argument("--out-tsv", required=True)
-    p.set_defaults(func=cmd_transfer)
 
-    p = add_parser("elapse", help="sweep demonstration fractions")
+    p = add_parser("elapse", cmd_elapse, help="sweep demonstration fractions")
     p.add_argument("--data", required=True)
     p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     _add_single_fit_args(p)
@@ -350,23 +344,38 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_args(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_elapse)
 
-    p = add_parser("localize", help="K-best discrepancy curve from an action map")
+    p = add_parser("localize", cmd_localize, help="K-best discrepancy curve from an action map")
     p.add_argument("--data", required=True)
     p.add_argument("--am", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--k-max", type=int, default=50)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_localize)
 
-    p = add_parser("export-heatmap", help="per-activity greymaps and tables")
+    p = add_parser("export-heatmap", cmd_export_heatmap, help="per-activity greymaps and tables")
     p.add_argument("--data", required=True)
     p.add_argument("--am", required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_export_heatmap)
 
     return parser
+
+
+def _config_value(path: str, key: str, action: argparse.Action, value):
+    """A config value converted as argparse converts the flag's text."""
+    if action.nargs == 0:  # a switch such as --identical-layouts
+        if not isinstance(value, bool):
+            raise CliError(f"{path}: config key {key!r} must be true or false")
+        return value
+    if not isinstance(value, (str, int, float)):
+        raise CliError(f"{path}: config key {key!r} takes one value, got {json.dumps(value)}")
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        converted = action.type(text) if action.type else text
+    except ValueError:
+        raise CliError(f"{path}: config key {key!r} has an invalid value {text!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise CliError(f"{path}: config key {key!r} must be one of {list(action.choices)}")
+    return converted
 
 
 def _apply_config(args: argparse.Namespace):
@@ -383,11 +392,12 @@ def _apply_config(args: argparse.Namespace):
             raise CliError(f"{path}: invalid JSON config: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
+    flags = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
             raise CliError(f"{path}: unknown config key {key!r}")
-        setattr(args, dest, value)
+        setattr(args, action.dest, _config_value(path, key, action, value))
 
 
 def main(argv=None) -> int:
@@ -395,6 +405,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
+        if getattr(args, "mu", 0.0) != 0.0:  # also refuses NaN
+            raise CliError(f"--mu must be 0 (the solver has no activity kernel), got {args.mu}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ from actionmaps.solver import (
 )
 
 
-def _gram_basis(dataset, kernel: KernelConfig) -> GramBasis:
-    return GramBasis(dataset.location_features(), kernel.chi2_epsilon, kernel.max_dense)
+def _gram_basis(dataset) -> GramBasis:
+    return GramBasis(dataset.location_features())
 
 
 def fit_action_map(
@@ -42,8 +42,8 @@ def fit_action_map(
     """Fit the regularized model on a dataset; returns the normalized map."""
     bundle = build_bundle(dataset.scenes, dataset.index())
     if gram is None:
-        gram = _gram_basis(dataset, kernel).gram(kernel)
-    result = fit(bundle, gram, None, solver)
+        gram = _gram_basis(dataset).gram(kernel)
+    result = fit(bundle, gram, params=solver)
     return normalize_action_map(predict(result.factors)), result
 
 
@@ -132,7 +132,7 @@ def _run_grid(
     Consecutive runs with the same kernel config share one Gram matrix, and
     at most one Gram is alive at a time.
     """
-    basis = _gram_basis(dataset, kernel)
+    basis = _gram_basis(dataset)
     rows: list[GridRow] = []
     run_idx = 0
     gram_cfg, gram = None, None
@@ -147,7 +147,7 @@ def _run_grid(
                     gram_cfg, gram = None, None
                     gram = basis.gram(cfg)
                     gram_cfg = cfg
-                result = fit(bundle, gram, None, replace(solver, lam=lam, seed=seed))
+                result = fit(bundle, gram, params=replace(solver, lam=lam, seed=seed))
                 am = normalize_action_map(predict(result.factors))
                 scores = score_action_map(views, am)
                 rows.append(GridRow(variant, alpha, lam, gamma, seed, scores))
@@ -217,7 +217,7 @@ def run_elapse(
     Subsets keep every scene's poses and labels, so one set of pose views
     scores every fraction."""
     views = pose_views(dataset.index(), eval_params)
-    gram = _gram_basis(dataset, kernel).gram(kernel)
+    gram = _gram_basis(dataset).gram(kernel)
     out = []
     for fraction in fractions:
         ds = dataset.with_demo_fraction(fraction, subset_seed)

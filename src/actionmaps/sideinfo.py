@@ -10,7 +10,7 @@ coordinate frames are unrelated).
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from actionmaps.scene import grid_coords
 
 VARIANTS = ("S", "SO", "SP", "SOP")
 OBJECT_KERNEL_RADIUS = math.sqrt(2.0)  # grid cells
+MAX_DENSE_LOCATIONS = 20000  # GramBasis refuses more locations than this
 
 
 class SideInfoError(ValueError):
@@ -64,16 +65,16 @@ class KernelConfig:
     Variants: S spatial only; SO spatial+objects; SP spatial+scene classes;
     SOP all three (objects and classes each weighted alpha/2, alpha for the
     single active kernel in SO/SP). One chi-squared bandwidth gamma serves
-    both the scene-class and the object kernel.
+    both the scene-class and the object kernel, whose distances share the
+    fixed guard chi2_epsilon.
     """
 
     alpha: float = 0.5
     sigma_s: float = 2.0
     gamma: float = 1.0
     variant: str = "SOP"
-    chi2_epsilon: float = 1e-10
     tau: float = 1e-4
-    max_dense: int = 20000
+    chi2_epsilon: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -154,18 +155,17 @@ class GramBasis:
     spatial term is zero across scenes), and holds +inf for pairs in
     different scenes inside that range; chi2_o covers the block's object rows
     (object_rows[object_starts[i]:object_starts[i + 1]], the rows with object
-    evidence) against the object rows >= lo. Refuses more than max_dense
-    locations before allocating anything.
+    evidence) against the object rows >= lo. Refuses more than
+    MAX_DENSE_LOCATIONS locations before allocating anything.
     """
 
-    def __init__(
-        self,
-        features: LocationFeatures,
-        chi2_epsilon: float = 1e-10,
-        max_dense: int = KernelConfig.max_dense,
-    ):
+    def __init__(self, features: LocationFeatures, chi2_epsilon=KernelConfig.chi2_epsilon):
         self.m = m = features.x.shape[0]
-        _check_dense_cap(m, max_dense)
+        if m > MAX_DENSE_LOCATIONS:
+            raise SideInfoError(
+                f"{m} locations exceed the dense Gram cap of {MAX_DENSE_LOCATIONS}; "
+                "use fewer or smaller scenes"
+            )
         bounds = np.append(np.arange(0, m, _ROW_BLOCK), m)
         _, scene = np.unique(features.scene_codes, return_inverse=True)
         scene_end = np.zeros(scene.max() + 1, dtype=np.intp)
@@ -185,7 +185,6 @@ class GramBasis:
         and ko is zero unless both locations have objects. Each 64-row block
         is written over columns lo:m, thresholded, then mirrored below the
         diagonal, into one m x m output."""
-        _check_dense_cap(self.m, cfg.max_dense)
         m, variant, alpha = self.m, cfg.variant, cfg.alpha
         w = 0.5 * alpha if variant == "SOP" else alpha
         rows, starts = self.object_rows, self.object_starts
@@ -229,14 +228,6 @@ _TILE = 128  # side of the square tiles compared by the symmetry check
 def _blocks(n: int):
     """(lo, hi) bounds of consecutive row blocks covering range(n)."""
     return ((lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK))
-
-
-def _check_dense_cap(m: int, max_dense: int) -> None:
-    if m > max_dense:
-        raise SideInfoError(
-            f"{m} locations exceed the dense Gram cap of {max_dense}; "
-            "raise max_dense or sparsify the input"
-        )
 
 
 def _packed(bounds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

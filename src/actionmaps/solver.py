@@ -1,9 +1,9 @@
 """Graph-regularized weighted non-negative factorization of action matrices.
 
 The objective is the weighted squared reconstruction error (each weight
-multiplies its squared residual) plus Laplacian smoothness penalties over the
-rows of U (location similarities) and of V (activity similarities, identity
-by default, i.e. no penalty). Multiplicative updates keep the factors
+multiplies its squared residual) plus one Laplacian smoothness penalty over
+the rows of U, weighted by the location kernel K (the graph-regularized NMF
+of Cai et al., TPAMI 2011). Multiplicative updates keep the factors
 non-negative and never increase the objective.
 """
 
@@ -14,6 +14,8 @@ import numpy as np
 
 from actionmaps.scene import GlobalIndex, SceneGrid
 from actionmaps.sideinfo import GramMatrix
+
+STABILIZER = 1e-12  # added to every update denominator
 
 
 class SolverError(ValueError):
@@ -67,24 +69,20 @@ class FactorPair:
 class SolverParams:
     rank: int = 6
     lam: float = 1e-3
-    mu: float = 0.0
     max_iters: int = 2000
     rel_tol: float = 1e-6
-    epsilon_stab: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         # written so that NaN fails: every comparison with NaN is False
         if not self.rank >= 1:
             raise SolverError("rank must be >= 1")
-        if not (self.lam >= 0 and self.mu >= 0):
-            raise SolverError("lambda and mu must be >= 0")
+        if not self.lam >= 0:
+            raise SolverError("lambda must be >= 0")
         if not self.rel_tol > 0:
             raise SolverError("rel_tol must be positive")
         if not self.max_iters >= 0:
             raise SolverError("max_iters must be >= 0")
-        if not self.epsilon_stab > 0:
-            raise SolverError("epsilon_stab must be positive")
 
 
 @dataclass
@@ -134,12 +132,12 @@ def build_bundle(
 
 
 def _as_kernel(k: Optional[GramMatrix]) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(matrix, degrees) of a kernel; only a GramMatrix, which checked its
+    """(matrix, degrees) of the kernel; only a GramMatrix, which checked its
     symmetry and range on construction, keeps the updates monotone."""
     if k is None:
         return None, None
     if not isinstance(k, GramMatrix):
-        raise SolverError(f"kernels must be GramMatrix or None, got {type(k).__name__}")
+        raise SolverError(f"the kernel must be a GramMatrix or None, got {type(k).__name__}")
     return k.matrix, k.degrees
 
 
@@ -156,12 +154,10 @@ def laplacian_smoothness(
     return float(np.sum(mat * mat * degrees[:, None]) - np.sum(mat * k_mat))
 
 
-def objective(
-    U, V, bundle: ActionMatrixBundle, K_U, K_V, lam: float, mu: float, ku_u=None
-) -> float:
-    """Weighted squared error plus the Laplacian smoothness penalties.
+def objective(U, V, bundle: ActionMatrixBundle, K, lam: float, ku_u=None) -> float:
+    """Weighted squared error plus lam times the Laplacian smoothness of U.
 
-    ku_u, when given, must be K_U @ U (see laplacian_smoothness).
+    ku_u, when given, must be K @ U (see laplacian_smoothness).
     """
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise SolverError("factors must be finite")
@@ -171,26 +167,19 @@ def objective(
         )
     err = bundle.R - U @ V.T
     j = float(np.sum(bundle.W * err * err))
-    ku, deg_u = _as_kernel(K_U)
+    ku, deg = _as_kernel(K)
     if lam > 0 and ku is not None:
-        j += lam * laplacian_smoothness(U, ku, deg_u, ku_u)
-    kv, deg_v = _as_kernel(K_V)
-    if mu > 0 and kv is not None:
-        j += mu * laplacian_smoothness(V, kv, deg_v)
+        j += lam * laplacian_smoothness(U, ku, deg, ku_u)
     return j
 
 
-def multiplicative_step(
-    U, V, bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams, ku_u=None
-):
+def multiplicative_step(U, V, bundle: ActionMatrixBundle, K, params: SolverParams, ku_u=None):
     """One regularized multiplicative update of U then V (V sees the new U).
 
-    ku_u, when given, must be K_U @ U; otherwise the step computes it.
+    ku_u, when given, must be K @ U; otherwise the step computes it.
     """
-    eps = params.epsilon_stab
     wr = bundle.W * bundle.R
-    ku, deg_u = _as_kernel(K_U)
-    kv, deg_v = _as_kernel(K_V)
+    ku, deg = _as_kernel(K)
 
     num_u = wr @ V
     den_u = (bundle.W * (U @ V.T)) @ V
@@ -198,55 +187,46 @@ def multiplicative_step(
         if ku_u is None:
             ku_u = ku @ U
         num_u = num_u + params.lam * ku_u
-        den_u = den_u + params.lam * deg_u[:, None] * U
-    u_new = U * (num_u / (den_u + eps))
+        den_u = den_u + params.lam * deg[:, None] * U
+    u_new = U * (num_u / (den_u + STABILIZER))
 
     num_v = wr.T @ u_new
     den_v = (bundle.W * (u_new @ V.T)).T @ u_new
-    if params.mu > 0 and kv is not None:
-        num_v = num_v + params.mu * (kv @ V)
-        den_v = den_v + params.mu * deg_v[:, None] * V
-    v_new = V * (num_v / (den_v + eps))
+    v_new = V * (num_v / (den_v + STABILIZER))
 
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise RuntimeError("multiplicative update produced non-finite values")
     return u_new, v_new
 
 
-def fit(bundle: ActionMatrixBundle, K_U, K_V, params: SolverParams) -> FitResult:
+def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams) -> FitResult:
     """Iterate multiplicative updates from a seeded strictly positive init.
 
     Stops when the relative objective decrease falls below rel_tol or after
     max_iters steps; returns the factors, the per-iteration objective trace
     (the initial objective is trace[0]) and which rule stopped the fit.
-    K_U @ U is computed once per iterate and shared by the objective at that
+    K @ U is computed once per iterate and shared by the objective at that
     iterate and the step from it: len(trace) products in all when lam > 0.
     """
     m, n_act = bundle.shape
-    ku, deg_u = _as_kernel(K_U)
+    ku, deg = _as_kernel(K)
     if ku is not None and ku.shape != (m, m):
-        raise SolverError(f"K_U must be {m}x{m}, got {ku.shape}")
+        raise SolverError(f"K must be {m}x{m}, got {ku.shape}")
     if params.lam > 0 and ku is None:
         raise SolverError("lam > 0 requires a location kernel")
-    kv, deg_v = _as_kernel(K_V)
-    if kv is not None and kv.shape != (n_act, n_act):
-        raise SolverError(f"K_V must be {n_act}x{n_act}, got {kv.shape}")
-    if params.mu > 0 and kv is None:
-        raise SolverError("mu > 0 requires an activity kernel")
     # a non-finite kernel entry makes its row degree non-finite: an O(m) check
-    for name, deg in (("K_U", deg_u), ("K_V", deg_v)):
-        if deg is not None and not np.isfinite(deg).all():
-            raise SolverError(f"{name} must be finite")
+    if deg is not None and not np.isfinite(deg).all():
+        raise SolverError("K must be finite")
     rng = np.random.default_rng(params.seed)
     u = rng.uniform(0.1, 1.1, size=(m, params.rank))
     v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
     ku_u = ku @ u if params.lam > 0 else None
-    trace = [objective(u, v, bundle, K_U, K_V, params.lam, params.mu, ku_u)]
+    trace = [objective(u, v, bundle, K, params.lam, ku_u)]
     stop_reason = "max_iters"
     for _ in range(params.max_iters):
-        u, v = multiplicative_step(u, v, bundle, K_U, K_V, params, ku_u)
+        u, v = multiplicative_step(u, v, bundle, K, params, ku_u)
         ku_u = ku @ u if params.lam > 0 else None
-        j = objective(u, v, bundle, K_U, K_V, params.lam, params.mu, ku_u)
+        j = objective(u, v, bundle, K, params.lam, ku_u)
         trace.append(j)
         prev = trace[-2]
         if prev - j < params.rel_tol * max(abs(prev), 1e-30):

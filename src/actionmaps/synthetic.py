@@ -106,16 +106,19 @@ class WorldSpec:
         ):
             if not v >= 0:  # written so that NaN fails
                 raise GenerationError(f"{name} must be >= 0")
-        for name, v in (
-            ("detection_miss_rate", self.detection_miss_rate),
-            ("false_positive_rate", self.false_positive_rate),
-            ("feature_smoothing", self.feature_smoothing),
-        ):
-            if not 0.0 <= v <= 1.0:
-                raise GenerationError(f"{name} must be in [0, 1]")
-        if self.n_demonstrations < 0:
-            raise GenerationError("n_demonstrations must be >= 0")
-
+        for name in ("detection_miss_rate", "false_positive_rate", "feature_smoothing",
+                     "target_explored_ratio", "target_action_ratio"):
+            v = getattr(self, name)
+            if not ((v is None and name.startswith("target_")) or 0.0 <= v <= 1.0):
+                raise GenerationError(f"{name} must be in [0, 1], got {v!r}")
+        for name, low in (("corridor_height", 1), ("max_layout_retries", 1), ("poses_per_room", 0),
+                          ("corridor_poses", 0), ("object_margin", 0), ("n_demonstrations", 0)):
+            if getattr(self, name) < low:
+                raise GenerationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        w = np.asarray(self.room_type_weights, dtype=float)
+        if not (w.shape == (len(ROOM_TYPES),) and (w >= 0).all() and 0 < w.sum() < np.inf):
+            raise GenerationError(f"room_type_weights must be {len(ROOM_TYPES)} finite weights "
+                                  f">= 0 with a positive sum, got {self.room_type_weights!r}")
 
 @dataclass
 class GeneratedDataset:

@@ -40,9 +40,9 @@ def test_01_solver_monotonicity():
     for _ in range(50):
         bundle = random_bundle(rng, m=200, a=6, density=0.4)
         k_u = random_gram(rng, 200)
-        params = SolverParams(rank=6, lam=1e-2, mu=0.0, max_iters=500, rel_tol=1e-300,
+        params = SolverParams(rank=6, lam=1e-2, max_iters=500, rel_tol=1e-300,
                               seed=int(rng.integers(1 << 30)))
-        trace = fit(bundle, k_u, None, params).trace
+        trace = fit(bundle, k_u, params=params).trace
         rel = np.diff(trace) / np.maximum(trace[:-1], 1e-30)
         worst = max(worst, float(rel.max(initial=-1.0)))
     elapsed = time.time() - t0
@@ -56,8 +56,8 @@ def test_02_exact_recovery():
     v_true = rng.uniform(0.5, 1.5, (6, 2))
     r = u_true @ v_true.T
     bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
-    result = fit(bundle, None, None,
-                 SolverParams(rank=2, lam=0.0, mu=0.0, max_iters=5000, rel_tol=1e-12, seed=7))
+    result = fit(bundle, None,
+                 params=SolverParams(rank=2, lam=0.0, max_iters=5000, rel_tol=1e-12, seed=7))
     rel = float(np.linalg.norm(predict(result.factors) - r) / np.linalg.norm(r))
     _report(2, "exact-recovery", rel < 1e-3, f"(relative error {rel:.2e})")
 

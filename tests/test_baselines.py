@@ -74,10 +74,10 @@ def test_catmap_validation():
 def test_augmented_wnmf_degenerates_without_features():
     rng = np.random.default_rng(1)
     bundle = random_bundle(rng, m=12, a=4)
-    params = SolverParams(rank=3, lam=0.0, mu=0.0, max_iters=80, seed=5)
+    params = SolverParams(rank=3, lam=0.0, max_iters=80, seed=5)
     explored = bundle.W.any(axis=1)
     got = augmented_wnmf(bundle, None, None, params, explored)
-    plain = normalize_action_map(predict(fit(bundle, None, None, params).factors))
+    plain = normalize_action_map(predict(fit(bundle, None, params=params).factors))
     assert np.array_equal(got, plain)
 
 
@@ -126,6 +126,6 @@ def test_augmented_wnmf_trace_non_increasing():
     w_aug = np.hstack([bundle.W, np.repeat(explored[:, None], 3, axis=1).astype(float)])
     r_aug[w_aug == 0] = 0.0
     aug = ActionMatrixBundle(R=r_aug, W=w_aug)
-    result = fit(aug, None, None, SolverParams(rank=3, lam=0, mu=0, max_iters=120, seed=8))
+    result = fit(aug, None, params=SolverParams(rank=3, lam=0, max_iters=120, seed=8))
     trace = result.trace
     assert np.all(np.diff(trace) <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))

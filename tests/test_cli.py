@@ -200,13 +200,74 @@ def test_config_rejects_unknown_key(dataset_dir, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_fit_mu_without_activity_kernel_fails(dataset_dir, tmp_path, capsys):
-    factors = tmp_path / "f.txt"
-    code = run(["fit", "--data", dataset_dir, "--mu", 0.5, "--seed", 1,
-                "--out-factors", factors])
-    assert code == 1
-    assert "error: mu > 0 requires an activity kernel" in capsys.readouterr().err
-    assert not factors.exists()
+def _fail_on_load(monkeypatch):
+    from actionmaps import cli
+
+    def no_load(path):
+        raise AssertionError("the dataset is loaded before the arguments are checked")
+
+    monkeypatch.setattr(cli, "_load_data", no_load)
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command", ["fit", "grid", "transfer"])
+def test_mu_other_than_zero_fails_before_loading(dataset_dir, pair_dir, tmp_path, capsys,
+                                                 monkeypatch, command, how):
+    # the solver has no activity kernel; --mu stays for scripts that pass 0
+    _fail_on_load(monkeypatch)
+    out = tmp_path / "out"
+    args = (["fit", "--data", dataset_dir, *FIT_ARGS, "--seed", 1, "--out-factors", out / "f"]
+            if command == "fit" else _sweep_command(command, dataset_dir, pair_dir, out))
+    if how == "flag":
+        args += ["--mu", 0.5]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"mu": 0.5}))
+        args += ["--config", tmp_path / "cfg.json"]
+    assert run(args) == 1
+    assert "error: --mu must be 0 (the solver has no activity kernel), got 0.5" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_fit_mu_zero_writes_the_same_bytes(dataset_dir, tmp_path):
+    args = ["fit", "--data", dataset_dir, *FIT_ARGS, "--seed", 2]
+    assert run([*args, "--out-factors", tmp_path / "a.txt", "--mu", 0]) == 0
+    assert run([*args, "--out-factors", tmp_path / "b.txt"]) == 0
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("grid", {"alphas": [0.5]}, "config key 'alphas' takes one value, got [0.5]"),
+        ("fit", {"max_iters": "five"}, "config key 'max_iters' has an invalid value 'five'"),
+        ("fit", {"max_iters": 2.5}, "config key 'max_iters' has an invalid value '2.5'"),
+        ("fit", {"alpha": None}, "config key 'alpha' takes one value, got null"),
+        ("fit", {"variant": "SPO"}, "config key 'variant' must be one of ['S', 'SO',"),
+    ],
+)
+def test_config_values_fail_like_flags(dataset_dir, tmp_path, capsys, monkeypatch,
+                                       command, config, message):
+    # a list used to end in AttributeError and a string count in TypeError
+    _fail_on_load(monkeypatch)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    args = {"fit": ["fit", "--data", dataset_dir, "--seed", 1, "--out-factors", tmp_path / "f"],
+            "grid": _sweep_command("grid", dataset_dir, None, tmp_path)}[command]
+    assert run([*args, "--config", tmp_path / "cfg.json"]) == 1
+    assert f"cfg.json: {message}" in capsys.readouterr().err
+
+
+def test_config_string_value_converts_like_the_flag(dataset_dir, tmp_path):
+    # {"max_iters": "5"} runs as --max-iters 5 does
+    (tmp_path / "cfg.json").write_text(json.dumps({"max_iters": "5", "alpha": "0.25"}))
+    args = ["fit", "--data", dataset_dir, *FIT_ARGS, "--seed", 4]
+    cfg = ["--config", tmp_path / "cfg.json"]
+    assert run([*args, "--out-factors", tmp_path / "a.txt", *cfg]) == 0
+    flags = list(args)
+    flags[flags.index("--max-iters") + 1] = 5
+    flags[flags.index("--alpha") + 1] = 0.25
+    assert run([*flags, "--out-factors", tmp_path / "b.txt"]) == 0
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
 def test_missing_data_file_fails(tmp_path, capsys):
@@ -434,12 +495,7 @@ def _sweep_with(command, flag, dataset_dir, pair_dir, out):
 def test_sweeps_reject_empty_lists(dataset_dir, pair_dir, tmp_path, capsys, monkeypatch,
                                    command, flag):
     # an empty list used to run zero fits, write a header-only table and exit 0
-    from actionmaps import cli
-
-    def no_load(path):
-        raise AssertionError("the dataset is loaded before the sweep lists are checked")
-
-    monkeypatch.setattr(cli, "_load_data", no_load)
+    _fail_on_load(monkeypatch)
     out = tmp_path / "out"
     assert run(_sweep_with(command, flag, dataset_dir, pair_dir, out)) == 1
     assert f"error: {flag} needs at least one value" in capsys.readouterr().err

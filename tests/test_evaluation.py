@@ -367,7 +367,8 @@ def test_pipelines_refuse_dense_cap_before_building_basis(mini_dataset, monkeypa
         raise AssertionError("pairwise distances computed above the dense cap")
 
     monkeypatch.setattr(sideinfo, "_chi2_distances", no_distances)
-    kernel = KernelConfig(max_dense=mini_dataset.index().total_rows - 1)
+    monkeypatch.setattr(sideinfo, "MAX_DENSE_LOCATIONS", mini_dataset.index().total_rows - 1)
+    kernel = KernelConfig()
     solver = SolverParams(rank=2, max_iters=5)
     spec = GridSpec(alphas=(0.5,), lambdas=(1e-3,), gammas=(1.0,))
     with pytest.raises(SideInfoError, match="cap"):
@@ -431,9 +432,9 @@ def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch)
             raise SideInfoError("transient gram failure")
         return real_gram(self, cfg)
 
-    def recording_fit(bundle, K_U, K_V, params):
-        fitted.append(K_U)
-        return real_fit(bundle, K_U, K_V, params)
+    def recording_fit(bundle, K, *, params):
+        fitted.append(K)
+        return real_fit(bundle, K, params=params)
 
     monkeypatch.setattr(GramBasis, "gram", flaky_gram)
     monkeypatch.setattr(experiments, "fit", recording_fit)

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from actionmaps import sideinfo
 from actionmaps.sideinfo import (
     VARIANTS,
     _ROW_BLOCK,
@@ -160,8 +161,8 @@ def test_combined_kernel_single_sided_variants_use_full_alpha():
         # identical features: (1 - alpha) * 1 + alpha * 1 = 1
         assert combined_kernel(a, b, cfg) == pytest.approx(1.0, abs=1e-12)
     c = _feat((0.0, 0.0), [0.0, 1.0], [0.5])
-    cfg = KernelConfig(alpha=0.6, variant="SP", gamma=1.0, chi2_epsilon=0.0)
-    expected = 0.4 + 0.6 * math.exp(-2.0)
+    cfg = KernelConfig(alpha=0.6, variant="SP", gamma=1.0)
+    expected = 0.4 + 0.6 * math.exp(-2.0 / (1.0 + cfg.chi2_epsilon))
     assert combined_kernel(a, c, cfg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -228,19 +229,22 @@ def test_gram_sparsification_threshold():
     assert gram.matrix[0, 1] == 0.0  # e^{-dist^2/8} is far below tau
 
 
-def test_gram_size_cap():
+def test_gram_size_cap(monkeypatch):
     rng = np.random.default_rng(6)
     feats = _random_features(rng, 5)
-    with pytest.raises(SideInfoError, match="cap"):
-        _gram(feats, KernelConfig(max_dense=4))
+    monkeypatch.setattr(sideinfo, "MAX_DENSE_LOCATIONS", 4)
+    with pytest.raises(SideInfoError, match="cap of 4"):
+        _gram(feats, KernelConfig())
 
 
-def test_gram_basis_size_cap():
+def test_gram_basis_size_cap(monkeypatch):
     rng = np.random.default_rng(6)
     feats = stack(_random_features(rng, 5))
+    monkeypatch.setattr(sideinfo, "MAX_DENSE_LOCATIONS", 4)
     with pytest.raises(SideInfoError, match="cap"):
-        GramBasis(feats, max_dense=4)
-    assert GramBasis(feats, max_dense=5).m == 5
+        GramBasis(feats)
+    monkeypatch.setattr(sideinfo, "MAX_DENSE_LOCATIONS", 5)
+    assert GramBasis(feats).m == 5
 
 
 def test_gram_matrix_rejects_nan():
@@ -402,6 +406,17 @@ def test_kernel_config_rejects_nan(kwargs):
     # every comparison with NaN is False, so a check must be written to fail on it
     with pytest.raises(SideInfoError):
         KernelConfig(**kwargs)
+
+
+def test_kernel_config_settings_and_fixed_chi2_guard():
+    # the chi-squared guard and the dense cap are constants, not settings
+    names = [f.name for f in fields(KernelConfig)]
+    assert names == ["alpha", "sigma_s", "gamma", "variant", "tau"]
+    assert KernelConfig().chi2_epsilon == 1e-10
+    with pytest.raises(TypeError):
+        KernelConfig(chi2_epsilon=0.0)
+    with pytest.raises(FrozenInstanceError):
+        KernelConfig().chi2_epsilon = 0.0
 
 
 # -- property tests -----------------------------------------------------------

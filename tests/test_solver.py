@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def pairwise_smoothness_oracle(mat, kernel):
     return 0.5 * total
 
 
-def objective_oracle(u, v, bundle, k_u, k_v, lam, mu):
+def objective_oracle(u, v, bundle, k_u, lam):
     """Element-wise loop evaluation of the full objective."""
     total = 0.0
     pred = u @ v.T
@@ -44,8 +45,6 @@ def objective_oracle(u, v, bundle, k_u, k_v, lam, mu):
             total += bundle.W[i, c] * err * err
     if lam > 0 and k_u is not None:
         total += lam * pairwise_smoothness_oracle(u, k_u)
-    if mu > 0 and k_v is not None:
-        total += mu * pairwise_smoothness_oracle(v, k_v)
     return total
 
 
@@ -155,7 +154,7 @@ def test_objective_zero_factors():
     bundle = random_bundle(rng)
     u = np.zeros((bundle.R.shape[0], 3))
     v = np.zeros((bundle.R.shape[1], 3))
-    j = objective(u, v, bundle, None, None, 0.0, 0.0)
+    j = objective(u, v, bundle, None, 0.0)
     assert j == pytest.approx(float(np.sum(bundle.W * bundle.R**2)))
 
 
@@ -165,7 +164,7 @@ def test_objective_exact_factorization_is_zero():
     v = rng.uniform(0.1, 1, (4, 2))
     r = u @ v.T
     bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
-    assert objective(u, v, bundle, None, None, 0.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert objective(u, v, bundle, None, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_matches_loop_oracle():
@@ -173,11 +172,10 @@ def test_objective_matches_loop_oracle():
     for _ in range(5):
         bundle = random_bundle(rng, m=10, a=4)
         k_u = random_gram(rng, 10)
-        k_v = random_gram(rng, 4)
         u = rng.uniform(0.1, 1, (10, 3))
         v = rng.uniform(0.1, 1, (4, 3))
-        got = objective(u, v, bundle, k_u, k_v, 0.3, 0.2)
-        want = objective_oracle(u, v, bundle, k_u.matrix, k_v.matrix, 0.3, 0.2)
+        got = objective(u, v, bundle, k_u, 0.3)
+        want = objective_oracle(u, v, bundle, k_u.matrix, 0.3)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -191,16 +189,6 @@ def test_laplacian_identity_pairwise_vs_trace():
         assert trace_form == pytest.approx(pairwise_smoothness_oracle(u, k), abs=1e-8)
 
 
-def test_objective_identity_kv_contributes_nothing():
-    rng = np.random.default_rng(4)
-    bundle = random_bundle(rng, m=10, a=4)
-    u = rng.uniform(0.1, 1, (10, 3))
-    v = rng.uniform(0.1, 1, (4, 3))
-    base = objective(u, v, bundle, None, None, 0.0, 0.0)
-    with_id = objective(u, v, bundle, None, GramMatrix(matrix=np.eye(4)), 0.0, 0.7)
-    assert with_id == pytest.approx(base, abs=1e-12)
-
-
 # -- multiplicative updates ---------------------------------------------------
 
 
@@ -210,8 +198,8 @@ def test_step_fixed_point_on_noiseless_instance():
     v0 = rng.uniform(0.5, 1.5, (4, 2))
     r = u0 @ v0.T
     bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
-    params = SolverParams(rank=2, lam=0.0, mu=0.0)
-    u1, v1 = multiplicative_step(u0, v0, bundle, None, None, params)
+    params = SolverParams(rank=2, lam=0.0)
+    u1, v1 = multiplicative_step(u0, v0, bundle, None, params)
     assert np.abs(u1 - u0).max() < 1e-8
     assert np.abs(v1 - v0).max() < 1e-8
 
@@ -221,13 +209,13 @@ def test_step_never_increases_objective():
     for _ in range(10):
         bundle = random_bundle(rng, m=15, a=5)
         k_u = random_gram(rng, 15)
-        params = SolverParams(rank=3, lam=0.05, mu=0.0, seed=0)
+        params = SolverParams(rank=3, lam=0.05, seed=0)
         u = rng.uniform(0.1, 1.1, (15, 3))
         v = rng.uniform(0.1, 1.1, (5, 3))
-        j0 = objective(u, v, bundle, k_u, None, params.lam, params.mu)
+        j0 = objective(u, v, bundle, k_u, params.lam)
         for _ in range(5):
-            u, v = multiplicative_step(u, v, bundle, k_u, None, params)
-            j1 = objective(u, v, bundle, k_u, None, params.lam, params.mu)
+            u, v = multiplicative_step(u, v, bundle, k_u, params)
+            j1 = objective(u, v, bundle, k_u, params.lam)
             assert j1 <= j0 + 1e-9 * max(j0, 1.0)
             j0 = j1
 
@@ -235,11 +223,11 @@ def test_step_never_increases_objective():
 def test_step_reduces_to_plain_weighted_nmf():
     rng = np.random.default_rng(7)
     bundle = random_bundle(rng, m=12, a=4)
-    params = SolverParams(rank=3, lam=0.0, mu=0.0)
+    params = SolverParams(rank=3, lam=0.0)
     u = rng.uniform(0.1, 1.1, (12, 3))
     v = rng.uniform(0.1, 1.1, (4, 3))
-    got_u, got_v = multiplicative_step(u, v, bundle, None, None, params)
-    want_u, want_v = unregularized_step_oracle(u, v, bundle, params.epsilon_stab)
+    got_u, got_v = multiplicative_step(u, v, bundle, None, params)
+    want_u, want_v = unregularized_step_oracle(u, v, bundle, solver.STABILIZER)
     assert np.allclose(got_u, want_u, atol=1e-14)
     assert np.allclose(got_v, want_v, atol=1e-14)
 
@@ -248,29 +236,12 @@ def test_step_preserves_nonnegativity():
     rng = np.random.default_rng(8)
     bundle = random_bundle(rng, m=15, a=5)
     k_u = random_gram(rng, 15)
-    k_v = random_gram(rng, 5)
-    params = SolverParams(rank=3, lam=0.1, mu=0.1)
+    params = SolverParams(rank=3, lam=0.1)
     u = rng.uniform(0.1, 1.1, (15, 3))
     v = rng.uniform(0.1, 1.1, (5, 3))
     for _ in range(20):
-        u, v = multiplicative_step(u, v, bundle, k_u, k_v, params)
+        u, v = multiplicative_step(u, v, bundle, k_u, params)
         assert (u >= 0).all() and (v >= 0).all()
-
-
-def test_general_kv_path_monotone():
-    rng = np.random.default_rng(9)
-    bundle = random_bundle(rng, m=12, a=6)
-    k_u = random_gram(rng, 12)
-    k_v = random_gram(rng, 6)
-    params = SolverParams(rank=3, lam=0.02, mu=0.05, seed=1)
-    u = rng.uniform(0.1, 1.1, (12, 3))
-    v = rng.uniform(0.1, 1.1, (6, 3))
-    prev = objective(u, v, bundle, k_u, k_v, params.lam, params.mu)
-    for _ in range(15):
-        u, v = multiplicative_step(u, v, bundle, k_u, k_v, params)
-        cur = objective(u, v, bundle, k_u, k_v, params.lam, params.mu)
-        assert cur <= prev + 1e-9 * max(prev, 1.0)
-        prev = cur
 
 
 # -- fit ----------------------------------------------------------------------
@@ -282,7 +253,8 @@ def test_fit_recovers_rank_one_instance():
     v_true = rng.uniform(0.5, 2.0, (5, 1))
     r = u_true @ v_true.T
     bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
-    result = fit(bundle, None, None, SolverParams(rank=1, lam=0, mu=0, max_iters=3000, rel_tol=1e-12, seed=3))
+    result = fit(bundle, None,
+                 params=SolverParams(rank=1, lam=0, max_iters=3000, rel_tol=1e-12, seed=3))
     rel = np.linalg.norm(predict(result.factors) - r) / np.linalg.norm(r)
     assert rel < 1e-3
 
@@ -292,7 +264,7 @@ def test_fit_trace_non_increasing():
     for seed in range(3):
         bundle = random_bundle(rng, m=20, a=5)
         k_u = random_gram(rng, 20)
-        result = fit(bundle, k_u, None, SolverParams(rank=4, lam=0.01, max_iters=150, seed=seed))
+        result = fit(bundle, k_u, params=SolverParams(rank=4, lam=0.01, max_iters=150, seed=seed))
         trace = result.trace
         assert np.all(np.diff(trace) <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
 
@@ -302,8 +274,8 @@ def test_fit_seed_reproducible():
     bundle = random_bundle(rng, m=15, a=4)
     k_u = random_gram(rng, 15)
     params = SolverParams(rank=3, lam=0.01, max_iters=60, seed=9)
-    a = fit(bundle, k_u, None, params)
-    b = fit(bundle, k_u, None, params)
+    a = fit(bundle, k_u, params=params)
+    b = fit(bundle, k_u, params=params)
     assert np.array_equal(a.trace, b.trace)
     assert np.array_equal(a.factors.U, b.factors.U)
 
@@ -312,7 +284,7 @@ def test_fit_requires_kernel_when_regularized():
     rng = np.random.default_rng(13)
     bundle = random_bundle(rng)
     with pytest.raises(SolverError):
-        fit(bundle, None, None, SolverParams(lam=0.1))
+        fit(bundle, None, params=SolverParams(lam=0.1))
 
 
 def test_weight_scaling_behavior():
@@ -326,8 +298,8 @@ def test_weight_scaling_behavior():
     v = rng.uniform(0.1, 1.1, (4, 3))
     c = 3.7
     scaled = ActionMatrixBundle(R=bundle.R, W=c * bundle.W)
-    j1 = objective(u, v, bundle, k_u, None, 0.02, 0.0)
-    j2 = objective(u, v, scaled, k_u, None, c * 0.02, 0.0)
+    j1 = objective(u, v, bundle, k_u, 0.02)
+    j2 = objective(u, v, scaled, k_u, c * 0.02)
     assert j2 == pytest.approx(c * j1, rel=1e-12)
 
 
@@ -370,43 +342,27 @@ def test_factor_validation():
         SolverParams(lam=-1.0)
 
 
+def test_solver_params_settings():
+    # one kernel: no activity-kernel weight; the update stabilizer is a constant
+    names = [f.name for f in fields(SolverParams)]
+    assert names == ["rank", "lam", "max_iters", "rel_tol", "seed"]
+    assert solver.STABILIZER == 1e-12
+
+
 def test_solver_params_reject_negative_iterations_and_stabilizer():
     with pytest.raises(SolverError, match="max_iters"):
         SolverParams(max_iters=-1)
-    with pytest.raises(SolverError, match="epsilon_stab"):
-        SolverParams(epsilon_stab=0.0)
-    with pytest.raises(SolverError, match="epsilon_stab"):
-        SolverParams(epsilon_stab=-1e-12)
     assert SolverParams(max_iters=0).max_iters == 0
 
 
-@pytest.mark.parametrize(
-    "field", ["lam", "mu", "rel_tol", "epsilon_stab", "rank", "max_iters"]
-)
+@pytest.mark.parametrize("field", ["lam", "rel_tol", "rank", "max_iters"])
 def test_solver_params_reject_nan(field):
     # every comparison with NaN is False, so a check must be written to fail on it
     with pytest.raises(SolverError):
         SolverParams(**{field: float("nan")})
 
 
-def test_fit_requires_activity_kernel_when_mu_positive():
-    rng = np.random.default_rng(14)
-    bundle = random_bundle(rng)
-    with pytest.raises(SolverError, match="mu > 0"):
-        fit(bundle, None, None, SolverParams(lam=0.0, mu=0.5))
-
-
-def test_fit_checks_activity_kernel_shape():
-    rng = np.random.default_rng(15)
-    bundle = random_bundle(rng, m=12, a=4)
-    with pytest.raises(SolverError, match="K_V must be 4x4"):
-        fit(bundle, None, random_gram(rng, 5), SolverParams(lam=0.0, mu=0.5))
-    result = fit(bundle, None, random_gram(rng, 4),
-                 SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=20, seed=1))
-    assert np.all(np.diff(result.trace) <= 1e-9 * np.maximum(np.abs(result.trace[:-1]), 1.0))
-
-
-@pytest.mark.parametrize("which", ["raw K_U", "Gram K_U", "K_V"])
+@pytest.mark.parametrize("which", ["raw K_U", "Gram K_U"])
 def test_fit_rejects_non_finite_kernel(which):
     # before the check, fit ran one step and raised a misleading RuntimeError;
     # a raw array is refused for not being a GramMatrix, which cannot be
@@ -414,46 +370,37 @@ def test_fit_rejects_non_finite_kernel(which):
     # frozen fields are forced open gets through to fit's own check
     rng = np.random.default_rng(16)
     bundle = random_bundle(rng, m=6, a=3)
-    k_u, k_v, params = None, None, SolverParams(rank=2, lam=0.1, max_iters=5)
-    match = "must be finite"
     if which == "raw K_U":
         k_u, match = np.full((6, 6), np.nan), "GramMatrix"
-    elif which == "Gram K_U":
-        k_u = random_gram(rng, 6)
+    else:
+        k_u, match = random_gram(rng, 6), "must be finite"
         k_u.matrix.setflags(write=True)
         k_u.matrix[0, 1] = k_u.matrix[1, 0] = np.inf
         object.__setattr__(k_u, "degrees", k_u.matrix.sum(axis=1))
-    else:
-        k_v = random_gram(rng, 3)
-        k_v.matrix.setflags(write=True)
-        k_v.matrix[0, 0] = np.nan
-        object.__setattr__(k_v, "degrees", k_v.matrix.sum(axis=1))
-        params = SolverParams(rank=2, lam=0.0, mu=0.5, max_iters=5)
     with pytest.raises(SolverError, match=match):
-        fit(bundle, k_u, k_v, params)
+        fit(bundle, k_u, params=SolverParams(rank=2, lam=0.1, max_iters=5))
 
 
-@pytest.mark.parametrize("kind", ["ndarray", "list", "asymmetric"])
-@pytest.mark.parametrize("slot", ["K_U", "K_V"])
-def test_solver_takes_only_gram_kernels(kind, slot):
+@pytest.mark.parametrize(
+    "kind", ["ndarray", "list", "asymmetric"], ids=lambda kind: f"K_U-{kind}"
+)
+def test_solver_takes_only_gram_kernels(kind):
     # raw kernels used to be accepted unchecked; an asymmetric one let the
     # objective rise between iterates
     rng = np.random.default_rng(18)
     bundle = random_bundle(rng, m=6, a=3)
-    n = 6 if slot == "K_U" else 3
-    k = random_kernel(rng, n)
+    k = random_kernel(rng, 6)
     if kind == "asymmetric":
         k[0, 1] = 0.0
         with pytest.raises(SideInfoError, match="symmetric"):
             GramMatrix(matrix=k)
     raw = k.tolist() if kind == "list" else k
-    k_u, k_v = (raw, None) if slot == "K_U" else (None, raw)
-    params = SolverParams(rank=2, lam=0.1 * (slot == "K_U"), mu=0.1 * (slot == "K_V"))
+    params = SolverParams(rank=2, lam=0.1)
     u, v = rng.uniform(0.1, 1.1, (6, 2)), rng.uniform(0.1, 1.1, (3, 2))
     calls = [
-        lambda: fit(bundle, k_u, k_v, params),
-        lambda: objective(u, v, bundle, k_u, k_v, params.lam, params.mu),
-        lambda: multiplicative_step(u, v, bundle, k_u, k_v, params),
+        lambda: fit(bundle, raw, params=params),
+        lambda: objective(u, v, bundle, raw, params.lam),
+        lambda: multiplicative_step(u, v, bundle, raw, params),
     ]
     for call in calls:
         with pytest.raises(SolverError, match="GramMatrix"):
@@ -463,16 +410,16 @@ def test_solver_takes_only_gram_kernels(kind, slot):
 # -- one K·U product per iterate ----------------------------------------------
 
 
-def fit_loop_oracle(bundle, k_u, k_v, params):
-    """fit's loop with every function computing K_U @ U itself."""
+def fit_loop_oracle(bundle, k_u, params):
+    """fit's loop with every function computing K @ U itself."""
     m, n_act = bundle.shape
     rng = np.random.default_rng(params.seed)
     u = rng.uniform(0.1, 1.1, size=(m, params.rank))
     v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
-    trace = [objective(u, v, bundle, k_u, k_v, params.lam, params.mu)]
+    trace = [objective(u, v, bundle, k_u, params.lam)]
     for _ in range(params.max_iters):
-        u, v = multiplicative_step(u, v, bundle, k_u, k_v, params)
-        trace.append(objective(u, v, bundle, k_u, k_v, params.lam, params.mu))
+        u, v = multiplicative_step(u, v, bundle, k_u, params)
+        trace.append(objective(u, v, bundle, k_u, params.lam))
         if trace[-2] - trace[-1] < params.rel_tol * max(abs(trace[-2]), 1e-30):
             break
     return u, v, np.array(trace)
@@ -484,17 +431,15 @@ def fit_loop_oracle(bundle, k_u, k_v, params):
     n_act=st.integers(1, 5),
     rank=st.integers(1, 4),
     lam=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
-    mu=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
     seed=st.integers(0, 2**16),
 )
-def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, mu, seed):
+def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, seed):
     rng = np.random.default_rng(seed)
     bundle = random_bundle(rng, m=m, a=n_act)
     k_u = random_gram(rng, m)
-    k_v = random_gram(rng, n_act) if mu > 0 else None
-    params = SolverParams(rank=rank, lam=lam, mu=mu, max_iters=30, rel_tol=1e-9, seed=seed)
-    result = fit(bundle, k_u, k_v, params)
-    u, v, trace = fit_loop_oracle(bundle, k_u, k_v, params)
+    params = SolverParams(rank=rank, lam=lam, max_iters=30, rel_tol=1e-9, seed=seed)
+    result = fit(bundle, k_u, params=params)
+    u, v, trace = fit_loop_oracle(bundle, k_u, params)
     assert np.array_equal(result.factors.U, u)
     assert np.array_equal(result.factors.V, v)
     assert np.array_equal(result.trace, trace)
@@ -503,7 +448,7 @@ def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, mu, seed):
 
 def _count_solver_hooks(monkeypatch):
     """Wrap objective, multiplicative_step and _as_kernel in the solver module,
-    the way the traced benchmark does; K_U @ U products are counted on the
+    the way the traced benchmark does; K @ U products are counted on the
     kernel view _as_kernel hands out."""
     counts = Counter()
 
@@ -539,8 +484,8 @@ def test_fit_reaches_benchmark_hooks_with_one_product_per_iterate(monkeypatch, l
     bundle = random_bundle(rng, m=15, a=4)
     k_u = random_gram(rng, 15)
     counts = _count_solver_hooks(monkeypatch)
-    result = fit(bundle, k_u, None,
-                 SolverParams(rank=3, lam=lam, max_iters=25, rel_tol=1e-12, seed=2))
+    result = fit(bundle, k_u,
+                 params=SolverParams(rank=3, lam=lam, max_iters=25, rel_tol=1e-12, seed=2))
     iterations = len(result.trace) - 1
     assert iterations > 0
     assert counts["multiplicative_step"] == iterations
@@ -552,9 +497,9 @@ def test_fit_stop_reason():
     rng = np.random.default_rng(17)
     bundle = random_bundle(rng, m=12, a=4)
     k_u = random_gram(rng, 12)
-    capped = fit(bundle, k_u, None, SolverParams(rank=2, lam=0.01, max_iters=3, rel_tol=1e-12))
+    capped = fit(bundle, k_u, params=SolverParams(rank=2, lam=0.01, max_iters=3, rel_tol=1e-12))
     assert capped.stop_reason == "max_iters" and len(capped.trace) == 4
-    converged = fit(bundle, k_u, None,
-                    SolverParams(rank=2, lam=0.01, max_iters=500, rel_tol=1e-2))
+    converged = fit(bundle, k_u,
+                    params=SolverParams(rank=2, lam=0.01, max_iters=500, rel_tol=1e-2))
     assert converged.stop_reason == "tolerance" and len(converged.trace) < 501
-    assert fit(bundle, k_u, None, SolverParams(rank=2, max_iters=0)).stop_reason == "max_iters"
+    assert fit(bundle, k_u, params=SolverParams(rank=2, max_iters=0)).stop_reason == "max_iters"

@@ -228,6 +228,31 @@ def test_spec_rejects_bad_integer_fields(kwargs, message):
         WorldSpec(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"poses_per_room": -2}, "poses_per_room must be >= 0, got -2"),
+        ({"corridor_poses": -1}, "corridor_poses must be >= 0, got -1"),
+        ({"object_margin": -1}, "object_margin must be >= 0, got -1"),
+        ({"corridor_height": 0}, "corridor_height must be >= 1, got 0"),
+        ({"max_layout_retries": 0}, "max_layout_retries must be >= 1, got 0"),
+        ({"room_type_weights": (0, 0, 0)}, "room_type_weights must be 3 finite weights"),
+        ({"room_type_weights": (1.0, float("nan"), 0.0)}, "room_type_weights must be"),
+        ({"room_type_weights": (1.0, float("inf"), 0.0)}, "room_type_weights must be"),
+        ({"room_type_weights": (1.0, -0.5, 1.0)}, "room_type_weights must be"),
+        ({"room_type_weights": (1.0, 1.0)}, "room_type_weights must be"),
+        ({"target_explored_ratio": 1.5}, r"target_explored_ratio must be in \[0, 1\]"),
+        ({"target_action_ratio": -0.1}, r"target_action_ratio must be in \[0, 1\]"),
+        ({"target_action_ratio": float("nan")}, "target_action_ratio must be in"),
+    ],
+)
+def test_spec_rejects_out_of_range_fields(kwargs, message):
+    # each of these used to generate silently, or to fail later with a
+    # misleading message ("after 0 retries", numpy's "contain NaN")
+    with pytest.raises(GenerationError, match=message):
+        WorldSpec(**kwargs)
+
+
 def test_spec_accepts_numpy_integers_and_equal_bounds():
     spec = WorldSpec(rooms_x=np.int64(2), room_width=(np.int32(5), 5))
     assert spec.rooms_x == 2 and spec.room_width == (5, 5)
