@@ -1,5 +1,6 @@
 """Per-image scoring of action maps via view triangles and threshold-swept F1."""
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -27,8 +28,8 @@ class ViewTriangle:
         if not 0.0 < self.fov_deg < 180.0:
             raise EvaluationError(f"fov must be in (0, 180), got {self.fov_deg}")
         # written so that NaN fails: every comparison with NaN is False
-        if not self.range_cells > 0:
-            raise EvaluationError(f"range must be positive, got {self.range_cells}")
+        if not 0 < self.range_cells < math.inf:
+            raise EvaluationError(f"range must be positive and finite, got {self.range_cells}")
         norm = float(np.hypot(*self.heading))
         if not abs(norm - 1.0) <= 1e-6:
             raise EvaluationError(f"heading must be a unit vector, norm={norm}")

@@ -17,7 +17,7 @@ from actionmaps.evaluation import (
     score_action_map,
 )
 from actionmaps.localization import DiscrepancyCurve, discrepancy_curve
-from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig
+from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig, SideInfoError
 from actionmaps.solver import (
     ActionMatrixBundle,
     FitResult,
@@ -29,8 +29,10 @@ from actionmaps.solver import (
 )
 
 
-def _gram_basis(dataset) -> GramBasis:
-    return GramBasis(dataset.location_features())
+def _gram_basis(dataset, floor: Optional[KernelConfig]) -> GramBasis:
+    """The basis of a dataset for the kernels at or above a floor (see
+    GramBasis); with no floor, for every kernel."""
+    return GramBasis(dataset.location_features(), floor=floor)
 
 
 def fit_action_map(
@@ -42,7 +44,7 @@ def fit_action_map(
     """Fit the regularized model on a dataset; returns the normalized map."""
     bundle = build_bundle(dataset.scenes, dataset.index())
     if gram is None:
-        gram = _gram_basis(dataset).gram(kernel)
+        gram = _gram_basis(dataset, kernel).gram(kernel)
     result = fit(bundle, gram, params=solver)
     return normalize_action_map(predict(result.factors)), result
 
@@ -130,9 +132,11 @@ def _run_grid(
     """The grid loop of run_parameter_grid, on a given bundle and views.
 
     Consecutive runs with the same kernel config share one Gram matrix, and
-    at most one Gram is alive at a time.
+    at most one Gram is alive at a time. The basis floor is the kernel at the
+    smallest gamma that KernelConfig accepts, so a rejected gamma fails only
+    its own rows.
     """
-    basis = _gram_basis(dataset)
+    basis = _gram_basis(dataset, _grid_floor(kernel, grid_spec.gammas))
     rows: list[GridRow] = []
     run_idx = 0
     gram_cfg, gram = None, None
@@ -154,6 +158,18 @@ def _run_grid(
             except (ValueError, RuntimeError) as exc:  # recorded, not fatal
                 rows.append(GridRow(variant, alpha, lam, gamma, seed, None, str(exc)))
     return EvalReport(rows=rows, activities=dataset.index().vocabulary.names)
+
+
+def _grid_floor(kernel: KernelConfig, gammas) -> Optional[KernelConfig]:
+    """The basis floor of a grid: the kernel at the smallest of gammas that
+    KernelConfig accepts; None when it accepts none of them."""
+    accepted = []
+    for gamma in gammas:
+        try:
+            accepted.append(replace(kernel, gamma=gamma))
+        except SideInfoError:
+            continue
+    return min(accepted, key=lambda cfg: cfg.gamma, default=None)
 
 
 @dataclass
@@ -217,7 +233,7 @@ def run_elapse(
     Subsets keep every scene's poses and labels, so one set of pose views
     scores every fraction."""
     views = pose_views(dataset.index(), eval_params)
-    gram = _gram_basis(dataset).gram(kernel)
+    gram = _gram_basis(dataset, kernel).gram(kernel)
     out = []
     for fraction in fractions:
         ds = dataset.with_demo_fraction(fraction, subset_seed)

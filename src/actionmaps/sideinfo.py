@@ -10,7 +10,7 @@ coordinate frames are unrelated).
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -80,12 +80,17 @@ class KernelConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise SideInfoError(f"alpha must be in [0, 1], got {self.alpha}")
         # written so that NaN fails: every comparison with NaN is False
-        if not (self.sigma_s > 0 and self.gamma > 0):
-            raise SideInfoError("kernel bandwidths must be positive")
+        if not (0 < self.sigma_s < math.inf and 0 < self.gamma < math.inf):
+            raise SideInfoError(
+                f"kernel bandwidths must be positive and finite, got sigma_s {self.sigma_s}, "
+                f"gamma {self.gamma}"
+            )
         if self.variant not in VARIANTS:
             raise SideInfoError(f"variant must be one of {VARIANTS}, got {self.variant}")
-        if not self.tau >= 0:
-            raise SideInfoError("sparsification threshold must be >= 0")
+        if not 0 <= self.tau < math.inf:
+            raise SideInfoError(
+                f"sparsification threshold must be finite and >= 0, got {self.tau}"
+            )
 
 
 @dataclass(frozen=True)
@@ -101,12 +106,12 @@ class GramMatrix:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise SideInfoError(f"Gram matrix must be square, got {m.shape}")
+        low, high, asymmetry, degrees = _stripe_checks(m)
         # written so that NaN entries fail: every comparison with NaN is False
-        if m.size and not (float(m.min()) >= -1e-12 and float(m.max()) <= 1.0 + 1e-9):
+        if m.size and not (low >= -1e-12 and high <= 1.0 + 1e-9):
             raise SideInfoError("Gram entries must lie in [0, 1]")
-        if m.size and _max_asymmetry(m) > 1e-9:
+        if asymmetry > 1e-9:
             raise SideInfoError("Gram matrix must be symmetric")
-        degrees = m.sum(axis=1)
         m.setflags(write=False)
         degrees.setflags(write=False)
         object.__setattr__(self, "degrees", degrees)
@@ -148,81 +153,231 @@ class GramBasis:
     across parameter sweeps (the chi-squared guard epsilon is pinned here).
 
     Every kernel term is symmetric, so only the upper triangle is held, in
-    the 64-row blocks that gram() writes. Each term packs its blocks into one
-    flat array; block i starts at offsets[i]. For the block of rows lo:hi:
-    chi2_p covers columns lo:m; spatial_sq covers columns lo:end, where end
-    is one past the last row of every scene with rows in the block (the
-    spatial term is zero across scenes), and holds +inf for pairs in
-    different scenes inside that range; chi2_o covers the block's object rows
-    (object_rows[object_starts[i]:object_starts[i + 1]], the rows with object
-    evidence) against the object rows >= lo. Refuses more than
-    MAX_DENSE_LOCATIONS locations before allocating anything.
+    the 64-row blocks that gram() writes: block i covers rows lo:hi and
+    columns lo:m. A floor (a KernelConfig with the smallest gamma, the
+    largest sigma_s and the smallest tau the basis must serve) keeps only
+    the candidate pairs, where some term reaches tau at the floor (see
+    _candidate_limits); every other entry is 0 for each config gram()
+    accepts. With no floor, or a floor tau of 0, every pair is a candidate.
+
+    Each term packs its blocks into one flat array; block i starts at
+    offsets[i]. A block whose every pair is a candidate is held dense:
+    chi2_p over columns lo:m; spatial_sq over columns lo:end, where end is
+    one past the last row of every scene with rows in the block (the spatial
+    term is zero across scenes), with +inf for pairs in different scenes;
+    chi2_o over the block's object rows (object_rows[object_starts[i]:
+    object_starts[i + 1]], the rows with object evidence) against the
+    object rows >= lo. Any other block holds one value per candidate pair,
+    object pairs first: its int32 position r * m + c (row lo + r, column
+    lo + c), chi2_p and spatial_sq (+inf across scenes) at each, and chi2_o
+    at the object pairs. Refuses more than MAX_DENSE_LOCATIONS locations
+    before allocating anything.
     """
 
-    def __init__(self, features: LocationFeatures, chi2_epsilon=KernelConfig.chi2_epsilon):
+    def __init__(self, features: LocationFeatures, chi2_epsilon=KernelConfig.chi2_epsilon,
+                 *, floor: Optional[KernelConfig] = None):
         self.m = m = features.x.shape[0]
         if m > MAX_DENSE_LOCATIONS:
             raise SideInfoError(
                 f"{m} locations exceed the dense Gram cap of {MAX_DENSE_LOCATIONS}; "
                 "use fewer or smaller scenes"
             )
+        self.floor = floor
+        limits = _candidate_limits(floor)
         bounds = np.append(np.arange(0, m, _ROW_BLOCK), m)
+        n_blocks = len(bounds) - 1
         _, scene = np.unique(features.scene_codes, return_inverse=True)
         scene_end = np.zeros(scene.max() + 1, dtype=np.intp)
         np.maximum.at(scene_end, scene, np.arange(1, m + 1))
         ends = np.maximum.reduceat(scene_end[scene], bounds[:-1])
-        self.spatial_sq, self.spatial_offsets = _spatial_sq(features.x, scene, bounds, ends)
-        self.chi2_p, self.chi2_p_offsets = _chi2_distances(features.p, chi2_epsilon, bounds)
-        self.object_rows = np.flatnonzero((features.o > 0).any(axis=1))
-        self.object_starts = np.searchsorted(self.object_rows, bounds)
-        self.chi2_o, self.chi2_o_offsets = _chi2_distances(
-            features.o[self.object_rows], chi2_epsilon, self.object_starts
-        )
+        self.object_rows = rows = np.flatnonzero((features.o > 0).any(axis=1))
+        self.object_starts = starts = np.searchsorted(rows, bounds)
+        p_dims = np.ascontiguousarray(features.p.T)
+        o_dims = np.ascontiguousarray(features.o[rows].T)
+        work = np.empty((2, min(_ROW_BLOCK, m), m))
+        if limits is None:
+            # every pair is a candidate: each block is computed in place
+            self.positions = np.empty(0, dtype=np.int32)
+            self.position_offsets = np.zeros(n_blocks + 1, dtype=np.intp)
+            self.chi2_p, self.chi2_p_offsets = _packed(bounds, np.full(n_blocks, m))
+            self.spatial_sq, self.spatial_offsets = _packed(bounds, ends)
+            self.chi2_o, self.chi2_o_offsets = _packed(starts, np.full(n_blocks, rows.size))
+        else:
+            scratch = np.empty((3, work[0].size))  # contiguous blocks, indexed flat
+            kept = [_Appender(np.int32), *(_Appender(float) for _ in range(3))]
+        for i, (lo, hi, end) in enumerate(zip(bounds[:-1], bounds[1:], ends)):
+            a, b = starts[i], starts[i + 1]
+            if limits is None:
+                cp = _block(self.chi2_p, self.chi2_p_offsets, i, (hi - lo, m - lo))
+                sq = _block(self.spatial_sq, self.spatial_offsets, i, (hi - lo, end - lo))
+                co = _block(self.chi2_o, self.chi2_o_offsets, i, (b - a, rows.size - a))
+            else:
+                cp = scratch[0, : (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
+                sq = scratch[1, : cp.size].reshape(cp.shape)
+                sq[:, end - lo :] = np.inf
+                co = scratch[2, : (b - a) * (rows.size - a)].reshape(b - a, rows.size - a)
+            _chi2_block(p_dims, lo, hi, chi2_epsilon, cp, work)
+            _spatial_block(features.x, scene, lo, hi, end, sq[:, : end - lo], work[0])
+            if b > a:
+                _chi2_block(o_dims, a, b, chi2_epsilon, co, work)
+            if limits is not None:
+                _compact(kept, m, cp, sq, end - lo, co, rows[a:b] - lo, rows[a:] - lo, limits)
+        if limits is not None:
+            self.positions, self.position_offsets = kept[0].packed()
+            self.chi2_p, self.chi2_p_offsets = kept[1].packed()
+            self.spatial_sq, self.spatial_offsets = kept[2].packed()
+            self.chi2_o, self.chi2_o_offsets = kept[3].packed()
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:
         """Entries are (w kp + (1 - alpha) ks) + w ko, with w = alpha for SO/SP
         and alpha/2 for SOP; kp is zero for S and SO, ks is not scaled for S,
         and ko is zero unless both locations have objects. Each 64-row block
-        is written over columns lo:m, thresholded, then mirrored below the
-        diagonal, into one m x m output."""
-        m, variant, alpha = self.m, cfg.variant, cfg.alpha
-        w = 0.5 * alpha if variant == "SOP" else alpha
-        rows, starts = self.object_rows, self.object_starts
+        is computed on its candidate pairs and thresholded, written over
+        columns lo:m with 0 at every other pair, then mirrored below the
+        diagonal, into one m x m output. Refuses a config outside the floor
+        (gamma below it, sigma_s above it or tau below it), where a dropped
+        pair could be non-zero."""
+        floor = self.floor
+        if floor is not None and not (
+            cfg.gamma >= floor.gamma and cfg.sigma_s <= floor.sigma_s and cfg.tau >= floor.tau
+        ):
+            raise SideInfoError(
+                f"kernel config (gamma {cfg.gamma}, sigma_s {cfg.sigma_s}, tau {cfg.tau}) is "
+                f"outside the Gram basis floor (gamma >= {floor.gamma}, "
+                f"sigma_s <= {floor.sigma_s}, tau >= {floor.tau})"
+            )
+        m, rows, starts = self.m, self.object_rows, self.object_starts
         k = np.empty((m, m))
-        scratch = np.empty((min(_ROW_BLOCK, m), m))
+        flat_block = np.empty(min(_ROW_BLOCK, m) * m)
+        scratch = np.empty_like(flat_block)
         for i, (lo, hi) in enumerate(_blocks(m)):
-            kb = k[lo:hi, lo:]
-            if variant in ("SP", "SOP"):
-                chi2 = _block(self.chi2_p, self.chi2_p_offsets, i, hi - lo)
-                np.multiply(chi2, -cfg.gamma, out=kb)
-                np.exp(kb, out=kb)
-                kb *= w
-            else:
-                kb.fill(0.0)
-            sq = _block(self.spatial_sq, self.spatial_offsets, i, hi - lo)
-            ks = scratch[: hi - lo, : sq.shape[1]]
-            np.negative(sq, out=ks)
-            ks /= 2.0 * cfg.sigma_s * cfg.sigma_s
-            np.exp(ks, out=ks)
-            if variant != "S":
-                ks *= 1.0 - alpha
-            kb[:, : sq.shape[1]] += ks
             a, b = starts[i], starts[i + 1]
-            if variant in ("SO", "SOP") and b > a:
-                ko = scratch[: b - a, : rows.size - a]
-                chi2 = _block(self.chi2_o, self.chi2_o_offsets, i, b - a)
-                np.multiply(chi2, -cfg.gamma, out=ko)
-                np.exp(ko, out=ko)
-                ko *= w
-                kb[np.ix_(rows[a:b] - lo, rows[a:] - lo)] += ko
-            if cfg.tau > 0:
-                kb[kb < cfg.tau] = 0.0
+            kb = k[lo:hi, lo:]
+            chi2_p = _block(self.chi2_p, self.chi2_p_offsets, i)
+            spatial_sq = _block(self.spatial_sq, self.spatial_offsets, i)
+            chi2_o = _block(self.chi2_o, self.chi2_o_offsets, i)
+            if chi2_p.size == kb.size:  # a dense block
+                chi2_o = chi2_o.reshape(b - a, rows.size - a)
+                objects = np.ix_(rows[a:b] - lo, rows[a:] - lo)
+                _entries(cfg, chi2_p.reshape(kb.shape), spatial_sq.reshape(hi - lo, -1),
+                         chi2_o, objects, kb, scratch)
+            else:
+                out = flat_block[: chi2_p.size]
+                _entries(cfg, chi2_p, spatial_sq, chi2_o, slice(0, chi2_o.size), out, scratch)
+                kb.fill(0.0)
+                positions = _block(self.positions, self.position_offsets, i)
+                k.reshape(-1)[lo * (m + 1) :][positions] = out
             k[hi:, lo:hi] = kb[:, hi - lo :].T
         return GramMatrix(matrix=k)
 
 
+def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratch) -> None:
+    """Thresholded Gram entries of one block into out, from chi2_p (out's
+    shape), spatial_sq at out's leading columns and chi2_o at out[objects];
+    scratch is a flat buffer of at least out.size values. A dense block and
+    a flat one take the same operations in the same order, so an entry has
+    the same bits in both."""
+    variant, alpha = cfg.variant, cfg.alpha
+    w = 0.5 * alpha if variant == "SOP" else alpha
+    if variant in ("SP", "SOP"):
+        np.multiply(chi2_p, -cfg.gamma, out=out)
+        np.exp(out, out=out)
+        out *= w
+    else:
+        out.fill(0.0)
+    ks = scratch[: spatial_sq.size].reshape(spatial_sq.shape)
+    np.negative(spatial_sq, out=ks)
+    ks /= 2.0 * cfg.sigma_s * cfg.sigma_s
+    np.exp(ks, out=ks)
+    if variant != "S":
+        ks *= 1.0 - alpha
+    out[..., : ks.shape[-1]] += ks
+    if variant in ("SO", "SOP") and chi2_o.size:
+        ko = scratch[: chi2_o.size].reshape(chi2_o.shape)
+        np.multiply(chi2_o, -cfg.gamma, out=ko)
+        np.exp(ko, out=ko)
+        ko *= w
+        out[objects] += ko
+    if cfg.tau > 0:
+        out[out < cfg.tau] = 0.0
+
+
 _ROW_BLOCK = 64  # rows per block of an m x m array: scratch is _ROW_BLOCK x m
-_TILE = 128  # side of the square tiles compared by the symmetry check
+_TILE = 128  # rows per stripe walked by the GramMatrix checks
+# Relative slack on the floor's tau in the candidate rule; it covers the
+# rounding of exp, of the weight products and of the sums in gram().
+CANDIDATE_MARGIN = 1e-9
+
+
+def _candidate_limits(floor: Optional[KernelConfig]) -> Optional[tuple[float, float]]:
+    """(chi-squared limit, squared-distance limit) of the candidate pairs at
+    a floor; None when every pair is a candidate (no floor, or tau 0).
+
+    With L = -ln(tau (1 - CANDIDATE_MARGIN)), a pair is a candidate when
+    chi2_p <= L / gamma, or both rows have objects and chi2_o <= L / gamma,
+    or the rows share a scene and d^2 <= 2 sigma_s^2 L. The term weights sum
+    to at most 1, so at any other pair every term, and so the entry, stays
+    below tau for each config whose gamma and tau are at least the floor's
+    and whose sigma_s is at most the floor's.
+    """
+    if floor is None or floor.tau == 0:
+        return None
+    log_tau = -math.log(floor.tau * (1.0 - CANDIDATE_MARGIN))
+    return log_tau / floor.gamma, 2.0 * floor.sigma_s * floor.sigma_s * log_tau
+
+
+def _compact(kept, m, cp, sq, near, co, object_rows, object_cols, limits) -> None:
+    """Append one block to kept = (positions, chi2_p, spatial_sq, chi2_o):
+    at its candidate pairs, object pairs first, or dense with no positions
+    when that takes no more bytes. cp and sq are contiguous and cover the
+    block's columns lo:m, sq holding +inf across scenes and from column
+    lo + near on; co is contiguous and covers the pairs of object_rows and
+    object_cols (all relative to lo)."""
+    chi2_limit, sq_limit = limits
+    n = cp.shape[1]
+    keep = cp <= chi2_limit
+    keep |= sq <= sq_limit
+    objects = np.ix_(object_rows, object_cols)
+    keep[objects] |= co <= chi2_limit
+    paired = keep[objects]
+    # a candidate holds a 4-byte position and two doubles, a third if paired
+    held = 20 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
+    if held >= 8 * (cp.size + cp.shape[0] * near + co.size):
+        for packed, block in zip(kept, (np.empty(0, dtype=np.int32), cp, sq[:, :near], co)):
+            packed.append(block)
+        return
+    keep[objects] = False
+    in_co = np.flatnonzero(paired)
+    r, c = np.divmod(in_co, object_cols.size)
+    flat = np.concatenate((object_rows[r] * n + object_cols[c], np.flatnonzero(keep)))
+    kept[0].append(flat + (m - n) * (flat // n))  # row r, column c at r * m + c
+    kept[1].append(cp.reshape(-1)[flat])
+    kept[2].append(sq.reshape(-1)[flat])
+    kept[3].append(co.reshape(-1)[in_co])
+
+
+class _Appender:
+    """One flat array that blocks are appended to, grown by doubling, and
+    the offset where each block starts. Growing one array, rather than
+    keeping every block apart until the end, leaves no freed blocks among
+    live heap allocations, where the allocator could not return them."""
+
+    def __init__(self, dtype):
+        self.flat = np.empty(0, dtype)
+        self.offsets = [0]
+
+    def append(self, block: np.ndarray) -> None:
+        start, end = self.offsets[-1], self.offsets[-1] + block.size
+        if end > self.flat.size:
+            grown = np.empty(max(end, 2 * self.flat.size), self.flat.dtype)
+            grown[:start] = self.flat[:start]
+            self.flat = grown
+        self.flat[start:end].reshape(block.shape)[...] = block
+        self.offsets.append(end)
+
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The appended blocks in an array of their size, and the offsets."""
+        return self.flat[: self.offsets[-1]].copy(), np.array(self.offsets)
 
 
 def _blocks(n: int):
@@ -238,62 +393,69 @@ def _packed(bounds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.zeros(offsets[-1]), offsets
 
 
-def _block(flat: np.ndarray, offsets: np.ndarray, i: int, rows: int) -> np.ndarray:
-    """Block i of a packed array as a (rows, columns) view."""
-    return flat[offsets[i] : offsets[i + 1]].reshape(rows, -1)
+def _block(flat: np.ndarray, offsets: np.ndarray, i: int, shape=-1) -> np.ndarray:
+    """Block i of a packed array as a view of the given shape (flat by default)."""
+    return flat[offsets[i] : offsets[i + 1]].reshape(shape)
 
 
-def _spatial_sq(x, scene, bounds, ends) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances dx^2 + dy^2 of 2D coordinates in packed blocks of
-    rows bounds[i]:bounds[i + 1] and columns bounds[i]:ends[i]; +inf where
-    the scene indices of the two rows differ."""
-    out, offsets = _packed(bounds, ends)
+def _spatial_block(x, scene, lo, hi, end, out, dy) -> None:
+    """out[r, c] = dx^2 + dy^2 between rows lo + r and lo + c of the 2D
+    coordinates x, for rows lo:hi and columns lo:end; +inf where the scene
+    indices of the two rows differ. dy is scratch of at least out's shape."""
     x0, x1 = x[:, 0], x[:, 1]
-    dy = np.empty((min(_ROW_BLOCK, x.shape[0]), x.shape[0]))
-    for i, (lo, hi, end) in enumerate(zip(bounds[:-1], bounds[1:], ends)):
-        sq, d = _block(out, offsets, i, hi - lo), dy[: hi - lo, : end - lo]
-        np.subtract.outer(x0[lo:hi], x0[lo:end], out=sq)
-        sq *= sq
-        np.subtract.outer(x1[lo:hi], x1[lo:end], out=d)
+    d = dy[: hi - lo, : end - lo]
+    np.subtract.outer(x0[lo:hi], x0[lo:end], out=out)
+    out *= out
+    np.subtract.outer(x1[lo:hi], x1[lo:end], out=d)
+    d *= d
+    out += d
+    out[scene[lo:hi, None] != scene[None, lo:end]] = np.inf
+
+
+def _chi2_block(dims, lo, hi, epsilon, out, work) -> None:
+    """out[r, c] = chi-squared distance between vectors lo + r and lo + c,
+    for rows lo:hi and columns lo:n, where dims holds one feature dim per
+    row (n vectors); summed one dim at a time from 0, through the two
+    scratch buffers of work."""
+    n = dims.shape[1]
+    d, s = work[0, : hi - lo, : n - lo], work[1, : hi - lo, : n - lo]
+    if not dims.shape[0]:
+        out.fill(0.0)
+    for k, col in enumerate(dims):
+        np.subtract.outer(col[lo:hi], col[lo:], out=d)
         d *= d
-        sq += d
-        sq[scene[lo:hi, None] != scene[None, lo:end]] = np.inf
-    return out, offsets
-
-
-def _chi2_distances(vectors: np.ndarray, epsilon: float, bounds: np.ndarray):
-    """Pairwise chi-squared distances in packed blocks of rows
-    bounds[i]:bounds[i + 1] and columns bounds[i]:n, with the block offsets;
-    accumulated one feature dim at a time through two block-sized scratch
-    buffers."""
-    n = vectors.shape[0]
-    out, offsets = _packed(bounds, np.full(len(bounds) - 1, n))
-    cols = np.ascontiguousarray(vectors.T)
-    diff = np.empty((np.diff(bounds).max(initial=0), n))
-    den = np.empty_like(diff)
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if hi == lo:
-            continue
-        block = _block(out, offsets, i, hi - lo)
-        d, s = diff[: hi - lo, : n - lo], den[: hi - lo, : n - lo]
-        for col in cols:
-            np.subtract.outer(col[lo:hi], col[lo:], out=d)
-            d *= d
-            np.add.outer(col[lo:hi], col[lo:], out=s)
-            s += epsilon
+        np.add.outer(col[lo:hi], col[lo:], out=s)
+        s += epsilon
+        if k:
             d /= s
-            block += d
-    return out, offsets
+            out += d
+        else:  # 0 + d is d: each term is >= +0
+            np.divide(d, s, out=out)
 
 
-def _max_asymmetry(a: np.ndarray) -> float:
-    """max |a - a.T| over a square matrix, compared tile pair by tile pair
-    over the upper triangle, so no m x m temporary is allocated."""
+def _stripe_checks(a: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """min, max, max |a - a.T| and the row sums of a square matrix, in one
+    walk over its _TILE-row stripes. The range and the sums are taken a
+    quarter stripe at a time, while those rows are in cache; a NaN entry
+    makes min and max NaN. Each stripe is compared, tile by tile, with the
+    tiles of its column stripe from its diagonal tile on, so every pair is
+    compared once and no m x m temporary is allocated. Each row is summed
+    whole, so the sums equal a.sum(axis=1) bit for bit."""
     n = a.shape[0]
-    worst = 0.0
+    low, high, worst = np.inf, -np.inf, 0.0
+    degrees = np.empty(n)
+    diff = np.empty((min(_TILE, n), min(_TILE, n)))
     for i in range(0, n, _TILE):
+        stripe = a[i : i + _TILE]
+        for k in range(0, stripe.shape[0], _TILE // 4):
+            rows = stripe[k : k + _TILE // 4]
+            low = np.minimum(low, rows.min())
+            high = np.maximum(high, rows.max())
+            rows.sum(axis=1, out=degrees[i + k : i + k + _TILE // 4])
         for j in range(i, n, _TILE):
-            upper = a[i : i + _TILE, j : j + _TILE]
-            lower = a[j : j + _TILE, i : i + _TILE]
-            worst = max(worst, float(np.abs(upper - lower.T).max()))
-    return worst
+            upper = stripe[:, j : j + _TILE]
+            d = diff[: upper.shape[0], : upper.shape[1]]
+            np.subtract(upper, a[j : j + _TILE, i : i + _TILE].T, out=d)
+            np.abs(d, out=d)
+            worst = max(worst, float(d.max()))
+    return float(low), float(high), worst, degrees

@@ -521,3 +521,26 @@ def test_generate_rejects_bad_counts_and_specs(tmp_path, capsys, extra, spec, me
     assert run(args) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("fit", "--gamma", "error: kernel bandwidths must be positive and finite"),
+        ("fit", "--sigma-s", "error: kernel bandwidths must be positive and finite"),
+        ("fit", "--tau", "error: sparsification threshold must be finite and >= 0, got inf"),
+        ("evaluate", "--range-cells", "error: range must be positive and finite, got inf"),
+    ],
+    ids=["fit-gamma", "fit-sigma_s", "fit-tau", "evaluate-range_cells"],
+)
+def test_infinite_settings_fail_their_checks(dataset_dir, am_path, tmp_path, capsys, recwarn,
+                                             command, flag, message):
+    # each fails its own check, before exp() or the view geometry sees it
+    outs = {"fit": ["--seed", 1, "--out-factors", tmp_path / "f.txt"],
+            "evaluate": ["--am", am_path, "--out-txt", tmp_path / "e.txt",
+                         "--out-tsv", tmp_path / "e.tsv"]}[command]
+    args = [*FIT_ARGS, flag, "inf"] if command == "fit" else [flag, "inf"]
+    assert run([command, "--data", dataset_dir, *args, *outs]) == 1
+    assert message in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.iterdir())

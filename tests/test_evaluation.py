@@ -366,7 +366,7 @@ def test_pipelines_refuse_dense_cap_before_building_basis(mini_dataset, monkeypa
     def no_distances(*args):
         raise AssertionError("pairwise distances computed above the dense cap")
 
-    monkeypatch.setattr(sideinfo, "_chi2_distances", no_distances)
+    monkeypatch.setattr(sideinfo, "_chi2_block", no_distances)
     monkeypatch.setattr(sideinfo, "MAX_DENSE_LOCATIONS", mini_dataset.index().total_rows - 1)
     kernel = KernelConfig()
     solver = SolverParams(rank=2, max_iters=5)
@@ -449,6 +449,57 @@ def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch)
     want = real_gram(GramBasis(mini_dataset.location_features(), cfg.chi2_epsilon), cfg)
     assert np.array_equal(fitted[2].matrix, want.matrix)
     assert not np.array_equal(fitted[2].matrix, fitted[0].matrix)
+
+
+def _grid_rows(dataset, spec, monkeypatch, dense=False):
+    """The rows of an all-variant grid and the floor of each basis it built;
+    with dense, every basis holds every pair."""
+    from actionmaps import experiments
+    from actionmaps.solver import SolverParams
+
+    real_basis, floors = experiments._gram_basis, []
+
+    def recording_basis(data, floor):
+        floors.append(floor)
+        return real_basis(data, None if dense else floor)
+
+    monkeypatch.setattr(experiments, "_gram_basis", recording_basis)
+    report = run_parameter_grid(
+        dataset, spec, variants=("S", "SO", "SP", "SOP"),
+        solver=SolverParams(rank=2, max_iters=10),
+    )
+    monkeypatch.setattr(experiments, "_gram_basis", real_basis)
+    return report.rows, floors
+
+
+def test_run_parameter_grid_floors_the_basis_at_its_smallest_gamma(pair_dataset, monkeypatch):
+    # one basis serves both gammas; every row equals the row of a basis that
+    # holds every pair (on the pair preset, m = 410, the floor drops pairs)
+    from actionmaps.sideinfo import GramBasis
+
+    spec = GridSpec(alphas=(0.0, 0.5), lambdas=(1e-3,), gammas=(1000.0, 100.0))
+    rows, floors = _grid_rows(pair_dataset, spec, monkeypatch)
+    assert [floor.gamma for floor in floors] == [100.0]
+    assert floors[0].tau == 1e-4
+    assert GramBasis(pair_dataset.location_features(), floor=floors[0]).positions.size
+    dense, _ = _grid_rows(pair_dataset, spec, monkeypatch, dense=True)
+    assert all(not row.error for row in rows)
+    assert [row.scores.summary() for row in rows] == [row.scores.summary() for row in dense]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -1.0, math.nan])
+def test_run_parameter_grid_rejected_gamma_fails_only_its_rows(pair_dataset, monkeypatch, bad):
+    # the floor is the smallest gamma KernelConfig accepts, so the valid
+    # gamma's rows run, and equal those of a basis that holds every pair
+    spec = GridSpec(alphas=(0.5,), lambdas=(1e-3,), gammas=(bad, 100.0))
+    rows, floors = _grid_rows(pair_dataset, spec, monkeypatch)
+    assert [floor.gamma for floor in floors] == [100.0]
+    assert [bool(row.error) for row in rows] == [True, False] * 4
+    assert all("bandwidths" in row.error for row in rows[::2])
+    dense, _ = _grid_rows(pair_dataset, spec, monkeypatch, dense=True)
+    assert [row.scores.summary() for row in rows[1::2]] == [
+        row.scores.summary() for row in dense[1::2]
+    ]
 
 
 # -- scoring against pose views -------------------------------------------------

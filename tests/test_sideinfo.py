@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from actionmaps.sideinfo import (
     KernelConfig,
     LocationFeatures,
     SideInfoError,
-    _max_asymmetry,
+    _stripe_checks,
     aggregate_object_scores,
 )
 from tests.kernel_oracles import (
@@ -249,7 +249,9 @@ def test_gram_basis_size_cap(monkeypatch):
 
 def test_gram_matrix_rejects_nan():
     # every comparison with NaN is False, so a NaN entry must fail the range check
-    for bad in (np.full((2, 2), np.nan), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+    late = np.eye(300)  # NaN in the last stripe only
+    late[299, 299] = np.nan
+    for bad in (np.full((2, 2), np.nan), np.array([[1.0, np.nan], [np.nan, 1.0]]), late):
         with pytest.raises(SideInfoError, match="must lie in"):
             GramMatrix(matrix=bad)
 
@@ -290,7 +292,7 @@ def test_max_asymmetry_matches_dense_difference(n):
     near = (a + a.T) / 2.0
     near[rng.integers(0, n), rng.integers(0, n)] += 1e-7
     for mat in (a, near, (a + a.T) / 2.0):
-        assert _max_asymmetry(mat) == np.abs(mat - mat.T).max()
+        assert _stripe_checks(mat)[2] == np.abs(mat - mat.T).max()
 
 
 def _two_scene_record(m=700, seed=11):
@@ -543,3 +545,153 @@ def test_invalid_features_raise_property(feats, data):
         arrays[name] = bad
     with pytest.raises(SideInfoError):
         LocationFeatures(**arrays)
+
+
+# -- the candidate pairs of a floored basis -----------------------------------
+
+
+@st.composite
+def _floored_cases(draw):
+    """Records with m on the row-block and stripe edges over 1-3 scenes,
+    with no, some or every row having objects; a floor, and configs at or
+    above it (gamma and tau at least, sigma_s at most the floor's)."""
+    m = draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
+    n_scenes = draw(st.integers(1, 3))
+    objects = draw(st.sampled_from(("none", "some", "all")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    o = rng.uniform(0.01, 1.0, (m, 3))
+    if objects == "none":
+        o[:] = 0.0
+    elif objects == "some":
+        o *= rng.random((m, 1)) < 0.3
+    feats = LocationFeatures(
+        x=rng.integers(0, 25, (m, 2)).astype(float),
+        p=rng.dirichlet(np.ones(draw(st.integers(1, 6))), m),
+        o=o,
+        scene_codes=rng.integers(0, n_scenes, m),
+    )
+    floor = KernelConfig(
+        sigma_s=draw(st.floats(0.5, 4.0)),
+        gamma=draw(st.sampled_from((1.0, 10.0, 100.0, 1000.0))),
+        tau=draw(st.sampled_from((0.0, 1e-4, 1e-2))),
+    )
+    configs = [
+        KernelConfig(
+            alpha=draw(st.floats(0.0, 1.0)),
+            sigma_s=floor.sigma_s * draw(st.sampled_from((1.0, 0.5))),
+            gamma=floor.gamma * draw(st.sampled_from((1.0, 3.0))),
+            variant=variant,
+            tau=draw(st.sampled_from((floor.tau, 2.0 * floor.tau, floor.tau + 1e-3))),
+        )
+        for variant in VARIANTS
+    ]
+    return feats, floor, configs
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_floored_cases())
+def test_floored_gram_equals_reference_property(case):
+    feats, floor, configs = case
+    basis = GramBasis(feats, floor=floor)
+    for cfg in configs:
+        gram, want = basis.gram(cfg), gram_reference(feats, cfg)
+        assert np.array_equal(gram.matrix, want.matrix)
+        assert np.array_equal(gram.degrees, want.degrees)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"gamma": 99.0}, id="gamma"),
+        pytest.param({"sigma_s": 2.5}, id="sigma_s"),
+        pytest.param({"tau": 0.5e-4}, id="tau"),
+    ],
+)
+def test_floored_basis_refuses_configs_below_its_floor(change):
+    # a dropped pair could be non-zero under such a config, so gram() refuses
+    # rather than return a different Gram
+    floor = KernelConfig(gamma=100.0, sigma_s=2.0, tau=1e-4)
+    feats = _two_scene_record(m=80)
+    basis = GramBasis(feats, floor=floor)
+    with pytest.raises(SideInfoError, match="outside the Gram basis floor"):
+        basis.gram(replace(floor, **change))
+    # the floor itself, and configs beyond it in each direction, are served
+    for cfg in (floor, replace(floor, gamma=101.0, sigma_s=1.5, tau=2e-4)):
+        assert np.array_equal(basis.gram(cfg).matrix, gram_reference(feats, cfg).matrix)
+
+
+@pytest.mark.parametrize("term", ["spatial", "scene-class"])
+def test_candidate_margin_keeps_a_term_within_ulps_of_tau(term):
+    # two rows whose one term t lies a few ulps from the floor's tau: the
+    # pair is kept whenever t >= tau, although -ln(tau) and the distance
+    # limit round; without the margin some of these pairs are dropped
+    feats = LocationFeatures(
+        x=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        p=np.array([[1.0, 0.0], [0.0, 1.0]]) if term == "scene-class" else np.ones((2, 1)),
+        o=np.zeros((2, 1)),
+        scene_codes=np.array([0, 1]) if term == "scene-class" else np.zeros(2, dtype=int),
+    )
+    variant = "SP" if term == "scene-class" else "S"
+    for scale in np.linspace(0.3, 3.0, 25):
+        cfg = KernelConfig(alpha=1.0, sigma_s=scale, gamma=scale, variant=variant, tau=0.0)
+        t = gram_reference(feats, cfg).matrix[0, 1]
+        for step in range(-3, 4):
+            tau = t
+            for _ in range(abs(step)):
+                tau = np.nextafter(tau, np.inf if step > 0 else 0.0)
+            floor = replace(cfg, tau=float(tau))
+            got = GramBasis(feats, floor=floor).gram(floor).matrix
+            assert got[0, 1] == (t if t >= tau else 0.0)
+            assert np.array_equal(got, gram_reference(feats, floor).matrix)
+
+
+def test_floored_basis_retains_candidate_pairs_only():
+    # at gamma 100 and tau 1e-4 most pairs of the two-scene record are far
+    # apart in space and in scene-class scores; the basis holds about a
+    # third of the 0.885 x 8m^2 bytes that all upper-triangle pairs take
+    feats = _two_scene_record()
+    m2_bytes = 8 * feats.x.shape[0] ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis = GramBasis(feats, floor=KernelConfig(gamma=100.0))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert basis.positions.size > 0
+    assert held <= 0.4 * m2_bytes
+
+
+def test_floored_basis_never_holds_more_than_every_pair():
+    # a block where most pairs are candidates is held dense
+    feats = _two_scene_record(m=300)
+
+    def held(basis):
+        return sum(v.nbytes for v in vars(basis).values() if isinstance(v, np.ndarray))
+
+    dense = held(GramBasis(feats))
+    for gamma in (1.0, 10.0, 100.0):
+        assert held(GramBasis(feats, floor=KernelConfig(gamma=gamma))) <= dense + 64
+    assert GramBasis(feats, floor=KernelConfig(gamma=1.0)).positions.size == 0
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 2550])
+def test_stripe_checks_range_and_degrees_match_whole_matrix(n):
+    # the walk over stripes takes the range and row sums equal to
+    # sum(axis=1) bit for bit, on either side of the stripe edges
+    rng = np.random.default_rng(n)
+    sym = rng.uniform(0.0, 1.0, (n, n))
+    sym = (sym + sym.T) / 2.0
+    low, high, _, degrees = _stripe_checks(sym)
+    assert (low, high) == (sym.min(), sym.max())
+    assert np.array_equal(degrees, sym.sum(axis=1))
+    assert np.array_equal(GramMatrix(matrix=sym).degrees, sym.sum(axis=1))
+
+
+@pytest.mark.parametrize("name", ["sigma_s", "gamma", "tau"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_kernel_config_rejects_infinite_settings(name, value):
+    # an infinite bandwidth or threshold would make exp() warn and the Gram
+    # fail its range check, or zero every entry
+    with pytest.raises(SideInfoError, match="finite"):
+        KernelConfig(**{name: value})

@@ -5,11 +5,14 @@ Usage: python3 tools/cli_digests.py OUT_DIR [SRC_DIR]
 Generates mini x1, mini x2, pair x2 and office_a x2 into OUT_DIR and runs
 `fit --out-trace`, `predict`, `evaluate`, `grid` over S,SO,SP,SOP, `elapse`,
 `localize`, `export-heatmap` and, on the two-scene sets, `transfer`, each
-fit capped at 200 iterations. The CLI runs in a fresh interpreter per
-command with SRC_DIR (default: the `src/` next to this script) on the
-import path. Prints one sorted `sha256  path` line per written file, with
-paths relative to OUT_DIR, so two runs of the same code print the same
-listing, and so do two revisions whose outputs are bit for bit equal.
+fit capped at 200 iterations. On office_a x2 two more grids run: one over
+gammas 100 and 1000, whose Gram basis serves a gamma above its smallest,
+and one at tau 0, whose basis keeps every pair. The CLI runs in a fresh
+interpreter per command with SRC_DIR (default: the `src/` next to this
+script) on the import path. Prints one sorted `sha256  path` line per
+written file, with paths relative to OUT_DIR, so two runs of the same code
+print the same listing, and so do two revisions whose outputs are bit for
+bit equal.
 """
 
 import hashlib
@@ -25,6 +28,9 @@ DATASETS = [  # (name, preset, scenes, seed)
 ]
 FIT = ["--max-iters", "200", "--rel-tol", "1e-6", "--rank", "6", "--tau", "1e-4"]
 SWEEP = ["--alphas", "0,0.5", "--lambdas", "0.001,0.01", "--gammas", "100"]
+EXTRA_GRIDS = {  # dataset name -> (output stem, flags that replace the defaults)
+    "office2": [("grid-gammas", ["--gammas", "100,1000"]), ("grid-tau0", ["--tau", "0"])],
+}
 
 
 def run_cli(src: str, out: str, *args: str) -> None:
@@ -45,8 +51,11 @@ def run_dataset(src: str, out: str, name: str, preset: str, scenes: int, seed: i
             "--out", f"{name}/am.txt")
     run_cli(src, out, "evaluate", "--data", data, "--am", f"{name}/am.txt",
             "--out-txt", f"{name}/eval.txt", "--out-tsv", f"{name}/eval.tsv")
-    run_cli(src, out, "grid", "--data", data, "--variants", "S,SO,SP,SOP", *SWEEP, *FIT,
-            "--seed", "5", "--out-tsv", f"{name}/grid.tsv", "--out-txt", f"{name}/grid.txt")
+    for stem, extra in [("grid", []), *EXTRA_GRIDS.get(name, [])]:
+        # argparse keeps the last value of a repeated flag
+        run_cli(src, out, "grid", "--data", data, "--variants", "S,SO,SP,SOP", *SWEEP, *FIT,
+                *extra, "--seed", "5", "--out-tsv", f"{name}/{stem}.tsv",
+                "--out-txt", f"{name}/{stem}.txt")
     run_cli(src, out, "elapse", "--data", data, "--fractions", "0.3,1.0", *FIT,
             "--seed", "6", "--out", f"{name}/elapse.tsv")
     first = "scene_a" if scenes > 1 else "scene"
