@@ -29,12 +29,6 @@ from actionmaps.solver import (
 )
 
 
-def _gram_basis(dataset, floor: Optional[KernelConfig]) -> GramBasis:
-    """The basis of a dataset for the kernels at or above a floor (see
-    GramBasis); with no floor, for every kernel."""
-    return GramBasis(dataset.location_features(), floor=floor)
-
-
 def fit_action_map(
     dataset,
     kernel: KernelConfig,
@@ -44,7 +38,7 @@ def fit_action_map(
     """Fit the regularized model on a dataset; returns the normalized map."""
     bundle = build_bundle(dataset.scenes, dataset.index())
     if gram is None:
-        gram = _gram_basis(dataset, kernel).gram(kernel)
+        gram = GramBasis(dataset.location_features(), floor=kernel).gram(kernel)
     result = fit(bundle, gram, params=solver)
     return normalize_action_map(predict(result.factors)), result
 
@@ -134,9 +128,10 @@ def _run_grid(
     Consecutive runs with the same kernel config share one Gram matrix, and
     at most one Gram is alive at a time. The basis floor is the kernel at the
     smallest gamma that KernelConfig accepts, so a rejected gamma fails only
-    its own rows.
+    its own rows; when it accepts none, every row fails and no basis is built.
     """
-    basis = _gram_basis(dataset, _grid_floor(kernel, grid_spec.gammas))
+    floor = _grid_floor(kernel, grid_spec.gammas)
+    basis = None if floor is None else GramBasis(dataset.location_features(), floor=floor)
     rows: list[GridRow] = []
     run_idx = 0
     gram_cfg, gram = None, None
@@ -233,7 +228,7 @@ def run_elapse(
     Subsets keep every scene's poses and labels, so one set of pose views
     scores every fraction."""
     views = pose_views(dataset.index(), eval_params)
-    gram = _gram_basis(dataset, kernel).gram(kernel)
+    gram = GramBasis(dataset.location_features(), floor=kernel).gram(kernel)
     out = []
     for fraction in fractions:
         ds = dataset.with_demo_fraction(fraction, subset_seed)

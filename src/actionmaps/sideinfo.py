@@ -170,8 +170,10 @@ class GramBasis:
     object rows >= lo. Any other block holds one value per candidate pair,
     object pairs first: its int32 position r * m + c (row lo + r, column
     lo + c), chi2_p and spatial_sq (+inf across scenes) at each, and chi2_o
-    at the object pairs. Refuses more than MAX_DENSE_LOCATIONS locations
-    before allocating anything.
+    at the object pairs. Each block is computed dense, in place at the tail
+    of each term's array, then kept or overwritten by its candidates (see
+    _compact). Refuses more than MAX_DENSE_LOCATIONS locations before
+    allocating anything.
     """
 
     def __init__(self, features: LocationFeatures, chi2_epsilon=KernelConfig.chi2_epsilon,
@@ -185,7 +187,6 @@ class GramBasis:
         self.floor = floor
         limits = _candidate_limits(floor)
         bounds = np.append(np.arange(0, m, _ROW_BLOCK), m)
-        n_blocks = len(bounds) - 1
         _, scene = np.unique(features.scene_codes, return_inverse=True)
         scene_end = np.zeros(scene.max() + 1, dtype=np.intp)
         np.maximum.at(scene_end, scene, np.arange(1, m + 1))
@@ -195,38 +196,28 @@ class GramBasis:
         p_dims = np.ascontiguousarray(features.p.T)
         o_dims = np.ascontiguousarray(features.o[rows].T)
         work = np.empty((2, min(_ROW_BLOCK, m), m))
-        if limits is None:
-            # every pair is a candidate: each block is computed in place
-            self.positions = np.empty(0, dtype=np.int32)
-            self.position_offsets = np.zeros(n_blocks + 1, dtype=np.intp)
-            self.chi2_p, self.chi2_p_offsets = _packed(bounds, np.full(n_blocks, m))
-            self.spatial_sq, self.spatial_offsets = _packed(bounds, ends)
-            self.chi2_o, self.chi2_o_offsets = _packed(starts, np.full(n_blocks, rows.size))
-        else:
-            scratch = np.empty((3, work[0].size))  # contiguous blocks, indexed flat
-            kept = [_Appender(np.int32), *(_Appender(float) for _ in range(3))]
-        for i, (lo, hi, end) in enumerate(zip(bounds[:-1], bounds[1:], ends)):
+        # each term is sized for its dense blocks, which is all it holds with no floor
+        heights, lows = np.diff(bounds), bounds[:-1]
+        terms = (
+            _Packed(0, np.int32),
+            _Packed(np.sum(heights * (m - lows))),
+            _Packed(np.sum(heights * (ends - lows))),
+            _Packed(np.sum(np.diff(starts) * (rows.size - starts[:-1]))),
+        )
+        for i, (lo, hi, end) in enumerate(zip(lows, bounds[1:], ends)):
             a, b = starts[i], starts[i + 1]
-            if limits is None:
-                cp = _block(self.chi2_p, self.chi2_p_offsets, i, (hi - lo, m - lo))
-                sq = _block(self.spatial_sq, self.spatial_offsets, i, (hi - lo, end - lo))
-                co = _block(self.chi2_o, self.chi2_o_offsets, i, (b - a, rows.size - a))
-            else:
-                cp = scratch[0, : (hi - lo) * (m - lo)].reshape(hi - lo, m - lo)
-                sq = scratch[1, : cp.size].reshape(cp.shape)
-                sq[:, end - lo :] = np.inf
-                co = scratch[2, : (b - a) * (rows.size - a)].reshape(b - a, rows.size - a)
+            cp = terms[1].tail((hi - lo, m - lo))
+            sq = terms[2].tail((hi - lo, end - lo))
+            co = terms[3].tail((b - a, rows.size - a))
             _chi2_block(p_dims, lo, hi, chi2_epsilon, cp, work)
-            _spatial_block(features.x, scene, lo, hi, end, sq[:, : end - lo], work[0])
+            _spatial_block(features.x, scene, lo, hi, end, sq, work[0])
             if b > a:
                 _chi2_block(o_dims, a, b, chi2_epsilon, co, work)
-            if limits is not None:
-                _compact(kept, m, cp, sq, end - lo, co, rows[a:b] - lo, rows[a:] - lo, limits)
-        if limits is not None:
-            self.positions, self.position_offsets = kept[0].packed()
-            self.chi2_p, self.chi2_p_offsets = kept[1].packed()
-            self.spatial_sq, self.spatial_offsets = kept[2].packed()
-            self.chi2_o, self.chi2_o_offsets = kept[3].packed()
+            _compact(terms, m, cp, sq, co, rows[a:b] - lo, rows[a:] - lo, limits)
+        self.positions, self.position_offsets = terms[0].packed()
+        self.chi2_p, self.chi2_p_offsets = terms[1].packed()
+        self.spatial_sq, self.spatial_offsets = terms[2].packed()
+        self.chi2_o, self.chi2_o_offsets = terms[3].packed()
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:
         """Entries are (w kp + (1 - alpha) ks) + w ko, with w = alpha for SO/SP
@@ -326,58 +317,68 @@ def _candidate_limits(floor: Optional[KernelConfig]) -> Optional[tuple[float, fl
     return log_tau / floor.gamma, 2.0 * floor.sigma_s * floor.sigma_s * log_tau
 
 
-def _compact(kept, m, cp, sq, near, co, object_rows, object_cols, limits) -> None:
-    """Append one block to kept = (positions, chi2_p, spatial_sq, chi2_o):
-    at its candidate pairs, object pairs first, or dense with no positions
-    when that takes no more bytes. cp and sq are contiguous and cover the
-    block's columns lo:m, sq holding +inf across scenes and from column
-    lo + near on; co is contiguous and covers the pairs of object_rows and
-    object_cols (all relative to lo)."""
-    chi2_limit, sq_limit = limits
-    n = cp.shape[1]
-    keep = cp <= chi2_limit
-    keep |= sq <= sq_limit
-    objects = np.ix_(object_rows, object_cols)
-    keep[objects] |= co <= chi2_limit
-    paired = keep[objects]
-    # a candidate holds a 4-byte position and two doubles, a third if paired
-    held = 20 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
-    if held >= 8 * (cp.size + cp.shape[0] * near + co.size):
-        for packed, block in zip(kept, (np.empty(0, dtype=np.int32), cp, sq[:, :near], co)):
-            packed.append(block)
-        return
-    keep[objects] = False
-    in_co = np.flatnonzero(paired)
-    r, c = np.divmod(in_co, object_cols.size)
-    flat = np.concatenate((object_rows[r] * n + object_cols[c], np.flatnonzero(keep)))
-    kept[0].append(flat + (m - n) * (flat // n))  # row r, column c at r * m + c
-    kept[1].append(cp.reshape(-1)[flat])
-    kept[2].append(sq.reshape(-1)[flat])
-    kept[3].append(co.reshape(-1)[in_co])
+def _compact(terms, m, cp, sq, co, object_rows, object_cols, limits) -> None:
+    """Commit one block, computed in place at the tail of terms = (positions,
+    chi2_p, spatial_sq, chi2_o): dense with no positions, or overwritten
+    with its candidate pairs, object pairs first, when they take fewer
+    bytes. cp covers the block's columns lo:m, sq its columns lo:lo + near
+    (every later column is in another scene) and co the pairs of
+    object_rows and object_cols (all relative to lo)."""
+    sizes = (0, cp.size, sq.size, co.size)
+    if limits is not None:
+        chi2_limit, sq_limit = limits
+        near = sq.shape[1]
+        keep = cp <= chi2_limit
+        keep[:, :near] |= sq <= sq_limit
+        objects = np.ix_(object_rows, object_cols)
+        keep[objects] |= co <= chi2_limit
+        paired = keep[objects]
+        # a candidate holds a 4-byte position and two doubles, a third if paired
+        held = 20 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
+        if held < 8 * sum(sizes):
+            keep[objects] = False
+            in_co = np.flatnonzero(paired)
+            r, c = np.divmod(in_co, object_cols.size)
+            r, c = np.concatenate(([object_rows[r], object_cols[c]], np.nonzero(keep)), axis=1)
+            spatial = np.where(c < near, sq[r, np.minimum(c, near - 1)], np.inf)
+            values = (r * m + c, cp[r, c], spatial, co.reshape(-1)[in_co])
+            for term, block in zip(terms, values):
+                term.tail(block.shape)[...] = block
+            sizes = [block.size for block in values]
+    for term, size in zip(terms, sizes):
+        term.commit(size)
 
 
-class _Appender:
-    """One flat array that blocks are appended to, grown by doubling, and
-    the offset where each block starts. Growing one array, rather than
-    keeping every block apart until the end, leaves no freed blocks among
-    live heap allocations, where the allocator could not return them."""
+class _Packed:
+    """One flat array that a term's blocks are written to in turn, and the
+    offset where each block starts. The array is allocated once, at the
+    size given; pages never written are not resident. A block is written at
+    the tail, past the committed ones, and then committed at its size; the
+    array grows by doubling only when a tail outruns it."""
 
-    def __init__(self, dtype):
-        self.flat = np.empty(0, dtype)
+    def __init__(self, size, dtype=float):
+        self.flat = np.empty(size, dtype)
         self.offsets = [0]
 
-    def append(self, block: np.ndarray) -> None:
-        start, end = self.offsets[-1], self.offsets[-1] + block.size
+    def tail(self, shape) -> np.ndarray:
+        """The values past the committed blocks, as a view of the given shape."""
+        start = self.offsets[-1]
+        end = start + math.prod(shape)
         if end > self.flat.size:
             grown = np.empty(max(end, 2 * self.flat.size), self.flat.dtype)
             grown[:start] = self.flat[:start]
             self.flat = grown
-        self.flat[start:end].reshape(block.shape)[...] = block
-        self.offsets.append(end)
+        return self.flat[start:end].reshape(shape)
+
+    def commit(self, size: int) -> None:
+        """The next block is the first size values of the tail."""
+        self.offsets.append(self.offsets[-1] + size)
 
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """The appended blocks in an array of their size, and the offsets."""
-        return self.flat[: self.offsets[-1]].copy(), np.array(self.offsets)
+        """The committed blocks in an array of their size, and the offsets."""
+        size = self.offsets[-1]
+        flat = self.flat if size == self.flat.size else self.flat[:size].copy()
+        return flat, np.array(self.offsets)
 
 
 def _blocks(n: int):
@@ -385,17 +386,9 @@ def _blocks(n: int):
     return ((lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK))
 
 
-def _packed(bounds: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A zeroed flat array for blocks i of rows bounds[i]:bounds[i + 1] and
-    columns bounds[i]:ends[i], with the offset where each block starts."""
-    sizes = np.diff(bounds) * (ends - bounds[:-1])
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return np.zeros(offsets[-1]), offsets
-
-
-def _block(flat: np.ndarray, offsets: np.ndarray, i: int, shape=-1) -> np.ndarray:
-    """Block i of a packed array as a view of the given shape (flat by default)."""
-    return flat[offsets[i] : offsets[i + 1]].reshape(shape)
+def _block(flat: np.ndarray, offsets: np.ndarray, i: int) -> np.ndarray:
+    """Block i of a packed array, as a flat view."""
+    return flat[offsets[i] : offsets[i + 1]]
 
 
 def _spatial_block(x, scene, lo, hi, end, out, dy) -> None:

@@ -43,7 +43,6 @@ CATEGORY_AFFORDANCES = {
 _CLASS_OF_ROOM_TYPE = {"office": 0, "kitchen": 2, "common": 3}
 _CORRIDOR_CLASS = 1
 _WALL_CLASS = 4
-LABEL_RADIUS = math.sqrt(2.0)  # matches the detection score support
 
 
 class GenerationError(ValueError):

@@ -457,18 +457,18 @@ def _grid_rows(dataset, spec, monkeypatch, dense=False):
     from actionmaps import experiments
     from actionmaps.solver import SolverParams
 
-    real_basis, floors = experiments._gram_basis, []
+    real_basis, floors = experiments.GramBasis, []
 
-    def recording_basis(data, floor):
+    def recording_basis(features, *, floor):
         floors.append(floor)
-        return real_basis(data, None if dense else floor)
+        return real_basis(features, floor=None if dense else floor)
 
-    monkeypatch.setattr(experiments, "_gram_basis", recording_basis)
+    monkeypatch.setattr(experiments, "GramBasis", recording_basis)
     report = run_parameter_grid(
         dataset, spec, variants=("S", "SO", "SP", "SOP"),
         solver=SolverParams(rank=2, max_iters=10),
     )
-    monkeypatch.setattr(experiments, "_gram_basis", real_basis)
+    monkeypatch.setattr(experiments, "GramBasis", real_basis)
     return report.rows, floors
 
 
@@ -500,6 +500,19 @@ def test_run_parameter_grid_rejected_gamma_fails_only_its_rows(pair_dataset, mon
     assert [row.scores.summary() for row in rows[1::2]] == [
         row.scores.summary() for row in dense[1::2]
     ]
+
+
+def test_run_parameter_grid_with_no_accepted_gamma_builds_no_basis(pair_dataset, monkeypatch):
+    # every row fails its KernelConfig check before any Gram is needed
+    from actionmaps.sideinfo import KernelConfig, SideInfoError
+
+    with pytest.raises(SideInfoError) as rejected:
+        KernelConfig(gamma=math.inf)
+    spec = GridSpec(gammas=(math.inf,))
+    rows, floors = _grid_rows(pair_dataset, spec, monkeypatch)
+    assert floors == []
+    assert len(rows) == 4 * len(spec.tuples())
+    assert all(row.scores is None and row.error == str(rejected.value) for row in rows)
 
 
 # -- scoring against pose views -------------------------------------------------

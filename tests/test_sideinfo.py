@@ -675,6 +675,51 @@ def test_floored_basis_never_holds_more_than_every_pair():
     assert GramBasis(feats, floor=KernelConfig(gamma=1.0)).positions.size == 0
 
 
+def test_floored_build_peaks_no_higher_than_the_dense_build():
+    # every block is computed in place in arrays of the dense size, so a
+    # floor where every block stays dense (gamma 10 on this record) peaks as
+    # the no-floor build does; slack of one boolean row block of candidates
+    feats = _two_scene_record()
+    m = feats.x.shape[0]
+    peaks = []
+    for floor in (None, KernelConfig(gamma=10.0)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            basis = GramBasis(feats, floor=floor)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert basis.positions.size == 0
+    assert peaks[1] <= peaks[0] + _ROW_BLOCK * m
+    assert peaks[1] <= 1.15 * 8 * m * m
+
+
+def test_floored_spatial_values_outgrow_their_dense_size():
+    # 26 contiguous scenes of 25 rows hold narrow dense spatial blocks, while
+    # the rows alike in scene-class scores are candidates in every scene, so
+    # a block's kept spatial values (+inf across scenes) outnumber its dense
+    # ones and the spatial array grows past its dense size
+    rng = np.random.default_rng(3)
+    m = 26 * 25
+    p = rng.dirichlet(np.ones(6), m)
+    p[::2] = p[0]
+    feats = LocationFeatures(
+        x=rng.integers(0, 8, (m, 2)).astype(float),
+        p=p,
+        o=rng.uniform(0.0, 1.0, (m, 3)) * (rng.random((m, 1)) < 0.3),
+        scene_codes=np.arange(m) // 25,
+    )
+    floor = KernelConfig(sigma_s=1.0, gamma=100.0, tau=1e-4)
+    basis = GramBasis(feats, floor=floor)
+    assert basis.spatial_sq.size > GramBasis(feats).spatial_sq.size
+    for variant in VARIANTS:
+        cfg = replace(floor, variant=variant)
+        gram, want = basis.gram(cfg), gram_reference(feats, cfg)
+        assert np.array_equal(gram.matrix, want.matrix)
+        assert np.array_equal(gram.degrees, want.degrees)
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 2550])
 def test_stripe_checks_range_and_degrees_match_whole_matrix(n):
     # the walk over stripes takes the range and row sums equal to
