@@ -4,7 +4,7 @@ built on top of them."""
 
 from actionmaps.scene import (
     ActivityVocabulary,
-    Demonstration,
+    Demonstrations,
     GlobalIndex,
     GridPose,
     SceneGrid,
@@ -16,7 +16,7 @@ from actionmaps.solver import ActionMatrixBundle, FactorPair, SolverParams, fit,
 
 __all__ = [
     "ActivityVocabulary",
-    "Demonstration",
+    "Demonstrations",
     "GlobalIndex",
     "GridPose",
     "SceneGrid",

@@ -205,7 +205,7 @@ def run_transfer(
         dataset.stacked_scene_scores(),
         dataset.stacked_object_scores(),
         replace(solver, seed=base_seed),
-        dataset.explored_rows(),
+        dataset.stacked_explored(),
     )
     nmf = score_action_map(views, nmf_am)
 

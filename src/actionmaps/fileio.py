@@ -18,7 +18,7 @@ from actionmaps.evaluation import SUMMARY_METRICS, ScoreResult
 from actionmaps.experiments import EvalReport, TransferReport
 from actionmaps.localization import DiscrepancyCurve
 from actionmaps.scene import (
-    ActivityVocabulary, Demonstration, GlobalIndex, GridPose, SceneGrid, grid_coords
+    ActivityVocabulary, Demonstrations, GlobalIndex, GridPose, SceneGrid, grid_coords
 )
 from actionmaps.solver import FactorPair, FitResult
 from actionmaps.synthetic import GeneratedDataset
@@ -167,7 +167,7 @@ def write_scene(
         f"categories {n_categories} " + " ".join(category_names),
     ]
     coords = grid_coords(scene.width, scene.height)
-    explored = coords[scene.explored_rows()].tolist()
+    explored = coords[scene.explored].tolist()
     lines.append(f"explored {len(explored)}")
     lines.extend(f"{i} {j}" for i, j in explored)
     labelled = scene.labelled_cells()
@@ -176,8 +176,10 @@ def write_scene(
         lines.append(f"{i} {j} {len(acts)} " + " ".join(str(a) for a in acts))
     demos = scene.demonstrations
     lines.append(f"demos {len(demos)}")
-    for d in demos:
-        lines.append(f"{d.cell[0]} {d.cell[1]} {d.activity} {fmt9(d.value)}")
+    for (i, j), act, value in zip(
+        coords[demos.rows].tolist(), demos.activities.tolist(), demos.values.tolist()
+    ):
+        lines.append(f"{i} {j} {act} {fmt9(value)}")
     lines.append(f"poses {len(scene.poses)}")
     for pose in scene.poses:
         lines.append(
@@ -207,12 +209,17 @@ def read_scene(path):
         category_names = r.expect_names("categories")
         n_classes, n_categories = len(class_names), len(category_names)
 
-        scene = SceneGrid(scene_id, width, height, cell_size, vocab)
+        # an empty scene of the declared shape checks each cell as its line
+        # is read; the scene itself is built once, at the end
+        grid = SceneGrid(scene_id, width, height, cell_size, vocab)
+        n_cells = grid.n_cells
+        explored = np.zeros(n_cells, dtype=bool)
         for _ in range(r.expect_count("explored")):
             toks = r.next()
             if len(toks) != 2:
                 raise r.error("explored entries need two cell coordinates")
-            scene.mark_explored((r.int_(toks[0]), r.int_(toks[1])))
+            explored[grid.row_of((r.int_(toks[0]), r.int_(toks[1])))] = True
+        labels = np.zeros((n_cells, len(vocab)), dtype=bool)
         for _ in range(r.expect_count("gt")):
             toks = r.next()
             if len(toks) < 3:
@@ -220,43 +227,44 @@ def read_scene(path):
             i, j, k = r.int_(toks[0]), r.int_(toks[1]), r.int_(toks[2])
             if len(toks) != 3 + k:
                 raise r.error(f"gt entry announces {k} labels but has {len(toks) - 3}")
+            row = grid.row_of((i, j))
             for tok in toks[3:]:
-                scene.add_label((i, j), r.int_(tok))
+                labels[row, vocab.check(r.int_(tok))] = True
+        demos: dict[tuple[int, int], float] = {}  # (row, activity) -> value, in file order
         for _ in range(r.expect_count("demos")):
             toks = r.next()
             if len(toks) != 4:
                 raise r.error("demo entries need cell, activity, value")
-            scene.add_demonstration(
-                Demonstration(
-                    scene_id,
-                    (r.int_(toks[0]), r.int_(toks[1])),
-                    r.int_(toks[2]),
-                    r.float_(toks[3]),
-                )
-            )
+            i, j, act, value = r.int_(toks[0]), r.int_(toks[1]), r.int_(toks[2]), r.float_(toks[3])
+            if not value >= 0:
+                raise r.error(f"demonstration value must be >= 0, got {value}")
+            key = (grid.row_of((i, j)), vocab.check(act))
+            if key not in demos or value > demos[key]:  # a repeated pair keeps its largest value
+                demos[key] = value
+        poses = []
         for _ in range(r.expect_count("poses")):
             toks = r.next()
             if len(toks) != 4:
                 raise r.error("pose entries need position and heading")
-            scene.add_pose(
+            poses.append(
                 GridPose(
                     position=(r.float_(toks[0]), r.float_(toks[1])),
                     heading=(r.float_(toks[2]), r.float_(toks[3])),
                 )
             )
-        if r.expect_count("features") != scene.n_cells:
-            raise r.error(f"feature section must cover all {scene.n_cells} cells")
-        p_scores = np.zeros((scene.n_cells, n_classes))
-        o_scores = np.zeros((scene.n_cells, n_categories))
-        seen = np.zeros(scene.n_cells, dtype=bool)
-        for _ in range(scene.n_cells):
+        if r.expect_count("features") != n_cells:
+            raise r.error(f"feature section must cover all {n_cells} cells")
+        p_scores = np.zeros((n_cells, n_classes))
+        o_scores = np.zeros((n_cells, n_categories))
+        seen = np.zeros(n_cells, dtype=bool)
+        for _ in range(n_cells):
             toks = r.next()
             if len(toks) != 2 + n_classes + n_categories:
                 raise r.error(
                     f"feature rows need cell_x, cell_y, {n_classes} class scores, "
                     f"{n_categories} object scores"
                 )
-            row = scene.row_of((r.int_(toks[0]), r.int_(toks[1])))
+            row = grid.row_of((r.int_(toks[0]), r.int_(toks[1])))
             if seen[row]:
                 raise r.error(f"duplicate feature row for cell {toks[0]},{toks[1]}")
             seen[row] = True
@@ -264,6 +272,11 @@ def read_scene(path):
             p_scores[row] = vals[:n_classes]
             o_scores[row] = vals[n_classes:]
         r.expect("end")
+        pairs = np.array(list(demos), dtype=int).reshape(-1, 2)
+        scene = SceneGrid(
+            scene_id, width, height, cell_size, vocab, explored, labels,
+            Demonstrations(pairs[:, 0], pairs[:, 1], list(demos.values())), poses,
+        )
     return scene, p_scores, o_scores, class_names, category_names
 
 
@@ -305,6 +318,8 @@ def read_catmap(path):
             toks = r.next()
             if toks[0] not in category_names:
                 raise r.error(f"unknown category {toks[0]!r}")
+            if toks[0] in pairs:
+                raise r.error(f"category {toks[0]!r} is mapped twice")
             for a in toks[1:]:
                 if a not in activity_names:
                     raise r.error(f"unknown activity {a!r}")
@@ -348,20 +363,22 @@ def load_dataset(manifest_path) -> GeneratedDataset:
     if n_scenes == 0:
         raise r.error("a dataset needs at least one scene")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    scene_files = []
+    scene_files = []  # (file name, manifest line)
     for _ in range(n_scenes):
         toks = r.next()
         if len(toks) != 1:
             raise r.error("scene entries need one file name")
-        scene_files.append(toks[0])
+        scene_files.append((toks[0], r.pos))
     catmap_file = r.expect_value("catmap")
     r.expect("end")
 
     scenes = []
     features = {}
     class_names = category_names = None
-    for fname in scene_files:
+    for fname, lineno in scene_files:
         scene, p, o, cls, cats = read_scene(os.path.join(base, fname))
+        if scene.scene_id in features:
+            raise SchemaError(manifest_path, lineno, f"scene id {scene.scene_id!r} repeats")
         if class_names is None:
             class_names, category_names = cls, cats
         elif cls != class_names or cats != category_names:
@@ -556,24 +573,16 @@ def write_report(report: EvalReport, tsv_path, txt_path):
 def write_transfer(report: TransferReport, txt_path, tsv_path):
     """Method table (baselines, then each variant's cross-run summary) at
     txt_path; the variants' grid report at tsv_path and txt_path.variants."""
-    rows: list[tuple[str, dict[str, str]]] = []
+    lines = [f"{'method':<10}" + "".join(f"{h:>34}" for h in SUMMARY_HEADERS)]
     for method, scores in report.baselines.items():
         summary = scores.summary()
-        rows.append((method, {m: fmt9(summary[m]) for m in SUMMARY_METRICS}))
+        cells = [fmt9(summary[m]) for m in SUMMARY_METRICS]
+        lines.append(f"{method:<10}" + "".join(f"{c:>34}" for c in cells))
     for variant, stats in report.grid.summaries().items():
-        rows.append((variant, {m: format_summary_value(m, stats[m]) for m in SUMMARY_METRICS}))
-    write_method_table(rows, txt_path)
+        cells = [format_summary_value(m, stats[m]) for m in SUMMARY_METRICS]
+        lines.append(f"{variant:<10}" + "".join(f"{c:>34}" for c in cells))
+    _write_text(txt_path, lines)
     write_report(report.grid, tsv_path, f"{txt_path}.variants")
-
-
-def write_method_table(rows: list[tuple[str, dict[str, str]]], path):
-    """Method-by-metric table (the novel-scene comparison shape)."""
-    lines = [f"{'method':<10}" + "".join(f"{h:>34}" for h in SUMMARY_HEADERS)]
-    for method, cells in rows:
-        lines.append(
-            f"{method:<10}" + "".join(f"{cells[m]:>34}" for m in SUMMARY_METRICS)
-        )
-    _write_text(path, lines)
 
 
 def write_curve(curve: DiscrepancyCurve, activity_names: Sequence[str], path):

@@ -19,7 +19,7 @@ Cell = tuple[int, int]
 
 
 class SceneError(ValueError):
-    """Invalid scene construction or mutation."""
+    """Invalid scene construction."""
 
 
 def grid_coords(width: int, height: int) -> np.ndarray:
@@ -48,23 +48,46 @@ class ActivityVocabulary:
         except ValueError:
             raise SceneError(f"unknown activity {name!r}") from None
 
+    def check(self, activity: int) -> int:
+        """The activity index itself, if it names an activity."""
+        if not 0 <= activity < len(self.names):
+            raise SceneError(f"activity index {activity} out of range for A={len(self.names)}")
+        return activity
 
-@dataclass(frozen=True)
-class Demonstration:
-    """One localized activity observation.
 
-    value is 1.0 for a labelled demonstration and the detector confidence in
-    [0, 1] for a detection.
-    """
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only copy of values."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
-    scene_id: str
-    cell: Cell
-    activity: int
-    value: float = 1.0
+
+@dataclass(frozen=True, eq=False)
+class Demonstrations:
+    """A scene's localized activity observations, in order, as three read-only
+    arrays: observation k is activity activities[k] at scene row rows[k] with
+    value values[k], which is 1.0 for a labelled demonstration and the
+    detector confidence in [0, 1] for a detection."""
+
+    rows: np.ndarray
+    activities: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if not self.value >= 0:  # written so that NaN fails
-            raise SceneError(f"demonstration value must be >= 0, got {self.value}")
+        for name, dtype in (("rows", int), ("activities", int), ("values", float)):
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        if self.rows.ndim != 1 or not self.rows.shape == self.activities.shape == self.values.shape:
+            raise SceneError("demonstration rows, activities and values must be 1-d, of one length")
+        negative = self.values[~(self.values >= 0)]  # written so that NaN fails
+        if negative.size:
+            raise SceneError(f"demonstration value must be >= 0, got {negative[0]}")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def take(self, indices) -> "Demonstrations":
+        """The observations at the given positions, in that order."""
+        return Demonstrations(self.rows[indices], self.activities[indices], self.values[indices])
 
 
 @dataclass(frozen=True)
@@ -90,8 +113,10 @@ class SceneStats:
 
 
 class SceneGrid:
-    """Discretized floor with an explored (width, height) mask, ground-truth
-    labels as a boolean (n_cells, A) matrix in row order, and demos."""
+    """A discretized floor, fixed when it is built. explored is the (n_cells,)
+    explored mask and labels the boolean (n_cells, A) ground truth, both in
+    row order; poses are the camera poses. Every array is a read-only copy,
+    and every demonstrated row counts as explored."""
 
     def __init__(
         self,
@@ -100,6 +125,10 @@ class SceneGrid:
         height: int,
         cell_size_m: float = DEFAULT_CELL_SIZE_M,
         vocabulary: Optional[ActivityVocabulary] = None,
+        explored: Optional[np.ndarray] = None,
+        labels: Optional[np.ndarray] = None,
+        demonstrations: Optional[Demonstrations] = None,
+        poses: Sequence[GridPose] = (),
     ):
         if width < 1 or height < 1:
             raise SceneError(f"grid dims must be >= 1, got {width}x{height}")
@@ -110,13 +139,26 @@ class SceneGrid:
         self.height = int(height)
         self.cell_size_m = float(cell_size_m)
         self.vocabulary = vocabulary or ActivityVocabulary()
-        self.explored = np.zeros((self.width, self.height), dtype=bool)
-        self.labels = np.zeros((self.n_cells, self.n_activities), dtype=bool)
-        self.poses: list[GridPose] = []
-        self._demos: dict[tuple[Cell, int], float] = {}
-        self._frozen = False
-
-    # -- geometry of the index space ------------------------------------
+        n, n_act = self.n_cells, self.n_activities
+        labels = _read_only(np.zeros((n, n_act)) if labels is None else labels, bool)
+        explored = np.array(np.zeros(n) if explored is None else explored, dtype=bool)
+        for name, array, shape in (("labels", labels, (n, n_act)), ("explored", explored, (n,))):
+            if array.shape != shape:
+                raise SceneError(f"{name} must have shape {shape}, got {array.shape}")
+        demos = Demonstrations((), (), ()) if demonstrations is None else demonstrations
+        for name, values, stop in (("row", demos.rows, n), ("activity", demos.activities, n_act)):
+            outside = values[(values < 0) | (values >= stop)]
+            if outside.size:
+                raise SceneError(f"demonstration {name} {outside[0]} outside [0, {stop})")
+        # a set, not np.unique or np.sort: on a CLI run these raised peak RSS
+        # by about 1 and 0.3 MiB (np.unique imports numpy.ma)
+        if len(set(zip(demos.rows.tolist(), demos.activities.tolist()))) != len(demos):
+            raise SceneError("each (row, activity) pair may be demonstrated once")
+        explored[demos.rows] = True
+        explored.setflags(write=False)
+        self.explored, self.labels = explored, labels
+        self.demonstrations = demos
+        self.poses = tuple(poses)
 
     @property
     def n_cells(self) -> int:
@@ -126,79 +168,11 @@ class SceneGrid:
     def n_activities(self) -> int:
         return len(self.vocabulary)
 
-    def in_bounds(self, cell: Cell) -> bool:
-        i, j = cell
-        return 0 <= i < self.width and 0 <= j < self.height
-
     def row_of(self, cell: Cell) -> int:
-        if not self.in_bounds(cell):
+        i, j = cell
+        if not (0 <= i < self.width and 0 <= j < self.height):
             raise SceneError(f"cell {cell} outside {self.width}x{self.height} grid")
-        return cell[0] * self.height + cell[1]
-
-    def cell_of(self, row: int) -> Cell:
-        if not 0 <= row < self.n_cells:
-            raise SceneError(f"row {row} outside scene with {self.n_cells} cells")
-        return (row // self.height, row % self.height)
-
-    # -- mutation ---------------------------------------------------------
-
-    def _check_mutable(self):
-        if self._frozen:
-            raise SceneError(f"scene {self.scene_id!r} is frozen after stacking")
-
-    def mark_explored(self, cell: Cell):
-        self._check_mutable()
-        if not self.in_bounds(cell):
-            raise SceneError(f"cell {cell} outside {self.width}x{self.height} grid")
-        self.explored[cell] = True
-
-    def add_label(self, cell: Cell, activity: int):
-        self._check_mutable()
-        row = self.row_of(cell)
-        if not 0 <= activity < self.n_activities:
-            raise SceneError(
-                f"activity index {activity} out of range for A={self.n_activities}"
-            )
-        self.labels[row, activity] = True
-
-    def add_demonstration(self, demo: Demonstration):
-        """Register a demonstration; marks its cell explored.
-
-        Duplicate (cell, activity) pairs keep the maximum value.
-        """
-        self._check_mutable()
-        if demo.scene_id != self.scene_id:
-            raise SceneError(
-                f"demonstration for scene {demo.scene_id!r} added to {self.scene_id!r}"
-            )
-        if not 0 <= demo.activity < self.n_activities:
-            raise SceneError(
-                f"activity index {demo.activity} out of range for A={self.n_activities}"
-            )
-        self.mark_explored(demo.cell)
-        key = (demo.cell, demo.activity)
-        prev = self._demos.get(key)
-        if prev is None or demo.value > prev:
-            self._demos[key] = demo.value
-
-    def add_pose(self, pose: GridPose):
-        self._check_mutable()
-        self.poses.append(pose)
-
-    def freeze(self):
-        """Forbid mutation, through the methods and through the arrays."""
-        self._frozen = True
-        self.explored.setflags(write=False)
-        self.labels.setflags(write=False)
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def demonstrations(self) -> tuple[Demonstration, ...]:
-        return tuple(
-            Demonstration(self.scene_id, cell, act, value)
-            for (cell, act), value in self._demos.items()
-        )
+        return i * self.height + j
 
     def labelled_cells(self) -> list[tuple[Cell, tuple[int, ...]]]:
         """(cell, sorted activities) of every labelled cell, in row order."""
@@ -208,29 +182,20 @@ class SceneGrid:
             for row in np.flatnonzero(self.labels.any(axis=1))
         ]
 
-    def explored_rows(self) -> np.ndarray:
-        return self.explored.reshape(-1).copy()
-
     def stats(self) -> SceneStats:
         total = self.n_cells
-        action_cells = {cell for (cell, _act) in self._demos}
         return SceneStats(
             r_e=float(self.explored.sum()) / total,
-            r_a=len(action_cells) / total,
-            demo_count=len(self._demos),
+            r_a=len(set(self.demonstrations.rows.tolist())) / total,
+            demo_count=len(self.demonstrations),
         )
 
-    def copy_with_demonstrations(self, demos: Sequence[Demonstration]) -> "SceneGrid":
-        """Unfrozen copy with the same mask/labels/poses and the given demos."""
-        out = SceneGrid(
-            self.scene_id, self.width, self.height, self.cell_size_m, self.vocabulary
+    def with_demonstrations(self, demonstrations: Demonstrations) -> "SceneGrid":
+        """This scene with the given demonstrations in place of its own."""
+        return SceneGrid(
+            self.scene_id, self.width, self.height, self.cell_size_m, self.vocabulary,
+            self.explored, self.labels, demonstrations, self.poses,
         )
-        out.explored = self.explored.copy()
-        out.labels = self.labels.copy()
-        out.poses = list(self.poses)
-        for demo in demos:
-            out.add_demonstration(demo)
-        return out
 
 
 def create_scene(
@@ -241,19 +206,21 @@ def create_scene(
     scene_id: str = "scene",
     vocabulary: Optional[ActivityVocabulary] = None,
 ) -> SceneGrid:
-    """Build a grid with an empty explored mask and labels from gt_spec."""
-    scene = SceneGrid(scene_id, width, height, cell_size_m, vocabulary)
+    """Build a grid with nothing explored and labels from gt_spec."""
+    empty = SceneGrid(scene_id, width, height, cell_size_m, vocabulary)
+    labels = np.zeros((empty.n_cells, empty.n_activities), dtype=bool)
     for cell, acts in gt_spec or ():
         for a in acts:
-            scene.add_label(cell, a)
-    return scene
+            labels[empty.row_of(cell), empty.vocabulary.check(a)] = True
+    return SceneGrid(scene_id, width, height, cell_size_m, empty.vocabulary, labels=labels)
+
 
 
 class GlobalIndex:
     """Bijection between global matrix rows and (scene, cell) pairs.
 
     Scenes are stacked in the given order, cells in row-major order within
-    each scene. Building the index freezes the scenes.
+    each scene.
     """
 
     def __init__(self, scenes: Sequence[SceneGrid]):
@@ -274,7 +241,6 @@ class GlobalIndex:
         for scene in scenes:
             self.offsets[scene.scene_id] = off
             off += scene.n_cells
-            scene.freeze()
         self.total_rows = off
 
     @property
@@ -289,15 +255,6 @@ class GlobalIndex:
 
     def row(self, scene_id: str, cell: Cell) -> int:
         return self.offsets[scene_id] + self.scene(scene_id).row_of(cell)
-
-    def location(self, row: int) -> tuple[str, Cell]:
-        if not 0 <= row < self.total_rows:
-            raise SceneError(f"row {row} outside global index of size {self.total_rows}")
-        for scene in reversed(self.scenes):
-            off = self.offsets[scene.scene_id]
-            if row >= off:
-                return scene.scene_id, scene.cell_of(row - off)
-        raise AssertionError("unreachable")
 
     def rows_of(self, scene_id: str) -> slice:
         scene = self.scene(scene_id)

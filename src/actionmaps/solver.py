@@ -114,11 +114,10 @@ def build_bundle(
         if observed_scene_ids is not None and scene.scene_id not in observed_scene_ids:
             continue
         off = index.offsets[scene.scene_id]
-        explored[off : off + scene.n_cells] = scene.explored_rows()
-        for demo in scene.demonstrations:
-            row = off + scene.row_of(demo.cell)
-            r[row, demo.activity] = demo.value
-            observed[row, demo.activity] = True
+        explored[off : off + scene.n_cells] = scene.explored
+        demos = scene.demonstrations
+        r[off + demos.rows, demos.activities] = demos.values
+        observed[off + demos.rows, demos.activities] = True
     w = np.zeros((m, n_act))
     n_c = observed.sum(axis=0)
     for a in range(n_act):

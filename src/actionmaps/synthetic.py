@@ -4,7 +4,7 @@ Scenes are a strip of rooms around a central corridor. Objects placed per
 room type induce the ground-truth affordances (the category-activity rules),
 object detections feed the object score channel, and room types feed the
 scene-class channel, so appearance genuinely predicts function and transfers
-across scenes. Demonstration sampling and camera coverage are calibrated
+across scenes. Sampled demonstrations and camera coverage are calibrated
 against target sparsity ratios.
 """
 
@@ -20,7 +20,7 @@ from actionmaps.scene import (
     DEFAULT_ACTIVITIES,
     ActivityVocabulary,
     Cell,
-    Demonstration,
+    Demonstrations,
     GlobalIndex,
     GridPose,
     SceneGrid,
@@ -156,13 +156,12 @@ class GeneratedDataset:
     def stacked_object_scores(self) -> np.ndarray:
         return np.vstack([self.features[s.scene_id][1] for s in self.scenes])
 
-    def explored_rows(self) -> np.ndarray:
-        return np.concatenate([s.explored_rows() for s in self.scenes])
+    def stacked_explored(self) -> np.ndarray:
+        return np.concatenate([s.explored for s in self.scenes])
 
     def with_demo_fraction(self, fraction: float, seed: int) -> "GeneratedDataset":
         scenes = [
-            s.copy_with_demonstrations(sample_demonstrations(s, fraction, seed))
-            for s in self.scenes
+            s.with_demonstrations(sample_demonstrations(s, fraction, seed)) for s in self.scenes
         ]
         return GeneratedDataset(
             scenes=scenes,
@@ -173,16 +172,13 @@ class GeneratedDataset:
         )
 
 
-def sample_demonstrations(
-    scene: SceneGrid, fraction: float, seed: int
-) -> tuple[Demonstration, ...]:
+def sample_demonstrations(scene: SceneGrid, fraction: float, seed: int) -> Demonstrations:
     """Seeded prefix sample: the 10% subset is contained in the 80% subset."""
     if not 0.0 <= fraction <= 1.0:
         raise GenerationError(f"fraction must be in [0, 1], got {fraction}")
     demos = scene.demonstrations
     order = np.random.default_rng(seed).permutation(len(demos))
-    take = int(round(fraction * len(demos)))
-    return tuple(demos[i] for i in order[:take])
+    return demos.take(order[: int(round(fraction * len(demos)))])
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +588,21 @@ def _generate_once(
         if abs(n_final / total - spec.target_explored_ratio) > 0.045:
             raise _Infeasible("explored ratio off target after demonstrations")
 
-    scene = SceneGrid(scene_id, w, h, vocabulary=vocabulary)
+    cells = tuple(coords.T)  # the (i, j) of every row
+    row_at = np.zeros((w, h), dtype=int)
+    row_at[cells] = np.arange(total)
+    label_matrix = np.zeros((total, len(vocabulary)), dtype=bool)
     for cell, acts in labels.items():
-        for a in acts:
-            scene.add_label(cell, a)
-    scene.explored |= explored
-    for pose in used_poses:
-        scene.add_pose(pose)
-    for (cell, act) in demo_cells:
-        scene.add_demonstration(Demonstration(scene_id, cell, act, 1.0))
+        label_matrix[row_at[cell], sorted(acts)] = True
+    demos = Demonstrations(
+        rows=[row_at[cell] for cell, _ in demo_cells],
+        activities=[act for _, act in demo_cells],
+        values=np.ones(len(demo_cells)),
+    )
+    scene = SceneGrid(
+        scene_id, w, h, vocabulary=vocabulary, explored=explored[cells],
+        labels=label_matrix, demonstrations=demos, poses=used_poses,
+    )
 
     p_q = np.array([[q9(v) for v in row] for row in p_scores])
     o_q = np.array([[q9(v) for v in row] for row in o_scores])

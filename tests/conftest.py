@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actionmaps.scene import ActivityVocabulary, Demonstration, SceneGrid
+from actionmaps.scene import ActivityVocabulary, Demonstrations, SceneGrid
 from actionmaps.synthetic import PRESETS, generate_dataset
 
 
@@ -17,13 +17,16 @@ def pair_dataset():
 
 @pytest.fixture()
 def tiny_scene():
-    """A 3x2 scene with one demo and one extra label, built by hand."""
-    scene = SceneGrid("tiny", 3, 2, 0.25, ActivityVocabulary(("sit", "wash")))
-    scene.add_label((0, 0), 0)
-    scene.add_label((2, 1), 1)
-    scene.add_demonstration(Demonstration("tiny", (0, 0), 0, 1.0))
-    scene.mark_explored((1, 0))
-    return scene
+    """A 3x2 scene with one demo and one extra label, built by hand: rows
+    0, 2 and 5 are the cells (0, 0), (1, 0) and (2, 1)."""
+    labels = np.zeros((6, 2), dtype=bool)
+    labels[0, 0] = labels[5, 1] = True
+    return SceneGrid(
+        "tiny", 3, 2, 0.25, ActivityVocabulary(("sit", "wash")),
+        explored=np.arange(6) == 2,
+        labels=labels,
+        demonstrations=Demonstrations([0], [0], [1.0]),
+    )
 
 
 def random_bundle(rng, m=12, a=4, density=0.5):

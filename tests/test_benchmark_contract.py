@@ -3,9 +3,11 @@
 The traced child patches boundary functions by name and counts K·U products
 through solver._as_kernel; the setup child builds the basis and the bundle
 directly. Each runs here on the mini preset, in a fresh interpreter, as the
-benchmark runs it.
+benchmark runs it. The runner's own data preparation, which reads scene
+sizes, poses and demonstrations, runs here in process.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -82,3 +84,25 @@ def test_setup_child_times_the_setup(manifests):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
     assert record["setup_s"] > 0
+
+
+def test_prepare_datasets_counts_match_the_written_documents(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    (ds,) = run.prepare_datasets(run.SMOKE_WORKLOADS["mini"], 1, tmp_path)
+    assert ds["seed"] == 10_000 and ds["source"] == ds["target"] == ["mini"]
+    # recount from the documents: the entry lines between section headers
+    manifest = Path(ds["manifest"])
+    names = manifest.read_text(encoding="utf-8").splitlines()
+    scene_files = names[2 : 2 + int(names[1].split()[1])]
+    m = poses = demos = 0
+    for name in scene_files:
+        lines = (manifest.parent / name).read_text(encoding="utf-8").splitlines()
+        head = {line.split()[0]: k for k, line in enumerate(lines) if line[:1].isalpha()}
+        width, height = map(int, lines[head["dims"]].split()[1:3])
+        m += width * height
+        demos += head["poses"] - head["demos"] - 1
+        poses += head["features"] - head["poses"] - 1
+    assert (ds["m"], ds["poses"], ds["demonstrations"]) == (m, poses, demos)
+    assert m > 0 and poses > 0 and demos > 0

@@ -16,7 +16,7 @@ from actionmaps.evaluation import (
     score_action_map,
 )
 from actionmaps.experiments import GridSpec, run_parameter_grid
-from actionmaps.scene import GlobalIndex, GridPose
+from actionmaps.scene import GlobalIndex, GridPose, SceneGrid
 
 
 def barycentric_inside(point, verts, eps=1e-9):
@@ -536,9 +536,16 @@ def collect_image_data_oracle(scenes, index, am_norm, params=EvalParams(), scene
 
 
 def _with_blind_pose(dataset):
-    """Unfrozen copies of the scenes; the first gains a pose that sees no cell."""
-    scenes = [s.copy_with_demonstrations(s.demonstrations) for s in dataset.scenes]
-    scenes[0].add_pose(GridPose(position=(0.2, 0.2), heading=(-1.0, 0.0)))
+    """The scenes, the first rebuilt with one more pose, which sees no cell."""
+    first = dataset.scenes[0]
+    blind = GridPose(position=(0.2, 0.2), heading=(-1.0, 0.0))
+    scenes = [
+        SceneGrid(
+            first.scene_id, first.width, first.height, first.cell_size_m, first.vocabulary,
+            first.explored, first.labels, first.demonstrations, first.poses + (blind,),
+        ),
+        *dataset.scenes[1:],
+    ]
     return scenes, GlobalIndex(scenes)
 
 

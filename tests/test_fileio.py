@@ -11,13 +11,18 @@ from hypothesis.extra import numpy as hnp
 
 from actionmaps import fileio
 from actionmaps.evaluation import pose_views
-from actionmaps.scene import ActivityVocabulary, Demonstration, GlobalIndex, GridPose, SceneGrid
+from actionmaps.scene import ActivityVocabulary, Demonstrations, GlobalIndex, GridPose, SceneGrid
 from actionmaps.solver import FactorPair
 from actionmaps.textfmt import fmt9, q9
 
 
 def _scene_files(ds, tmp_path):
     return fileio.write_dataset(ds, tmp_path / "data")
+
+
+def _demo_triples(demos):
+    """(row, activity, value) of every demonstration, in order."""
+    return list(zip(demos.rows.tolist(), demos.activities.tolist(), demos.values.tolist()))
 
 
 def test_scene_round_trip_exact(mini_dataset, tmp_path):
@@ -32,7 +37,7 @@ def test_scene_round_trip_exact(mini_dataset, tmp_path):
     assert loaded.vocabulary.names == scene.vocabulary.names
     assert np.array_equal(loaded.explored, scene.explored)
     assert loaded.labelled_cells() == scene.labelled_cells()
-    assert loaded.demonstrations == scene.demonstrations
+    assert _demo_triples(loaded.demonstrations) == _demo_triples(scene.demonstrations)
     assert loaded.poses == scene.poses
     assert np.array_equal(p2, p) and np.array_equal(o2, o)
     assert cls == mini_dataset.class_names and cats == mini_dataset.category_names
@@ -128,13 +133,30 @@ def test_handwritten_fixture_parses():
     assert scene.scene_id == "tiny"
     assert scene.cell_size_m == 0.5
     assert scene.vocabulary.names == ("sit", "wash")
-    assert scene.explored[0, 0] and scene.explored[1, 1] and not scene.explored[0, 1]
+    assert scene.explored.tolist() == [True, False, False, True]  # cells (0, 0) and (1, 1)
     assert scene.labels[scene.row_of((0, 0))].tolist() == [True, True]
-    assert scene.demonstrations[0].value == 0.75
+    assert _demo_triples(scene.demonstrations) == [(0, 0, 0.75)]
     assert scene.poses[0] == GridPose((0.5, 0.5), (1.0, 0.0))
     assert p[0].tolist() == [0.9, 0.1]
     assert o[3].tolist() == [0.1]
     assert cls == ("room", "wall") and cats == ("chair",)
+
+
+def test_repeated_demo_line_keeps_the_largest_value(tmp_path):
+    # a (cell, activity) pair keeps its first place and its largest value;
+    # its cell counts as explored although the explored section omits it
+    lines = [
+        "amscene 1", "scene s", "dims 2 2 0.25", "activities 2 sit wash",
+        "classes 1 room", "categories 1 chair", "explored 0", "gt 0",
+        "demos 4", "1 1 0 0.4", "0 0 1 0.5", "1 1 0 0.9", "1 1 0 0.2", "poses 0",
+        "features 4", "0 0 1 0", "0 1 1 0", "1 0 1 0", "1 1 1 0", "end",
+    ]
+    path = tmp_path / "repeat.scene"
+    path.write_text("\n".join(lines) + "\n")
+    scene = fileio.read_scene(path)[0]
+    assert _demo_triples(scene.demonstrations) == [(3, 0, 0.9), (0, 1, 0.5)]
+    assert scene.explored.tolist() == [True, False, False, True]
+    assert scene.stats().demo_count == 2
 
 
 def test_factors_round_trip(tmp_path):
@@ -205,25 +227,31 @@ def test_action_map_round_trip_property(grids, n_act, data):
 
 @st.composite
 def _drawn_scenes(draw):
-    """A scene with explored cells, labels, demonstrations (in insertion
-    order) and poses drawn at the precision written to disk, plus its
+    """A scene with explored cells, labels, demonstrations (in drawn order)
+    and poses drawn as arrays at the precision written to disk, plus its
     feature rows."""
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n_cells = width * height
     vocab = ActivityVocabulary(("sit", "type", "wash"))
-    scene = SceneGrid("s", width, height, draw(st.floats(0.01, 10.0).map(q9)), vocab)
-    cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
-    acts = st.integers(0, len(vocab) - 1)
-    for cell in draw(st.lists(cells, max_size=8)):
-        scene.mark_explored(cell)
-    for cell, act in draw(st.lists(st.tuples(cells, acts), max_size=12)):
-        scene.add_label(cell, act)
-    for cell, act, value in draw(
-        st.lists(st.tuples(cells, acts, st.floats(0.0, 1.0).map(q9)), max_size=12)
-    ):
-        scene.add_demonstration(Demonstration("s", cell, act, value))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_cells - 1), st.integers(0, len(vocab) - 1)),
+            max_size=12, unique=True,
+        )
+    )
+    values = draw(st.lists(st.floats(0.0, 1.0).map(q9), min_size=len(pairs), max_size=len(pairs)))
     coord = st.floats(-2.0, 8.0).map(q9)
-    for x, y, angle in draw(st.lists(st.tuples(coord, coord, st.floats(0.0, 6.3)), max_size=5)):
-        scene.add_pose(GridPose((x, y), (q9(math.cos(angle)), q9(math.sin(angle)))))
+    poses = [
+        GridPose((x, y), (q9(math.cos(angle)), q9(math.sin(angle))))
+        for x, y, angle in draw(st.lists(st.tuples(coord, coord, st.floats(0.0, 6.3)), max_size=5))
+    ]
+    scene = SceneGrid(
+        "s", width, height, draw(st.floats(0.01, 10.0).map(q9)), vocab,
+        explored=draw(hnp.arrays(bool, n_cells)),
+        labels=draw(hnp.arrays(bool, (n_cells, len(vocab)))),
+        demonstrations=Demonstrations([r for r, _ in pairs], [a for _, a in pairs], values),
+        poses=poses,
+    )
     p = draw(hnp.arrays(float, (scene.n_cells, 2), elements=_Q9))
     o = draw(hnp.arrays(float, (scene.n_cells, 1), elements=_Q9))
     return scene, p, o
@@ -245,7 +273,7 @@ def test_scene_round_trip_property(drawn):
     )
     assert np.array_equal(loaded.labels, scene.labels)
     assert np.array_equal(loaded.explored, scene.explored)
-    assert loaded.demonstrations == scene.demonstrations  # order included
+    assert _demo_triples(loaded.demonstrations) == _demo_triples(scene.demonstrations)
     assert loaded.poses == scene.poses
     assert np.array_equal(p2, p) and np.array_equal(o2, o)
     assert (cls, cats) == (("room", "wall"), ("chair",))
@@ -366,6 +394,40 @@ def test_rejected_values_report_path_and_line(pair_dataset, tmp_path):
     lines[first_demo] = f"{i} {j} 99 {value}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(fileio.SchemaError, match=rf"office_b\.scene:{first_demo + 1}: .*activity"):
+        fileio.load_dataset(manifest)
+
+
+def test_negative_demo_value_reports_path_and_line(pair_dataset, tmp_path):
+    manifest = _scene_files(pair_dataset, tmp_path)
+    path = tmp_path / "data" / "office_b.scene"
+    lines = path.read_text().splitlines()
+    first_demo = lines.index(next(line for line in lines if line.startswith("demos "))) + 1
+    lines[first_demo] = lines[first_demo].rsplit(maxsplit=1)[0] + " -0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.SchemaError, match=rf"office_b\.scene:{first_demo + 1}: .*>= 0"):
+        fileio.load_dataset(manifest)
+
+
+def test_repeated_catmap_category_reports_path_and_line(tmp_path):
+    # a second line for a category would silently replace the first
+    path = tmp_path / "catmap.txt"
+    path.write_text(
+        "amcatmap 1\ncategories 1 chair\nactivities 2 sit type\n"
+        "map 2\nchair sit\nchair type\nend\n"
+    )
+    with pytest.raises(fileio.SchemaError, match=r"catmap\.txt:6: category 'chair' is mapped twice"):
+        fileio.read_catmap(path)
+
+
+def test_repeated_manifest_scene_reports_path_and_line(pair_dataset, tmp_path):
+    manifest = _scene_files(pair_dataset, tmp_path)
+    with open(manifest) as fh:
+        lines = fh.read().splitlines()
+    assert lines[1:4] == ["scenes 2", "office_a.scene", "office_b.scene"]
+    lines[3] = "office_a.scene"
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(fileio.SchemaError, match=r"dataset\.txt:4: scene id 'office_a' repeats"):
         fileio.load_dataset(manifest)
 
 

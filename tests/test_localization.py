@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from actionmaps import experiments
 from actionmaps.localization import LocalizationError, discrepancy_curve
-from actionmaps.scene import ActivityVocabulary, SceneError, SceneGrid
+from actionmaps.scene import ActivityVocabulary, SceneError, create_scene
 
 # -- the per-query reference ----------------------------------------------------
 
@@ -69,10 +69,7 @@ def assert_matches_reference(am, scene, k_max):
 
 def _scene(width, height, labels, n_act=3):
     vocab = ActivityVocabulary(tuple(f"a{k}" for k in range(n_act)))
-    scene = SceneGrid("s", width, height, 0.25, vocab)
-    for cell, a in labels:
-        scene.add_label(cell, a)
-    return scene
+    return create_scene(width, height, 0.25, [(cell, [a]) for cell, a in labels], "s", vocab)
 
 
 # -- ranking, seen through the curve ----------------------------------------------
@@ -113,9 +110,9 @@ def test_rank_matches_sort_oracle():
 def test_rank_activity_out_of_range():
     # the scene refuses a label outside its vocabulary, and the curve refuses
     # a map without a column per activity of the scene
-    scene = _scene(2, 2, [((0, 0), 1)], n_act=2)
     with pytest.raises(SceneError):
-        scene.add_label((0, 0), 5)
+        _scene(2, 2, [((0, 0), 5)], n_act=2)
+    scene = _scene(2, 2, [((0, 0), 1)], n_act=2)
     with pytest.raises(LocalizationError, match="map is"):
         discrepancy_curve(np.zeros((4, 1)), scene, 2)
 
@@ -150,7 +147,7 @@ def test_curve_monotone_non_increasing():
 
 
 def test_curve_query_order_invariance():
-    # the curve depends on the scene's label set, not on the order of add_label
+    # the curve depends on the scene's label set, not on the order of its labels
     rng = np.random.default_rng(3)
     am = rng.uniform(0, 1, (20, 2))
     labels = [

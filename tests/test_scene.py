@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionmaps.scene import (
     ActivityVocabulary,
-    Demonstration,
+    Demonstrations,
     GridPose,
     SceneError,
     GlobalIndex,
@@ -49,45 +51,79 @@ def test_office_a_like_stats_match_reference_sparsity():
     assert stats.demo_count == 90
 
 
-def test_add_demonstration_marks_explored():
-    scene = create_scene(4, 4)
-    scene.add_demonstration(Demonstration("scene", (2, 3), 0, 1.0))
-    assert scene.explored[2, 3]
+def test_demonstrated_rows_count_as_explored():
+    scene = SceneGrid("scene", 4, 4, demonstrations=Demonstrations([11], [0], [1.0]))
+    assert np.flatnonzero(scene.explored).tolist() == [scene.row_of((2, 3))] == [11]
     assert scene.stats().demo_count == 1
 
 
-def test_duplicate_demonstration_keeps_max():
-    scene = create_scene(4, 4)
-    scene.add_demonstration(Demonstration("scene", (1, 1), 0, 0.4))
-    scene.add_demonstration(Demonstration("scene", (1, 1), 0, 0.9))
-    demos = scene.demonstrations
-    assert len(demos) == 1
-    assert demos[0].value == 0.9
-    # lower later value does not overwrite
-    scene.add_demonstration(Demonstration("scene", (1, 1), 0, 0.2))
-    assert scene.demonstrations[0].value == 0.9
-
-
 def test_demonstration_errors():
-    scene = create_scene(4, 4)
-    with pytest.raises(SceneError):
-        scene.add_demonstration(Demonstration("scene", (9, 0), 0, 1.0))
-    with pytest.raises(SceneError):
-        Demonstration("scene", (0, 0), 0, -0.5)
-    with pytest.raises(SceneError):
-        scene.add_demonstration(Demonstration("other", (0, 0), 0, 1.0))
+    def scene_with(rows, acts, values):
+        return SceneGrid("scene", 4, 4, demonstrations=Demonstrations(rows, acts, values))
+
+    with pytest.raises(SceneError, match=r"row 16 outside \[0, 16\)"):
+        scene_with([16], [0], [1.0])
+    with pytest.raises(SceneError, match=r"activity 6 outside \[0, 6\)"):
+        scene_with([0], [6], [1.0])
+    with pytest.raises(SceneError, match="demonstrated once"):
+        scene_with([5, 5], [1, 1], [0.4, 0.9])
+    with pytest.raises(SceneError, match=">= 0"):
+        Demonstrations([0], [0], [-0.5])
+    with pytest.raises(SceneError, match="one length"):
+        Demonstrations([0, 1], [0], [1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_scene_constructor_checks(data):
+    # a scene takes any demonstrations whose rows and activities are in range,
+    # whose (row, activity) pairs are distinct and whose values are >= 0; it
+    # refuses all others, and every array it holds is a read-only copy
+    width, height, n_act = (data.draw(st.integers(1, 4)) for _ in range(3))
+    n = width * height
+    k = data.draw(st.integers(0, 6))
+    rows = data.draw(st.lists(st.integers(-1, n), min_size=k, max_size=k))
+    acts = data.draw(st.lists(st.integers(-1, n_act), min_size=k, max_size=k))
+    value = st.one_of(st.floats(0.0, 1.0), st.just(float("nan")), st.floats(-1.0, -1e-9))
+    values = data.draw(st.lists(value, min_size=k, max_size=k))
+    explored = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=n * n_act, max_size=n * n_act)))
+    vocab = ActivityVocabulary(tuple(f"a{a}" for a in range(n_act)))
+
+    def build():
+        demos = Demonstrations(rows, acts, values)
+        return SceneGrid("s", width, height, 0.25, vocab, explored, labels.reshape(n, n_act), demos)
+
+    valid = (
+        all(0 <= r < n for r in rows)
+        and all(0 <= a < n_act for a in acts)
+        and len(set(zip(rows, acts))) == k
+        and all(v >= 0 for v in values)
+    )
+    if not valid:
+        with pytest.raises(SceneError):
+            build()
+        return
+    scene = build()
+    demos = scene.demonstrations
+    assert demos.rows.tolist() == rows and demos.activities.tolist() == acts
+    assert demos.values.tolist() == values
+    want_explored = np.array(explored)
+    want_explored[rows] = True
+    assert scene.explored.tolist() == want_explored.tolist()
+    given_labels = labels.copy()
+    labels ^= True  # the scene holds a copy of what it was given
+    assert np.array_equal(scene.labels, given_labels.reshape(n, n_act))
+    for array in (scene.explored, scene.labels, demos.rows, demos.activities, demos.values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_stack_single_scene_row_order():
     scene = create_scene(2, 2, scene_id="s")
     index = GlobalIndex([scene])
     assert index.total_rows == 4
-    assert [index.location(r) for r in range(4)] == [
-        ("s", (0, 0)),
-        ("s", (0, 1)),
-        ("s", (1, 0)),
-        ("s", (1, 1)),
-    ]
+    assert [index.row("s", cell) for cell in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [0, 1, 2, 3]
 
 
 def test_stack_two_scenes_offsets():
@@ -102,9 +138,12 @@ def test_stack_round_trip_identity():
     a = create_scene(3, 4, scene_id="a")
     b = create_scene(2, 5, scene_id="b")
     index = GlobalIndex([a, b])
-    for row in range(index.total_rows):
-        scene_id, cell = index.location(row)
-        assert index.row(scene_id, cell) == row
+    rows = [
+        index.row(scene.scene_id, (i, j))
+        for scene in (a, b)
+        for i, j in grid_coords(scene.width, scene.height).tolist()
+    ]
+    assert rows == list(range(index.total_rows))
 
 
 def test_stack_vocabulary_mismatch():
@@ -114,24 +153,18 @@ def test_stack_vocabulary_mismatch():
         GlobalIndex([a, b])
 
 
-def test_stacked_scene_is_frozen():
-    scene = create_scene(2, 2, scene_id="s")
+def test_scene_is_read_only_and_stacking_leaves_it_alone():
+    scene = create_scene(2, 2, gt_spec=[((0, 0), [1])], scene_id="s")
+    explored, labels = scene.explored, scene.labels
     GlobalIndex([scene])
-    with pytest.raises(SceneError):
-        scene.add_demonstration(Demonstration("s", (0, 0), 0, 1.0))
-    with pytest.raises(SceneError):
-        scene.mark_explored((0, 0))
-    with pytest.raises(SceneError):
-        scene.add_label((0, 0), 0)
-    # the arrays are read-only too, so a stacked scene cannot change through them
+    assert scene.explored is explored and scene.labels is labels
     with pytest.raises(ValueError, match="read-only"):
         scene.labels[0, 0] = True
     with pytest.raises(ValueError, match="read-only"):
-        scene.explored[0, 0] = True
-    copy = scene.copy_with_demonstrations([Demonstration("s", (1, 1), 0, 1.0)])
-    copy.add_label((0, 0), 1)
-    assert copy.labels[0, 1] and copy.explored[1, 1]
-    assert not scene.labels.any() and not scene.explored.any()
+        scene.explored[0] = True
+    demoed = scene.with_demonstrations(Demonstrations([3], [0], [1.0]))
+    assert demoed.labels[0, 1] and demoed.explored.tolist() == [False, False, False, True]
+    assert not scene.explored.any() and len(scene.demonstrations) == 0
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 1), (3, 5)])
@@ -141,21 +174,20 @@ def test_grid_coords_follow_the_row_order(shape):
     assert coords.shape == (scene.n_cells, 2) and coords.dtype.kind == "i"
     for row, (i, j) in enumerate(coords.tolist()):
         assert scene.row_of((i, j)) == row
-        assert scene.cell_of(row) == (i, j)
 
 
 def test_stats_match_recount(tiny_scene):
     stats = tiny_scene.stats()
     explored = int(tiny_scene.explored.sum())
-    demo_cells = {d.cell for d in tiny_scene.demonstrations}
+    demo_cells = set(tiny_scene.demonstrations.rows.tolist())
     assert stats.r_e == explored / tiny_scene.n_cells
     assert stats.r_a == len(demo_cells) / tiny_scene.n_cells
     assert stats.demo_count == len(tiny_scene.demonstrations)
     assert 0 <= stats.r_a <= stats.r_e <= 1
 
 
-def test_copy_with_demonstrations(tiny_scene):
-    copy = tiny_scene.copy_with_demonstrations([])
+def test_with_demonstrations(tiny_scene):
+    copy = tiny_scene.with_demonstrations(Demonstrations([], [], []))
     assert copy.stats().demo_count == 0
     assert np.array_equal(copy.explored, tiny_scene.explored)
     assert np.array_equal(copy.labels, tiny_scene.labels)
@@ -179,7 +211,7 @@ NAN = float("nan")
     [
         lambda: GridPose((1.0, 1.0), (NAN, NAN)),
         lambda: GridPose((1.0, 1.0), (NAN, 0.0)),
-        lambda: Demonstration("s", (0, 0), 0, NAN),
+        lambda: Demonstrations([0], [0], [NAN]),
         lambda: SceneGrid("s", 2, 2, NAN),
     ],
     ids=["pose-heading", "pose-heading-x", "demo-value", "cell-size"],

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actionmaps import solver
-from actionmaps.scene import ActivityVocabulary, Demonstration, GlobalIndex, SceneGrid
+from actionmaps.scene import ActivityVocabulary, Demonstrations, GlobalIndex, SceneGrid
 from actionmaps.sideinfo import GramMatrix, SideInfoError
 from actionmaps.solver import (
     ActionMatrixBundle,
@@ -60,12 +60,10 @@ def unregularized_step_oracle(u, v, bundle, eps):
 
 
 def _two_activity_scene():
+    # demos at the cells (0, 0), (1, 0) and (2, 0), which are rows 0, 2 and 4
     vocab = ActivityVocabulary(("sit", "type"))
-    scene = SceneGrid("s", 3, 2, vocabulary=vocab)
-    scene.add_demonstration(Demonstration("s", (0, 0), 0, 1.0))
-    scene.add_demonstration(Demonstration("s", (1, 0), 0, 1.0))
-    scene.add_demonstration(Demonstration("s", (2, 0), 1, 1.0))
-    return scene
+    demos = Demonstrations([0, 2, 4], [0, 0, 1], [1.0, 1.0, 1.0])
+    return SceneGrid("s", 3, 2, vocabulary=vocab, demonstrations=demos)
 
 
 def test_weight_matrix_counts():
@@ -88,9 +86,7 @@ def test_weight_matrix_counts():
 
 
 def test_weight_matrix_no_demos():
-    scene = SceneGrid("s", 2, 2)
-    scene.mark_explored((0, 0))
-    scene.mark_explored((1, 1))
+    scene = SceneGrid("s", 2, 2, explored=[True, False, False, True])  # cells (0, 0), (1, 1)
     index = GlobalIndex([scene])
     w = build_bundle([scene], index).W
     n_z = 2 * 6
@@ -115,8 +111,9 @@ def test_bundle_values_and_mask():
 
 def test_bundle_excluding_scene_zeroes_it():
     scene = _two_activity_scene()
-    other = SceneGrid("t", 2, 2, vocabulary=scene.vocabulary)
-    other.add_demonstration(Demonstration("t", (0, 0), 0, 1.0))
+    other = SceneGrid(
+        "t", 2, 2, vocabulary=scene.vocabulary, demonstrations=Demonstrations([0], [0], [1.0])
+    )
     index = GlobalIndex([scene, other])
     bundle = build_bundle([scene, other], index, observed_scene_ids={"s"})
     rows = index.rows_of("t")
