@@ -134,16 +134,13 @@ def _add_grid_args(p: argparse.ArgumentParser):
 
 def cmd_generate(args) -> int:
     if args.spec_json:
-        if not os.path.exists(args.spec_json):
-            raise CliError(f"spec file does not exist: {args.spec_json}")
-        with open(args.spec_json, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _read_json_object(args.spec_json, "spec")
         known = {f.name for f in fields(WorldSpec)}
         unknown = set(raw) - known
         if unknown:
-            raise CliError(f"unknown world-spec fields: {sorted(unknown)}")
+            raise CliError(f"{args.spec_json}: unknown world-spec fields: {sorted(unknown)}")
         for key in ("room_width", "room_height", "room_type_weights"):
-            if key in raw:
+            if isinstance(raw.get(key), list):
                 raw[key] = tuple(raw[key])
         spec = WorldSpec(**raw)
     else:
@@ -378,20 +375,26 @@ def _config_value(path: str, key: str, action: argparse.Action, value):
     return converted
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; errors name the path and what."""
+    if not os.path.exists(path):
+        raise CliError(f"{what} file does not exist: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: invalid JSON {what}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
 def _apply_config(args: argparse.Namespace):
     """Config file values override flags."""
     path = getattr(args, "config", "")
     if not path:
         return
-    if not os.path.exists(path):
-        raise CliError(f"config file does not exist: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: invalid JSON config: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise CliError(f"{path}: config must be a JSON object")
+    cfg = _read_json_object(path, "config")
     flags = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
     for key, value in cfg.items():
         action = flags.get(key.replace("-", "_"))

@@ -370,6 +370,7 @@ def load_dataset(manifest_path) -> GeneratedDataset:
             raise r.error("scene entries need one file name")
         scene_files.append((toks[0], r.pos))
     catmap_file = r.expect_value("catmap")
+    catmap_line = r.pos
     r.expect("end")
 
     scenes = []
@@ -383,16 +384,17 @@ def load_dataset(manifest_path) -> GeneratedDataset:
             class_names, category_names = cls, cats
         elif cls != class_names or cats != category_names:
             raise SchemaError(
-                manifest_path, 0,
+                manifest_path, lineno,
                 f"scene {scene.scene_id!r} uses different class/category names",
             )
         scenes.append(scene)
         features[scene.scene_id] = (p, o)
     catmap, cats, acts = read_catmap(os.path.join(base, catmap_file))
     if cats != category_names:
-        raise SchemaError(manifest_path, 0, "category map names do not match scenes")
+        raise SchemaError(manifest_path, catmap_line, "category map names do not match scenes")
     if acts != scenes[0].vocabulary.names:
-        raise SchemaError(manifest_path, 0, "category map activities do not match scenes")
+        raise SchemaError(manifest_path, catmap_line,
+                          "category map activities do not match scenes")
     return GeneratedDataset(
         scenes=scenes,
         features=features,

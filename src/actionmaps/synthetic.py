@@ -61,6 +61,10 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     """Layout ranges, noise levels, and sparsity targets for generation."""
@@ -85,11 +89,15 @@ class WorldSpec:
     max_layout_retries: int = 20
 
     def __post_init__(self):
-        # checked by the annotations, so spec JSON cannot slip a float or a bool in
+        # checked by the annotations, so spec JSON cannot slip in a value of
+        # the wrong type, a bool included
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is int and not _is_int(value):
                 raise GenerationError(f"{f.name} must be an integer, got {value!r}")
+            optional = f.type == Optional[float] and value is None
+            if f.type in (float, Optional[float]) and not (optional or _is_real(value)):
+                raise GenerationError(f"{f.name} must be a number, got {value!r}")
             is_pair = isinstance(value, (tuple, list)) and len(value) == 2
             if f.type == tuple[int, int] and not (is_pair and all(map(_is_int, value))):
                 raise GenerationError(f"{f.name} must be a (lo, hi) integer pair, got {value!r}")
@@ -103,18 +111,20 @@ class WorldSpec:
             ("feature_noise", self.feature_noise),
             ("localization_jitter", self.localization_jitter),
         ):
-            if not v >= 0:  # written so that NaN fails
-                raise GenerationError(f"{name} must be >= 0")
+            if not 0 <= v < math.inf:  # written so that NaN fails
+                raise GenerationError(f"{name} must be finite and >= 0, got {v!r}")
         for name in ("detection_miss_rate", "false_positive_rate", "feature_smoothing",
                      "target_explored_ratio", "target_action_ratio"):
             v = getattr(self, name)
-            if not ((v is None and name.startswith("target_")) or 0.0 <= v <= 1.0):
+            if not (v is None or 0.0 <= v <= 1.0):  # only the target_ fields may be None
                 raise GenerationError(f"{name} must be in [0, 1], got {v!r}")
         for name, low in (("corridor_height", 1), ("max_layout_retries", 1), ("poses_per_room", 0),
                           ("corridor_poses", 0), ("object_margin", 0), ("n_demonstrations", 0)):
             if getattr(self, name) < low:
                 raise GenerationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        w = np.asarray(self.room_type_weights, dtype=float)
+        w = self.room_type_weights
+        numbers = isinstance(w, (tuple, list)) and all(map(_is_real, w))
+        w = np.asarray(w if numbers else (), dtype=float)
         if not (w.shape == (len(ROOM_TYPES),) and (w >= 0).all() and 0 < w.sum() < np.inf):
             raise GenerationError(f"room_type_weights must be {len(ROOM_TYPES)} finite weights "
                                   f">= 0 with a positive sum, got {self.room_type_weights!r}")
@@ -186,24 +196,12 @@ def sample_demonstrations(scene: SceneGrid, fraction: float, seed: int) -> Demon
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Layout:
-    room_id: np.ndarray  # (W, H): -1 walls, 0 corridor, 1.. rooms
-    room_types: list[str]  # 1-based, index 0 unused
-    doorways: list[Cell]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.room_id.shape
-
-    def floor_cells(self) -> list[Cell]:
-        return [tuple(c) for c in np.argwhere(self.room_id >= 0).tolist()]
-
-    def room_cells(self, room: int) -> list[Cell]:
-        return [tuple(c) for c in np.argwhere(self.room_id == room).tolist()]
+_NEIGHBOURS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def _build_layout(spec: WorldSpec, rng: np.random.Generator) -> _Layout:
+def _build_layout(spec: WorldSpec, rng: np.random.Generator):
+    """The (W, H) room-id array (-1 walls, 0 corridor, 1.. rooms), the type
+    of each room (room r at index r - 1) and the doorway cells."""
     widths = [int(rng.integers(spec.room_width[0], spec.room_width[1] + 1))
               for _ in range(spec.rooms_x)]
     h_top = int(rng.integers(spec.room_height[0], spec.room_height[1] + 1))
@@ -231,17 +229,15 @@ def _build_layout(spec: WorldSpec, rng: np.random.Generator) -> _Layout:
             rooms.append((x0, y_bot, w, h_bot))
             x0 += w + 1
 
-    room_types = ["corridor"]
     doorways: list[Cell] = []
-    type_order = _assign_room_types(len(rooms), spec, rng)
+    room_types = _assign_room_types(len(rooms), spec, rng)
     for r, (x0, y0, w, h) in enumerate(rooms, start=1):
         room_id[x0 : x0 + w, y0 : y0 + h] = r
-        room_types.append(type_order[r - 1])
         door_x = int(rng.integers(x0, x0 + w))
         door_y = y0 + h if y0 < corridor_y0 else y0 - 1
         room_id[door_x, door_y] = 0
         doorways.append((door_x, door_y))
-    return _Layout(room_id=room_id, room_types=room_types, doorways=doorways)
+    return room_id, room_types, doorways
 
 
 def _assign_room_types(n_rooms: int, spec: WorldSpec, rng: np.random.Generator):
@@ -256,175 +252,127 @@ def _assign_room_types(n_rooms: int, spec: WorldSpec, rng: np.random.Generator):
     return types
 
 
-def _interior_cells(layout: _Layout, room: int, margin: int) -> list[Cell]:
-    cells = layout.room_cells(room)
-    if margin <= 0:
-        return cells
-    w, h = layout.shape
-    out = []
-    for i, j in cells:
-        ok = True
-        for di in range(-margin, margin + 1):
-            for dj in range(-margin, margin + 1):
-                ni, nj = i + di, j + dj
-                if not (0 <= ni < w and 0 <= nj < h) or layout.room_id[ni, nj] != room:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append((i, j))
+def _shifted(a: np.ndarray, di: int, dj: int, fill) -> np.ndarray:
+    """a[i + di, j + dj] at every cell (i, j) of a (W, H, ...) grid array, and
+    fill where that cell is off the grid."""
+    w, h = a.shape[:2]
+    out = np.full_like(a, fill)
+    src = a[max(0, di) : max(0, w + di), max(0, dj) : max(0, h + dj)]
+    i0, j0 = max(0, -di), max(0, -dj)
+    out[i0 : i0 + src.shape[0], j0 : j0 + src.shape[1]] = src
     return out
 
 
-def _wall_adjacent(layout: _Layout, room: int) -> list[Cell]:
-    w, h = layout.shape
-    out = []
-    for i, j in layout.room_cells(room):
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni < w and 0 <= nj < h and layout.room_id[ni, nj] == -1:
-                out.append((i, j))
-                break
+def _interior(in_room: np.ndarray, margin: int) -> np.ndarray:
+    """The cells whose (2 margin + 1)-cell square lies wholly in the room,
+    found one axis at a time."""
+    out = in_room
+    for di, dj in ((1, 0), (0, 1)):
+        shifts = [_shifted(out, d * di, d * dj, False) for d in range(-margin, margin + 1)]
+        out = np.logical_and.reduce(shifts)
     return out
 
 
-def _place_objects(layout: _Layout, spec: WorldSpec, rng: np.random.Generator):
-    """Returns (category name, cell, room) triples, one cell per object."""
-    objects: list[tuple[str, Cell, int]] = []
-    for room in range(1, len(layout.room_types)):
-        rtype = layout.room_types[room]
-        interior = _interior_cells(layout, room, spec.object_margin)
-        if spec.object_margin > 0:
-            walls = interior
-        else:
-            walls = _wall_adjacent(layout, room) or interior
-        used: set[Cell] = set()
+def _cell_row(row_at: np.ndarray, i: int, j: int) -> Optional[int]:
+    """The row of cell (i, j), or None if the cell is off the grid."""
+    w, h = row_at.shape
+    return int(row_at[i, j]) if 0 <= i < w and 0 <= j < h else None
 
-        def pick(pool: list[Cell]) -> Optional[Cell]:
-            avail = [c for c in pool if c not in used]
+
+def _place_objects(room_id, room_types, doorways, coords, row_at, spec: WorldSpec,
+                   rng: np.random.Generator):
+    """Returns (category name, row, room) triples, one cell per object."""
+    cells = tuple(coords.T)
+    near_wall = np.logical_or.reduce(
+        [_shifted(room_id == -1, di, dj, False) for di, dj in _NEIGHBOURS]
+    )
+    objects: list[tuple[str, int, int]] = []
+    for room, rtype in enumerate(room_types, start=1):
+        in_room = room_id == room
+        interior = np.flatnonzero(_interior(in_room, spec.object_margin)[cells]).tolist()
+        walls = interior
+        if spec.object_margin == 0:
+            walls = np.flatnonzero((in_room & near_wall)[cells]).tolist() or interior
+        used: set[int] = set()
+
+        def place(category: str, pool: list[int]) -> Optional[int]:
+            """Put the object on a random free row of pool; that row, or None."""
+            avail = [row for row in pool if row not in used]
             if not avail:
                 return None
-            cell = avail[int(rng.integers(len(avail)))]
-            used.add(cell)
-            return cell
-
-        def neighbors(cell: Cell) -> list[Cell]:
-            i, j = cell
-            return [
-                c
-                for c in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1))
-                if c in interior
-            ]
+            row = avail[int(rng.integers(len(avail)))]
+            used.add(row)
+            objects.append((category, row, room))
+            return row
 
         if rtype == "office":
-            desk = pick(interior)
-            if desk:
-                objects.append(("desk", desk, room))
-                chair = pick(neighbors(desk)) or pick(interior)
-                if chair:
-                    objects.append(("chair", chair, room))
-            wb = pick(walls)
-            if wb:
-                objects.append(("whiteboard", wb, room))
+            desk = place("desk", interior)
+            if desk is not None:
+                i, j = coords[desk]
+                beside = [_cell_row(row_at, i + di, j + dj) for di, dj in _NEIGHBOURS]
+                if place("chair", [row for row in beside if row in interior]) is None:
+                    place("chair", interior)
+            place("whiteboard", walls)
             if rng.random() < 0.5:
-                shelf = pick(walls)
-                if shelf:
-                    objects.append(("bookshelf", shelf, room))
+                place("bookshelf", walls)
         elif rtype == "kitchen":
-            sink = pick(walls)
-            if sink:
-                objects.append(("sink", sink, room))
+            place("sink", walls)
             if rng.random() < 0.5:
-                chair = pick(interior)
-                if chair:
-                    objects.append(("chair", chair, room))
+                place("chair", interior)
         else:  # common room
             for _ in range(2):
-                chair = pick(interior)
-                if chair:
-                    objects.append(("chair", chair, room))
+                place("chair", interior)
             if rng.random() < 0.6:
-                wb = pick(walls)
-                if wb:
-                    objects.append(("whiteboard", wb, room))
+                place("whiteboard", walls)
             if rng.random() < 0.4:
-                shelf = pick(walls)
-                if shelf:
-                    objects.append(("bookshelf", shelf, room))
-    for door_cell in layout.doorways:
-        objects.append(("door", door_cell, 0))
+                place("bookshelf", walls)
+    for door in doorways:
+        objects.append(("door", int(row_at[door]), 0))
     return objects
 
 
-def _ground_truth(layout: _Layout, objects, vocabulary: ActivityVocabulary):
-    """Cells within the detection-score radius of each object get its
-    affordances; in-room objects do not label through walls."""
-    w, h = layout.shape
-    labels: dict[Cell, set[int]] = {}
-    for category, (ci, cj), room in objects:
+def _ground_truth(rooms, coords, objects, vocabulary: ActivityVocabulary) -> np.ndarray:
+    """The (n_cells, A) labels: cells within the detection-score radius of
+    each object get its affordances; in-room objects do not label through
+    walls."""
+    labels = np.zeros((len(coords), len(vocabulary)), dtype=bool)
+    for category, row, room in objects:
+        near = (np.abs(coords - coords[row]) <= 1).all(axis=1)
+        if category != "door":
+            near &= rooms == room
         acts = [vocabulary.index(a) for a in CATEGORY_AFFORDANCES[category]]
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ni, nj = ci + di, cj + dj
-                if not (0 <= ni < w and 0 <= nj < h):
-                    continue
-                if category != "door" and layout.room_id[ni, nj] != room:
-                    continue
-                labels.setdefault((ni, nj), set()).update(acts)
+        labels[np.ix_(near, acts)] = True
     return labels
 
 
-def _detections(layout, objects, spec: WorldSpec, rng: np.random.Generator):
+def _detections(objects, floor, coords, spec: WorldSpec, rng: np.random.Generator):
     dets: list[tuple[int, tuple[float, float]]] = []
-    for category, (i, j), _room in objects:
+    for category, row, _room in objects:
         if rng.random() < spec.detection_miss_rate:
             continue
+        i, j = coords[row]
         dets.append((CATEGORY_NAMES.index(category), (i + 0.5, j + 0.5)))
-    floor = layout.floor_cells()
     n_fp = int(round(spec.false_positive_rate * len(floor)))
     for _ in range(n_fp):
-        i, j = floor[int(rng.integers(len(floor)))]
+        i, j = coords[floor[int(rng.integers(len(floor)))]]
         cat = int(rng.integers(len(CATEGORY_NAMES)))
         dets.append((cat, (i + 0.5, j + 0.5)))
     return dets
 
 
-def _cell_classes(layout: _Layout) -> np.ndarray:
-    w, h = layout.shape
-    cls = np.full((w, h), _WALL_CLASS, dtype=int)
-    for i in range(w):
-        for j in range(h):
-            r = layout.room_id[i, j]
-            if r == 0:
-                cls[i, j] = _CORRIDOR_CLASS
-            elif r > 0:
-                cls[i, j] = _CLASS_OF_ROOM_TYPE[layout.room_types[r]]
-    return cls
-
-
-def _scene_class_scores(layout: _Layout, spec: WorldSpec, rng: np.random.Generator):
+def _scene_class_scores(room_id, room_types, cells, spec: WorldSpec,
+                        rng: np.random.Generator) -> np.ndarray:
     """Own-class one-hot mixed with the 8-neighborhood mean, plus noise."""
-    w, h = layout.shape
-    n_classes = len(CLASS_NAMES)
-    base = np.eye(n_classes)[_cell_classes(layout)]  # (W, H, C)
-    nb_sum = np.zeros_like(base)
-    nb_cnt = np.zeros((w, h, 1))
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            src_i = slice(max(0, -di), min(w, w - di))
-            src_j = slice(max(0, -dj), min(h, h - dj))
-            dst_i = slice(max(0, di), min(w, w + di))
-            dst_j = slice(max(0, dj), min(h, h + dj))
-            nb_sum[dst_i, dst_j] += base[src_i, src_j]
-            nb_cnt[dst_i, dst_j] += 1.0
+    class_of = [_WALL_CLASS, _CORRIDOR_CLASS] + [_CLASS_OF_ROOM_TYPE[t] for t in room_types]
+    base = np.eye(len(CLASS_NAMES))[np.array(class_of)[room_id + 1]]  # (W, H, C)
+    around = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+    nb_sum = sum(_shifted(base, di, dj, 0.0) for di, dj in around)
+    nb_cnt = sum(_shifted(np.ones_like(base[..., :1]), di, dj, 0.0) for di, dj in around)
     s = spec.feature_smoothing
     p = (1.0 - s) * base + s * nb_sum / nb_cnt
     if spec.feature_noise > 0:
         p = p + rng.normal(0.0, spec.feature_noise, p.shape)
-    return np.clip(p, 0.0, None).reshape(w * h, n_classes)
+    return np.clip(p, 0.0, None)[cells]
 
 
 def _pose_at(cell: Cell, target: tuple[float, float]) -> GridPose:
@@ -437,24 +385,24 @@ def _pose_at(cell: Cell, target: tuple[float, float]) -> GridPose:
     return GridPose(position=(q9(pos[0]), q9(pos[1])), heading=(hx, hy))
 
 
-def _candidate_poses(layout: _Layout, objects, spec: WorldSpec, rng: np.random.Generator):
+def _candidate_poses(rooms, coords, objects, spec: WorldSpec, rng: np.random.Generator):
     poses: list[GridPose] = []
-    for room in range(1, len(layout.room_types)):
-        cells = layout.room_cells(room)
-        room_objects = [c for cat, c, r in objects if r == room]
+    for room in range(1, rooms.max() + 1):
+        room_rows = np.flatnonzero(rooms == room)
+        targets = [row for _, row, r in objects if r == room]
         for _ in range(spec.poses_per_room):
-            cell = cells[int(rng.integers(len(cells)))]
-            if room_objects:
-                t = room_objects[int(rng.integers(len(room_objects)))]
+            cell = coords[room_rows[int(rng.integers(len(room_rows)))]]
+            if targets:
+                t = coords[targets[int(rng.integers(len(targets)))]]
                 target = (t[0] + 0.5, t[1] + 0.5)
             else:
                 target = (cell[0] + 1.5, cell[1] + 0.5)
             poses.append(_pose_at(cell, target))
-    corridor = layout.room_cells(0)
-    xs = sorted({c[0] for c in corridor})
+    corridor = coords[rooms == 0]
+    xs = sorted(set(corridor[:, 0].tolist()))
     for k in range(spec.corridor_poses):
         x = xs[min(len(xs) - 1, int(round(k * (len(xs) - 1) / max(1, spec.corridor_poses - 1))))]
-        ys = sorted(j for i, j in corridor if i == x)
+        ys = sorted(corridor[corridor[:, 0] == x, 1].tolist())
         cell = (x, ys[len(ys) // 2])
         target = (cell[0] + 0.5 + (1.0 if k % 2 == 0 else -1.0), cell[1] + 0.5)
         poses.append(_pose_at(cell, target))
@@ -471,28 +419,33 @@ def _generate_once(
 ) -> tuple[SceneGrid, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed_key)
     eval_params = EvalParams()
-    layout = _build_layout(spec, rng)
-    w, h = layout.shape
+    room_id, room_types, doorways = _build_layout(spec, rng)
+    w, h = room_id.shape
     total = w * h
+    coords = grid_coords(w, h)  # the (i, j) of every row
+    cells = tuple(coords.T)
+    row_at = np.zeros((w, h), dtype=int)  # and back
+    row_at[cells] = np.arange(total)
+    rooms = room_id[cells]  # the room id of every row
+    floor = np.flatnonzero(rooms >= 0)
     vocabulary = ActivityVocabulary()
-    objects = _place_objects(layout, spec, rng)
-    labels = _ground_truth(layout, objects, vocabulary)
-    detections = _detections(layout, objects, spec, rng)
+    objects = _place_objects(room_id, room_types, doorways, coords, row_at, spec, rng)
+    labels = _ground_truth(rooms, coords, objects, vocabulary)
+    detections = _detections(objects, floor, coords, spec, rng)
     o_scores = aggregate_object_scores((w, h), detections, len(CATEGORY_NAMES))
-    p_scores = _scene_class_scores(layout, spec, rng)
+    p_scores = _scene_class_scores(room_id, room_types, cells, spec, rng)
 
-    candidates = _candidate_poses(layout, objects, spec, rng)
+    candidates = _candidate_poses(rooms, coords, objects, spec, rng)
     target_cells = (
         int(round(spec.target_explored_ratio * total))
         if spec.target_explored_ratio is not None
         else None
     )
-    coords = grid_coords(w, h)
-    explored = np.zeros((w, h), dtype=bool)
+    explored = np.zeros(total, dtype=bool)
     used_poses: list[GridPose] = []
 
     def look(pose: GridPose):
-        explored[tuple(coords[view_rows(pose, (w, h), eval_params)].T)] = True
+        explored[view_rows(pose, (w, h), eval_params)] = True
         used_poses.append(pose)
 
     for pose in candidates:
@@ -500,10 +453,9 @@ def _generate_once(
             break
         look(pose)
     if target_cells is not None:
-        floor = layout.floor_cells()
         extra = 0
         while explored.sum() < target_cells and extra < 300:
-            cell = floor[int(rng.integers(len(floor)))]
+            cell = coords[floor[int(rng.integers(len(floor)))]]
             angle = rng.uniform(0.0, 2.0 * math.pi)
             pose = _pose_at(cell, (cell[0] + 0.5 + math.cos(angle), cell[1] + 0.5 + math.sin(angle)))
             look(pose)
@@ -511,147 +463,121 @@ def _generate_once(
         if explored.sum() < target_cells - int(0.05 * total):
             raise _Infeasible("cannot reach the explored-ratio target")
 
-    # make sure enough labelled (cell, activity) pairs are observable and
+    # make sure enough labelled (row, activity) pairs are observable and
     # every labelled activity is observable somewhere
-    def observable_pairs():
-        return [
-            (cell, act)
-            for cell in sorted(labels)
-            if explored[cell]
-            for act in sorted(labels[cell])
-        ]
-
-    gt_activities = sorted({a for acts in labels.values() for a in acts})
-    guard = 0
-    while guard < 200:
-        covered = {act for _, act in observable_pairs()}
-        missing = [a for a in gt_activities if a not in covered]
-        enough = len(observable_pairs()) >= spec.n_demonstrations and not missing
-        if enough:
+    gt_activities = np.flatnonzero(labels.any(axis=0))
+    for _ in range(200):
+        seen = labels & explored[:, None]
+        missing = np.flatnonzero(labels.any(axis=0) & ~seen.any(axis=0))
+        if seen.sum() >= spec.n_demonstrations and not missing.size:
             break
-        if missing:
-            unseen = [c for c in sorted(labels) if not explored[c] and missing[0] in labels[c]]
-        else:
-            unseen = [c for c in sorted(labels) if not explored[c]]
-        if not unseen:
+        unseen = labels.any(axis=1) & ~explored
+        if missing.size:
+            unseen &= labels[:, missing[0]]
+        unseen = np.flatnonzero(unseen)
+        if not unseen.size:
             break
-        cell = unseen[int(rng.integers(len(unseen)))]
+        cell = coords[unseen[int(rng.integers(len(unseen)))]]
         look(_pose_at(cell, (cell[0] + 1.5, cell[1] + 0.5)))
-        guard += 1
-    pairs_avail = observable_pairs()
-    if len(pairs_avail) < spec.n_demonstrations:
+    seen = labels & explored[:, None]
+    if seen.sum() < spec.n_demonstrations:
         raise _Infeasible(
-            f"only {len(pairs_avail)} observable labelled pairs for "
+            f"only {seen.sum()} observable labelled pairs for "
             f"{spec.n_demonstrations} demonstrations"
         )
 
-    # demonstrations cover every observable activity, then favor cells with
+    # demonstrations cover every observable activity, then favor rows with
     # the richest affordance sets
-    cell_list = sorted({cell for cell, _ in pairs_avail})
-    order = rng.permutation(len(cell_list))
-    shuffled = [cell_list[i] for i in order]
-    shuffled.sort(key=lambda c: -len(labels[c]))
-    chosen: list[Cell] = []
-    count = 0
+    n_labels = labels.sum(axis=1)
+    seen_rows = np.flatnonzero(seen.any(axis=1))
+    order = rng.permutation(len(seen_rows))
+    shuffled = sorted(seen_rows[order].tolist(), key=lambda row: -n_labels[row])  # stable
+    chosen: list[int] = []
     for act in gt_activities:
-        if any(act in labels[c] for c in chosen):
-            continue
-        with_act = [c for c in shuffled if act in labels[c] and c not in chosen]
-        if with_act:
+        with_act = [row for row in shuffled if labels[row, act]]
+        if with_act and not labels[chosen, act].any():
             chosen.append(with_act[0])
-            count += len(labels[with_act[0]])
-    cover_pairs = [(cell, act) for cell in chosen for act in sorted(labels[cell])]
-    for cell in shuffled:
+    n_cover = count = int(n_labels[chosen].sum())  # the cover rows' pairs
+    for row in shuffled:
         if count >= spec.n_demonstrations:
             break
-        if cell in chosen:
-            continue
-        chosen.append(cell)
-        count += len(labels[cell])
-    extra = [
-        (cell, act)
-        for cell in chosen
-        for act in sorted(labels[cell])
-        if (cell, act) not in set(cover_pairs)
-    ]
-    pair_order = rng.permutation(len(extra))
-    pairs = (cover_pairs + [extra[i] for i in pair_order])[: spec.n_demonstrations]
-
-    demo_cells = _jitter_pairs(pairs, layout, spec, rng)
+        if row not in chosen:
+            chosen.append(row)
+            count += n_labels[row]
+    # the chosen rows' pairs row by row: the cover pairs first, then the
+    # others in a random order
+    k, acts = np.nonzero(labels[chosen])
+    pair_order = np.concatenate([np.arange(n_cover), n_cover + rng.permutation(len(k) - n_cover)])
+    keep = pair_order[: spec.n_demonstrations]
+    source_rows = np.array(chosen, dtype=int)[k[keep]].tolist()
+    demo_acts = acts[keep]
+    demo_rows = _jitter_pairs(source_rows, demo_acts.tolist(), coords, row_at, rooms >= 0, spec, rng)
 
     if spec.target_action_ratio is not None:
-        ratio = len({cell for cell, _ in demo_cells}) / total
+        ratio = len(set(demo_rows)) / total
         if abs(ratio - spec.target_action_ratio) > 0.009:
             raise _Infeasible(f"action-cell ratio {ratio:.3f} off target")
     if spec.target_explored_ratio is not None:
-        n_final = explored.sum() + len({cell for cell, _ in demo_cells if not explored[cell]})
+        n_final = explored.sum() + len({row for row in demo_rows if not explored[row]})
         if abs(n_final / total - spec.target_explored_ratio) > 0.045:
             raise _Infeasible("explored ratio off target after demonstrations")
 
-    cells = tuple(coords.T)  # the (i, j) of every row
-    row_at = np.zeros((w, h), dtype=int)
-    row_at[cells] = np.arange(total)
-    label_matrix = np.zeros((total, len(vocabulary)), dtype=bool)
-    for cell, acts in labels.items():
-        label_matrix[row_at[cell], sorted(acts)] = True
-    demos = Demonstrations(
-        rows=[row_at[cell] for cell, _ in demo_cells],
-        activities=[act for _, act in demo_cells],
-        values=np.ones(len(demo_cells)),
-    )
+    demos = Demonstrations(demo_rows, demo_acts, np.ones(len(demo_rows)))
     scene = SceneGrid(
-        scene_id, w, h, vocabulary=vocabulary, explored=explored[cells],
-        labels=label_matrix, demonstrations=demos, poses=used_poses,
+        scene_id, w, h, vocabulary=vocabulary, explored=explored,
+        labels=labels, demonstrations=demos, poses=used_poses,
     )
-
-    p_q = np.array([[q9(v) for v in row] for row in p_scores])
-    o_q = np.array([[q9(v) for v in row] for row in o_scores])
-    return scene, p_q, o_q
+    quantized = np.vectorize(q9, otypes=[float])
+    return scene, quantized(p_scores), quantized(o_scores)
 
 
-def _jitter_pairs(pairs, layout: _Layout, spec: WorldSpec, rng: np.random.Generator):
-    """Perturb demonstration cells by the localization error model.
+def _jitter_pairs(rows, acts, coords, row_at, on_floor, spec: WorldSpec,
+                  rng: np.random.Generator) -> list[int]:
+    """Move demonstration rows by the localization error model.
 
-    All pairs sharing a source cell were observed from the same viewpoint, so
-    they share one offset draw; (cell, activity) pairs stay distinct and on
-    floor cells.
+    All pairs sharing a source row were observed from the same viewpoint, so
+    they share one offset draw, and a drawn move is taken only onto a floor
+    cell. A pair whose moved (row, activity) is taken goes back to its own
+    row, or else to the nearest free floor cell, so pairs stay distinct. A
+    pair that is not moved keeps its row, floor or not: door labels skip the
+    room check and so reach the wall cells beside a doorway, and a
+    demonstration can land there.
     """
-    w, h = layout.shape
-    used: set[tuple[Cell, int]] = set()
-    out: list[tuple[Cell, int]] = []
-    floor = set(layout.floor_cells())
-    offsets: dict[Cell, Cell] = {}
-    for cell, act in pairs:
-        if cell not in offsets:
-            moved = cell
+    used: set[tuple[int, int]] = set()
+    out: list[int] = []
+    moved: dict[int, int] = {}
+    for row, act in zip(rows, acts):
+        if row not in moved:
+            moved[row] = row
             if spec.localization_jitter > 0:
+                i, j = coords[row]
                 for _ in range(50):
                     di, dj = np.rint(
                         rng.normal(0.0, spec.localization_jitter, 2)
                     ).astype(int)
-                    cand = (cell[0] + int(di), cell[1] + int(dj))
-                    if cand in floor:
-                        moved = cand
+                    cand = _cell_row(row_at, i + di, j + dj)
+                    if cand is not None and on_floor[cand]:
+                        moved[row] = cand
                         break
-            offsets[cell] = moved
-        placed = offsets[cell]
+        placed = moved[row]
         if (placed, act) in used:
-            if (cell, act) not in used:
-                placed = cell
+            if (row, act) not in used:
+                placed = row
             else:
-                placed = _nearest_free(cell, act, floor, used, (w, h))
+                placed = _nearest_free(row, act, coords, row_at, on_floor, used)
         used.add((placed, act))
-        out.append((placed, act))
+        out.append(placed)
     return out
 
 
-def _nearest_free(cell, act, floor, used, shape):
-    w, h = shape
+def _nearest_free(row, act, coords, row_at, on_floor, used) -> int:
+    i0, j0 = coords[row]
+    w, h = row_at.shape
     for radius in range(1, max(w, h)):
-        for i in range(cell[0] - radius, cell[0] + radius + 1):
-            for j in range(cell[1] - radius, cell[1] + radius + 1):
-                cand = (i, j)
-                if cand in floor and (cand, act) not in used:
+        for i in range(i0 - radius, i0 + radius + 1):
+            for j in range(j0 - radius, j0 + radius + 1):
+                cand = _cell_row(row_at, i, j)
+                if cand is not None and on_floor[cand] and (cand, act) not in used:
                     return cand
     raise _Infeasible("no free cell for a demonstration")
 

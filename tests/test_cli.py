@@ -524,6 +524,32 @@ def test_generate_rejects_bad_counts_and_specs(tmp_path, capsys, extra, spec, me
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        (7, "spec.json: spec must be a JSON object"),
+        ({"room_width": 5}, "room_width must be a (lo, hi) integer pair, got 5"),
+        ({"feature_noise": "x"}, "feature_noise must be a number, got 'x'"),
+        ({"feature_smoothing": None}, "feature_smoothing must be a number, got None"),
+        ({"detection_miss_rate": "x"}, "detection_miss_rate must be a number, got 'x'"),
+        ({"target_action_ratio": [1]}, "target_action_ratio must be a number, got [1]"),
+        ({"localization_jitter": True}, "localization_jitter must be a number, got True"),
+        ({"room_type_weights": "abc"}, "room_type_weights must be 3 finite weights"),
+    ],
+    ids=["number", "int-pair", "str-float", "null-float", "str-rate", "list-ratio", "bool-float",
+         "str-weights"],
+)
+def test_generate_rejects_malformed_spec_json(tmp_path, capsys, spec, message):
+    # each of these used to end in a TypeError traceback, and the weights in
+    # numpy's "could not convert string to float", which names no field
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    args = ["generate", "--spec-json", tmp_path / "spec.json", "--seed", 1, "--out", tmp_path / "ds"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
     "command, flag, message",
     [
         ("fit", "--gamma", "error: kernel bandwidths must be positive and finite"),

@@ -431,6 +431,31 @@ def test_repeated_manifest_scene_reports_path_and_line(pair_dataset, tmp_path):
         fileio.load_dataset(manifest)
 
 
+def test_scene_with_other_names_reports_its_manifest_line(pair_dataset, tmp_path):
+    manifest = _scene_files(pair_dataset, tmp_path)
+    scene = tmp_path / "data" / "office_b.scene"
+    scene.write_text(scene.read_text().replace(" common ", " lounge ", 1))
+    with pytest.raises(fileio.SchemaError,
+                       match=r"dataset\.txt:4: scene 'office_b' uses different class/category"):
+        fileio.load_dataset(manifest)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("categories 6 desk chair sink door whiteboard bookshelf", "category map names"),
+    ("activities 6 type sit open-door read write-whiteboard wash", "category map activities"),
+])
+def test_mismatched_catmap_reports_its_manifest_line(pair_dataset, tmp_path, line, message):
+    manifest = _scene_files(pair_dataset, tmp_path)
+    catmap = tmp_path / "data" / "catmap.txt"
+    lines = catmap.read_text().splitlines()
+    tag = line.split()[0]
+    lines = [line if old.startswith(tag + " ") else old for old in lines]
+    catmap.write_text("\n".join(lines) + "\n")
+    fileio.read_catmap(catmap)  # the document itself is well formed
+    with pytest.raises(fileio.SchemaError, match=rf"dataset\.txt:5: {message} do not match"):
+        fileio.load_dataset(manifest)
+
+
 def test_action_map_unknown_scene_reports_line(mini_dataset, tmp_path):
     index = mini_dataset.index()
     path = tmp_path / "am.txt"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from actionmaps.baselines import detection_action_map
 from actionmaps.evaluation import pose_views, score_action_map
@@ -10,6 +13,8 @@ from actionmaps.synthetic import (
     GenerationError,
     PRESETS,
     WorldSpec,
+    _interior,
+    _shifted,
     generate_dataset,
     generate_scene,
     sample_demonstrations,
@@ -237,6 +242,22 @@ def test_spec_rejects_bad_integer_fields(kwargs, message):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
+        ({"feature_noise": "0.1"}, "feature_noise must be a number, got '0.1'"),
+        ({"false_positive_rate": True}, "false_positive_rate must be a number, got True"),
+        ({"feature_smoothing": None}, "feature_smoothing must be a number, got None"),
+        ({"target_explored_ratio": [0.5]}, r"target_explored_ratio must be a number, got \[0.5\]"),
+        ({"room_type_weights": (1, "a", 1)}, "room_type_weights must be 3 finite weights"),
+    ],
+)
+def test_spec_rejects_bad_float_fields(kwargs, message):
+    # checked by the annotation before any comparison can raise a TypeError
+    with pytest.raises(GenerationError, match=message):
+        WorldSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
         ({"poses_per_room": -2}, "poses_per_room must be >= 0, got -2"),
         ({"corridor_poses": -1}, "corridor_poses must be >= 0, got -1"),
         ({"object_margin": -1}, "object_margin must be >= 0, got -1"),
@@ -250,6 +271,8 @@ def test_spec_rejects_bad_integer_fields(kwargs, message):
         ({"target_explored_ratio": 1.5}, r"target_explored_ratio must be in \[0, 1\]"),
         ({"target_action_ratio": -0.1}, r"target_action_ratio must be in \[0, 1\]"),
         ({"target_action_ratio": float("nan")}, "target_action_ratio must be in"),
+        ({"feature_noise": float("inf")}, "feature_noise must be finite and >= 0, got inf"),
+        ({"localization_jitter": float("inf")}, "localization_jitter must be finite and >= 0"),
     ],
 )
 def test_spec_rejects_out_of_range_fields(kwargs, message):
@@ -262,3 +285,69 @@ def test_spec_rejects_out_of_range_fields(kwargs, message):
 def test_spec_accepts_numpy_integers_and_equal_bounds():
     spec = WorldSpec(rooms_x=np.int64(2), room_width=(np.int32(5), 5))
     assert spec.rooms_x == 2 and spec.room_width == (5, 5)
+
+
+@st.composite
+def small_specs(draw):
+    """Small worlds, with branches no preset takes: object margins 1-2, false
+    positives, misses, one or two rows of rooms, jitter 0 and above 0."""
+    width, height = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    return WorldSpec(
+        rooms_x=draw(st.integers(1, 3)),
+        rooms_y=draw(st.sampled_from([1, 2])),
+        room_width=(width, width + draw(st.integers(0, 2))),
+        room_height=(height, height + draw(st.integers(0, 2))),
+        corridor_height=draw(st.integers(1, 2)),
+        feature_noise=draw(st.sampled_from([0.0, 0.05])),
+        detection_miss_rate=draw(st.sampled_from([0.0, 0.5])),
+        false_positive_rate=draw(st.sampled_from([0.0, 0.1])),
+        localization_jitter=draw(st.just(0.0) | st.floats(0.1, 3.0)),
+        object_margin=draw(st.integers(0, 2)),
+        poses_per_room=draw(st.integers(0, 3)),
+        corridor_poses=draw(st.integers(0, 3)),
+        n_demonstrations=draw(st.integers(0, 30)),
+        target_explored_ratio=draw(st.none() | st.sampled_from([0.4, 0.7])),
+        max_layout_retries=draw(st.integers(1, 3)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=small_specs(), seed=st.integers(0, 10_000))
+def test_generation_properties(spec, seed):
+    try:
+        scene, p, o = generate_scene(spec, seed)
+    except GenerationError:
+        return  # the one exception generation may raise
+    again, p2, o2 = generate_scene(spec, seed)
+    assert np.array_equal(p, p2) and np.array_equal(o, o2)
+    assert np.array_equal(scene.explored, again.explored)
+    assert np.array_equal(scene.labels, again.labels)
+    assert scene.poses == again.poses
+    demos = scene.demonstrations
+    assert _demo_triples(demos) == _demo_triples(again.demonstrations)
+    pairs = list(zip(demos.rows.tolist(), demos.activities.tolist()))
+    assert len(set(pairs)) == len(pairs) <= spec.n_demonstrations
+    if spec.localization_jitter == 0:
+        assert scene.labels[demos.rows, demos.activities].all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mask=hnp.arrays(bool, st.tuples(st.integers(1, 7), st.integers(1, 7))),
+    di=st.integers(-9, 9),
+    dj=st.integers(-9, 9),
+    margin=st.integers(0, 4),
+)
+def test_shifted_and_interior_match_cell_loops(mask, di, dj, margin):
+    # the loops the array versions replaced; shifts may leave the grid whole
+    w, h = mask.shape
+
+    def at(i, j, fill):
+        return mask[i, j] if 0 <= i < w and 0 <= j < h else fill
+
+    shifted = [[at(i + di, j + dj, True) for j in range(h)] for i in range(w)]
+    assert np.array_equal(_shifted(mask, di, dj, True), np.array(shifted, dtype=bool))
+    square = range(-margin, margin + 1)
+    interior = [[all(at(i + a, j + b, False) for a in square for b in square) for j in range(h)]
+                for i in range(w)]
+    assert np.array_equal(_interior(mask, margin), np.array(interior, dtype=bool))

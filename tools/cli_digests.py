@@ -2,10 +2,14 @@
 
 Usage: python3 tools/cli_digests.py OUT_DIR [SRC_DIR]
 
-Generates mini x1, mini x2, pair x2 and office_a x2 into OUT_DIR and runs
+Generates mini x1, mini x2, pair x2, office_a x2 and, from a `--spec-json`
+world spec, margin x2 into OUT_DIR and runs
 `fit --out-trace`, `predict`, `evaluate`, `grid` over S,SO,SP,SOP, `elapse`,
 `localize`, `export-heatmap` and, on the two-scene sets, `transfer`, each
-fit capped at 200 iterations. On office_a x2 two more grids run: one over
+fit capped at 200 iterations. The margin spec takes generator branches that
+no preset takes: objects kept 2 cells from the walls, false-positive
+detections and missed ones, and two rows of rooms; its JSON is written to
+OUT_DIR and listed too. On office_a x2 two more grids run: one over
 gammas 100 and 1000, whose Gram basis serves a gamma above its smallest,
 and one at tau 0, whose basis keeps every pair. The CLI runs in a fresh
 interpreter per command with SRC_DIR (default: the `src/` next to this
@@ -16,15 +20,22 @@ bit equal.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 
-DATASETS = [  # (name, preset, scenes, seed)
+MARGIN_SPEC = {
+    "rooms_x": 3, "rooms_y": 2, "room_width": [6, 8], "room_height": [5, 7],
+    "object_margin": 2, "false_positive_rate": 0.05, "detection_miss_rate": 0.5,
+    "localization_jitter": 1.5, "n_demonstrations": 40,
+}
+DATASETS = [  # (name, preset name or world-spec dict, scenes, seed)
     ("mini1", "mini", 1, 7),
     ("mini2", "mini", 2, 7),
     ("pair2", "pair", 2, 3),
     ("office2", "office_a", 2, 11),
+    ("margin2", MARGIN_SPEC, 2, 4),
 ]
 FIT = ["--max-iters", "200", "--rel-tol", "1e-6", "--rank", "6", "--tau", "1e-4"]
 SWEEP = ["--alphas", "0,0.5", "--lambdas", "0.001,0.01", "--gammas", "100"]
@@ -41,9 +52,14 @@ def run_cli(src: str, out: str, *args: str) -> None:
     )
 
 
-def run_dataset(src: str, out: str, name: str, preset: str, scenes: int, seed: int) -> None:
+def run_dataset(src: str, out: str, name: str, preset, scenes: int, seed: int) -> None:
     data = f"{name}/dataset.txt"
-    run_cli(src, out, "generate", "--preset", preset, "--scenes", str(scenes),
+    world = ["--preset", preset]
+    if isinstance(preset, dict):
+        world = ["--spec-json", f"{name}-spec.json"]
+        with open(os.path.join(out, world[1]), "w", encoding="utf-8") as fh:
+            json.dump(preset, fh)
+    run_cli(src, out, "generate", *world, "--scenes", str(scenes),
             "--seed", str(seed), "--out", name)
     run_cli(src, out, "fit", "--data", data, *FIT, "--seed", "3",
             "--out-factors", f"{name}/factors.txt", "--out-trace", f"{name}/trace.tsv")
