@@ -9,7 +9,7 @@ coordinate frames are unrelated).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -93,32 +93,27 @@ class KernelConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GramMatrix:
-    """Symmetric location-similarity matrix with its row-sum degree vector,
-    derived from the matrix on construction. Both are frozen and read-only,
-    so the construction checks hold for the object's lifetime."""
+    """Symmetric location-similarity matrix with entries in [0, 1], and its
+    row-sum degree vector. Only GramBasis.gram builds one, and it certifies
+    these properties as it writes the matrix; both arrays are frozen and
+    read-only, so they hold for the object's lifetime."""
 
     matrix: np.ndarray
-    degrees: np.ndarray = field(init=False)
+    degrees: np.ndarray
 
-    def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise SideInfoError(f"Gram matrix must be square, got {m.shape}")
-        low, high, asymmetry, degrees = _stripe_checks(m)
-        # written so that NaN entries fail: every comparison with NaN is False
-        if m.size and not (low >= -1e-12 and high <= 1.0 + 1e-9):
-            raise SideInfoError("Gram entries must lie in [0, 1]")
-        if asymmetry > 1e-9:
-            raise SideInfoError("Gram matrix must be symmetric")
-        m.setflags(write=False)
-        degrees.setflags(write=False)
-        object.__setattr__(self, "degrees", degrees)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a GramMatrix is built only by GramBasis.gram")
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+
+def _gram_matrix(matrix: np.ndarray, degrees: np.ndarray) -> GramMatrix:
+    """The GramMatrix of a certified matrix and its row sums, made read-only."""
+    gram = object.__new__(GramMatrix)
+    for name, value in (("matrix", matrix), ("degrees", degrees)):
+        value.setflags(write=False)
+        object.__setattr__(gram, name, value)
+    return gram
 
 
 def aggregate_object_scores(
@@ -225,9 +220,11 @@ class GramBasis:
         and ko is zero unless both locations have objects. Each 64-row block
         is computed on its candidate pairs and thresholded, written over
         columns lo:m with 0 at every other pair, then mirrored below the
-        diagonal, into one m x m output. Refuses a config outside the floor
-        (gamma below it, sigma_s above it or tau below it), where a dropped
-        pair could be non-zero."""
+        diagonal, into one m x m output. Then the block's rows are whole (their
+        columns below lo are earlier blocks' mirrors), so their degrees are
+        summed there, and the block is refused unless its entries lie in
+        [0, 1]. Refuses a config outside the floor (gamma below it, sigma_s
+        above it or tau below it), where a dropped pair could be non-zero."""
         floor = self.floor
         if floor is not None and not (
             cfg.gamma >= floor.gamma and cfg.sigma_s <= floor.sigma_s and cfg.tau >= floor.tau
@@ -238,7 +235,7 @@ class GramBasis:
                 f"sigma_s <= {floor.sigma_s}, tau >= {floor.tau})"
             )
         m, rows, starts = self.m, self.object_rows, self.object_starts
-        k = np.empty((m, m))
+        k, degrees = np.empty((m, m)), np.empty(m)
         flat_block = np.empty(min(_ROW_BLOCK, m) * m)
         scratch = np.empty_like(flat_block)
         for i, (lo, hi) in enumerate(_blocks(m)):
@@ -259,7 +256,11 @@ class GramBasis:
                 positions = _block(self.positions, self.position_offsets, i)
                 k.reshape(-1)[lo * (m + 1) :][positions] = out
             k[hi:, lo:hi] = kb[:, hi - lo :].T
-        return GramMatrix(matrix=k)
+            k[lo:hi].sum(axis=1, out=degrees[lo:hi])
+            # written so that NaN entries fail: every comparison with NaN is False
+            if not (kb.min() >= -1e-12 and kb.max() <= 1.0 + 1e-9):
+                raise SideInfoError("Gram entries must lie in [0, 1]")
+        return _gram_matrix(k, degrees)
 
 
 def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratch) -> None:
@@ -294,7 +295,6 @@ def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratc
 
 
 _ROW_BLOCK = 64  # rows per block of an m x m array: scratch is _ROW_BLOCK x m
-_TILE = 128  # rows per stripe walked by the GramMatrix checks
 # Relative slack on the floor's tau in the candidate rule; it covers the
 # rounding of exp, of the weight products and of the sums in gram().
 CANDIDATE_MARGIN = 1e-9
@@ -425,30 +425,3 @@ def _chi2_block(dims, lo, hi, epsilon, out, work) -> None:
         else:  # 0 + d is d: each term is >= +0
             np.divide(d, s, out=out)
 
-
-def _stripe_checks(a: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-    """min, max, max |a - a.T| and the row sums of a square matrix, in one
-    walk over its _TILE-row stripes. The range and the sums are taken a
-    quarter stripe at a time, while those rows are in cache; a NaN entry
-    makes min and max NaN. Each stripe is compared, tile by tile, with the
-    tiles of its column stripe from its diagonal tile on, so every pair is
-    compared once and no m x m temporary is allocated. Each row is summed
-    whole, so the sums equal a.sum(axis=1) bit for bit."""
-    n = a.shape[0]
-    low, high, worst = np.inf, -np.inf, 0.0
-    degrees = np.empty(n)
-    diff = np.empty((min(_TILE, n), min(_TILE, n)))
-    for i in range(0, n, _TILE):
-        stripe = a[i : i + _TILE]
-        for k in range(0, stripe.shape[0], _TILE // 4):
-            rows = stripe[k : k + _TILE // 4]
-            low = np.minimum(low, rows.min())
-            high = np.maximum(high, rows.max())
-            rows.sum(axis=1, out=degrees[i + k : i + k + _TILE // 4])
-        for j in range(i, n, _TILE):
-            upper = stripe[:, j : j + _TILE]
-            d = diff[: upper.shape[0], : upper.shape[1]]
-            np.subtract(upper, a[j : j + _TILE, i : i + _TILE].T, out=d)
-            np.abs(d, out=d)
-            worst = max(worst, float(d.max()))
-    return float(low), float(high), worst, degrees

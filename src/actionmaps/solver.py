@@ -131,8 +131,8 @@ def build_bundle(
 
 
 def _as_kernel(k: Optional[GramMatrix]) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(matrix, degrees) of the kernel; only a GramMatrix, which checked its
-    symmetry and range on construction, keeps the updates monotone."""
+    """(matrix, degrees) of the kernel; only a GramMatrix, which gram()
+    certifies symmetric and in [0, 1], keeps the updates monotone."""
     if k is None:
         return None, None
     if not isinstance(k, GramMatrix):

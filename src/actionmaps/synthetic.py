@@ -199,7 +199,7 @@ def sample_demonstrations(scene: SceneGrid, fraction: float, seed: int) -> Demon
 _NEIGHBOURS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
-def _build_layout(spec: WorldSpec, rng: np.random.Generator):
+def _build_layout(spec: WorldSpec, rng: "np.random.Generator"):
     """The (W, H) room-id array (-1 walls, 0 corridor, 1.. rooms), the type
     of each room (room r at index r - 1) and the doorway cells."""
     widths = [int(rng.integers(spec.room_width[0], spec.room_width[1] + 1))
@@ -240,7 +240,7 @@ def _build_layout(spec: WorldSpec, rng: np.random.Generator):
     return room_id, room_types, doorways
 
 
-def _assign_room_types(n_rooms: int, spec: WorldSpec, rng: np.random.Generator):
+def _assign_room_types(n_rooms: int, spec: WorldSpec, rng: "np.random.Generator"):
     """Random types with at least one office and (when possible) one kitchen."""
     weights = np.asarray(spec.room_type_weights, dtype=float)
     weights = weights / weights.sum()
@@ -280,7 +280,7 @@ def _cell_row(row_at: np.ndarray, i: int, j: int) -> Optional[int]:
 
 
 def _place_objects(room_id, room_types, doorways, coords, row_at, spec: WorldSpec,
-                   rng: np.random.Generator):
+                   rng: "np.random.Generator"):
     """Returns (category name, row, room) triples, one cell per object."""
     cells = tuple(coords.T)
     near_wall = np.logical_or.reduce(
@@ -345,7 +345,7 @@ def _ground_truth(rooms, coords, objects, vocabulary: ActivityVocabulary) -> np.
     return labels
 
 
-def _detections(objects, floor, coords, spec: WorldSpec, rng: np.random.Generator):
+def _detections(objects, floor, coords, spec: WorldSpec, rng: "np.random.Generator"):
     dets: list[tuple[int, tuple[float, float]]] = []
     for category, row, _room in objects:
         if rng.random() < spec.detection_miss_rate:
@@ -361,7 +361,7 @@ def _detections(objects, floor, coords, spec: WorldSpec, rng: np.random.Generato
 
 
 def _scene_class_scores(room_id, room_types, cells, spec: WorldSpec,
-                        rng: np.random.Generator) -> np.ndarray:
+                        rng: "np.random.Generator") -> np.ndarray:
     """Own-class one-hot mixed with the 8-neighborhood mean, plus noise."""
     class_of = [_WALL_CLASS, _CORRIDOR_CLASS] + [_CLASS_OF_ROOM_TYPE[t] for t in room_types]
     base = np.eye(len(CLASS_NAMES))[np.array(class_of)[room_id + 1]]  # (W, H, C)
@@ -385,7 +385,7 @@ def _pose_at(cell: Cell, target: tuple[float, float]) -> GridPose:
     return GridPose(position=(q9(pos[0]), q9(pos[1])), heading=(hx, hy))
 
 
-def _candidate_poses(rooms, coords, objects, spec: WorldSpec, rng: np.random.Generator):
+def _candidate_poses(rooms, coords, objects, spec: WorldSpec, rng: "np.random.Generator"):
     poses: list[GridPose] = []
     for room in range(1, rooms.max() + 1):
         room_rows = np.flatnonzero(rooms == room)
@@ -532,7 +532,7 @@ def _generate_once(
 
 
 def _jitter_pairs(rows, acts, coords, row_at, on_floor, spec: WorldSpec,
-                  rng: np.random.Generator) -> list[int]:
+                  rng: "np.random.Generator") -> list[int]:
     """Move demonstration rows by the localization error model.
 
     All pairs sharing a source row were observed from the same viewpoint, so

@@ -47,6 +47,6 @@ def random_kernel(rng, m):
 
 def random_gram(rng, m):
     """random_kernel as the GramMatrix the solver takes."""
-    from actionmaps.sideinfo import GramMatrix
+    from tests.kernel_oracles import checked_gram
 
-    return GramMatrix(matrix=random_kernel(rng, m))
+    return checked_gram(random_kernel(rng, m))

@@ -4,7 +4,9 @@ These are test oracles for `GramBasis.gram`, which computes the same kernel
 for all pairs at once from the stacked `LocationFeatures` arrays. A
 `Location` is one row of that record. `gram_reference` is the unblocked
 whole-matrix composition, with the same per-entry arithmetic as the
-row-blocked `GramBasis.gram`, so the two agree bit for bit.
+row-blocked `GramBasis.gram`, so the two agree bit for bit. `checked_gram`
+wraps any array that passes plain checks as the `GramMatrix` the solver
+takes, which only `GramBasis.gram` builds in the package.
 """
 
 import math
@@ -18,6 +20,7 @@ from actionmaps.sideinfo import (
     KernelConfig,
     LocationFeatures,
     SideInfoError,
+    _gram_matrix,
 )
 
 
@@ -153,4 +156,19 @@ def gram_reference(features: LocationFeatures, cfg: KernelConfig) -> GramMatrix:
             k = (1.0 - alpha) * ks + 0.5 * alpha * kp + 0.5 * alpha * ko
     if cfg.tau > 0:
         k[k < cfg.tau] = 0.0
-    return GramMatrix(matrix=k)
+    return checked_gram(k)
+
+
+def checked_gram(k: np.ndarray) -> GramMatrix:
+    """The GramMatrix of an arbitrary array, for kernels that GramBasis.gram
+    does not build: refuses one that is not square, finite and in [0, 1]
+    (with gram()'s slack and test, which NaN fails) and exactly symmetric.
+    Degrees are k.sum(axis=1)."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise SideInfoError(f"Gram matrix must be square, got {k.shape}")
+    if not (k.min() >= -1e-12 and k.max() <= 1.0 + 1e-9):
+        raise SideInfoError("Gram entries must lie in [0, 1]")
+    if not np.array_equal(k, k.T):
+        raise SideInfoError("Gram matrix must be symmetric")
+    return _gram_matrix(k, k.sum(axis=1))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -570,3 +574,13 @@ def test_infinite_settings_fail_their_checks(dataset_dir, am_path, tmp_path, cap
     assert message in capsys.readouterr().err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random pulls in secrets and OpenSSL's _hashlib; a command loads
+    # it at its first default_rng, not at import through an annotation
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, actionmaps.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

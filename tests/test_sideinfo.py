@@ -17,7 +17,6 @@ from actionmaps.sideinfo import (
     KernelConfig,
     LocationFeatures,
     SideInfoError,
-    _stripe_checks,
     aggregate_object_scores,
 )
 from tests.kernel_oracles import (
@@ -247,52 +246,70 @@ def test_gram_basis_size_cap(monkeypatch):
     assert GramBasis(feats).m == 5
 
 
-def test_gram_matrix_rejects_nan():
-    # every comparison with NaN is False, so a NaN entry must fail the range check
-    late = np.eye(300)  # NaN in the last stripe only
-    late[299, 299] = np.nan
-    for bad in (np.full((2, 2), np.nan), np.array([[1.0, np.nan], [np.nan, 1.0]]), late):
+def _write_into_block_1(monkeypatch, value):
+    """Make gram() overwrite the first entry that _entries computes for
+    block 1 with value; returns the list that gets each block's layout."""
+    original, layouts = sideinfo._entries, []
+
+    def entries(*args):
+        original(*args)
+        out = args[-2]
+        layouts.append("dense" if out.ndim == 2 else "compact")
+        if len(layouts) == 2:
+            out.flat[0] = value
+
+    monkeypatch.setattr(sideinfo, "_entries", entries)
+    return layouts
+
+
+def _assert_block_1_refused(monkeypatch, value):
+    # block 1 of this record is dense in an unfloored basis and compact in a floored one
+    feats, cfg = _two_scene_record(m=200), KernelConfig(gamma=100.0)
+    for floor, layout in ((None, "dense"), (cfg, "compact")):
+        basis = GramBasis(feats, floor=floor)
+        layouts = _write_into_block_1(monkeypatch, value)
         with pytest.raises(SideInfoError, match="must lie in"):
-            GramMatrix(matrix=bad)
+            basis.gram(cfg)
+        assert layouts[1] == layout
+
+
+def test_gram_matrix_rejects_nan(monkeypatch):
+    # every comparison with NaN is False, so a NaN entry must fail the range check
+    _assert_block_1_refused(monkeypatch, np.nan)
+
+
+def test_gram_matrix_rejects_entries_above_one(monkeypatch):
+    _assert_block_1_refused(monkeypatch, 1.5)
 
 
 def test_gram_matrix_derives_degrees_from_matrix():
-    k = np.array([[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
-    assert np.array_equal(GramMatrix(matrix=k).degrees, k.sum(axis=1))
-    # degrees that could disagree with the matrix are not accepted
-    with pytest.raises(TypeError):
-        GramMatrix(matrix=k, degrees=np.zeros(3))
+    rng = np.random.default_rng(4)
+    gram = _gram(_random_features(rng, 12, scenes=("s1", "s2")), KernelConfig())
+    assert np.array_equal(gram.degrees, gram.matrix.sum(axis=1))
+
+
+def test_gram_matrix_is_built_only_by_gram():
+    # a matrix gram() has not certified, or degrees that could disagree
+    # with it, cannot make a GramMatrix
+    k = np.array([[1.0, 0.25], [0.0, 1.0]])
+    for args, kwargs in (((), {"matrix": k}), ((k, k.sum(axis=1)), {}), ((), {})):
+        with pytest.raises(TypeError, match="only by GramBasis.gram"):
+            GramMatrix(*args, **kwargs)
 
 
 def test_gram_matrix_is_frozen_and_read_only():
-    # the checks made on construction hold for the object's lifetime
-    gram = GramMatrix(matrix=np.array([[1.0, 0.25], [0.25, 1.0]]))
+    # what gram() certified holds for the object's lifetime
+    feats = [_feat((0.0, 0.0), [1.0], [0.0]), _feat((1.0, 0.0), [1.0], [0.0])]
+    gram = _gram(feats, KernelConfig(alpha=0.0))
     with pytest.raises(ValueError, match="read-only"):
         gram.matrix[0, 1] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         gram.degrees[0] = 0.0
     with pytest.raises(FrozenInstanceError):
         gram.degrees = np.zeros(2)
-    assert np.array_equal(gram.degrees, [1.25, 1.25])
-
-
-def test_gram_matrix_rejects_asymmetry_in_off_diagonal_tile():
-    a = np.eye(260)
-    a[3, 200] = a[200, 3] = 0.5
-    GramMatrix(matrix=a.copy())
-    a[200, 3] = 0.0
-    with pytest.raises(SideInfoError, match="symmetric"):
-        GramMatrix(matrix=a)
-
-
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 300])
-def test_max_asymmetry_matches_dense_difference(n):
-    rng = np.random.default_rng(n)
-    a = rng.uniform(0.0, 1.0, (n, n))
-    near = (a + a.T) / 2.0
-    near[rng.integers(0, n), rng.integers(0, n)] += 1e-7
-    for mat in (a, near, (a + a.T) / 2.0):
-        assert _stripe_checks(mat)[2] == np.abs(mat - mat.T).max()
+    with pytest.raises(FrozenInstanceError):
+        gram.matrix = np.eye(2)
+    assert gram.degrees.tolist() == pytest.approx([1.0 + math.exp(-1 / 8)] * 2)
 
 
 def _two_scene_record(m=700, seed=11):
@@ -720,17 +737,55 @@ def test_floored_spatial_values_outgrow_their_dense_size():
         assert np.array_equal(gram.degrees, want.degrees)
 
 
+def _assert_certified(gram):
+    k = gram.matrix
+    assert np.array_equal(gram.degrees, k.sum(axis=1))
+    assert k.min() >= 0.0 and k.max() <= 1.0
+    assert np.array_equal(k, k.T)
+
+
+def _sparse_scenes_record(rng, m, n_scenes):
+    """m rows over n_scenes contiguous scenes; about one row in five has
+    objects."""
+    return LocationFeatures(
+        x=rng.integers(0, 25, (m, 2)).astype(float),
+        p=rng.dirichlet(np.ones(5), m),
+        o=rng.uniform(0.01, 1.0, (m, 3)) * (rng.random((m, 1)) < 0.2),
+        scene_codes=np.arange(m) * n_scenes // m,
+    )
+
+
+_CERTIFIED_CONFIGS = {  # name -> (floor, tau of the config at that floor)
+    "floored": (KernelConfig(sigma_s=2.0, gamma=100.0, tau=1e-4), 1e-4),
+    "unfloored": (None, 1e-4),
+    "tau0": (KernelConfig(sigma_s=2.0, gamma=100.0, tau=0.0), 0.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    feats=_block_records(),
+    mode=st.sampled_from(sorted(_CERTIFIED_CONFIGS)),
+    variant=st.sampled_from(VARIANTS),
+    alpha=st.floats(0.0, 1.0),
+)
+def test_gram_is_certified_property(feats, mode, variant, alpha):
+    # gram() sums each row once it is whole, so degrees keep the bits of
+    # plain row sums; its mirror makes the matrix exactly symmetric
+    floor, tau = _CERTIFIED_CONFIGS[mode]
+    cfg = KernelConfig(alpha=alpha, sigma_s=2.0, gamma=100.0, variant=variant, tau=tau)
+    _assert_certified(GramBasis(feats, floor=floor).gram(cfg))
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 2550])
 def test_stripe_checks_range_and_degrees_match_whole_matrix(n):
-    # the walk over stripes takes the range and row sums equal to
-    # sum(axis=1) bit for bit, on either side of the stripe edges
-    rng = np.random.default_rng(n)
-    sym = rng.uniform(0.0, 1.0, (n, n))
-    sym = (sym + sym.T) / 2.0
-    low, high, _, degrees = _stripe_checks(sym)
-    assert (low, high) == (sym.min(), sym.max())
-    assert np.array_equal(degrees, sym.sum(axis=1))
-    assert np.array_equal(GramMatrix(matrix=sym).degrees, sym.sum(axis=1))
+    # gram() checks the range of, and sums, each 64-row stripe as it writes
+    # it; on either side of the stripe edges the result agrees with the
+    # whole matrix, in a floored, an unfloored and a tau = 0 basis
+    feats = _sparse_scenes_record(np.random.default_rng(n), n, n_scenes=3)
+    for floor, tau in _CERTIFIED_CONFIGS.values():
+        cfg = KernelConfig(sigma_s=2.0, gamma=100.0, tau=tau)
+        _assert_certified(GramBasis(feats, floor=floor).gram(cfg))
 
 
 @pytest.mark.parametrize("name", ["sigma_s", "gamma", "tau"])

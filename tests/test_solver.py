@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from actionmaps import solver
 from actionmaps.scene import ActivityVocabulary, Demonstrations, GlobalIndex, SceneGrid
-from actionmaps.sideinfo import GramMatrix, SideInfoError
+from actionmaps.sideinfo import GramMatrix
 from actionmaps.solver import (
     ActionMatrixBundle,
     FactorPair,
@@ -383,13 +383,13 @@ def test_fit_rejects_non_finite_kernel(which):
 )
 def test_solver_takes_only_gram_kernels(kind):
     # raw kernels used to be accepted unchecked; an asymmetric one let the
-    # objective rise between iterates
+    # objective rise between iterates, and it cannot be made a GramMatrix
     rng = np.random.default_rng(18)
     bundle = random_bundle(rng, m=6, a=3)
     k = random_kernel(rng, 6)
     if kind == "asymmetric":
         k[0, 1] = 0.0
-        with pytest.raises(SideInfoError, match="symmetric"):
+        with pytest.raises(TypeError, match="only by GramBasis.gram"):
             GramMatrix(matrix=k)
     raw = k.tolist() if kind == "list" else k
     params = SolverParams(rank=2, lam=0.1)
