@@ -744,17 +744,6 @@ def _assert_certified(gram):
     assert np.array_equal(k, k.T)
 
 
-def _sparse_scenes_record(rng, m, n_scenes):
-    """m rows over n_scenes contiguous scenes; about one row in five has
-    objects."""
-    return LocationFeatures(
-        x=rng.integers(0, 25, (m, 2)).astype(float),
-        p=rng.dirichlet(np.ones(5), m),
-        o=rng.uniform(0.01, 1.0, (m, 3)) * (rng.random((m, 1)) < 0.2),
-        scene_codes=np.arange(m) * n_scenes // m,
-    )
-
-
 _CERTIFIED_CONFIGS = {  # name -> (floor, tau of the config at that floor)
     "floored": (KernelConfig(sigma_s=2.0, gamma=100.0, tau=1e-4), 1e-4),
     "unfloored": (None, 1e-4),
@@ -782,7 +771,7 @@ def test_stripe_checks_range_and_degrees_match_whole_matrix(n):
     # gram() checks the range of, and sums, each 64-row stripe as it writes
     # it; on either side of the stripe edges the result agrees with the
     # whole matrix, in a floored, an unfloored and a tau = 0 basis
-    feats = _sparse_scenes_record(np.random.default_rng(n), n, n_scenes=3)
+    feats = _two_scene_record(m=n, seed=n)
     for floor, tau in _CERTIFIED_CONFIGS.values():
         cfg = KernelConfig(sigma_s=2.0, gamma=100.0, tau=tau)
         _assert_certified(GramBasis(feats, floor=floor).gram(cfg))
