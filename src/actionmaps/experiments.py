@@ -125,34 +125,51 @@ def _run_grid(
 ) -> EvalReport:
     """The grid loop of run_parameter_grid, on a given bundle and views.
 
-    Consecutive runs with the same kernel config share one Gram matrix, and
-    at most one Gram is alive at a time. The basis floor is the kernel at the
-    smallest gamma that KernelConfig accepts, so a rejected gamma fails only
-    its own rows; when it accepts none, every row fails and no basis is built.
+    Runs are grouped by the Gram they need (see _gram_key), in order of first
+    appearance, and each group shares one Gram: at most one is alive at a
+    time, and after a failed build the group's next run builds again. Each
+    run keeps its grid position's seed and row. The basis floor is the kernel
+    at the smallest gamma that KernelConfig accepts, so a rejected gamma
+    fails only its own rows; when it accepts none, every row fails and no
+    basis is built.
     """
     floor = _grid_floor(kernel, grid_spec.gammas)
     basis = None if floor is None else GramBasis(dataset.location_features(), floor=floor)
-    rows: list[GridRow] = []
-    run_idx = 0
-    gram_cfg, gram = None, None
-    for variant in variants:
-        for alpha, lam, gamma in grid_spec.tuples():
-            seed = base_seed + run_idx
-            run_idx += 1
+    positions = [(variant, *t) for variant in variants for t in grid_spec.tuples()]
+    rows: list[Optional[GridRow]] = [None] * len(positions)
+    groups: dict[tuple, list[tuple[int, KernelConfig]]] = {}
+    for k, (variant, alpha, lam, gamma) in enumerate(positions):
+        try:
+            cfg = replace(kernel, alpha=alpha, gamma=gamma, variant=variant)
+        except ValueError as exc:  # recorded, not fatal
+            rows[k] = GridRow(variant, alpha, lam, gamma, base_seed + k, None, str(exc))
+            continue
+        groups.setdefault(_gram_key(cfg), []).append((k, cfg))
+    for group in groups.values():
+        gram = None  # release the last group's Gram before building this one
+        for k, cfg in group:
+            variant, alpha, lam, gamma = positions[k]
+            seed = base_seed + k
             try:
-                cfg = replace(kernel, alpha=alpha, gamma=gamma, variant=variant)
-                if cfg != gram_cfg:
-                    # drop the old Gram before building; a failed build leaves none cached
-                    gram_cfg, gram = None, None
+                if gram is None:
                     gram = basis.gram(cfg)
-                    gram_cfg = cfg
                 result = fit(bundle, gram, params=replace(solver, lam=lam, seed=seed))
                 am = normalize_action_map(predict(result.factors))
                 scores = score_action_map(views, am)
-                rows.append(GridRow(variant, alpha, lam, gamma, seed, scores))
+                rows[k] = GridRow(variant, alpha, lam, gamma, seed, scores)
             except (ValueError, RuntimeError) as exc:  # recorded, not fatal
-                rows.append(GridRow(variant, alpha, lam, gamma, seed, None, str(exc)))
+                rows[k] = GridRow(variant, alpha, lam, gamma, seed, None, str(exc))
     return EvalReport(rows=rows, activities=dataset.index().vocabulary.names)
+
+
+def _gram_key(cfg: KernelConfig) -> tuple:
+    """Configs with one key get np.array_equal Grams from GramBasis.gram.
+    S ignores alpha and gamma, and alpha = 0 leaves only the spatial term in
+    every variant: the other terms are weighted by exactly 0, the spatial
+    one by exactly 1."""
+    if cfg.variant == "S" or cfg.alpha == 0:
+        return ("S", cfg.sigma_s, cfg.tau)
+    return (cfg.variant, cfg.alpha, cfg.gamma, cfg.sigma_s, cfg.tau)
 
 
 def _grid_floor(kernel: KernelConfig, gammas) -> Optional[KernelConfig]:

@@ -129,7 +129,8 @@ def test_transfer_outputs_equal_with_reference_gram(mini_pair_dir, tmp_path, mon
 
     monkeypatch.setattr(GramBasis, "gram", reference_gram)
     assert outputs(tmp_path / "reference") == blocked
-    assert len(calls) == 16 and set(blocked) >= {"t.txt", "t.tsv"}
+    # one Gram per key: S's spatial one, then 3 variants x 2 alphas x 2 gammas
+    assert len(calls) == 13 and set(blocked) >= {"t.txt", "t.tsv"}
 
 
 def test_elapse_command(dataset_dir, tmp_path):

@@ -380,10 +380,10 @@ def test_pipelines_refuse_dense_cap_before_building_basis(mini_dataset, monkeypa
             run_elapse(mini_dataset, [1.0], kernel=kernel, solver=solver)
 
 
-def test_run_parameter_grid_builds_one_gram_per_consecutive_config(mini_dataset, monkeypatch):
-    from dataclasses import replace
-
-    from actionmaps.sideinfo import GramBasis, KernelConfig
+def test_run_parameter_grid_builds_one_gram_per_key(mini_dataset, monkeypatch):
+    # S, and alpha 0 in any variant, share one spatial-only Gram; every other
+    # config builds its own once, in order of first appearance
+    from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig
     from actionmaps.solver import SolverParams
 
     real_gram = GramBasis.gram
@@ -395,25 +395,86 @@ def test_run_parameter_grid_builds_one_gram_per_consecutive_config(mini_dataset,
 
     monkeypatch.setattr(GramBasis, "gram", counting_gram)
     spec = GridSpec(alphas=(0.0, 0.5), lambdas=(1e-3, 1e-2), gammas=(1.0, 2.0))
-    variants = ("S", "SOP")
     report = run_parameter_grid(
-        mini_dataset, spec, variants=variants, solver=SolverParams(rank=2, max_iters=5)
+        mini_dataset, spec, variants=("S", "SOP"), solver=SolverParams(rank=2, max_iters=5)
     )
     assert all(not row.error for row in report.rows)
-    configs = [
-        replace(KernelConfig(), alpha=a, gamma=g, variant=v)
-        for v in variants
-        for a, _, g in spec.tuples()
+    assert built == [
+        KernelConfig(alpha=0.0, gamma=1.0, variant="S"),
+        KernelConfig(alpha=0.5, gamma=1.0, variant="SOP"),
+        KernelConfig(alpha=0.5, gamma=2.0, variant="SOP"),
     ]
-    distinct = [c for i, c in enumerate(configs) if i == 0 or c != configs[i - 1]]
-    assert built == distinct
-    # with one gamma, runs that differ only in lambda are adjacent and share a Gram
+    # the default grid: 112 runs, 1 spatial Gram and 3 variants x 6 alphas x 2 gammas
     built.clear()
-    run_parameter_grid(
-        mini_dataset, replace(spec, gammas=(1.0,)), variants=variants,
-        solver=SolverParams(rank=2, max_iters=5),
+    report = run_parameter_grid(
+        mini_dataset, GridSpec(), variants=VARIANTS, solver=SolverParams(rank=2, max_iters=1)
     )
-    assert len(built) == 4
+    assert len(report.rows) == 112 and all(not row.error for row in report.rows)
+    assert len(built) == 37
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.0])
+def test_gram_key_configs_get_equal_grams(pair_dataset, tau):
+    # the two claims of _gram_key: S ignores alpha and gamma, and alpha = 0
+    # gives every variant the spatial-only Gram
+    from actionmaps.experiments import _gram_key
+    from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig
+
+    floor = KernelConfig(gamma=100.0, tau=tau)
+    basis = GramBasis(pair_dataset.location_features(), floor=floor)
+    spatial = basis.gram(KernelConfig(alpha=0.0, gamma=100.0, variant="S", tau=tau))
+    configs = [KernelConfig(alpha=a, gamma=g, variant="S", tau=tau)
+               for a in (0.3, 1.0) for g in (100.0, 1000.0)]
+    configs += [KernelConfig(alpha=0.0, gamma=g, variant=v, tau=tau)
+                for v in VARIANTS[1:] for g in (100.0, 1000.0)]
+    for cfg in configs:
+        assert _gram_key(cfg) == _gram_key(KernelConfig(variant="S", tau=tau))
+        gram = basis.gram(cfg)
+        assert np.array_equal(gram.matrix, spatial.matrix)
+        assert np.array_equal(gram.degrees, spatial.degrees)
+    mixed = basis.gram(KernelConfig(alpha=0.3, gamma=100.0, variant="SOP", tau=tau))
+    assert not np.array_equal(mixed.matrix, spatial.matrix)
+
+
+def test_run_parameter_grid_rows_match_solo_runs(mini_dataset, monkeypatch):
+    # grouped runs keep their grid position's row and seed: each row equals
+    # the grid of that position alone at seed base_seed + k, and a failed
+    # build fails only its own row (the next run of its group builds again)
+    from actionmaps.sideinfo import GramBasis, SideInfoError
+    from actionmaps.solver import SolverParams
+
+    solver = SolverParams(rank=2, max_iters=10)
+    spec = GridSpec(alphas=(0.0, 0.5, 1.5), lambdas=(1e-3,), gammas=(1.0, 2.0))
+    variants = ("S", "SO", "SOP")
+    real_gram = GramBasis.gram
+    failures = ["transient gram failure"]  # the first build fails
+
+    def flaky_gram(self, cfg):
+        if failures:
+            raise SideInfoError(failures.pop())
+        return real_gram(self, cfg)
+
+    monkeypatch.setattr(GramBasis, "gram", flaky_gram)
+    rows = run_parameter_grid(mini_dataset, spec, variants, base_seed=5, solver=solver).rows
+    monkeypatch.setattr(GramBasis, "gram", real_gram)
+    positions = [(v, a, l, g) for v in variants for a, l, g in spec.tuples()]
+    assert len(rows) == len(positions)
+    assert rows[0].error == "transient gram failure"
+    for k, (variant, alpha, lam, gamma) in enumerate(positions):
+        row = rows[k]
+        assert (row.variant, row.alpha, row.lam, row.gamma, row.seed) == (
+            variant, alpha, lam, gamma, 5 + k)
+        if k == 0:
+            continue
+        solo = run_parameter_grid(
+            mini_dataset, GridSpec(alphas=(alpha,), lambdas=(lam,), gammas=(gamma,)),
+            (variant,), base_seed=5 + k, solver=solver,
+        ).rows[0]
+        assert row.error == solo.error
+        assert (row.error != "") == (alpha == 1.5)
+        if not row.error:
+            assert row.scores.summary() == solo.scores.summary()
+            assert np.array_equal(row.scores.per_activity_max, solo.scores.per_activity_max)
 
 
 def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch):

@@ -359,6 +359,25 @@ def test_solver_params_reject_nan(field):
         SolverParams(**{field: float("nan")})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("rank", 2.5), ("rank", True), ("max_iters", 2.5), ("max_iters", True),
+     ("seed", 1.5), ("seed", False), ("lam", "0.1"), ("lam", True),
+     ("rel_tol", None), ("rel_tol", True)],
+)
+def test_solver_params_reject_wrong_types(field, value):
+    # a float count used to reach numpy as a bare TypeError, which the grid
+    # does not record, and max_iters=True ran one iteration
+    with pytest.raises(SolverError, match=field):
+        SolverParams(**{field: value})
+
+
+def test_solver_params_take_numpy_scalars():
+    params = SolverParams(rank=np.int64(3), lam=np.float64(0.1), max_iters=np.int32(5),
+                          rel_tol=1, seed=np.uint8(2))
+    assert params.rank == 3 and params.rel_tol == 1
+
+
 @pytest.mark.parametrize("which", ["raw K_U", "Gram K_U"])
 def test_fit_rejects_non_finite_kernel(which):
     # before the check, fit ran one step and raised a misleading RuntimeError;
@@ -488,6 +507,42 @@ def test_fit_reaches_benchmark_hooks_with_one_product_per_iterate(monkeypatch, l
     assert counts["multiplicative_step"] == iterations
     assert counts["objective"] == iterations + 1
     assert counts["products"] == (iterations + 1 if lam > 0 else 0)
+
+
+# -- the kernel product ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 200])
+def test_kernel_product_matches_plain_matmul(m):
+    # the layout may change the last bits at some ranks, so only a tolerance
+    # is asserted against the plain product
+    rng = np.random.default_rng(m)
+    k = random_gram(rng, m)
+    ku, _ = solver._as_kernel(k)
+    for r in range(1, 13):
+        u = rng.uniform(0.1, 1.1, size=(m, r))
+        got = ku @ u
+        assert type(got) is np.ndarray and got.shape == (m, r)
+        np.testing.assert_allclose(got, np.asarray(k.matrix) @ u, rtol=1e-12, atol=0)
+
+
+def test_kernel_view_is_read_only():
+    k = random_gram(np.random.default_rng(3), 5)
+    ku, _ = solver._as_kernel(k)
+    assert np.shares_memory(ku, k.matrix) and not ku.flags.writeable
+    with pytest.raises(ValueError):
+        ku[0, 0] = 0.5
+
+
+def test_fit_results_carry_no_kernel_subclass():
+    rng = np.random.default_rng(4)
+    bundle = random_bundle(rng, m=20, a=3)
+    k = random_gram(rng, 20)
+    result = fit(bundle, k, params=SolverParams(rank=6, lam=0.1, max_iters=5))
+    u, v = result.factors.U, result.factors.V
+    assert type(u) is np.ndarray and type(v) is np.ndarray
+    assert type(result.trace) is np.ndarray
+    assert type(objective(u, v, bundle, k, 0.1)) is float
 
 
 def test_fit_stop_reason():
