@@ -207,7 +207,16 @@ def run_transfer(
     """Fit with zero target demonstrations and evaluate on the targets.
 
     The baselines and the kernel grid share one bundle and one set of pose
-    views."""
+    views. Refuses an empty source or target list, and a scene in both: the
+    fit would then see no demonstrations, or the demonstrations of a scene
+    it is scored on as novel."""
+    given = f"source scenes {list(source_ids)}, target scenes {list(target_ids)}"
+    if not source_ids or not target_ids:
+        raise ValueError(f"transfer needs at least one source and one target scene; got {given}")
+    shared = sorted(set(source_ids) & set(target_ids))
+    if shared:
+        raise ValueError(f"transfer targets must be novel scenes, but {shared} are also sources; "
+                         f"got {given}")
     observed = set(source_ids)
     index = dataset.index()
     views = pose_views(index, eval_params, target_ids)

@@ -144,8 +144,10 @@ def aggregate_object_scores(
 
 
 class GramBasis:
-    """Pairwise distances that do not depend on alpha/gamma/sigma, reusable
-    across parameter sweeps (the chi-squared guard epsilon is pinned here).
+    """Pairwise chi-squared distances, which do not depend on alpha/gamma/
+    sigma_s, reusable across parameter sweeps (the chi-squared guard epsilon
+    is pinned here), and the coordinates and scene indices that gram()
+    recomputes squared spatial distances from.
 
     Every kernel term is symmetric, so only the upper triangle is held, in
     the 64-row blocks that gram() writes: block i covers rows lo:hi and
@@ -153,22 +155,22 @@ class GramBasis:
     largest sigma_s and the smallest tau the basis must serve) keeps only
     the candidate pairs, where some term reaches tau at the floor (see
     _candidate_limits); every other entry is 0 for each config gram()
-    accepts. With no floor, or a floor tau of 0, every pair is a candidate.
+    accepts. With no floor, or a floor tau of 0, every pair is a candidate
+    and no spatial distance is computed here.
 
     Each term packs its blocks into one flat array; block i starts at
     offsets[i]. A block whose every pair is a candidate is held dense:
-    chi2_p over columns lo:m; spatial_sq over columns lo:end, where end is
-    one past the last row of every scene with rows in the block (the spatial
-    term is zero across scenes), with +inf for pairs in different scenes;
-    chi2_o over the block's object rows (object_rows[object_starts[i]:
-    object_starts[i + 1]], the rows with object evidence) against the
-    object rows >= lo. Any other block holds one value per candidate pair,
-    object pairs first: its int32 position r * m + c (row lo + r, column
-    lo + c), chi2_p and spatial_sq (+inf across scenes) at each, and chi2_o
-    at the object pairs. Each block is computed dense, in place at the tail
-    of each term's array, then kept or overwritten by its candidates (see
-    _compact). Refuses more than MAX_DENSE_LOCATIONS locations before
-    allocating anything.
+    chi2_p over columns lo:m, and chi2_o over the block's object rows
+    (object_rows[object_starts[i]:object_starts[i + 1]], the rows with
+    object evidence) against the object rows >= lo. Any other block holds
+    one value per candidate pair, object pairs first: its int32 position
+    r * m + c (row lo + r, column lo + c) and chi2_p at each, and chi2_o at
+    the object pairs, so 12 bytes per candidate plus 8 per object pair.
+    ends[i] is one past the last row of every scene with rows in block i;
+    later columns are in other scenes, where the spatial term is 0. Each
+    block is computed dense, in place at the tail of each term's array, then
+    kept or overwritten by its candidates (see _compact). Refuses more than
+    MAX_DENSE_LOCATIONS locations before allocating anything.
     """
 
     def __init__(self, features: LocationFeatures, chi2_epsilon=KernelConfig.chi2_epsilon,
@@ -185,7 +187,13 @@ class GramBasis:
         _, scene = np.unique(features.scene_codes, return_inverse=True)
         scene_end = np.zeros(scene.max() + 1, dtype=np.intp)
         np.maximum.at(scene_end, scene, np.arange(1, m + 1))
-        ends = np.maximum.reduceat(scene_end[scene], bounds[:-1])
+        self.ends = ends = np.maximum.reduceat(scene_end[scene], bounds[:-1])
+        # gram() reads these, so a caller that writes to its features later
+        # cannot change the Grams of this basis
+        coords = features.x.T.copy()
+        for held in (coords, scene):
+            held.setflags(write=False)
+        self.coords, self.scene = coords, scene
         self.object_rows = rows = np.flatnonzero((features.o > 0).any(axis=1))
         self.object_starts = starts = np.searchsorted(rows, bounds)
         p_dims = np.ascontiguousarray(features.p.T)
@@ -196,33 +204,36 @@ class GramBasis:
         terms = (
             _Packed(0, np.int32),
             _Packed(np.sum(heights * (m - lows))),
-            _Packed(np.sum(heights * (ends - lows))),
             _Packed(np.sum(np.diff(starts) * (rows.size - starts[:-1]))),
         )
         for i, (lo, hi, end) in enumerate(zip(lows, bounds[1:], ends)):
             a, b = starts[i], starts[i + 1]
             cp = terms[1].tail((hi - lo, m - lo))
-            sq = terms[2].tail((hi - lo, end - lo))
-            co = terms[3].tail((b - a, rows.size - a))
+            co = terms[2].tail((b - a, rows.size - a))
             _chi2_block(p_dims, lo, hi, chi2_epsilon, cp, work)
-            _spatial_block(features.x, scene, lo, hi, end, sq, work[0])
             if b > a:
                 _chi2_block(o_dims, a, b, chi2_epsilon, co, work)
+            sq = None
+            if limits is not None:
+                sq = _view(work[0], (hi - lo, end - lo))
+                _spatial_sq(coords[:, lo:], scene[lo:], np.s_[: hi - lo, None],
+                            np.s_[None, : end - lo], sq, _view(work[1], sq.shape))
             _compact(terms, m, cp, sq, co, rows[a:b] - lo, rows[a:] - lo, limits)
         self.positions, self.position_offsets = terms[0].packed()
         self.chi2_p, self.chi2_p_offsets = terms[1].packed()
-        self.spatial_sq, self.spatial_offsets = terms[2].packed()
-        self.chi2_o, self.chi2_o_offsets = terms[3].packed()
+        self.chi2_o, self.chi2_o_offsets = terms[2].packed()
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:
         """Entries are (w kp + (1 - alpha) ks) + w ko, with w = alpha for SO/SP
         and alpha/2 for SOP; kp is zero for S and SO, ks is not scaled for S,
-        and ko is zero unless both locations have objects. Each 64-row block
-        is computed on its candidate pairs and thresholded, written over
-        columns lo:m with 0 at every other pair, then mirrored below the
-        diagonal, into one m x m output. Then the block's rows are whole (their
-        columns below lo are earlier blocks' mirrors), so their degrees are
-        summed there, and the block is refused unless its entries lie in
+        and ko is zero unless both locations have objects. The m x m output
+        starts as zeros. Each 64-row block is computed on its candidate pairs,
+        with squared spatial distances recomputed from the coordinates, and
+        thresholded: a dense block is written over columns lo:m and mirrored
+        below the diagonal, and a compact block is scattered to its positions
+        and to their mirrors. Then the block's rows are whole (their columns
+        below lo are earlier blocks' mirrors), so their degrees are summed
+        there, and the block is refused unless the entries it wrote lie in
         [0, 1]. Refuses a config outside the floor (gamma below it, sigma_s
         above it or tau below it), where a dropped pair could be non-zero."""
         floor = self.floor
@@ -235,37 +246,48 @@ class GramBasis:
                 f"sigma_s <= {floor.sigma_s}, tau >= {floor.tau})"
             )
         m, rows, starts = self.m, self.object_rows, self.object_starts
-        k, degrees = np.empty((m, m)), np.empty(m)
+        k, degrees = np.zeros((m, m)), np.empty(m)
         flat_block = np.empty(min(_ROW_BLOCK, m) * m)
         scratch = np.empty_like(flat_block)
-        for i, (lo, hi) in enumerate(_blocks(m)):
+        for i, ((lo, hi), end) in enumerate(zip(_blocks(m), self.ends)):
             a, b = starts[i], starts[i + 1]
             kb = k[lo:hi, lo:]
+            coords, scene = self.coords[:, lo:], self.scene[lo:]
             chi2_p = _block(self.chi2_p, self.chi2_p_offsets, i)
-            spatial_sq = _block(self.spatial_sq, self.spatial_offsets, i)
             chi2_o = _block(self.chi2_o, self.chi2_o_offsets, i)
             if chi2_p.size == kb.size:  # a dense block
-                chi2_o = chi2_o.reshape(b - a, rows.size - a)
+                spatial_sq = _view(scratch, (hi - lo, end - lo))
+                _spatial_sq(coords, scene, np.s_[: hi - lo, None], np.s_[None, : end - lo],
+                            spatial_sq, _view(flat_block, spatial_sq.shape))
                 objects = np.ix_(rows[a:b] - lo, rows[a:] - lo)
-                _entries(cfg, chi2_p.reshape(kb.shape), spatial_sq.reshape(hi - lo, -1),
-                         chi2_o, objects, kb, scratch)
+                _entries(cfg, chi2_p.reshape(kb.shape), spatial_sq,
+                         chi2_o.reshape(b - a, rows.size - a), objects, kb, scratch)
+                k[hi:, lo:hi] = kb[:, hi - lo :].T
+                written = kb
             else:
-                out = flat_block[: chi2_p.size]
-                _entries(cfg, chi2_p, spatial_sq, chi2_o, slice(0, chi2_o.size), out, scratch)
-                kb.fill(0.0)
-                positions = _block(self.positions, self.position_offsets, i)
-                k.reshape(-1)[lo * (m + 1) :][positions] = out
-            k[hi:, lo:hi] = kb[:, hi - lo :].T
+                # numpy gathers and scatters faster with intp indices than int32 ones
+                positions = _block(self.positions, self.position_offsets, i).astype(np.intp)
+                r, c = np.divmod(positions, m)
+                spatial_sq = scratch[: positions.size]
+                _spatial_sq(coords, scene, r, c, spatial_sq, flat_block[: positions.size])
+                written = flat_block[: positions.size]
+                _entries(cfg, chi2_p, spatial_sq, chi2_o, slice(0, chi2_o.size), written, scratch)
+                tail = k.reshape(-1)[lo * (m + 1) :]
+                tail[positions] = written
+                c *= m
+                c += r
+                tail[c] = written  # the mirror below the diagonal
             k[lo:hi].sum(axis=1, out=degrees[lo:hi])
             # written so that NaN entries fail: every comparison with NaN is False
-            if not (kb.min() >= -1e-12 and kb.max() <= 1.0 + 1e-9):
+            if written.size and not (written.min() >= -1e-12 and written.max() <= 1.0 + 1e-9):
                 raise SideInfoError("Gram entries must lie in [0, 1]")
         return _gram_matrix(k, degrees)
 
 
 def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratch) -> None:
     """Thresholded Gram entries of one block into out, from chi2_p (out's
-    shape), spatial_sq at out's leading columns and chi2_o at out[objects];
+    shape), spatial_sq at out's leading columns (it may be scratch's own
+    leading values) and chi2_o at out[objects];
     scratch is a flat buffer of at least out.size values. A dense block and
     a flat one take the same operations in the same order, so an entry has
     the same bits in both."""
@@ -319,29 +341,28 @@ def _candidate_limits(floor: Optional[KernelConfig]) -> Optional[tuple[float, fl
 
 def _compact(terms, m, cp, sq, co, object_rows, object_cols, limits) -> None:
     """Commit one block, computed in place at the tail of terms = (positions,
-    chi2_p, spatial_sq, chi2_o): dense with no positions, or overwritten
-    with its candidate pairs, object pairs first, when they take fewer
-    bytes. cp covers the block's columns lo:m, sq its columns lo:lo + near
-    (every later column is in another scene) and co the pairs of
-    object_rows and object_cols (all relative to lo)."""
-    sizes = (0, cp.size, sq.size, co.size)
+    chi2_p, chi2_o): dense with no positions, or overwritten with its
+    candidate pairs, object pairs first, when they take fewer bytes. cp
+    covers the block's columns lo:m, sq (None with no limits) the squared
+    distances at its columns lo:lo + near (every later column is in another
+    scene) and co the pairs of object_rows and object_cols (all relative to
+    lo)."""
+    sizes = (0, cp.size, co.size)
     if limits is not None:
         chi2_limit, sq_limit = limits
-        near = sq.shape[1]
         keep = cp <= chi2_limit
-        keep[:, :near] |= sq <= sq_limit
+        keep[:, : sq.shape[1]] |= sq <= sq_limit
         objects = np.ix_(object_rows, object_cols)
         keep[objects] |= co <= chi2_limit
         paired = keep[objects]
-        # a candidate holds a 4-byte position and two doubles, a third if paired
-        held = 20 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
+        # a candidate holds a 4-byte position and a double, a second if paired
+        held = 12 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
         if held < 8 * sum(sizes):
             keep[objects] = False
             in_co = np.flatnonzero(paired)
             r, c = np.divmod(in_co, object_cols.size)
             r, c = np.concatenate(([object_rows[r], object_cols[c]], np.nonzero(keep)), axis=1)
-            spatial = np.where(c < near, sq[r, np.minimum(c, near - 1)], np.inf)
-            values = (r * m + c, cp[r, c], spatial, co.reshape(-1)[in_co])
+            values = (r * m + c, cp[r, c], co.reshape(-1)[in_co])
             for term, block in zip(terms, values):
                 term.tail(block.shape)[...] = block
             sizes = [block.size for block in values]
@@ -391,18 +412,22 @@ def _block(flat: np.ndarray, offsets: np.ndarray, i: int) -> np.ndarray:
     return flat[offsets[i] : offsets[i + 1]]
 
 
-def _spatial_block(x, scene, lo, hi, end, out, dy) -> None:
-    """out[r, c] = dx^2 + dy^2 between rows lo + r and lo + c of the 2D
-    coordinates x, for rows lo:hi and columns lo:end; +inf where the scene
-    indices of the two rows differ. dy is scratch of at least out's shape."""
-    x0, x1 = x[:, 0], x[:, 1]
-    d = dy[: hi - lo, : end - lo]
-    np.subtract.outer(x0[lo:hi], x0[lo:end], out=out)
+def _view(buffer: np.ndarray, shape) -> np.ndarray:
+    """The leading values of a contiguous scratch buffer, as an array of shape."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _spatial_sq(coords, scene, rows, cols, out, d) -> None:
+    """out = dx^2 + dy^2 between the locations that rows and cols index in
+    the coordinates (2, n), broadcast against each other; +inf where their
+    scene indices differ. d is scratch of out's shape."""
+    x0, x1 = coords
+    np.subtract(x0[rows], x0[cols], out=out)
     out *= out
-    np.subtract.outer(x1[lo:hi], x1[lo:end], out=d)
+    np.subtract(x1[rows], x1[cols], out=d)
     d *= d
     out += d
-    out[scene[lo:hi, None] != scene[None, lo:end]] = np.inf
+    out[scene[rows] != scene[cols]] = np.inf
 
 
 def _chi2_block(dims, lo, hi, epsilon, out, work) -> None:

@@ -373,6 +373,24 @@ def test_transfer_reports_failed_runs(pair_dir, tmp_path, capsys, alphas, code, 
     assert txt.exists() and tsv.exists()
 
 
+@pytest.mark.parametrize(
+    "source, target, named",
+    [("office_a", "office_a", "['office_a']"), ("", "office_b", "['office_b']"),
+     ("office_a", "", "['office_a']")],
+)
+def test_transfer_refuses_scene_lists_that_void_the_comparison(
+    pair_dir, tmp_path, capsys, source, target, named
+):
+    # the same scene as source and target, or no source, used to exit 0 with
+    # a report; no target failed only for want of camera poses
+    txt, tsv = tmp_path / "transfer.txt", tmp_path / "transfer.tsv"
+    assert run(["transfer", "--data", pair_dir, "--source", source, "--target", target,
+                *GRID_ARGS, "--out-txt", txt, "--out-tsv", tsv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: transfer") and named in err
+    assert not txt.exists() and not tsv.exists()
+
+
 def test_every_command_creates_missing_output_directories(dataset_dir, pair_dir, tmp_path):
     new = tmp_path / "not" / "yet"
     fit_out = [new / "fit" / "factors.txt", new / "fit" / "trace" / "trace.tsv"]

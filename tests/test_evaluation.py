@@ -705,6 +705,32 @@ def test_run_transfer_rasterizes_target_poses_once_and_builds_one_bundle(
     assert len(bundles) == 1
 
 
+@pytest.mark.parametrize(
+    "source, target, message",
+    [
+        pytest.param((), ("office_b",), r"at least one.*\['office_b'\]", id="no-source"),
+        pytest.param(("office_a",), (), r"at least one.*\['office_a'\]", id="no-target"),
+        pytest.param(("office_a",), ("office_a",), r"\['office_a'\] are also sources",
+                     id="same-scene"),
+        pytest.param(("office_a", "office_b"), ("office_b",), r"\['office_b'\] are also sources",
+                     id="target-among-sources"),
+    ],
+)
+def test_run_transfer_refuses_scene_lists_that_void_the_novel_scene_comparison(
+    pair_dataset, monkeypatch, source, target, message
+):
+    # a fit on no demonstrations, or on those of a scene scored as novel,
+    # would still report the comparison; it is refused before any work
+    from actionmaps import experiments
+
+    def no_bundle(*args):
+        raise AssertionError("a refused transfer built a bundle")
+
+    monkeypatch.setattr(experiments, "build_bundle", no_bundle)
+    with pytest.raises(ValueError, match=message):
+        experiments.run_transfer(pair_dataset, source, target)
+
+
 def test_run_elapse_rasterizes_each_pose_once(mini_dataset, monkeypatch):
     from actionmaps.experiments import run_elapse
     from actionmaps.solver import SolverParams

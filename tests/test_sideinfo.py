@@ -21,6 +21,7 @@ from actionmaps.sideinfo import (
 )
 from tests.kernel_oracles import (
     Location,
+    chi2_distances_reference,
     combined_kernel,
     gram_oracle,
     gram_reference,
@@ -469,12 +470,21 @@ def test_gram_matches_oracle_property(feats, variant, alpha, gamma):
     np.testing.assert_allclose(gram.matrix, gram_oracle(feats, cfg), rtol=0, atol=1e-12)
 
 
+def _layout(draw, rng, m):
+    """Coordinates (m, 2), on the grid's integers or off them, and scene
+    codes over 1-3 scenes or over many small ones."""
+    if draw(st.booleans()):
+        x = rng.uniform(0.0, 25.0, (m, 2))
+    else:
+        x = rng.integers(0, 25, (m, 2)).astype(float)
+    return x, rng.integers(0, draw(st.one_of(st.integers(1, 3), st.integers(10, 40))), m)
+
+
 @st.composite
 def _block_records(draw):
-    """Records of 1 to 200 rows over 1-3 scenes, so m falls below, on and
+    """Records of 1 to 200 rows (see _layout), so m falls below, on and
     across row-block and tile boundaries; no, some or every row has objects."""
     m = draw(st.one_of(st.integers(1, 200), st.sampled_from([63, 64, 65, 127, 128, 129])))
-    n_scenes = draw(st.integers(1, 3))
     objects = draw(st.sampled_from(("none", "some", "all")))
     c = draw(st.integers(1, 8))
     f = draw(st.integers(1, 4))
@@ -484,12 +494,8 @@ def _block_records(draw):
         o[:] = 0.0
     elif objects == "some":
         o *= rng.random((m, f)) < 0.15
-    return LocationFeatures(
-        x=rng.integers(0, 25, (m, 2)).astype(float),
-        p=rng.dirichlet(np.ones(c), m),
-        o=o,
-        scene_codes=rng.integers(0, n_scenes, m),
-    )
+    x, codes = _layout(draw, rng, m)
+    return LocationFeatures(x=x, p=rng.dirichlet(np.ones(c), m), o=o, scene_codes=codes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,11 +575,10 @@ def test_invalid_features_raise_property(feats, data):
 
 @st.composite
 def _floored_cases(draw):
-    """Records with m on the row-block and stripe edges over 1-3 scenes,
-    with no, some or every row having objects; a floor, and configs at or
-    above it (gamma and tau at least, sigma_s at most the floor's)."""
+    """Records with m on the row-block and stripe edges (see _layout), with
+    no, some or every row having objects; a floor, and configs at or above
+    it (gamma and tau at least, sigma_s at most the floor's)."""
     m = draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
-    n_scenes = draw(st.integers(1, 3))
     objects = draw(st.sampled_from(("none", "some", "all")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     o = rng.uniform(0.01, 1.0, (m, 3))
@@ -581,11 +586,9 @@ def _floored_cases(draw):
         o[:] = 0.0
     elif objects == "some":
         o *= rng.random((m, 1)) < 0.3
+    x, codes = _layout(draw, rng, m)
     feats = LocationFeatures(
-        x=rng.integers(0, 25, (m, 2)).astype(float),
-        p=rng.dirichlet(np.ones(draw(st.integers(1, 6))), m),
-        o=o,
-        scene_codes=rng.integers(0, n_scenes, m),
+        x=x, p=rng.dirichlet(np.ones(draw(st.integers(1, 6))), m), o=o, scene_codes=codes
     )
     floor = KernelConfig(
         sigma_s=draw(st.floats(0.5, 4.0)),
@@ -692,6 +695,49 @@ def test_floored_basis_never_holds_more_than_every_pair():
     assert GramBasis(feats, floor=KernelConfig(gamma=1.0)).positions.size == 0
 
 
+def test_compact_blocks_hold_12_bytes_per_candidate_and_8_per_object_pair():
+    # a compact block holds an int32 position and chi2_p at each candidate
+    # pair, and chi2_o at the object pairs among them; no spatial distance is
+    # held, and the candidates are exactly those of the floor's rule, which
+    # the whole-matrix distances give (d^2 = +inf across scenes)
+    feats = _two_scene_record(m=300)
+    floor = KernelConfig(sigma_s=2.0, gamma=100.0, tau=1e-4)
+    basis = GramBasis(feats, floor=floor)
+    held = {name for name, v in vars(basis).items() if isinstance(v, np.ndarray)}
+    assert held == {"positions", "position_offsets", "chi2_p", "chi2_p_offsets", "chi2_o",
+                    "chi2_o_offsets", "object_rows", "object_starts", "coords", "scene", "ends"}
+    for name in ("coords", "scene"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(basis, name)[..., 0] = 0
+    m, eps = basis.m, floor.chi2_epsilon
+    chi2_limit, sq_limit = sideinfo._candidate_limits(floor)
+    codes = feats.scene_codes
+    d = feats.x[:, None, :] - feats.x[None, :, :]
+    spatial_sq = np.where(codes[:, None] == codes[None, :], (d * d).sum(axis=2), np.inf)
+    chi2_p = chi2_distances_reference(feats.p, eps)
+    has = (feats.o > 0).any(axis=1)
+    object_pair = has[:, None] & has[None, :]
+    chi2_o = np.where(object_pair, chi2_distances_reference(feats.o, eps), np.inf)
+    candidate = (chi2_p <= chi2_limit) | (chi2_o <= chi2_limit) | (spatial_sq <= sq_limit)
+    compact = 0
+    for i, (lo, hi) in enumerate(sideinfo._blocks(m)):
+        positions = sideinfo._block(basis.positions, basis.position_offsets, i)
+        cp = sideinfo._block(basis.chi2_p, basis.chi2_p_offsets, i)
+        co = sideinfo._block(basis.chi2_o, basis.chi2_o_offsets, i)
+        if cp.size == (hi - lo) * (m - lo):
+            continue
+        compact += 1
+        r, c = np.divmod(positions.astype(np.intp), m)
+        want = candidate[lo:hi, lo:]
+        rows, cols = np.nonzero(want)
+        assert np.array_equal(np.sort(positions), np.sort(rows * m + cols))
+        assert np.array_equal(cp, chi2_p[lo + r, lo + c])
+        n_objects = np.count_nonzero(want & object_pair[lo:hi, lo:])
+        assert np.array_equal(co, chi2_o[lo + r[:n_objects], lo + c[:n_objects]])
+        assert positions.nbytes + cp.nbytes + co.nbytes == 12 * positions.size + 8 * n_objects
+    assert compact > 0
+
+
 def test_floored_build_peaks_no_higher_than_the_dense_build():
     # every block is computed in place in arrays of the dense size, so a
     # floor where every block stays dense (gamma 10 on this record) peaks as
@@ -713,10 +759,10 @@ def test_floored_build_peaks_no_higher_than_the_dense_build():
 
 
 def test_floored_spatial_values_outgrow_their_dense_size():
-    # 26 contiguous scenes of 25 rows hold narrow dense spatial blocks, while
-    # the rows alike in scene-class scores are candidates in every scene, so
-    # a block's kept spatial values (+inf across scenes) outnumber its dense
-    # ones and the spatial array grows past its dense size
+    # 26 contiguous scenes of 25 rows give narrow spatial blocks, while the
+    # rows alike in scene-class scores are candidates in every scene, so most
+    # candidates of a block lie in other scenes, where gram() recomputes a
+    # squared distance of +inf
     rng = np.random.default_rng(3)
     m = 26 * 25
     p = rng.dirichlet(np.ones(6), m)
@@ -729,7 +775,6 @@ def test_floored_spatial_values_outgrow_their_dense_size():
     )
     floor = KernelConfig(sigma_s=1.0, gamma=100.0, tau=1e-4)
     basis = GramBasis(feats, floor=floor)
-    assert basis.spatial_sq.size > GramBasis(feats).spatial_sq.size
     for variant in VARIANTS:
         cfg = replace(floor, variant=variant)
         gram, want = basis.gram(cfg), gram_reference(feats, cfg)
