@@ -6,7 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from actionmaps.scene import GlobalIndex, GridPose, grid_coords
+from actionmaps.scene import GlobalIndex, GridPose, check_field_types, grid_coords
 
 SUMMARY_METRICS = ("w_max_f1", "w_mean_f1", "max_f1", "mean_f1")
 
@@ -127,6 +127,7 @@ class EvalParams:
     n_thresholds: int = 100
 
     def __post_init__(self):
+        check_field_types(self, EvaluationError)
         if not self.n_thresholds >= 1:
             raise EvaluationError(f"need at least one threshold, got {self.n_thresholds}")
 

@@ -20,6 +20,7 @@ from actionmaps.localization import DiscrepancyCurve, discrepancy_curve
 from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig, SideInfoError
 from actionmaps.solver import (
     ActionMatrixBundle,
+    Cohort,
     FitResult,
     SolverParams,
     build_bundle,
@@ -127,38 +128,40 @@ def _run_grid(
 
     Runs are grouped by the Gram they need (see _gram_key), in order of first
     appearance, and each group shares one Gram: at most one is alive at a
-    time, and after a failed build the group's next run builds again. Each
-    run keeps its grid position's seed and row. The basis floor is the kernel
-    at the smallest gamma that KernelConfig accepts, so a rejected gamma
-    fails only its own rows; when it accepts none, every row fails and no
-    basis is built.
+    time, and after a failed build the group's next run builds again. The
+    runs a Gram serves form one solver Cohort, fitted in lockstep by the
+    first of their fit() calls. Each run keeps its grid position's seed and
+    row. The basis floor is the kernel at the smallest gamma that
+    KernelConfig accepts, so a rejected gamma fails only its own rows; when
+    it accepts none, every row fails and no basis is built.
     """
     floor = _grid_floor(kernel, grid_spec.gammas)
     basis = None if floor is None else GramBasis(dataset.location_features(), floor=floor)
     positions = [(variant, *t) for variant in variants for t in grid_spec.tuples()]
     rows: list[Optional[GridRow]] = [None] * len(positions)
-    groups: dict[tuple, list[tuple[int, KernelConfig]]] = {}
+    groups: dict[tuple, list[tuple[int, KernelConfig, SolverParams]]] = {}
     for k, (variant, alpha, lam, gamma) in enumerate(positions):
         try:
             cfg = replace(kernel, alpha=alpha, gamma=gamma, variant=variant)
+            params = replace(solver, lam=lam, seed=base_seed + k)
         except ValueError as exc:  # recorded, not fatal
             rows[k] = GridRow(variant, alpha, lam, gamma, base_seed + k, None, str(exc))
             continue
-        groups.setdefault(_gram_key(cfg), []).append((k, cfg))
+        groups.setdefault(_gram_key(cfg), []).append((k, cfg, params))
     for group in groups.values():
-        gram = None  # release the last group's Gram before building this one
-        for k, cfg in group:
+        gram = cohort = None  # release the last group's Gram before building this one
+        for j, (k, cfg, params) in enumerate(group):
             variant, alpha, lam, gamma = positions[k]
-            seed = base_seed + k
             try:
                 if gram is None:
                     gram = basis.gram(cfg)
-                result = fit(bundle, gram, params=replace(solver, lam=lam, seed=seed))
+                    cohort = Cohort(bundle, gram, [p for _, _, p in group[j:]])
+                result = fit(bundle, gram, params=params, cohort=cohort)
                 am = normalize_action_map(predict(result.factors))
                 scores = score_action_map(views, am)
-                rows[k] = GridRow(variant, alpha, lam, gamma, seed, scores)
+                rows[k] = GridRow(variant, alpha, lam, gamma, params.seed, scores)
             except (ValueError, RuntimeError) as exc:  # recorded, not fatal
-                rows[k] = GridRow(variant, alpha, lam, gamma, seed, None, str(exc))
+                rows[k] = GridRow(variant, alpha, lam, gamma, params.seed, None, str(exc))
     return EvalReport(rows=rows, activities=dataset.index().vocabulary.names)
 
 

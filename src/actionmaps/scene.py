@@ -7,7 +7,8 @@ location-by-activity matrix. Only this module computes that order; the others
 pass row indices and read coordinates from grid_coords.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,21 @@ Cell = tuple[int, int]
 
 class SceneError(ValueError):
     """Invalid scene construction."""
+
+
+_FIELD_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"), str: (str, "a string")}
+
+
+def check_field_types(record, error: type[ValueError]) -> None:
+    """Raise error, naming the field, where a dataclass record holds a value
+    outside its annotation: int fields take integers, float fields real
+    numbers, str fields strings, and none takes a bool. A float count would
+    reach numpy as a bare TypeError, and True would count as 1."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        kind, noun = _FIELD_KINDS[f.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise error(f"{f.name} must be {noun}, got {value!r}")
 
 
 def grid_coords(width: int, height: int) -> np.ndarray:

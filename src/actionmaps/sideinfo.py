@@ -14,7 +14,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from actionmaps.scene import grid_coords
+from actionmaps.scene import check_field_types, grid_coords
 
 VARIANTS = ("S", "SO", "SP", "SOP")
 OBJECT_KERNEL_RADIUS = math.sqrt(2.0)  # grid cells
@@ -77,6 +77,7 @@ class KernelConfig:
     chi2_epsilon: ClassVar[float] = 1e-10
 
     def __post_init__(self):
+        check_field_types(self, SideInfoError)
         if not 0.0 <= self.alpha <= 1.0:
             raise SideInfoError(f"alpha must be in [0, 1], got {self.alpha}")
         # written so that NaN fails: every comparison with NaN is False

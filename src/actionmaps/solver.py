@@ -4,16 +4,16 @@ The objective is the weighted squared reconstruction error (each weight
 multiplies its squared residual) plus one Laplacian smoothness penalty over
 the rows of U, weighted by the location kernel K (the graph-regularized NMF
 of Cai et al., TPAMI 2011). Multiplicative updates keep the factors
-non-negative and never increase the objective.
+non-negative and never increase the objective. Runs that share a bundle and
+a kernel are fitted in lockstep as a Cohort, sharing each pass over K.
 """
 
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from actionmaps.scene import GlobalIndex, SceneGrid
+from actionmaps.scene import GlobalIndex, SceneGrid, check_field_types
 from actionmaps.sideinfo import GramMatrix
 
 STABILIZER = 1e-12  # added to every update denominator
@@ -75,13 +75,7 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        # checked by the annotations first, a bool included: a float count
-        # would reach numpy as a bare TypeError, and True would count as 1
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, noun = (Integral, "an integer") if f.type is int else (Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise SolverError(f"{f.name} must be {noun}, got {value!r}")
+        check_field_types(self, SolverError)
         # written so that NaN fails: every comparison with NaN is False
         if not self.rank >= 1:
             raise SolverError("rank must be >= 1")
@@ -218,42 +212,155 @@ def multiplicative_step(U, V, bundle: ActionMatrixBundle, K, params: SolverParam
     return u_new, v_new
 
 
-def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams) -> FitResult:
+MAX_SHARED_RUNS = 4  # runs per shared K·U pass; each pass reads all of K, whatever its width
+
+
+class Cohort:
+    """Runs that share one bundle and one kernel, fitted in lockstep.
+
+    Each run still calls fit() once with the cohort and its own params; the
+    first call fits every run, and each call returns its own run's FitResult
+    or raises its own run's error. Runs with equal params are fitted once.
+    """
+
+    def __init__(self, bundle: ActionMatrixBundle, K, params: Sequence[SolverParams]):
+        self.bundle, self.K = bundle, K
+        self.params = tuple(dict.fromkeys(params))
+        self._outcomes: Optional[dict] = None
+
+    def result(self, bundle: ActionMatrixBundle, K, params: SolverParams) -> FitResult:
+        if bundle is not self.bundle or K is not self.K or params not in self.params:
+            raise SolverError("fit() was called with a bundle, kernel or params "
+                              "outside its cohort")
+        if self._outcomes is None:
+            self._outcomes = _fit_cohort(bundle, K, self.params)
+        outcome = self._outcomes[params]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams,
+        cohort: Optional[Cohort] = None) -> FitResult:
     """Iterate multiplicative updates from a seeded strictly positive init.
 
     Stops when the relative objective decrease falls below rel_tol or after
     max_iters steps; returns the factors, the per-iteration objective trace
     (the initial objective is trace[0]) and which rule stopped the fit.
     K @ U is computed once per iterate and shared by the objective at that
-    iterate and the step from it: len(trace) products in all when lam > 0.
+    iterate and the step from it. A fit alone is a cohort of one and makes
+    len(trace) products when lam > 0; in a cohort, up to MAX_SHARED_RUNS
+    runs share each product (see _fit_cohort), with the same results.
+    """
+    if cohort is None:
+        cohort = Cohort(bundle, K, [params])
+    return cohort.result(bundle, K, params)
+
+
+@dataclass
+class _Run:
+    """One run of a cohort: its params, current factors, K @ U and trace."""
+
+    params: SolverParams
+    u: np.ndarray
+    v: np.ndarray
+    trace: list
+    ku_u: Optional[np.ndarray] = None
+
+    def stop_reason(self) -> Optional[str]:
+        trace, p = self.trace, self.params
+        if len(trace) > 1 and trace[-2] - trace[-1] < p.rel_tol * max(abs(trace[-2]), 1e-30):
+            return "tolerance"
+        return "max_iters" if len(trace) > p.max_iters else None
+
+
+def _fit_cohort(bundle: ActionMatrixBundle, K, runs: Sequence[SolverParams]) -> dict:
+    """params -> FitResult, or the error that failed that run alone.
+
+    Regularized runs go in batches of up to MAX_SHARED_RUNS, the others alone.
+    A failed or finished run leaves its batch; the others go on.
     """
     m, n_act = bundle.shape
     ku, deg = _as_kernel(K)
     if ku is not None and ku.shape != (m, m):
         raise SolverError(f"K must be {m}x{m}, got {ku.shape}")
-    if params.lam > 0 and ku is None:
-        raise SolverError("lam > 0 requires a location kernel")
     # a non-finite kernel entry makes its row degree non-finite: an O(m) check
     if deg is not None and not np.isfinite(deg).all():
         raise SolverError("K must be finite")
-    rng = np.random.default_rng(params.seed)
-    u = rng.uniform(0.1, 1.1, size=(m, params.rank))
-    v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
-    ku_u = ku @ u if params.lam > 0 else None
-    trace = [objective(u, v, bundle, K, params.lam, ku_u)]
-    stop_reason = "max_iters"
-    for _ in range(params.max_iters):
-        u, v = multiplicative_step(u, v, bundle, K, params, ku_u)
-        ku_u = ku @ u if params.lam > 0 else None
-        j = objective(u, v, bundle, K, params.lam, ku_u)
-        trace.append(j)
-        prev = trace[-2]
-        if prev - j < params.rel_tol * max(abs(prev), 1e-30):
-            stop_reason = "tolerance"
-            break
-    return FitResult(
-        factors=FactorPair(U=u, V=v), trace=np.array(trace), stop_reason=stop_reason
-    )
+    outcomes: dict = {}
+    shared, alone = [], []
+    for params in runs:
+        if params.lam > 0 and ku is None:
+            outcomes[params] = SolverError("lam > 0 requires a location kernel")
+        else:
+            (shared if params.lam > 0 else alone).append(params)
+    batches = [shared[i : i + MAX_SHARED_RUNS] for i in range(0, len(shared), MAX_SHARED_RUNS)]
+    for batch in batches + [[params] for params in alone]:
+        outcomes.update(_fit_lockstep(bundle, K, ku, batch))
+    return outcomes
+
+
+def _fit_lockstep(bundle: ActionMatrixBundle, K, ku, batch: list[SolverParams]) -> dict:
+    """Fit the runs of one batch iteration by iteration (see _kernel_products)."""
+    m, n_act = bundle.shape
+    runs = []
+    for params in batch:
+        rng = np.random.default_rng(params.seed)
+        u = rng.uniform(0.1, 1.1, size=(m, params.rank))
+        v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
+        runs.append(_Run(params, u, v, []))
+    outcomes: dict = {}
+    shares: dict[int, bool] = {}
+    while runs:
+        if batch[0].lam > 0:  # an unregularized run is alone and needs no K @ U
+            _kernel_products(ku, runs, shares)
+        going = []
+        for run in runs:
+            run.trace.append(objective(run.u, run.v, bundle, K, run.params.lam, run.ku_u))
+            stop_reason = run.stop_reason()
+            if stop_reason is not None:
+                outcomes[run.params] = FitResult(FactorPair(U=run.u, V=run.v),
+                                                 np.array(run.trace), stop_reason)
+                continue
+            try:
+                run.u, run.v = multiplicative_step(run.u, run.v, bundle, K, run.params, run.ku_u)
+            except (ValueError, RuntimeError) as exc:  # fails this run alone
+                outcomes[run.params] = exc
+                continue
+            going.append(run)
+        runs = going
+    return outcomes
+
+
+def _kernel_products(ku, runs: list[_Run], shares: dict[int, bool]) -> None:
+    """Set each run's K @ U from one shared (U^T K)^T pass over the stacked
+    factors, where a probe showed that pass equal to the solo products.
+
+    Whether the blocks of a shared pass equal the solo products bit for bit
+    depends on the BLAS path OpenBLAS takes for the shape and thread count,
+    not on the values. So the first time the batch has a given number of
+    runs (at the start, and after one leaves), every run takes its solo
+    product and one shared pass is compared with them; shares records the
+    verdict per number of runs, and a failed probe keeps the solo products.
+    """
+    if len(runs) > 1 and shares.get(len(runs)):
+        for run, block in zip(runs, _shared_product(ku, runs)):
+            run.ku_u = block
+        return
+    for run in runs:
+        run.ku_u = ku @ run.u
+    if len(runs) > 1 and len(runs) not in shares:
+        blocks = _shared_product(ku, runs)
+        shares[len(runs)] = all(np.array_equal(b, run.ku_u) for b, run in zip(blocks, runs))
+
+
+def _shared_product(ku, runs: list[_Run]) -> list[np.ndarray]:
+    """Each run's block of K @ [U_1 ... U_B]. The kernel view computes it as
+    (S K)^T with S the stacked U_i^T, so a block is rows of S K transposed:
+    the memory layout of a solo product, which later sums depend on."""
+    product = ku @ np.concatenate([run.u.T for run in runs]).T
+    ends = np.cumsum([run.params.rank for run in runs])
+    return [product[:, end - run.params.rank : end] for run, end in zip(runs, ends)]
 
 
 def predict(factors: FactorPair) -> np.ndarray:

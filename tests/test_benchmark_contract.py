@@ -67,6 +67,23 @@ def test_traced_grid_reaches_every_boundary(manifests, tmp_path):
     assert all(metrics[f"{layer}.errors"] == 0 for layer in ("sideinfo", "solver", "evaluation"))
 
 
+def test_traced_grid_keeps_one_fit_span_per_cohort_run(manifests, tmp_path):
+    # each Gram group's lambda pair is one solver cohort, fitted in lockstep
+    # by its first fit() call; the tracer counts fits per solver.fit span, so
+    # every run must still reach solver.fit once
+    sweep = list(SWEEP)
+    sweep[sweep.index("--lambdas") + 1] = "0.001,0.01"
+    report = _trace(tmp_path, ["grid", "--data", manifests[1], "--variants", "S,SOP", *sweep,
+                               "--out-tsv", tmp_path / "g.tsv", "--out-txt", tmp_path / "g.txt"])
+    assert report["exit_code"] == 0
+    assert set(report["span_calls"]) == GRID_SPANS
+    assert report["span_calls"]["solver.fit"] == 4
+    metrics = report["metrics"]
+    assert metrics["solver.fit.calls"] == 4 and report["kernel_fits"] == 4
+    assert metrics["sideinfo.gram.calls"] == 2
+    assert all(metrics[f"{layer}.errors"] == 0 for layer in ("sideinfo", "solver", "evaluation"))
+
+
 def test_traced_transfer_reaches_the_baselines(manifests, tmp_path):
     report = _trace(tmp_path, ["transfer", "--data", manifests[2], "--source", "scene_a",
                                "--target", "scene_b", "--variants", "SOP", *SWEEP,

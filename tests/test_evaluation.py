@@ -132,6 +132,20 @@ def test_eval_params_need_a_threshold(n_thresholds):
     assert EvalParams(n_thresholds=1).n_thresholds == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("fov_deg", "60"), ("fov_deg", True), ("range_cells", None),
+     ("n_thresholds", 2.5), ("n_thresholds", True), ("n_thresholds", "100")],
+)
+def test_eval_params_reject_wrong_types(field, value):
+    # n_thresholds=2.5 swept the thresholds k/3.5 and True a single one, and a
+    # string fov only failed once a view triangle was built
+    with pytest.raises(EvaluationError, match=field):
+        EvalParams(**{field: value})
+    params = EvalParams(fov_deg=np.float64(70), range_cells=5, n_thresholds=np.int64(3))
+    assert params.n_thresholds == 3
+
+
 # -- image scores -------------------------------------------------------------
 
 
@@ -493,9 +507,9 @@ def test_run_parameter_grid_failed_gram_is_not_reused(mini_dataset, monkeypatch)
             raise SideInfoError("transient gram failure")
         return real_gram(self, cfg)
 
-    def recording_fit(bundle, K, *, params):
+    def recording_fit(bundle, K, **kwargs):
         fitted.append(K)
-        return real_fit(bundle, K, params=params)
+        return real_fit(bundle, K, **kwargs)
 
     monkeypatch.setattr(GramBasis, "gram", flaky_gram)
     monkeypatch.setattr(experiments, "fit", recording_fit)

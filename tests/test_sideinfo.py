@@ -428,6 +428,23 @@ def test_kernel_config_rejects_nan(kwargs):
         KernelConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("alpha", "0.5"), ("alpha", True), ("sigma_s", None), ("gamma", False),
+     ("tau", None), ("tau", True), ("variant", 1)],
+)
+def test_kernel_config_rejects_wrong_types(field, value):
+    # a string or None used to fail a comparison with a bare TypeError, which
+    # the grid does not record, and alpha=True was taken as 1
+    with pytest.raises(SideInfoError, match=field):
+        KernelConfig(**{field: value})
+
+
+def test_kernel_config_takes_numpy_scalars():
+    cfg = KernelConfig(alpha=np.float64(0.3), sigma_s=2, gamma=np.int64(100), tau=0)
+    assert cfg.alpha == 0.3 and cfg.gamma == 100
+
+
 def test_kernel_config_settings_and_fixed_chi2_guard():
     # the chi-squared guard and the dense cap are constants, not settings
     names = [f.name for f in fields(KernelConfig)]

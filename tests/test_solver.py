@@ -555,3 +555,151 @@ def test_fit_stop_reason():
                     params=SolverParams(rank=2, lam=0.01, max_iters=500, rel_tol=1e-2))
     assert converged.stop_reason == "tolerance" and len(converged.trace) < 501
     assert fit(bundle, k_u, params=SolverParams(rank=2, max_iters=0)).stop_reason == "max_iters"
+
+
+# -- cohorts: runs fitted in lockstep ------------------------------------------
+
+
+def _cohort_case(m, n_runs, seed=21, **overrides):
+    """A bundle, a Gram and n_runs params that differ in lam and seed."""
+    rng = np.random.default_rng(seed)
+    bundle = random_bundle(rng, m=m, a=5)
+    gram = random_gram(rng, m)
+    params = [SolverParams(**{"rank": 3, "lam": (1e-2, 1e-1)[i % 2], "max_iters": 40,
+                              "rel_tol": 1e-12, "seed": 100 + i, **overrides})
+              for i in range(n_runs)]
+    return bundle, gram, params
+
+
+def _fit_cohort_runs(bundle, gram, params):
+    """Each run's fit() call on one cohort: its FitResult, or its error."""
+    cohort = solver.Cohort(bundle, gram, params)
+    out = []
+    for p in params:
+        try:
+            out.append(fit(bundle, gram, params=p, cohort=cohort))
+        except (ValueError, RuntimeError) as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_same_fit(got, want):
+    assert np.array_equal(got.factors.U, want.factors.U)
+    assert np.array_equal(got.factors.V, want.factors.V)
+    assert np.array_equal(got.trace, want.trace)
+    assert got.stop_reason == want.stop_reason
+
+
+@pytest.mark.parametrize("m, n_runs", [(30, 2), (60, 3), (150, 4), (385, 2)])
+def test_cohort_runs_equal_solo_fits(m, n_runs):
+    # bit for bit at any thread count: where a shared pass would change the
+    # last bits, the probe keeps the solo products
+    bundle, gram, params = _cohort_case(m, n_runs)
+    for got, p in zip(_fit_cohort_runs(bundle, gram, params), params):
+        _assert_same_fit(got, fit(bundle, gram, params=p))
+
+
+def test_cohort_run_that_goes_non_finite_fails_alone():
+    bundle, gram, params = _cohort_case(40, 3)
+    params[1] = SolverParams(rank=3, lam=1e308, max_iters=40, rel_tol=1e-12, seed=5)
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite") as solo_error:
+            fit(bundle, gram, params=params[1])
+        got = _fit_cohort_runs(bundle, gram, params)
+    assert isinstance(got[1], RuntimeError) and str(got[1]) == str(solo_error.value)
+    for k in (0, 2):
+        _assert_same_fit(got[k], fit(bundle, gram, params=params[k]))
+
+
+def test_cohort_without_kernel_fails_only_regularized_runs():
+    bundle, _, params = _cohort_case(20, 2)
+    params[0] = SolverParams(rank=3, lam=0.0, max_iters=10, seed=3)
+    got = _fit_cohort_runs(bundle, None, params)
+    _assert_same_fit(got[0], fit(bundle, None, params=params[0]))
+    assert isinstance(got[1], SolverError) and "requires a location kernel" in str(got[1])
+
+
+def _record_shared_widths(monkeypatch):
+    """The number of runs of every shared pass, probes included; a solo fit
+    makes none."""
+    widths = []
+    shared_product = solver._shared_product
+
+    def recording(ku, runs):
+        widths.append(len(runs))
+        return shared_product(ku, runs)
+
+    monkeypatch.setattr(solver, "_shared_product", recording)
+    return widths
+
+
+def test_cohort_run_stopping_on_tolerance_leaves_the_batch(monkeypatch):
+    bundle, gram, params = _cohort_case(80, 4, max_iters=200)
+    params[2] = SolverParams(rank=3, lam=1e-2, max_iters=200, rel_tol=1e-2, seed=9)
+    widths = _record_shared_widths(monkeypatch)
+    got = _fit_cohort_runs(bundle, gram, params)
+    assert got[2].stop_reason == "tolerance" and len(got[2].trace) < 201
+    assert [r.stop_reason for k, r in enumerate(got) if k != 2] == ["max_iters"] * 3
+    # the probe runs again at the new width: 3 runs after the one leaves
+    assert 4 in widths and widths[-1] == 3
+    for got_run, p in zip(got, params):
+        _assert_same_fit(got_run, fit(bundle, gram, params=p))
+
+
+def test_cohort_of_six_runs_passes_at_most_four(monkeypatch):
+    bundle, gram, params = _cohort_case(50, 6)
+    widths = _record_shared_widths(monkeypatch)
+    got = _fit_cohort_runs(bundle, gram, params)
+    assert max(widths) == solver.MAX_SHARED_RUNS == 4 and 2 in widths
+    for got_run, p in zip(got, params):
+        _assert_same_fit(got_run, fit(bundle, gram, params=p))
+
+
+def test_cohort_is_reproducible():
+    bundle, gram, params = _cohort_case(120, 4, max_iters=25)
+    first = _fit_cohort_runs(bundle, gram, params)
+    for got, want in zip(_fit_cohort_runs(bundle, gram, params), first):
+        _assert_same_fit(got, want)
+
+
+def test_cohort_counts_one_product_per_shared_pass(monkeypatch):
+    # each run's solo product at the start, one probe pass, then one product
+    # per iteration where the probe showed equal blocks and one per run where
+    # it did not; the trace lengths and factors do not depend on which
+    bundle, gram, params = _cohort_case(60, 3, max_iters=12)
+    counts = _count_solver_hooks(monkeypatch)
+    verdicts = []
+    kernel_products = solver._kernel_products
+
+    def recording(ku, runs, shares):
+        kernel_products(ku, runs, shares)
+        verdicts.append(shares.get(len(runs)))
+
+    monkeypatch.setattr(solver, "_kernel_products", recording)
+    got = _fit_cohort_runs(bundle, gram, params)
+    per_pass = 1 if verdicts[-1] else 3
+    assert counts["products"] == 3 + 1 + 12 * per_pass
+    assert counts["multiplicative_step"] == 3 * 12 and counts["objective"] == 3 * 13
+    assert all(len(r.trace) == 13 for r in got)
+
+
+def test_shared_product_blocks_have_the_solo_layout():
+    rng = np.random.default_rng(8)
+    gram = random_gram(rng, 70)
+    ku, _ = solver._as_kernel(gram)
+    runs = [solver._Run(SolverParams(rank=r), rng.uniform(0.1, 1.1, size=(70, r)), None, [])
+            for r in (2, 3, 6)]
+    for run, block in zip(runs, solver._shared_product(ku, runs)):
+        solo = ku @ run.u
+        assert block.shape == solo.shape and block.strides == solo.strides
+        np.testing.assert_allclose(block, solo, rtol=1e-12, atol=0)
+
+
+def test_fit_refuses_arguments_outside_its_cohort():
+    bundle, gram, params = _cohort_case(20, 2)
+    cohort = solver.Cohort(bundle, gram, params)
+    other = SolverParams(rank=3, lam=1e-2, seed=999)
+    with pytest.raises(SolverError, match="cohort"):
+        fit(bundle, gram, params=other, cohort=cohort)
+    with pytest.raises(SolverError, match="cohort"):
+        fit(bundle, random_gram(np.random.default_rng(1), 20), params=params[0], cohort=cohort)
