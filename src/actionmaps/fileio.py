@@ -356,6 +356,18 @@ def write_dataset(dataset: GeneratedDataset, outdir, name: str = "dataset") -> s
     return manifest
 
 
+def _read_named(read, manifest_path, lineno: int, base: str, fname: str):
+    """read() of the file that a manifest line names, relative to base; a
+    file that cannot be opened is reported at that manifest line."""
+    try:
+        return read(os.path.join(base, fname))
+    except SchemaError as exc:
+        if isinstance(exc.__cause__, OSError):
+            raise SchemaError(manifest_path, lineno,
+                              f"cannot read {fname!r}: {exc.__cause__}") from exc.__cause__
+        raise
+
+
 def load_dataset(manifest_path) -> GeneratedDataset:
     r = _Reader(manifest_path)
     r.check_schema(DATASET_SCHEMA)
@@ -377,7 +389,7 @@ def load_dataset(manifest_path) -> GeneratedDataset:
     features = {}
     class_names = category_names = None
     for fname, lineno in scene_files:
-        scene, p, o, cls, cats = read_scene(os.path.join(base, fname))
+        scene, p, o, cls, cats = _read_named(read_scene, manifest_path, lineno, base, fname)
         if scene.scene_id in features:
             raise SchemaError(manifest_path, lineno, f"scene id {scene.scene_id!r} repeats")
         if class_names is None:
@@ -389,7 +401,7 @@ def load_dataset(manifest_path) -> GeneratedDataset:
             )
         scenes.append(scene)
         features[scene.scene_id] = (p, o)
-    catmap, cats, acts = read_catmap(os.path.join(base, catmap_file))
+    catmap, cats, acts = _read_named(read_catmap, manifest_path, catmap_line, base, catmap_file)
     if cats != category_names:
         raise SchemaError(manifest_path, catmap_line, "category map names do not match scenes")
     if acts != scenes[0].vocabulary.names:

@@ -9,7 +9,7 @@ pass row indices and read coordinates from grid_coords.
 
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
 
@@ -29,13 +29,34 @@ _FIELD_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"), str: (
 def check_field_types(record, error: type[ValueError]) -> None:
     """Raise error, naming the field, where a dataclass record holds a value
     outside its annotation: int fields take integers, float fields real
-    numbers, str fields strings, and none takes a bool. A float count would
-    reach numpy as a bare TypeError, and True would count as 1."""
+    numbers, str fields strings, and none takes a bool. Optional[T] fields
+    also take None, and tuple[T1, ..., Tn] fields a tuple or list of n
+    values of those types. A float count would reach numpy as a bare
+    TypeError, and True would count as 1. The message says what the field
+    takes: its metadata's "takes", or else the noun of its type."""
     for f in fields(record):
         value = getattr(record, f.name)
-        kind, noun = _FIELD_KINDS[f.type]
-        if isinstance(value, bool) or not isinstance(value, kind):
+        if not _takes(f.type, value):
+            noun = f.metadata.get("takes") or _FIELD_KINDS[_scalar_type(f.type)][1]
             raise error(f"{f.name} must be {noun}, got {value!r}")
+
+
+def _scalar_type(annotation):
+    """T of Optional[T] or tuple[T, ...], or the annotation itself."""
+    args = get_args(annotation)
+    return args[0] if args else annotation
+
+
+def _takes(annotation, value) -> bool:
+    """Whether value fits the annotation (see check_field_types)."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Union:  # Optional[T]
+        return value is None or _takes(args[0], value)
+    if origin is tuple:
+        return (isinstance(value, (tuple, list)) and len(value) == len(args)
+                and all(map(_takes, args, value)))
+    kind = _FIELD_KINDS[annotation][0]
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def grid_coords(width: int, height: int) -> np.ndarray:

@@ -18,7 +18,9 @@ from actionmaps.scene import check_field_types, grid_coords
 
 VARIANTS = ("S", "SO", "SP", "SOP")
 OBJECT_KERNEL_RADIUS = math.sqrt(2.0)  # grid cells
-MAX_DENSE_LOCATIONS = 20000  # GramBasis refuses more locations than this
+# GramBasis refuses more locations than this; below 2^16, since compact
+# blocks hold their columns and row counts as uint16
+MAX_DENSE_LOCATIONS = 20000
 
 
 class SideInfoError(ValueError):
@@ -164,14 +166,18 @@ class GramBasis:
     chi2_p over columns lo:m, and chi2_o over the block's object rows
     (object_rows[object_starts[i]:object_starts[i + 1]], the rows with
     object evidence) against the object rows >= lo. Any other block holds
-    one value per candidate pair, object pairs first: its int32 position
-    r * m + c (row lo + r, column lo + c) and chi2_p at each, and chi2_o at
-    the object pairs, so 12 bytes per candidate plus 8 per object pair.
-    ends[i] is one past the last row of every scene with rows in block i;
-    later columns are in other scenes, where the spatial term is 0. Each
-    block is computed dense, in place at the tail of each term's array, then
-    kept or overwritten by its candidates (see _compact). Refuses more than
-    MAX_DENSE_LOCATIONS locations before allocating anything.
+    one value per candidate pair in two row-major runs, the object pairs
+    and then the rest: its uint16 column c (column lo + c) and chi2_p at
+    each, and chi2_o at the object pairs, so 10 bytes per candidate plus 8
+    per object pair. row_counts[i] holds the number of candidates in each
+    row of block i, the object run's in row_counts[i, 0] and the rest's in
+    row_counts[i, 1] (zeros for a dense block), from which gram() rebuilds
+    the rows. ends[i] is one past the last row of every scene with rows in
+    block i; later columns are in other scenes, where the spatial term is
+    0. Each block is computed dense, in place at the tail of each term's
+    array, then kept or overwritten by its candidates (see _compact).
+    Refuses more than MAX_DENSE_LOCATIONS locations before allocating
+    anything.
     """
 
     def __init__(self, features: LocationFeatures, chi2_epsilon=KernelConfig.chi2_epsilon,
@@ -200,10 +206,11 @@ class GramBasis:
         p_dims = np.ascontiguousarray(features.p.T)
         o_dims = np.ascontiguousarray(features.o[rows].T)
         work = np.empty((2, min(_ROW_BLOCK, m), m))
+        self.row_counts = np.zeros((bounds.size - 1, 2, _ROW_BLOCK), np.uint16)
         # each term is sized for its dense blocks, which is all it holds with no floor
         heights, lows = np.diff(bounds), bounds[:-1]
         terms = (
-            _Packed(0, np.int32),
+            _Packed(0, np.uint16),
             _Packed(np.sum(heights * (m - lows))),
             _Packed(np.sum(np.diff(starts) * (rows.size - starts[:-1]))),
         )
@@ -219,8 +226,9 @@ class GramBasis:
                 sq = _view(work[0], (hi - lo, end - lo))
                 _spatial_sq(coords[:, lo:], scene[lo:], np.s_[: hi - lo, None],
                             np.s_[None, : end - lo], sq, _view(work[1], sq.shape))
-            _compact(terms, m, cp, sq, co, rows[a:b] - lo, rows[a:] - lo, limits)
-        self.positions, self.position_offsets = terms[0].packed()
+            _compact(terms, self.row_counts[i], cp, sq, co, rows[a:b] - lo, rows[a:] - lo,
+                     limits)
+        self.columns, self.column_offsets = terms[0].packed()
         self.chi2_p, self.chi2_p_offsets = terms[1].packed()
         self.chi2_o, self.chi2_o_offsets = terms[2].packed()
 
@@ -231,8 +239,9 @@ class GramBasis:
         starts as zeros. Each 64-row block is computed on its candidate pairs,
         with squared spatial distances recomputed from the coordinates, and
         thresholded: a dense block is written over columns lo:m and mirrored
-        below the diagonal, and a compact block is scattered to its positions
-        and to their mirrors. Then the block's rows are whole (their columns
+        below the diagonal, and a compact block is scattered to its (row,
+        column) pairs and to their mirrors. Its scratch holds the largest
+        block's entries twice. Then the block's rows are whole (their columns
         below lo are earlier blocks' mirrors), so their degrees are summed
         there, and the block is refused unless the entries it wrote lie in
         [0, 1]. Refuses a config outside the floor (gamma below it, sigma_s
@@ -248,8 +257,10 @@ class GramBasis:
             )
         m, rows, starts = self.m, self.object_rows, self.object_starts
         k, degrees = np.zeros((m, m)), np.empty(m)
-        flat_block = np.empty(min(_ROW_BLOCK, m) * m)
+        flat_block = np.empty(np.diff(self.chi2_p_offsets).max())
         scratch = np.empty_like(flat_block)
+        # the row of each count in row_counts[i]: one run of the block's rows per pair run
+        run_rows = np.tile(np.arange(_ROW_BLOCK), 2)
         for i, ((lo, hi), end) in enumerate(zip(_blocks(m), self.ends)):
             a, b = starts[i], starts[i + 1]
             kb = k[lo:hi, lo:]
@@ -266,18 +277,21 @@ class GramBasis:
                 k[hi:, lo:hi] = kb[:, hi - lo :].T
                 written = kb
             else:
-                # numpy gathers and scatters faster with intp indices than int32 ones
-                positions = _block(self.positions, self.position_offsets, i).astype(np.intp)
-                r, c = np.divmod(positions, m)
-                spatial_sq = scratch[: positions.size]
-                _spatial_sq(coords, scene, r, c, spatial_sq, flat_block[: positions.size])
-                written = flat_block[: positions.size]
+                # numpy gathers and scatters faster with intp indices than uint16 ones
+                r = np.repeat(run_rows, self.row_counts[i].reshape(-1))
+                c = _block(self.columns, self.column_offsets, i).astype(np.intp)
+                n = c.size
+                spatial_sq = scratch[:n]
+                _spatial_sq(coords, scene, r, c, spatial_sq, flat_block[:n])
+                written = flat_block[:n]
                 _entries(cfg, chi2_p, spatial_sq, chi2_o, slice(0, chi2_o.size), written, scratch)
                 tail = k.reshape(-1)[lo * (m + 1) :]
-                tail[positions] = written
-                c *= m
-                c += r
-                tail[c] = written  # the mirror below the diagonal
+                at = r * m
+                at += c
+                tail[at] = written
+                np.multiply(c, m, out=at)
+                at += r
+                tail[at] = written  # the mirror below the diagonal
             k[lo:hi].sum(axis=1, out=degrees[lo:hi])
             # written so that NaN entries fail: every comparison with NaN is False
             if written.size and not (written.min() >= -1e-12 and written.max() <= 1.0 + 1e-9):
@@ -317,7 +331,7 @@ def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratc
         out[out < cfg.tau] = 0.0
 
 
-_ROW_BLOCK = 64  # rows per block of an m x m array: scratch is _ROW_BLOCK x m
+_ROW_BLOCK = 64  # rows per block of an m x m array
 # Relative slack on the floor's tau in the candidate rule; it covers the
 # rounding of exp, of the weight products and of the sums in gram().
 CANDIDATE_MARGIN = 1e-9
@@ -340,10 +354,11 @@ def _candidate_limits(floor: Optional[KernelConfig]) -> Optional[tuple[float, fl
     return log_tau / floor.gamma, 2.0 * floor.sigma_s * floor.sigma_s * log_tau
 
 
-def _compact(terms, m, cp, sq, co, object_rows, object_cols, limits) -> None:
-    """Commit one block, computed in place at the tail of terms = (positions,
-    chi2_p, chi2_o): dense with no positions, or overwritten with its
-    candidate pairs, object pairs first, when they take fewer bytes. cp
+def _compact(terms, row_counts, cp, sq, co, object_rows, object_cols, limits) -> None:
+    """Commit one block, computed in place at the tail of terms = (columns,
+    chi2_p, chi2_o): dense with no columns, or overwritten with its
+    candidate pairs, object pairs first, when they take fewer bytes; then
+    row_counts (2, _ROW_BLOCK) gets the candidates per row of each run. cp
     covers the block's columns lo:m, sq (None with no limits) the squared
     distances at its columns lo:lo + near (every later column is in another
     scene) and co the pairs of object_rows and object_cols (all relative to
@@ -356,14 +371,16 @@ def _compact(terms, m, cp, sq, co, object_rows, object_cols, limits) -> None:
         objects = np.ix_(object_rows, object_cols)
         keep[objects] |= co <= chi2_limit
         paired = keep[objects]
-        # a candidate holds a 4-byte position and a double, a second if paired
-        held = 12 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
+        # a candidate holds a 2-byte column and a double, a second if paired
+        held = 10 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
         if held < 8 * sum(sizes):
             keep[objects] = False
+            row_counts[0, object_rows] = np.count_nonzero(paired, axis=1)
+            row_counts[1, : cp.shape[0]] = np.count_nonzero(keep, axis=1)
             in_co = np.flatnonzero(paired)
             r, c = np.divmod(in_co, object_cols.size)
             r, c = np.concatenate(([object_rows[r], object_cols[c]], np.nonzero(keep)), axis=1)
-            values = (r * m + c, cp[r, c], co.reshape(-1)[in_co])
+            values = (c, cp[r, c], co.reshape(-1)[in_co])
             for term, block in zip(terms, values):
                 term.tail(block.shape)[...] = block
             sizes = [block.size for block in values]

@@ -9,7 +9,7 @@ against target sparsity ratios.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,7 @@ from actionmaps.scene import (
     GlobalIndex,
     GridPose,
     SceneGrid,
+    check_field_types,
     grid_coords,
 )
 from actionmaps.sideinfo import LocationFeatures, aggregate_object_scores
@@ -57,12 +58,8 @@ def default_category_activity_map() -> CategoryActivityMap:
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+_RANGE = {"takes": "a (lo, hi) integer pair"}
+_WEIGHTS = f"{len(ROOM_TYPES)} finite weights >= 0 with a positive sum"
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,11 @@ class WorldSpec:
 
     rooms_x: int = 3
     rooms_y: int = 1
-    room_width: tuple[int, int] = (5, 7)
-    room_height: tuple[int, int] = (5, 6)
+    room_width: tuple[int, int] = field(default=(5, 7), metadata=_RANGE)
+    room_height: tuple[int, int] = field(default=(5, 6), metadata=_RANGE)
     corridor_height: int = 2
-    room_type_weights: tuple[float, float, float] = (0.5, 0.2, 0.3)
+    room_type_weights: tuple[float, float, float] = field(default=(0.5, 0.2, 0.3),
+                                                          metadata={"takes": _WEIGHTS})
     feature_noise: float = 0.05
     feature_smoothing: float = 0.4
     detection_miss_rate: float = 0.0
@@ -91,18 +89,11 @@ class WorldSpec:
     def __post_init__(self):
         # checked by the annotations, so spec JSON cannot slip in a value of
         # the wrong type, a bool included
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int and not _is_int(value):
-                raise GenerationError(f"{f.name} must be an integer, got {value!r}")
-            optional = f.type == Optional[float] and value is None
-            if f.type in (float, Optional[float]) and not (optional or _is_real(value)):
-                raise GenerationError(f"{f.name} must be a number, got {value!r}")
-            is_pair = isinstance(value, (tuple, list)) and len(value) == 2
-            if f.type == tuple[int, int] and not (is_pair and all(map(_is_int, value))):
-                raise GenerationError(f"{f.name} must be a (lo, hi) integer pair, got {value!r}")
-            if f.type == tuple[int, int] and value[0] > value[1]:
-                raise GenerationError(f"{f.name} range ({value[0]}, {value[1]}) has lo > hi")
+        check_field_types(self, GenerationError)
+        for name in ("room_width", "room_height"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise GenerationError(f"{name} range ({lo}, {hi}) has lo > hi")
         if self.rooms_x < 1 or self.rooms_y not in (1, 2):
             raise GenerationError("rooms_x must be >= 1 and rooms_y 1 or 2")
         if self.room_width[0] < 3 or self.room_height[0] < 3:
@@ -122,12 +113,10 @@ class WorldSpec:
                           ("corridor_poses", 0), ("object_margin", 0), ("n_demonstrations", 0)):
             if getattr(self, name) < low:
                 raise GenerationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        w = self.room_type_weights
-        numbers = isinstance(w, (tuple, list)) and all(map(_is_real, w))
-        w = np.asarray(w if numbers else (), dtype=float)
-        if not (w.shape == (len(ROOM_TYPES),) and (w >= 0).all() and 0 < w.sum() < np.inf):
-            raise GenerationError(f"room_type_weights must be {len(ROOM_TYPES)} finite weights "
-                                  f">= 0 with a positive sum, got {self.room_type_weights!r}")
+        w = np.asarray(self.room_type_weights, dtype=float)
+        if not ((w >= 0).all() and 0 < w.sum() < np.inf):
+            raise GenerationError(f"room_type_weights must be {_WEIGHTS}, "
+                                  f"got {self.room_type_weights!r}")
 
 @dataclass
 class GeneratedDataset:

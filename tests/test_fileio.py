@@ -456,6 +456,17 @@ def test_mismatched_catmap_reports_its_manifest_line(pair_dataset, tmp_path, lin
         fileio.load_dataset(manifest)
 
 
+@pytest.mark.parametrize("name, line", [("office_b.scene", 4), ("catmap.txt", 5)])
+def test_missing_named_file_reports_its_manifest_line(pair_dataset, tmp_path, name, line):
+    # the error used to name only the missing file, at its line 0
+    manifest = _scene_files(pair_dataset, tmp_path)
+    (tmp_path / "data" / name).unlink()
+    pattern = rf"dataset\.txt:{line}: cannot read '{re.escape(name)}': \[Errno 2\] "
+    with pytest.raises(fileio.SchemaError, match=pattern) as caught:
+        fileio.load_dataset(manifest)
+    assert caught.value.lineno == line and str(caught.value.path) == str(manifest)
+
+
 def test_action_map_unknown_scene_reports_line(mini_dataset, tmp_path):
     index = mini_dataset.index()
     path = tmp_path / "am.txt"

@@ -344,6 +344,30 @@ def test_basis_and_gram_memory_peaks():
     assert gram_peak <= 1.5 * m2_bytes
 
 
+@pytest.mark.parametrize("floor", [KernelConfig(gamma=100.0), None], ids=["compact", "dense"])
+def test_gram_scratch_is_sized_to_its_largest_block(floor):
+    # besides the m x m output and the degrees, gram() holds two scratch
+    # buffers of the largest block's entries, and per entry of a compact
+    # block five intp temporaries: rows, columns, scatter indices and the
+    # two coordinate gathers. Buffers of 64 x m doubles, sized for a dense
+    # block, exceed this where every block is compact.
+    feats = _two_scene_record()
+    m = feats.x.shape[0]
+    basis = GramBasis(feats, floor=floor)
+    largest = np.diff(basis.chi2_p_offsets).max()
+    if floor is not None:
+        assert largest < _ROW_BLOCK * m / 4
+    cfg = KernelConfig(gamma=100.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis.gram(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * m * m - 8 * m <= (2 + 5) * 8 * largest + 64 * 1024
+
+
 def test_basis_retains_upper_triangle_blocks_only():
     # every kernel term is symmetric and the spatial term is zero across
     # scenes: on two equal scenes the basis holds about m^2 / 2 chi2_p and
@@ -630,6 +654,7 @@ def _floored_cases(draw):
 def test_floored_gram_equals_reference_property(case):
     feats, floor, configs = case
     basis = GramBasis(feats, floor=floor)
+    _compact_blocks_follow_the_floor_rule(feats, floor, basis)
     for cfg in configs:
         gram, want = basis.gram(cfg), gram_reference(feats, cfg)
         assert np.array_equal(gram.matrix, want.matrix)
@@ -695,7 +720,7 @@ def test_floored_basis_retains_candidate_pairs_only():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert basis.positions.size > 0
+    assert basis.columns.size > 0
     assert held <= 0.4 * m2_bytes
 
 
@@ -709,25 +734,20 @@ def test_floored_basis_never_holds_more_than_every_pair():
     dense = held(GramBasis(feats))
     for gamma in (1.0, 10.0, 100.0):
         assert held(GramBasis(feats, floor=KernelConfig(gamma=gamma))) <= dense + 64
-    assert GramBasis(feats, floor=KernelConfig(gamma=1.0)).positions.size == 0
+    assert GramBasis(feats, floor=KernelConfig(gamma=1.0)).columns.size == 0
 
 
-def test_compact_blocks_hold_12_bytes_per_candidate_and_8_per_object_pair():
-    # a compact block holds an int32 position and chi2_p at each candidate
-    # pair, and chi2_o at the object pairs among them; no spatial distance is
-    # held, and the candidates are exactly those of the floor's rule, which
-    # the whole-matrix distances give (d^2 = +inf across scenes)
-    feats = _two_scene_record(m=300)
-    floor = KernelConfig(sigma_s=2.0, gamma=100.0, tau=1e-4)
-    basis = GramBasis(feats, floor=floor)
-    held = {name for name, v in vars(basis).items() if isinstance(v, np.ndarray)}
-    assert held == {"positions", "position_offsets", "chi2_p", "chi2_p_offsets", "chi2_o",
-                    "chi2_o_offsets", "object_rows", "object_starts", "coords", "scene", "ends"}
-    for name in ("coords", "scene"):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(basis, name)[..., 0] = 0
+def _compact_blocks_follow_the_floor_rule(feats, floor, basis) -> int:
+    """Decode every compact block of a floored basis and check it against
+    the floor's candidate rule, which the whole-matrix distances give (d^2 =
+    +inf across scenes): the object pairs and then the other candidates, each
+    run row-major, as rows from row_counts and uint16 columns, with chi2_p at
+    each and chi2_o at the object pairs, in 10 bytes per candidate and 8 per
+    object pair. A dense block holds no columns and zero row counts. Returns
+    the number of compact blocks."""
+    # a column or a row count of m would not fit in a uint16
+    assert sideinfo.MAX_DENSE_LOCATIONS < 2**16
     m, eps = basis.m, floor.chi2_epsilon
-    chi2_limit, sq_limit = sideinfo._candidate_limits(floor)
     codes = feats.scene_codes
     d = feats.x[:, None, :] - feats.x[None, :, :]
     spatial_sq = np.where(codes[:, None] == codes[None, :], (d * d).sum(axis=2), np.inf)
@@ -735,24 +755,48 @@ def test_compact_blocks_hold_12_bytes_per_candidate_and_8_per_object_pair():
     has = (feats.o > 0).any(axis=1)
     object_pair = has[:, None] & has[None, :]
     chi2_o = np.where(object_pair, chi2_distances_reference(feats.o, eps), np.inf)
+    # with no limits every pair is a candidate, and every block is dense
+    chi2_limit, sq_limit = sideinfo._candidate_limits(floor) or (np.inf, np.inf)
     candidate = (chi2_p <= chi2_limit) | (chi2_o <= chi2_limit) | (spatial_sq <= sq_limit)
+    assert basis.columns.dtype == basis.row_counts.dtype == np.uint16
     compact = 0
     for i, (lo, hi) in enumerate(sideinfo._blocks(m)):
-        positions = sideinfo._block(basis.positions, basis.position_offsets, i)
+        stored = sideinfo._block(basis.columns, basis.column_offsets, i)
+        columns = stored.astype(np.intp)
         cp = sideinfo._block(basis.chi2_p, basis.chi2_p_offsets, i)
         co = sideinfo._block(basis.chi2_o, basis.chi2_o_offsets, i)
+        counts = basis.row_counts[i]
         if cp.size == (hi - lo) * (m - lo):
+            assert columns.size == 0 and not counts.any()
             continue
         compact += 1
-        r, c = np.divmod(positions.astype(np.intp), m)
-        want = candidate[lo:hi, lo:]
-        rows, cols = np.nonzero(want)
-        assert np.array_equal(np.sort(positions), np.sort(rows * m + cols))
-        assert np.array_equal(cp, chi2_p[lo + r, lo + c])
-        n_objects = np.count_nonzero(want & object_pair[lo:hi, lo:])
-        assert np.array_equal(co, chi2_o[lo + r[:n_objects], lo + c[:n_objects]])
-        assert positions.nbytes + cp.nbytes + co.nbytes == 12 * positions.size + 8 * n_objects
-    assert compact > 0
+        want, paired = candidate[lo:hi, lo:], object_pair[lo:hi, lo:]
+        runs = (np.nonzero(want & paired), np.nonzero(want & ~paired))
+        rows = np.repeat(np.tile(np.arange(_ROW_BLOCK), 2), counts.reshape(-1))
+        assert np.array_equal(rows, np.concatenate([run[0] for run in runs]))
+        assert np.array_equal(columns, np.concatenate([run[1] for run in runs]))
+        assert np.array_equal(cp, chi2_p[lo + rows, lo + columns])
+        n_objects = runs[0][0].size
+        assert np.array_equal(co, chi2_o[lo + rows[:n_objects], lo + columns[:n_objects]])
+        assert stored.nbytes + cp.nbytes + co.nbytes == 10 * columns.size + 8 * n_objects
+    return compact
+
+
+def test_compact_blocks_hold_10_bytes_per_candidate_and_8_per_object_pair():
+    # a compact block holds a uint16 column and chi2_p at each candidate
+    # pair, and chi2_o at the object pairs among them; no spatial distance
+    # is held, and the candidates are exactly those of the floor's rule
+    feats = _two_scene_record(m=300)
+    floor = KernelConfig(sigma_s=2.0, gamma=100.0, tau=1e-4)
+    basis = GramBasis(feats, floor=floor)
+    held = {name for name, v in vars(basis).items() if isinstance(v, np.ndarray)}
+    assert held == {"columns", "column_offsets", "row_counts", "chi2_p", "chi2_p_offsets",
+                    "chi2_o", "chi2_o_offsets", "object_rows", "object_starts", "coords",
+                    "scene", "ends"}
+    for name in ("coords", "scene"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(basis, name)[..., 0] = 0
+    assert _compact_blocks_follow_the_floor_rule(feats, floor, basis) > 0
 
 
 def test_floored_build_peaks_no_higher_than_the_dense_build():
@@ -770,7 +814,7 @@ def test_floored_build_peaks_no_higher_than_the_dense_build():
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-    assert basis.positions.size == 0
+    assert basis.columns.size == 0
     assert peaks[1] <= peaks[0] + _ROW_BLOCK * m
     assert peaks[1] <= 1.15 * 8 * m * m
 

@@ -287,6 +287,18 @@ def test_spec_accepts_numpy_integers_and_equal_bounds():
     assert spec.rooms_x == 2 and spec.room_width == (5, 5)
 
 
+def test_spec_refuses_a_bool_inside_a_range():
+    with pytest.raises(GenerationError, match=r"room_width must be a \(lo, hi\) integer pair"):
+        WorldSpec(room_width=(True, 5))
+
+
+def test_spec_accepts_numpy_scalars_in_every_kind_of_field():
+    spec = WorldSpec(n_demonstrations=np.int16(7), feature_noise=np.int64(0),
+                     target_action_ratio=np.float32(0.5),
+                     room_type_weights=(np.int64(1), np.float64(0.5), 0))
+    assert spec.n_demonstrations == 7 and spec.room_type_weights[0] == 1
+
+
 @st.composite
 def small_specs(draw):
     """Small worlds, with branches no preset takes: object margins 1-2, false
