@@ -17,7 +17,6 @@ from actionmaps.evaluation import EvalParams, pose_views, score_action_map
 from actionmaps.experiments import GridSpec
 from actionmaps.sideinfo import VARIANTS, KernelConfig
 from actionmaps.solver import SolverParams, normalize_action_map, predict
-from actionmaps.synthetic import PRESETS, WorldSpec, generate_dataset
 
 
 class CliError(ValueError):
@@ -133,6 +132,9 @@ def _add_grid_args(p: argparse.ArgumentParser):
 
 
 def cmd_generate(args) -> int:
+    # only this command needs the generator, so the others never load it
+    from actionmaps.synthetic import PRESETS, WorldSpec, generate_dataset
+
     if args.spec_json:
         raw = _read_json_object(args.spec_json, "spec")
         known = {f.name for f in fields(WorldSpec)}

@@ -273,7 +273,7 @@ def run_joint_vs_single(
     eval_params: EvalParams = EvalParams(),
 ) -> dict[str, tuple[ScoreResult, ScoreResult]]:
     """Per scene: (joint fit over all scenes, fit on that scene alone)."""
-    from actionmaps.synthetic import GeneratedDataset
+    from actionmaps.fileio import GeneratedDataset  # fileio imports this module
 
     joint_am, _ = fit_action_map(dataset, kernel, solver)
     index = dataset.index()

@@ -9,7 +9,8 @@ byte-deterministic given a seed.
 
 import math
 import os
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from actionmaps.localization import DiscrepancyCurve
 from actionmaps.scene import (
     ActivityVocabulary, Demonstrations, GlobalIndex, GridPose, SceneGrid, grid_coords
 )
+from actionmaps.sideinfo import LocationFeatures
 from actionmaps.solver import FactorPair, FitResult
-from actionmaps.synthetic import GeneratedDataset
 from actionmaps.textfmt import fmt9
 
 SCENE_SCHEMA = "amscene 1"
@@ -135,6 +136,78 @@ def _write_text(path, lines: list[str]):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# datasets
+# ---------------------------------------------------------------------------
+
+
+class GenerationError(ValueError):
+    """Invalid world spec, infeasible layout or demonstration fraction."""
+
+
+@dataclass
+class GeneratedDataset:
+    """Scenes plus their per-cell feature arrays, the true category map and
+    the names of the feature channels."""
+
+    scenes: list[SceneGrid]
+    features: dict[str, tuple[np.ndarray, np.ndarray]]  # scene_id -> (P, O)
+    catmap: CategoryActivityMap
+    class_names: tuple[str, ...]
+    category_names: tuple[str, ...]
+    _index: Optional[GlobalIndex] = field(default=None, repr=False)
+
+    @property
+    def vocabulary(self) -> ActivityVocabulary:
+        return self.scenes[0].vocabulary
+
+    def index(self) -> GlobalIndex:
+        if self._index is None:
+            self._index = GlobalIndex(self.scenes)
+        return self._index
+
+    def location_features(self) -> LocationFeatures:
+        """Stacked side-information of every cell, in global row order."""
+        coords = [grid_coords(s.width, s.height) for s in self.scenes]
+        codes = [np.full(s.n_cells, k) for k, s in enumerate(self.scenes)]
+        return LocationFeatures(
+            x=np.concatenate(coords),
+            p=self.stacked_scene_scores(),
+            o=self.stacked_object_scores(),
+            scene_codes=np.concatenate(codes),
+        )
+
+    def stacked_scene_scores(self) -> np.ndarray:
+        return np.vstack([self.features[s.scene_id][0] for s in self.scenes])
+
+    def stacked_object_scores(self) -> np.ndarray:
+        return np.vstack([self.features[s.scene_id][1] for s in self.scenes])
+
+    def stacked_explored(self) -> np.ndarray:
+        return np.concatenate([s.explored for s in self.scenes])
+
+    def with_demo_fraction(self, fraction: float, seed: int) -> "GeneratedDataset":
+        scenes = [
+            s.with_demonstrations(sample_demonstrations(s, fraction, seed)) for s in self.scenes
+        ]
+        return GeneratedDataset(
+            scenes=scenes,
+            features=self.features,
+            catmap=self.catmap,
+            class_names=self.class_names,
+            category_names=self.category_names,
+        )
+
+
+def sample_demonstrations(scene: SceneGrid, fraction: float, seed: int) -> Demonstrations:
+    """Seeded prefix sample: the 10% subset is contained in the 80% subset."""
+    if not 0.0 <= fraction <= 1.0:
+        raise GenerationError(f"fraction must be in [0, 1], got {fraction}")
+    demos = scene.demonstrations
+    order = np.random.default_rng(seed).permutation(len(demos))
+    return demos.take(order[: int(round(fraction * len(demos)))])
 
 
 # ---------------------------------------------------------------------------

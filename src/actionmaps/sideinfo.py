@@ -18,8 +18,8 @@ from actionmaps.scene import check_field_types, grid_coords
 
 VARIANTS = ("S", "SO", "SP", "SOP")
 OBJECT_KERNEL_RADIUS = math.sqrt(2.0)  # grid cells
-# GramBasis refuses more locations than this; below 2^16, since compact
-# blocks hold their columns and row counts as uint16
+# GramBasis refuses more locations than this before allocating anything; the
+# dense m x m Gram of that many takes 3.2 GB
 MAX_DENSE_LOCATIONS = 20000
 
 
@@ -166,16 +166,17 @@ class GramBasis:
     chi2_p over columns lo:m, and chi2_o over the block's object rows
     (object_rows[object_starts[i]:object_starts[i + 1]], the rows with
     object evidence) against the object rows >= lo. Any other block holds
-    one value per candidate pair in two row-major runs, the object pairs
-    and then the rest: its uint16 column c (column lo + c) and chi2_p at
-    each, and chi2_o at the object pairs, so 10 bytes per candidate plus 8
-    per object pair. row_counts[i] holds the number of candidates in each
-    row of block i, the object run's in row_counts[i, 0] and the rest's in
-    row_counts[i, 1] (zeros for a dense block), from which gram() rebuilds
-    the rows. ends[i] is one past the last row of every scene with rows in
-    block i; later columns are in other scenes, where the spatial term is
-    0. Each block is computed dense, in place at the tail of each term's
-    array, then kept or overwritten by its candidates (see _compact).
+    its candidate pairs in two runs, the object pairs and then the rest,
+    each ordered by column and then row: per candidate its row within the
+    block (rows, uint8) and chi2_p, and chi2_o at the object pairs; and per
+    run one uint8 count of candidates per column lo:m (counts, the object
+    run's then the rest's), from which gram() rebuilds the columns. That
+    is 9 bytes per candidate, 8 more per object pair and 2 per column; a
+    dense block holds no rows and no counts. ends[i] is one past the last
+    row of every scene with rows in block i; later columns are in other
+    scenes, where the spatial term is 0. Each block is computed dense, in
+    place at the tail of each term's array, then kept or overwritten by its
+    candidates (see _compact).
     Refuses more than MAX_DENSE_LOCATIONS locations before allocating
     anything.
     """
@@ -206,18 +207,18 @@ class GramBasis:
         p_dims = np.ascontiguousarray(features.p.T)
         o_dims = np.ascontiguousarray(features.o[rows].T)
         work = np.empty((2, min(_ROW_BLOCK, m), m))
-        self.row_counts = np.zeros((bounds.size - 1, 2, _ROW_BLOCK), np.uint16)
         # each term is sized for its dense blocks, which is all it holds with no floor
         heights, lows = np.diff(bounds), bounds[:-1]
         terms = (
-            _Packed(0, np.uint16),
+            _Packed(0, np.uint8),
+            _Packed(0, np.uint8),
             _Packed(np.sum(heights * (m - lows))),
             _Packed(np.sum(np.diff(starts) * (rows.size - starts[:-1]))),
         )
         for i, (lo, hi, end) in enumerate(zip(lows, bounds[1:], ends)):
             a, b = starts[i], starts[i + 1]
-            cp = terms[1].tail((hi - lo, m - lo))
-            co = terms[2].tail((b - a, rows.size - a))
+            cp = terms[2].tail((hi - lo, m - lo))
+            co = terms[3].tail((b - a, rows.size - a))
             _chi2_block(p_dims, lo, hi, chi2_epsilon, cp, work)
             if b > a:
                 _chi2_block(o_dims, a, b, chi2_epsilon, co, work)
@@ -226,11 +227,11 @@ class GramBasis:
                 sq = _view(work[0], (hi - lo, end - lo))
                 _spatial_sq(coords[:, lo:], scene[lo:], np.s_[: hi - lo, None],
                             np.s_[None, : end - lo], sq, _view(work[1], sq.shape))
-            _compact(terms, self.row_counts[i], cp, sq, co, rows[a:b] - lo, rows[a:] - lo,
-                     limits)
-        self.columns, self.column_offsets = terms[0].packed()
-        self.chi2_p, self.chi2_p_offsets = terms[1].packed()
-        self.chi2_o, self.chi2_o_offsets = terms[2].packed()
+            _compact(terms, cp, sq, co, rows[a:b] - lo, rows[a:] - lo, limits)
+        self.rows, self.row_offsets = terms[0].packed()
+        self.counts, self.count_offsets = terms[1].packed()
+        self.chi2_p, self.chi2_p_offsets = terms[2].packed()
+        self.chi2_o, self.chi2_o_offsets = terms[3].packed()
 
     def gram(self, cfg: KernelConfig) -> GramMatrix:
         """Entries are (w kp + (1 - alpha) ks) + w ko, with w = alpha for SO/SP
@@ -240,12 +241,16 @@ class GramBasis:
         with squared spatial distances recomputed from the coordinates, and
         thresholded: a dense block is written over columns lo:m and mirrored
         below the diagonal, and a compact block is scattered to its (row,
-        column) pairs and to their mirrors. Its scratch holds the largest
-        block's entries twice. Then the block's rows are whole (their columns
-        below lo are earlier blocks' mirrors), so their degrees are summed
-        there, and the block is refused unless the entries it wrote lie in
-        [0, 1]. Refuses a config outside the floor (gamma below it, sigma_s
-        above it or tau below it), where a dropped pair could be non-zero."""
+        column) pairs and to their mirrors, in column order, so the mirrors
+        of one column land in one row. A compact block's distances are
+        computed at its object pairs and at its other candidates in columns
+        below ends[i]; the spatial term is +0 at the rest, which are in other
+        scenes. Its scratch holds the largest block's entries twice. Then the
+        block's rows are whole (their columns below lo are earlier blocks'
+        mirrors), so their degrees are summed there, and the block is refused
+        unless the entries it wrote lie in [0, 1]. Refuses a config outside
+        the floor (gamma below it, sigma_s above it or tau below it), where a
+        dropped pair could be non-zero."""
         floor = self.floor
         if floor is not None and not (
             cfg.gamma >= floor.gamma and cfg.sigma_s <= floor.sigma_s and cfg.tau >= floor.tau
@@ -259,8 +264,8 @@ class GramBasis:
         k, degrees = np.zeros((m, m)), np.empty(m)
         flat_block = np.empty(np.diff(self.chi2_p_offsets).max())
         scratch = np.empty_like(flat_block)
-        # the row of each count in row_counts[i]: one run of the block's rows per pair run
-        run_rows = np.tile(np.arange(_ROW_BLOCK), 2)
+        # each run's columns lo:m, relative to lo, for the counts to repeat
+        run_columns = np.broadcast_to(np.arange(m), (2, m))
         for i, ((lo, hi), end) in enumerate(zip(_blocks(m), self.ends)):
             a, b = starts[i], starts[i + 1]
             kb = k[lo:hi, lo:]
@@ -277,21 +282,22 @@ class GramBasis:
                 k[hi:, lo:hi] = kb[:, hi - lo :].T
                 written = kb
             else:
-                # numpy gathers and scatters faster with intp indices than uint16 ones
-                r = np.repeat(run_rows, self.row_counts[i].reshape(-1))
-                c = _block(self.columns, self.column_offsets, i).astype(np.intp)
-                n = c.size
-                spatial_sq = scratch[:n]
-                _spatial_sq(coords, scene, r, c, spatial_sq, flat_block[:n])
-                written = flat_block[:n]
+                # numpy gathers and scatters faster with intp indices than uint8 ones
+                r = _block(self.rows, self.row_offsets, i).astype(np.intp)
+                c = np.repeat(run_columns[:, : m - lo], _block(self.counts, self.count_offsets, i))
+                # the object run (one chi2_o per pair), then the rest's columns below end
+                near = chi2_o.size + np.searchsorted(c[chi2_o.size :], end - lo)
+                spatial_sq = scratch[:near]
+                _spatial_sq(coords, scene, r[:near], c[:near], spatial_sq, flat_block[:near])
+                written = flat_block[: c.size]
                 _entries(cfg, chi2_p, spatial_sq, chi2_o, slice(0, chi2_o.size), written, scratch)
                 tail = k.reshape(-1)[lo * (m + 1) :]
-                at = r * m
+                at = c * m
+                at += r
+                tail[at] = written  # the mirrors below the diagonal: column c's in row lo + c
+                np.multiply(r, m, out=at)
                 at += c
                 tail[at] = written
-                np.multiply(c, m, out=at)
-                at += r
-                tail[at] = written  # the mirror below the diagonal
             k[lo:hi].sum(axis=1, out=degrees[lo:hi])
             # written so that NaN entries fail: every comparison with NaN is False
             if written.size and not (written.min() >= -1e-12 and written.max() <= 1.0 + 1e-9):
@@ -302,10 +308,10 @@ class GramBasis:
 def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratch) -> None:
     """Thresholded Gram entries of one block into out, from chi2_p (out's
     shape), spatial_sq at out's leading columns (it may be scratch's own
-    leading values) and chi2_o at out[objects];
-    scratch is a flat buffer of at least out.size values. A dense block and
-    a flat one take the same operations in the same order, so an entry has
-    the same bits in both."""
+    leading values; the spatial term is +0 at the others) and chi2_o at
+    out[objects]; scratch is a flat buffer of at least out.size values. A
+    dense block and a flat one take the same operations in the same order,
+    so an entry has the same bits in both."""
     variant, alpha = cfg.variant, cfg.alpha
     w = 0.5 * alpha if variant == "SOP" else alpha
     if variant in ("SP", "SOP"):
@@ -354,16 +360,16 @@ def _candidate_limits(floor: Optional[KernelConfig]) -> Optional[tuple[float, fl
     return log_tau / floor.gamma, 2.0 * floor.sigma_s * floor.sigma_s * log_tau
 
 
-def _compact(terms, row_counts, cp, sq, co, object_rows, object_cols, limits) -> None:
-    """Commit one block, computed in place at the tail of terms = (columns,
-    chi2_p, chi2_o): dense with no columns, or overwritten with its
-    candidate pairs, object pairs first, when they take fewer bytes; then
-    row_counts (2, _ROW_BLOCK) gets the candidates per row of each run. cp
-    covers the block's columns lo:m, sq (None with no limits) the squared
-    distances at its columns lo:lo + near (every later column is in another
-    scene) and co the pairs of object_rows and object_cols (all relative to
-    lo)."""
-    sizes = (0, cp.size, co.size)
+def _compact(terms, cp, sq, co, object_rows, object_cols, limits) -> None:
+    """Commit one block, computed in place at the tail of terms = (rows,
+    counts, chi2_p, chi2_o): dense with no rows or counts, or overwritten
+    with its candidate pairs when they take fewer bytes, in two runs (the
+    object pairs, then the rest) each ordered by column and then row, and
+    with each run's candidates per column. cp covers the block's columns
+    lo:m, sq (None with no limits) the squared distances at its columns
+    lo:lo + near (every later column is in another scene) and co the pairs
+    of object_rows and object_cols (all relative to lo)."""
+    sizes = (0, 0, cp.size, co.size)
     if limits is not None:
         chi2_limit, sq_limit = limits
         keep = cp <= chi2_limit
@@ -371,16 +377,20 @@ def _compact(terms, row_counts, cp, sq, co, object_rows, object_cols, limits) ->
         objects = np.ix_(object_rows, object_cols)
         keep[objects] |= co <= chi2_limit
         paired = keep[objects]
-        # a candidate holds a 2-byte column and a double, a second if paired
-        held = 10 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired)
+        # a candidate holds a 1-byte row and a double, a second if paired,
+        # and each column a 1-byte count per run
+        held = 9 * np.count_nonzero(keep) + 8 * np.count_nonzero(paired) + 2 * cp.shape[1]
         if held < 8 * sum(sizes):
             keep[objects] = False
-            row_counts[0, object_rows] = np.count_nonzero(paired, axis=1)
-            row_counts[1, : cp.shape[0]] = np.count_nonzero(keep, axis=1)
-            in_co = np.flatnonzero(paired)
-            r, c = np.divmod(in_co, object_cols.size)
-            r, c = np.concatenate(([object_rows[r], object_cols[c]], np.nonzero(keep)), axis=1)
-            values = (c, cp[r, c], co.reshape(-1)[in_co])
+            counts = np.zeros((2, cp.shape[1]), np.uint8)
+            counts[0, object_cols] = np.count_nonzero(paired, axis=0)
+            counts[1] = np.count_nonzero(keep, axis=0)
+            # the nonzeros of a transpose come ordered by column, then row
+            in_c, in_r = np.nonzero(paired.T)
+            c, r = np.nonzero(keep.T)
+            r = np.concatenate((object_rows[in_r], r))
+            c = np.concatenate((object_cols[in_c], c))
+            values = (r, counts, cp[r, c], co[in_r, in_c])
             for term, block in zip(terms, values):
                 term.tail(block.shape)[...] = block
             sizes = [block.size for block in values]

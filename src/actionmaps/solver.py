@@ -167,10 +167,11 @@ def laplacian_smoothness(
     return float(np.sum(mat * mat * degrees[:, None]) - np.sum(mat * k_mat))
 
 
-def objective(U, V, bundle: ActionMatrixBundle, K, lam: float, ku_u=None) -> float:
+def objective(U, V, bundle: ActionMatrixBundle, K, lam: float, ku_u=None, uv=None) -> float:
     """Weighted squared error plus lam times the Laplacian smoothness of U.
 
-    ku_u, when given, must be K @ U (see laplacian_smoothness).
+    ku_u, when given, must be K @ U (see laplacian_smoothness), and uv,
+    when given, U @ V^T.
     """
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise SolverError("factors must be finite")
@@ -178,7 +179,7 @@ def objective(U, V, bundle: ActionMatrixBundle, K, lam: float, ku_u=None) -> flo
         raise SolverError(
             f"factor shapes {U.shape}/{V.shape} incompatible with R {bundle.R.shape}"
         )
-    err = bundle.R - U @ V.T
+    err = bundle.R - (U @ V.T if uv is None else uv)
     j = float(np.sum(bundle.W * err * err))
     ku, deg = _as_kernel(K)
     if lam > 0 and ku is not None:
@@ -186,26 +187,35 @@ def objective(U, V, bundle: ActionMatrixBundle, K, lam: float, ku_u=None) -> flo
     return j
 
 
-def multiplicative_step(U, V, bundle: ActionMatrixBundle, K, params: SolverParams, ku_u=None):
+def multiplicative_step(U, V, bundle: ActionMatrixBundle, K, params: SolverParams, ku_u=None,
+                        wr=None, uv=None):
     """One regularized multiplicative update of U then V (V sees the new U).
 
-    ku_u, when given, must be K @ U; otherwise the step computes it.
+    ku_u, wr and uv, when given, must be K @ U, W * R and U @ V^T; otherwise
+    the step computes them.
     """
-    wr = bundle.W * bundle.R
+    if wr is None:
+        wr = bundle.W * bundle.R
+    if uv is None:
+        uv = U @ V.T
     ku, deg = _as_kernel(K)
 
     num_u = wr @ V
-    den_u = (bundle.W * (U @ V.T)) @ V
+    den_u = (bundle.W * uv) @ V
     if params.lam > 0 and ku is not None:
         if ku_u is None:
             ku_u = ku @ U
-        num_u = num_u + params.lam * ku_u
-        den_u = den_u + params.lam * deg[:, None] * U
-    u_new = U * (num_u / (den_u + STABILIZER))
+        num_u += params.lam * ku_u
+        den_u += params.lam * deg[:, None] * U
+    den_u += STABILIZER
+    num_u /= den_u
+    u_new = U * num_u
 
     num_v = wr.T @ u_new
     den_v = (bundle.W * (u_new @ V.T)).T @ u_new
-    v_new = V * (num_v / (den_v + STABILIZER))
+    den_v += STABILIZER
+    num_v /= den_v
+    v_new = V * num_v
 
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
         raise RuntimeError("multiplicative update produced non-finite values")
@@ -311,19 +321,23 @@ def _fit_lockstep(bundle: ActionMatrixBundle, K, ku, batch: list[SolverParams]) 
         runs.append(_Run(params, u, v, []))
     outcomes: dict = {}
     shares: dict[int, bool] = {}
+    wr = bundle.W * bundle.R
     while runs:
         if batch[0].lam > 0:  # an unregularized run is alone and needs no K @ U
             _kernel_products(ku, runs, shares)
         going = []
         for run in runs:
-            run.trace.append(objective(run.u, run.v, bundle, K, run.params.lam, run.ku_u))
+            # the objective at this iterate and the step from it share U @ V^T
+            uv = run.u @ run.v.T
+            run.trace.append(objective(run.u, run.v, bundle, K, run.params.lam, run.ku_u, uv))
             stop_reason = run.stop_reason()
             if stop_reason is not None:
                 outcomes[run.params] = FitResult(FactorPair(U=run.u, V=run.v),
                                                  np.array(run.trace), stop_reason)
                 continue
             try:
-                run.u, run.v = multiplicative_step(run.u, run.v, bundle, K, run.params, run.ku_u)
+                run.u, run.v = multiplicative_step(run.u, run.v, bundle, K, run.params, run.ku_u,
+                                                   wr, uv)
             except (ValueError, RuntimeError) as exc:  # fails this run alone
                 outcomes[run.params] = exc
                 continue
@@ -342,13 +356,16 @@ def _kernel_products(ku, runs: list[_Run], shares: dict[int, bool]) -> None:
     runs (at the start, and after one leaves), every run takes its solo
     product and one shared pass is compared with them; shares records the
     verdict per number of runs, and a failed probe keeps the solo products.
+    Each run's K @ U is held C-contiguous, as U is, so the updates combine
+    the two without strided loops; every sum over their products runs in
+    the same order as with the product's own layout.
     """
     if len(runs) > 1 and shares.get(len(runs)):
         for run, block in zip(runs, _shared_product(ku, runs)):
-            run.ku_u = block
+            run.ku_u = np.ascontiguousarray(block)
         return
     for run in runs:
-        run.ku_u = ku @ run.u
+        run.ku_u = np.ascontiguousarray(ku @ run.u)
     if len(runs) > 1 and len(runs) not in shares:
         blocks = _shared_product(ku, runs)
         shares[len(runs)] = all(np.array_equal(b, run.ku_u) for b, run in zip(blocks, runs))

@@ -16,18 +16,20 @@ import numpy as np
 
 from actionmaps.baselines import CategoryActivityMap
 from actionmaps.evaluation import EvalParams, view_rows
+# GeneratedDataset, sample_demonstrations and GenerationError live in fileio,
+# which the CLI loads without this generator; they are re-exported here
+from actionmaps.fileio import GeneratedDataset, GenerationError, sample_demonstrations
 from actionmaps.scene import (
     DEFAULT_ACTIVITIES,
     ActivityVocabulary,
     Cell,
     Demonstrations,
-    GlobalIndex,
     GridPose,
     SceneGrid,
     check_field_types,
     grid_coords,
 )
-from actionmaps.sideinfo import LocationFeatures, aggregate_object_scores
+from actionmaps.sideinfo import aggregate_object_scores
 from actionmaps.textfmt import q9
 
 ROOM_TYPES = ("office", "kitchen", "common")
@@ -44,10 +46,6 @@ CATEGORY_AFFORDANCES = {
 _CLASS_OF_ROOM_TYPE = {"office": 0, "kitchen": 2, "common": 3}
 _CORRIDOR_CLASS = 1
 _WALL_CLASS = 4
-
-
-class GenerationError(ValueError):
-    """Invalid world spec or infeasible layout."""
 
 
 def default_category_activity_map() -> CategoryActivityMap:
@@ -117,68 +115,6 @@ class WorldSpec:
         if not ((w >= 0).all() and 0 < w.sum() < np.inf):
             raise GenerationError(f"room_type_weights must be {_WEIGHTS}, "
                                   f"got {self.room_type_weights!r}")
-
-@dataclass
-class GeneratedDataset:
-    """Scenes plus their per-cell feature arrays and the true category map."""
-
-    scenes: list[SceneGrid]
-    features: dict[str, tuple[np.ndarray, np.ndarray]]  # scene_id -> (P, O)
-    catmap: CategoryActivityMap
-    class_names: tuple[str, ...] = CLASS_NAMES
-    category_names: tuple[str, ...] = CATEGORY_NAMES
-    _index: Optional[GlobalIndex] = field(default=None, repr=False)
-
-    @property
-    def vocabulary(self) -> ActivityVocabulary:
-        return self.scenes[0].vocabulary
-
-    def index(self) -> GlobalIndex:
-        if self._index is None:
-            self._index = GlobalIndex(self.scenes)
-        return self._index
-
-    def location_features(self) -> LocationFeatures:
-        """Stacked side-information of every cell, in global row order."""
-        coords = [grid_coords(s.width, s.height) for s in self.scenes]
-        codes = [np.full(s.n_cells, k) for k, s in enumerate(self.scenes)]
-        return LocationFeatures(
-            x=np.concatenate(coords),
-            p=self.stacked_scene_scores(),
-            o=self.stacked_object_scores(),
-            scene_codes=np.concatenate(codes),
-        )
-
-    def stacked_scene_scores(self) -> np.ndarray:
-        return np.vstack([self.features[s.scene_id][0] for s in self.scenes])
-
-    def stacked_object_scores(self) -> np.ndarray:
-        return np.vstack([self.features[s.scene_id][1] for s in self.scenes])
-
-    def stacked_explored(self) -> np.ndarray:
-        return np.concatenate([s.explored for s in self.scenes])
-
-    def with_demo_fraction(self, fraction: float, seed: int) -> "GeneratedDataset":
-        scenes = [
-            s.with_demonstrations(sample_demonstrations(s, fraction, seed)) for s in self.scenes
-        ]
-        return GeneratedDataset(
-            scenes=scenes,
-            features=self.features,
-            catmap=self.catmap,
-            class_names=self.class_names,
-            category_names=self.category_names,
-        )
-
-
-def sample_demonstrations(scene: SceneGrid, fraction: float, seed: int) -> Demonstrations:
-    """Seeded prefix sample: the 10% subset is contained in the 80% subset."""
-    if not 0.0 <= fraction <= 1.0:
-        raise GenerationError(f"fraction must be in [0, 1], got {fraction}")
-    demos = scene.demonstrations
-    order = np.random.default_rng(seed).permutation(len(demos))
-    return demos.take(order[: int(round(fraction * len(demos)))])
-
 
 # ---------------------------------------------------------------------------
 # layout and population
@@ -609,7 +545,8 @@ def generate_dataset(
         scene, p, o = generate_scene(spec, scene_seed, scene_id)
         scenes.append(scene)
         features[scene_id] = (p, o)
-    return GeneratedDataset(scenes=scenes, features=features, catmap=default_category_activity_map())
+    return GeneratedDataset(scenes=scenes, features=features, catmap=default_category_activity_map(),
+                            class_names=CLASS_NAMES, category_names=CATEGORY_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -603,3 +603,13 @@ def test_cli_import_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_generator_unloaded():
+    # only `generate` needs actionmaps.synthetic; the dataset record that
+    # every other command loads lives in fileio
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, actionmaps.cli; print('actionmaps.synthetic' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

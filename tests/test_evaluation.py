@@ -556,7 +556,7 @@ def test_run_parameter_grid_floors_the_basis_at_its_smallest_gamma(pair_dataset,
     rows, floors = _grid_rows(pair_dataset, spec, monkeypatch)
     assert [floor.gamma for floor in floors] == [100.0]
     assert floors[0].tau == 1e-4
-    assert GramBasis(pair_dataset.location_features(), floor=floors[0]).columns.size
+    assert GramBasis(pair_dataset.location_features(), floor=floors[0]).rows.size
     dense, _ = _grid_rows(pair_dataset, spec, monkeypatch, dense=True)
     assert all(not row.error for row in rows)
     assert [row.scores.summary() for row in rows] == [row.scores.summary() for row in dense]

@@ -720,7 +720,7 @@ def test_floored_basis_retains_candidate_pairs_only():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert basis.columns.size > 0
+    assert basis.rows.size > 0
     assert held <= 0.4 * m2_bytes
 
 
@@ -734,19 +734,20 @@ def test_floored_basis_never_holds_more_than_every_pair():
     dense = held(GramBasis(feats))
     for gamma in (1.0, 10.0, 100.0):
         assert held(GramBasis(feats, floor=KernelConfig(gamma=gamma))) <= dense + 64
-    assert GramBasis(feats, floor=KernelConfig(gamma=1.0)).columns.size == 0
+    assert GramBasis(feats, floor=KernelConfig(gamma=1.0)).rows.size == 0
 
 
 def _compact_blocks_follow_the_floor_rule(feats, floor, basis) -> int:
     """Decode every compact block of a floored basis and check it against
     the floor's candidate rule, which the whole-matrix distances give (d^2 =
-    +inf across scenes): the object pairs and then the other candidates, each
-    run row-major, as rows from row_counts and uint16 columns, with chi2_p at
-    each and chi2_o at the object pairs, in 10 bytes per candidate and 8 per
-    object pair. A dense block holds no columns and zero row counts. Returns
-    the number of compact blocks."""
-    # a column or a row count of m would not fit in a uint16
-    assert sideinfo.MAX_DENSE_LOCATIONS < 2**16
+    +inf across scenes): the object pairs and then the other candidates,
+    each run ordered by column and then row, as uint8 rows and, per run,
+    uint8 counts per column lo:m, with chi2_p at each and chi2_o at the
+    object pairs, in 9 bytes per candidate, 8 per object pair and 2 per
+    column. A dense block holds no rows and no counts. Returns the number of
+    compact blocks."""
+    # a row within a block, and a column's count of candidates, fit in a uint8
+    assert _ROW_BLOCK < 2**8
     m, eps = basis.m, floor.chi2_epsilon
     codes = feats.scene_codes
     d = feats.x[:, None, :] - feats.x[None, :, :]
@@ -758,39 +759,44 @@ def _compact_blocks_follow_the_floor_rule(feats, floor, basis) -> int:
     # with no limits every pair is a candidate, and every block is dense
     chi2_limit, sq_limit = sideinfo._candidate_limits(floor) or (np.inf, np.inf)
     candidate = (chi2_p <= chi2_limit) | (chi2_o <= chi2_limit) | (spatial_sq <= sq_limit)
-    assert basis.columns.dtype == basis.row_counts.dtype == np.uint16
+    assert basis.rows.dtype == basis.counts.dtype == np.uint8
     compact = 0
     for i, (lo, hi) in enumerate(sideinfo._blocks(m)):
-        stored = sideinfo._block(basis.columns, basis.column_offsets, i)
-        columns = stored.astype(np.intp)
+        stored = sideinfo._block(basis.rows, basis.row_offsets, i)
+        counts = sideinfo._block(basis.counts, basis.count_offsets, i)
         cp = sideinfo._block(basis.chi2_p, basis.chi2_p_offsets, i)
         co = sideinfo._block(basis.chi2_o, basis.chi2_o_offsets, i)
-        counts = basis.row_counts[i]
         if cp.size == (hi - lo) * (m - lo):
-            assert columns.size == 0 and not counts.any()
+            assert stored.size == counts.size == 0
             continue
         compact += 1
         want, paired = candidate[lo:hi, lo:], object_pair[lo:hi, lo:]
-        runs = (np.nonzero(want & paired), np.nonzero(want & ~paired))
-        rows = np.repeat(np.tile(np.arange(_ROW_BLOCK), 2), counts.reshape(-1))
-        assert np.array_equal(rows, np.concatenate([run[0] for run in runs]))
-        assert np.array_equal(columns, np.concatenate([run[1] for run in runs]))
+        # np.nonzero of a transpose lists (column, row) pairs by column, then row
+        runs = (np.nonzero((want & paired).T), np.nonzero((want & ~paired).T))
+        assert counts.size == 2 * (m - lo)
+        columns = np.repeat(np.tile(np.arange(m - lo), 2), counts)
+        rows = stored.astype(np.intp)
+        assert np.array_equal(columns, np.concatenate([run[0] for run in runs]))
+        assert np.array_equal(rows, np.concatenate([run[1] for run in runs]))
         assert np.array_equal(cp, chi2_p[lo + rows, lo + columns])
         n_objects = runs[0][0].size
         assert np.array_equal(co, chi2_o[lo + rows[:n_objects], lo + columns[:n_objects]])
-        assert stored.nbytes + cp.nbytes + co.nbytes == 10 * columns.size + 8 * n_objects
+        assert stored.nbytes + counts.nbytes + cp.nbytes + co.nbytes == (
+            9 * rows.size + 8 * n_objects + 2 * (m - lo)
+        )
     return compact
 
 
-def test_compact_blocks_hold_10_bytes_per_candidate_and_8_per_object_pair():
-    # a compact block holds a uint16 column and chi2_p at each candidate
-    # pair, and chi2_o at the object pairs among them; no spatial distance
-    # is held, and the candidates are exactly those of the floor's rule
+def test_compact_blocks_hold_9_bytes_per_candidate_8_per_object_pair_and_2_per_column():
+    # a compact block holds a uint8 row and chi2_p at each candidate pair,
+    # chi2_o at the object pairs among them, and per run a uint8 count per
+    # column; no spatial distance is held, and the candidates are exactly
+    # those of the floor's rule
     feats = _two_scene_record(m=300)
     floor = KernelConfig(sigma_s=2.0, gamma=100.0, tau=1e-4)
     basis = GramBasis(feats, floor=floor)
     held = {name for name, v in vars(basis).items() if isinstance(v, np.ndarray)}
-    assert held == {"columns", "column_offsets", "row_counts", "chi2_p", "chi2_p_offsets",
+    assert held == {"rows", "row_offsets", "counts", "count_offsets", "chi2_p", "chi2_p_offsets",
                     "chi2_o", "chi2_o_offsets", "object_rows", "object_starts", "coords",
                     "scene", "ends"}
     for name in ("coords", "scene"):
@@ -814,7 +820,7 @@ def test_floored_build_peaks_no_higher_than_the_dense_build():
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-    assert basis.columns.size == 0
+    assert basis.rows.size == 0
     assert peaks[1] <= peaks[0] + _ROW_BLOCK * m
     assert peaks[1] <= 1.15 * 8 * m * m
 

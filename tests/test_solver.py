@@ -462,6 +462,35 @@ def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, seed):
     assert np.all(np.diff(trace) <= 1e-9 * np.maximum(np.abs(trace[:-1]), 1.0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    n_act=st.integers(1, 6),
+    rank=st.integers(1, 8),
+    lam=st.one_of(st.just(0.0), st.floats(1e-4, 10.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_shared_products_leave_objective_and_step_bits_unchanged_property(m, n_act, rank, lam,
+                                                                           seed):
+    # a fit passes K @ U (held C-contiguous), W * R and U @ V^T to the
+    # objective and the step; each must return the bits it computes alone
+    rng = np.random.default_rng(seed)
+    bundle = random_bundle(rng, m=m, a=n_act)
+    k_u = random_gram(rng, m)
+    u = rng.uniform(0.1, 1.1, (m, rank))
+    v = rng.uniform(0.1, 1.1, (n_act, rank))
+    params = SolverParams(rank=rank, lam=lam)
+    ku_u = np.ascontiguousarray(solver._as_kernel(k_u)[0] @ u)
+    wr, uv = bundle.W * bundle.R, u @ v.T
+    alone = objective(u, v, bundle, k_u, lam)
+    assert alone == objective(u, v, bundle, k_u, lam, ku_u, uv)
+    u_alone, v_alone = multiplicative_step(u, v, bundle, k_u, params)
+    u_shared, v_shared = multiplicative_step(u, v, bundle, k_u, params, ku_u, wr, uv)
+    assert np.array_equal(u_alone, u_shared) and np.array_equal(v_alone, v_shared)
+    # the shared products are read, never written
+    assert np.array_equal(uv, u @ v.T) and np.array_equal(wr, bundle.W * bundle.R)
+
+
 def _count_solver_hooks(monkeypatch):
     """Wrap objective, multiplicative_step and _as_kernel in the solver module,
     the way the traced benchmark does; K @ U products are counted on the
