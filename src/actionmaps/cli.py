@@ -181,6 +181,10 @@ def cmd_predict(args) -> int:
         raise CliError(
             f"factors cover {factors.U.shape[0]} rows, dataset has {index.total_rows}"
         )
+    if factors.V.shape[0] != len(index.vocabulary):
+        raise CliError(
+            f"factors cover {factors.V.shape[0]} activities, dataset has {len(index.vocabulary)}"
+        )
     am = normalize_action_map(predict(factors))
     fileio.write_action_map(am, index, args.out)
     print(args.out)
@@ -211,10 +215,7 @@ def cmd_grid(args) -> int:
 def cmd_transfer(args) -> int:
     grid = _grid_from_args(args)
     dataset = _load_data(args.data)
-    source = _str_list(args.source)
-    target = _str_list(args.target)
-    for sid in (*source, *target):
-        dataset.index().scene(sid)  # validates
+    source, target = _str_list(args.source), _str_list(args.target)
     report = experiments.run_transfer(dataset, source, target, **grid)
     fileio.write_transfer(report, args.out_txt, args.out_tsv)
     print(args.out_txt)

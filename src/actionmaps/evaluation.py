@@ -181,8 +181,9 @@ def pose_views(
     scene_ids: Optional[Sequence[str]] = None,
 ) -> PoseViews:
     """Rasterize each camera pose's view triangle once, scene by scene in
-    index order, keeping the scenes in scene_ids (all when None)."""
-    wanted = set(scene_ids) if scene_ids is not None else None
+    index order, keeping the scenes in scene_ids (all when None); refuses
+    an id that is not in the index."""
+    wanted = None if scene_ids is None else {index.scene(sid).scene_id for sid in scene_ids}
     all_rows, all_gt = [], []
     for scene in index.scenes:
         if wanted is not None and scene.scene_id not in wanted:

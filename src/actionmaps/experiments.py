@@ -3,6 +3,7 @@ transfer, demonstration-fraction sweeps, joint-versus-single fitting, and the
 localization study."""
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ from actionmaps.evaluation import (
     score_action_map,
 )
 from actionmaps.localization import DiscrepancyCurve, discrepancy_curve
-from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig, SideInfoError
+from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig, gram_key
 from actionmaps.solver import (
     ActionMatrixBundle,
     Cohort,
@@ -72,7 +73,6 @@ class EvalReport:
     """Per-run breakdown plus cross-run summary statistics per variant."""
 
     rows: list[GridRow]
-    activities: tuple[str, ...]
 
     def summaries(self) -> dict[str, dict[str, tuple[float, float, float]]]:
         """variant -> metric -> (max, mean, stdev) across successful runs."""
@@ -126,65 +126,44 @@ def _run_grid(
 ) -> EvalReport:
     """The grid loop of run_parameter_grid, on a given bundle and views.
 
-    Runs are grouped by the Gram they need (see _gram_key), in order of first
+    Each grid position k gets its row, with seed base_seed + k, and every
+    row is validated first. The basis floor is the kernel at the smallest
+    gamma of the rows that validated, so a rejected setting fails only its
+    own rows; when no row validates, no basis is built. Runs are grouped by
+    the Gram they need (see sideinfo.gram_key), in order of first
     appearance, and each group shares one Gram: at most one is alive at a
     time, and after a failed build the group's next run builds again. The
     runs a Gram serves form one solver Cohort, fitted in lockstep by the
-    first of their fit() calls. Each run keeps its grid position's seed and
-    row. The basis floor is the kernel at the smallest gamma that
-    KernelConfig accepts, so a rejected gamma fails only its own rows; when
-    it accepts none, every row fails and no basis is built.
+    first of their fit() calls.
     """
-    floor = _grid_floor(kernel, grid_spec.gammas)
-    basis = None if floor is None else GramBasis(dataset.location_features(), floor=floor)
-    positions = [(variant, *t) for variant in variants for t in grid_spec.tuples()]
-    rows: list[Optional[GridRow]] = [None] * len(positions)
-    groups: dict[tuple, list[tuple[int, KernelConfig, SolverParams]]] = {}
-    for k, (variant, alpha, lam, gamma) in enumerate(positions):
+    rows = [
+        GridRow(variant, *t, base_seed + k, None)
+        for k, (variant, t) in enumerate(product(variants, grid_spec.tuples()))
+    ]
+    groups: dict[tuple, list[tuple[GridRow, KernelConfig, SolverParams]]] = {}
+    for row in rows:
         try:
-            cfg = replace(kernel, alpha=alpha, gamma=gamma, variant=variant)
-            params = replace(solver, lam=lam, seed=base_seed + k)
+            cfg = replace(kernel, alpha=row.alpha, gamma=row.gamma, variant=row.variant)
+            params = replace(solver, lam=row.lam, seed=row.seed)
         except ValueError as exc:  # recorded, not fatal
-            rows[k] = GridRow(variant, alpha, lam, gamma, base_seed + k, None, str(exc))
+            row.error = str(exc)
             continue
-        groups.setdefault(_gram_key(cfg), []).append((k, cfg, params))
+        groups.setdefault(gram_key(cfg), []).append((row, cfg, params))
+    if groups:
+        gamma = min(cfg.gamma for group in groups.values() for _, cfg, _ in group)
+        basis = GramBasis(dataset.location_features(), floor=replace(kernel, gamma=gamma))
     for group in groups.values():
         gram = cohort = None  # release the last group's Gram before building this one
-        for j, (k, cfg, params) in enumerate(group):
-            variant, alpha, lam, gamma = positions[k]
+        for j, (row, cfg, params) in enumerate(group):
             try:
                 if gram is None:
                     gram = basis.gram(cfg)
                     cohort = Cohort(bundle, gram, [p for _, _, p in group[j:]])
                 result = fit(bundle, gram, params=params, cohort=cohort)
-                am = normalize_action_map(predict(result.factors))
-                scores = score_action_map(views, am)
-                rows[k] = GridRow(variant, alpha, lam, gamma, params.seed, scores)
+                row.scores = score_action_map(views, normalize_action_map(predict(result.factors)))
             except (ValueError, RuntimeError) as exc:  # recorded, not fatal
-                rows[k] = GridRow(variant, alpha, lam, gamma, params.seed, None, str(exc))
-    return EvalReport(rows=rows, activities=dataset.index().vocabulary.names)
-
-
-def _gram_key(cfg: KernelConfig) -> tuple:
-    """Configs with one key get np.array_equal Grams from GramBasis.gram.
-    S ignores alpha and gamma, and alpha = 0 leaves only the spatial term in
-    every variant: the other terms are weighted by exactly 0, the spatial
-    one by exactly 1."""
-    if cfg.variant == "S" or cfg.alpha == 0:
-        return ("S", cfg.sigma_s, cfg.tau)
-    return (cfg.variant, cfg.alpha, cfg.gamma, cfg.sigma_s, cfg.tau)
-
-
-def _grid_floor(kernel: KernelConfig, gammas) -> Optional[KernelConfig]:
-    """The basis floor of a grid: the kernel at the smallest of gammas that
-    KernelConfig accepts; None when it accepts none of them."""
-    accepted = []
-    for gamma in gammas:
-        try:
-            accepted.append(replace(kernel, gamma=gamma))
-        except SideInfoError:
-            continue
-    return min(accepted, key=lambda cfg: cfg.gamma, default=None)
+                row.error = str(exc)
+    return EvalReport(rows)
 
 
 @dataclass
@@ -210,9 +189,12 @@ def run_transfer(
     """Fit with zero target demonstrations and evaluate on the targets.
 
     The baselines and the kernel grid share one bundle and one set of pose
-    views. Refuses an empty source or target list, and a scene in both: the
-    fit would then see no demonstrations, or the demonstrations of a scene
-    it is scored on as novel."""
+    views. Refuses an unknown scene id, then an empty source or target list
+    and a scene in both: the fit would then see no demonstrations, or the
+    demonstrations of a scene it is scored on as novel."""
+    index = dataset.index()
+    for sid in (*source_ids, *target_ids):
+        index.scene(sid)  # raises SceneError for an unknown id
     given = f"source scenes {list(source_ids)}, target scenes {list(target_ids)}"
     if not source_ids or not target_ids:
         raise ValueError(f"transfer needs at least one source and one target scene; got {given}")
@@ -221,7 +203,6 @@ def run_transfer(
         raise ValueError(f"transfer targets must be novel scenes, but {shared} are also sources; "
                          f"got {given}")
     observed = set(source_ids)
-    index = dataset.index()
     views = pose_views(index, eval_params, target_ids)
     det_am = normalize_action_map(
         detection_action_map(dataset.stacked_object_scores(), dataset.catmap)

@@ -460,24 +460,25 @@ def load_dataset(manifest_path) -> GeneratedDataset:
 
     scenes = []
     features = {}
-    class_names = category_names = None
+    names = None  # the first scene's class, category and activity names
     for fname, lineno in scene_files:
         scene, p, o, cls, cats = _read_named(read_scene, manifest_path, lineno, base, fname)
         if scene.scene_id in features:
             raise SchemaError(manifest_path, lineno, f"scene id {scene.scene_id!r} repeats")
-        if class_names is None:
-            class_names, category_names = cls, cats
-        elif cls != class_names or cats != category_names:
+        if names is None:
+            names = (cls, cats, scene.vocabulary.names)
+        elif (cls, cats, scene.vocabulary.names) != names:
             raise SchemaError(
                 manifest_path, lineno,
-                f"scene {scene.scene_id!r} uses different class/category names",
+                f"scene {scene.scene_id!r} uses different class/category/activity names",
             )
         scenes.append(scene)
         features[scene.scene_id] = (p, o)
+    class_names, category_names, activity_names = names
     catmap, cats, acts = _read_named(read_catmap, manifest_path, catmap_line, base, catmap_file)
     if cats != category_names:
         raise SchemaError(manifest_path, catmap_line, "category map names do not match scenes")
-    if acts != scenes[0].vocabulary.names:
+    if acts != activity_names:
         raise SchemaError(manifest_path, catmap_line,
                           "category map activities do not match scenes")
     return GeneratedDataset(
@@ -648,28 +649,28 @@ def write_report(report: EvalReport, tsv_path, txt_path):
         )
     _write_text(tsv_path, rows)
 
-    lines = ["Cross-run summary (max for Max metrics, mean +- stdev for Mean metrics)", ""]
-    header = f"{'variant':<10}" + "".join(f"{h:>34}" for h in SUMMARY_HEADERS)
-    lines.append(header)
-    for variant, stats in report.summaries().items():
-        cells = [format_summary_value(m, stats[m]) for m in SUMMARY_METRICS]
-        lines.append(f"{variant:<10}" + "".join(f"{c:>34}" for c in cells))
-    _write_text(txt_path, lines)
+    title = "Cross-run summary (max for Max metrics, mean +- stdev for Mean metrics)"
+    _write_text(txt_path, [title, "", *_summary_table("variant", {}, report)])
 
 
 def write_transfer(report: TransferReport, txt_path, tsv_path):
     """Method table (baselines, then each variant's cross-run summary) at
     txt_path; the variants' grid report at tsv_path and txt_path.variants."""
-    lines = [f"{'method':<10}" + "".join(f"{h:>34}" for h in SUMMARY_HEADERS)]
-    for method, scores in report.baselines.items():
-        summary = scores.summary()
-        cells = [fmt9(summary[m]) for m in SUMMARY_METRICS]
-        lines.append(f"{method:<10}" + "".join(f"{c:>34}" for c in cells))
-    for variant, stats in report.grid.summaries().items():
-        cells = [format_summary_value(m, stats[m]) for m in SUMMARY_METRICS]
-        lines.append(f"{variant:<10}" + "".join(f"{c:>34}" for c in cells))
-    _write_text(txt_path, lines)
+    _write_text(txt_path, _summary_table("method", report.baselines, report.grid))
     write_report(report.grid, tsv_path, f"{txt_path}.variants")
+
+
+def _summary_table(first: str, baselines: dict[str, ScoreResult], report: EvalReport) -> list[str]:
+    """A 10-wide name column headed first and 34-wide cells under
+    SUMMARY_HEADERS: a row per baseline's scores, then per variant's
+    cross-run summary in report."""
+    table = [(first, SUMMARY_HEADERS)]
+    for method, scores in baselines.items():
+        summary = scores.summary()
+        table.append((method, [fmt9(summary[m]) for m in SUMMARY_METRICS]))
+    for variant, stats in report.summaries().items():
+        table.append((variant, [format_summary_value(m, stats[m]) for m in SUMMARY_METRICS]))
+    return [f"{name:<10}" + "".join(f"{c:>34}" for c in cells) for name, cells in table]
 
 
 def write_curve(curve: DiscrepancyCurve, activity_names: Sequence[str], path):

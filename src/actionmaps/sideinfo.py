@@ -337,6 +337,16 @@ def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratc
         out[out < cfg.tau] = 0.0
 
 
+def gram_key(cfg: KernelConfig) -> tuple:
+    """Configs with one key get np.array_equal Grams from GramBasis.gram.
+    In _entries, S ignores alpha and gamma, and alpha = 0 leaves only the
+    spatial term in every variant: the other terms are weighted by exactly
+    0, the spatial one by exactly 1."""
+    if cfg.variant == "S" or cfg.alpha == 0:
+        return ("S", cfg.sigma_s, cfg.tau)
+    return (cfg.variant, cfg.alpha, cfg.gamma, cfg.sigma_s, cfg.tau)
+
+
 _ROW_BLOCK = 64  # rows per block of an m x m array
 # Relative slack on the floor's tau in the candidate rule; it covers the
 # rounding of exp, of the weight products and of the sums in gram().

@@ -391,6 +391,15 @@ def test_transfer_refuses_scene_lists_that_void_the_comparison(
     assert not txt.exists() and not tsv.exists()
 
 
+@pytest.mark.parametrize("source, target", [("office_a,typo", "office_b"), ("typo", "")])
+def test_transfer_refuses_an_unknown_scene_first(pair_dir, tmp_path, capsys, source, target):
+    txt, tsv = tmp_path / "transfer.txt", tmp_path / "transfer.tsv"
+    assert run(["transfer", "--data", pair_dir, "--source", source, "--target", target,
+                *GRID_ARGS, "--out-txt", txt, "--out-tsv", tsv]) == 1
+    assert capsys.readouterr().err == "error: unknown scene 'typo'\n"
+    assert not txt.exists() and not tsv.exists()
+
+
 def test_every_command_creates_missing_output_directories(dataset_dir, pair_dir, tmp_path):
     new = tmp_path / "not" / "yet"
     fit_out = [new / "fit" / "factors.txt", new / "fit" / "trace" / "trace.tsv"]
@@ -443,6 +452,32 @@ def am_path(dataset_dir, tmp_path_factory):
     run(["fit", "--data", dataset_dir, *FIT_ARGS, "--seed", 3, "--out-factors", out / "f.txt"])
     run(["predict", "--data", dataset_dir, "--factors", out / "f.txt", "--out", out / "am.txt"])
     return out / "am.txt"
+
+
+def test_predict_refuses_factors_without_every_activity(dataset_dir, am_path, tmp_path, capsys):
+    # the action map used to be written with fewer values per row than its
+    # header declares, and evaluate then refused it
+    from actionmaps import fileio
+    from actionmaps.solver import FactorPair
+
+    factors = fileio.read_factors(am_path.parent / "f.txt")
+    n_acts = factors.V.shape[0]
+    short = tmp_path / "short.txt"
+    fileio.write_factors(FactorPair(U=factors.U, V=factors.V[:-1]), short)
+    am = tmp_path / "am.txt"
+    assert run(["predict", "--data", dataset_dir, "--factors", short, "--out", am]) == 1
+    assert capsys.readouterr().err == (
+        f"error: factors cover {n_acts - 1} activities, dataset has {n_acts}\n")
+    assert not am.exists()
+
+
+def test_evaluate_refuses_an_unknown_scene(dataset_dir, am_path, tmp_path, capsys):
+    # the known scene used to be scored alone, with exit 0
+    txt, tsv = tmp_path / "e.txt", tmp_path / "e.tsv"
+    assert run(["evaluate", "--data", dataset_dir, "--am", am_path, "--scenes", "scene,typo",
+                "--out-txt", txt, "--out-tsv", tsv]) == 1
+    assert capsys.readouterr().err == "error: unknown scene 'typo'\n"
+    assert not txt.exists() and not tsv.exists()
 
 
 def test_evaluate_rejects_zero_thresholds(dataset_dir, am_path, tmp_path, capsys):

@@ -429,10 +429,9 @@ def test_run_parameter_grid_builds_one_gram_per_key(mini_dataset, monkeypatch):
 
 @pytest.mark.parametrize("tau", [1e-4, 0.0])
 def test_gram_key_configs_get_equal_grams(pair_dataset, tau):
-    # the two claims of _gram_key: S ignores alpha and gamma, and alpha = 0
+    # the two claims of gram_key: S ignores alpha and gamma, and alpha = 0
     # gives every variant the spatial-only Gram
-    from actionmaps.experiments import _gram_key
-    from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig
+    from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig, gram_key
 
     floor = KernelConfig(gamma=100.0, tau=tau)
     basis = GramBasis(pair_dataset.location_features(), floor=floor)
@@ -442,7 +441,7 @@ def test_gram_key_configs_get_equal_grams(pair_dataset, tau):
     configs += [KernelConfig(alpha=0.0, gamma=g, variant=v, tau=tau)
                 for v in VARIANTS[1:] for g in (100.0, 1000.0)]
     for cfg in configs:
-        assert _gram_key(cfg) == _gram_key(KernelConfig(variant="S", tau=tau))
+        assert gram_key(cfg) == gram_key(KernelConfig(variant="S", tau=tau))
         gram = basis.gram(cfg)
         assert np.array_equal(gram.matrix, spatial.matrix)
         assert np.array_equal(gram.degrees, spatial.degrees)
@@ -590,6 +589,20 @@ def test_run_parameter_grid_with_no_accepted_gamma_builds_no_basis(pair_dataset,
     assert all(row.scores is None and row.error == str(rejected.value) for row in rows)
 
 
+def test_run_parameter_grid_with_no_valid_row_builds_no_basis(pair_dataset, monkeypatch):
+    # the gamma is accepted, but every row fails its SolverParams check, so
+    # no Gram is needed and no basis is built
+    from actionmaps.solver import SolverError, SolverParams
+
+    with pytest.raises(SolverError) as rejected:
+        SolverParams(lam=-1.0)
+    spec = GridSpec(alphas=(0.0, 0.5), lambdas=(-1.0,), gammas=(100.0, 1000.0))
+    rows, floors = _grid_rows(pair_dataset, spec, monkeypatch)
+    assert floors == []
+    assert len(rows) == 4 * len(spec.tuples())
+    assert all(row.scores is None and row.error == str(rejected.value) for row in rows)
+
+
 # -- scoring against pose views -------------------------------------------------
 
 
@@ -661,7 +674,15 @@ def test_score_action_map_rejects_wrong_row_count(mini_dataset):
 
 def test_pose_views_without_poses_raise(mini_dataset):
     with pytest.raises(EvaluationError, match="no camera poses"):
-        pose_views(mini_dataset.index(), scene_ids=["nowhere"])
+        pose_views(mini_dataset.index(), scene_ids=[])
+
+
+def test_pose_views_refuse_an_unknown_scene(pair_dataset):
+    # an unknown id used to be skipped, so the known ones were scored alone
+    from actionmaps.scene import SceneError
+
+    with pytest.raises(SceneError, match="unknown scene 'office_typo'"):
+        pose_views(pair_dataset.index(), scene_ids=["office_a", "office_typo"])
 
 
 def _count_triangles(monkeypatch):
@@ -728,6 +749,14 @@ def test_run_transfer_rasterizes_target_poses_once_and_builds_one_bundle(
                      id="same-scene"),
         pytest.param(("office_a", "office_b"), ("office_b",), r"\['office_b'\] are also sources",
                      id="target-among-sources"),
+        # build_bundle skips an unknown id, so the transfer used to run
+        # without it; unknown ids are refused before the list checks
+        pytest.param(("office_a", "typo"), ("office_b",), "unknown scene 'typo'",
+                     id="unknown-source"),
+        pytest.param(("office_a",), ("typo",), "unknown scene 'typo'", id="unknown-target"),
+        pytest.param(("typo",), (), "unknown scene 'typo'", id="unknown-before-empty"),
+        pytest.param(("office_a",), ("office_a", "typo"), "unknown scene 'typo'",
+                     id="unknown-before-shared"),
     ],
 )
 def test_run_transfer_refuses_scene_lists_that_void_the_novel_scene_comparison(

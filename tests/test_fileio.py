@@ -440,6 +440,23 @@ def test_scene_with_other_names_reports_its_manifest_line(pair_dataset, tmp_path
         fileio.load_dataset(manifest)
 
 
+def test_scene_with_other_activity_names_reports_its_manifest_line(pair_dataset, tmp_path):
+    # the first pipeline used to fail on it, with no path or line
+    manifest = _scene_files(pair_dataset, tmp_path)
+    scene = tmp_path / "data" / "office_b.scene"
+    lines = scene.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("activities "))
+    tag, count, first, *rest = lines[at].split()
+    assert first != "sat"
+    lines[at] = " ".join([tag, count, "sat", *rest])
+    scene.write_text("\n".join(lines) + "\n")
+    fileio.read_scene(scene)  # the document itself is well formed
+    with pytest.raises(fileio.SchemaError,
+                       match=r"dataset\.txt:4: scene 'office_b' uses different class/category/"
+                             r"activity names"):
+        fileio.load_dataset(manifest)
+
+
 @pytest.mark.parametrize("line, message", [
     ("categories 6 desk chair sink door whiteboard bookshelf", "category map names"),
     ("activities 6 type sit open-door read write-whiteboard wash", "category map activities"),
