@@ -191,7 +191,13 @@ def run_transfer(
     The baselines and the kernel grid share one bundle and one set of pose
     views. Refuses an unknown scene id, then an empty source or target list
     and a scene in both: the fit would then see no demonstrations, or the
-    demonstrations of a scene it is scored on as novel."""
+    demonstrations of a scene it is scored on as novel.
+
+    The kernel grid runs first and the Det. and NMF baselines after it, so
+    no baseline array or NMF working set is resident under a Gram, the
+    largest allocation of the run. The baselines need no Gram and the NMF
+    fit draws its own seed (base_seed; the grid rows take base_seed + 1
+    onward), so the order changes no output."""
     index = dataset.index()
     for sid in (*source_ids, *target_ids):
         index.scene(sid)  # raises SceneError for an unknown id
@@ -202,26 +208,25 @@ def run_transfer(
     if shared:
         raise ValueError(f"transfer targets must be novel scenes, but {shared} are also sources; "
                          f"got {given}")
-    observed = set(source_ids)
+    nmf_params = replace(solver, seed=base_seed)  # a bad seed fails before the grid
     views = pose_views(index, eval_params, target_ids)
+    bundle = build_bundle(dataset.scenes, index, set(source_ids))
+    grid = _run_grid(
+        dataset, views, bundle, grid_spec, variants, base_seed + 1, solver, kernel
+    )
+
     det_am = normalize_action_map(
         detection_action_map(dataset.stacked_object_scores(), dataset.catmap)
     )
     det = score_action_map(views, det_am)
-
-    bundle = build_bundle(dataset.scenes, index, observed)
     nmf_am = augmented_wnmf(
         bundle,
         dataset.stacked_scene_scores(),
         dataset.stacked_object_scores(),
-        replace(solver, seed=base_seed),
+        nmf_params,
         dataset.stacked_explored(),
     )
     nmf = score_action_map(views, nmf_am)
-
-    grid = _run_grid(
-        dataset, views, bundle, grid_spec, variants, base_seed + 1, solver, kernel
-    )
     return TransferReport(baselines={"Det.": det, "NMF": nmf}, grid=grid)
 
 

@@ -205,6 +205,8 @@ def sample_demonstrations(scene: SceneGrid, fraction: float, seed: int) -> Demon
     """Seeded prefix sample: the 10% subset is contained in the 80% subset."""
     if not 0.0 <= fraction <= 1.0:
         raise GenerationError(f"fraction must be in [0, 1], got {fraction}")
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     demos = scene.demonstrations
     order = np.random.default_rng(seed).permutation(len(demos))
     return demos.take(order[: int(round(fraction * len(demos)))])

@@ -85,6 +85,8 @@ class SolverParams:
             raise SolverError("rel_tol must be positive")
         if not self.max_iters >= 0:
             raise SolverError("max_iters must be >= 0")
+        if self.seed < 0:  # numpy's generators refuse it with a message naming nothing
+            raise SolverError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -512,6 +512,8 @@ def generate_scene(
 ) -> tuple[SceneGrid, np.ndarray, np.ndarray]:
     """Generate one scene with its (P, O) feature arrays; deterministic in
     seed, retrying with derived sub-seeds when a layout is infeasible."""
+    if seed < 0:  # generate_dataset's first scene takes its seed as is
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     last = "unknown"
     for attempt in range(spec.max_layout_retries):
         try:

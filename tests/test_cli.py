@@ -432,6 +432,33 @@ def test_every_command_creates_missing_output_directories(dataset_dir, pair_dir,
         assert path in written
 
 
+@pytest.mark.parametrize("command", ["fit", "elapse", "generate", "transfer"])
+def test_negative_seed_fails_naming_the_seed(dataset_dir, pair_dir, tmp_path, capsys, command):
+    # numpy's generators used to refuse it as "expected non-negative integer";
+    # transfer's NMF baseline takes the seed itself, so it refuses before its grid
+    out = tmp_path / "out"
+    args = {
+        "fit": ["--data", dataset_dir, *FIT_ARGS, "--out-factors", out],
+        "elapse": ["--data", dataset_dir, "--fractions", "0.5", *FIT_ARGS, "--out", out],
+        "generate": ["--preset", "mini", "--out", out],
+        "transfer": ["--data", pair_dir, "--source", "office_a", "--target", "office_b",
+                     "--out-txt", out, "--out-tsv", tmp_path / "out.tsv"],
+    }[command]
+    assert run([command, *args, "--seed", -1]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_grid_records_a_negative_seed_on_its_row(dataset_dir, tmp_path, capsys):
+    tsv, txt = tmp_path / "grid.tsv", tmp_path / "grid.txt"
+    args = [*GRID_ARGS, "--alphas", "0.3,0.5"]
+    args[args.index("--seed") + 1] = -1
+    assert run(["grid", "--data", dataset_dir, *args, "--out-tsv", tsv, "--out-txt", txt]) == 0
+    assert "warning: 1 of 2 runs failed" in capsys.readouterr().err
+    first, second = tsv.read_text().splitlines()[1:]
+    assert first.endswith("\tseed must be >= 0, got -1") and second.split("\t")[-1] == ""
+
+
 @pytest.mark.parametrize("flag", ["--lam", "--mu", "--rel-tol", "--tau"])
 def test_fit_rejects_nan_parameters(dataset_dir, tmp_path, capsys, flag):
     factors = tmp_path / "f.txt"

@@ -740,6 +740,34 @@ def test_run_transfer_rasterizes_target_poses_once_and_builds_one_bundle(
     assert len(bundles) == 1
 
 
+def test_run_transfer_builds_every_gram_before_the_baselines(pair_dataset, monkeypatch):
+    # the baselines need no Gram, so running them after the grid keeps their
+    # arrays and the NMF fit's working set from sitting under a Gram
+    from actionmaps import experiments
+    from actionmaps.sideinfo import GramBasis
+    from actionmaps.solver import SolverParams
+
+    calls = []
+
+    def record(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GramBasis, "gram", record("gram", GramBasis.gram))
+    for name in ("detection_action_map", "augmented_wnmf"):
+        monkeypatch.setattr(experiments, name, record(name, getattr(experiments, name)))
+    report = experiments.run_transfer(
+        pair_dataset, ["office_a"], ["office_b"],
+        grid_spec=GridSpec(alphas=(0.3, 0.7), lambdas=(1e-2,), gammas=(1.0,)),
+        variants=("SO", "SOP"),
+        solver=SolverParams(rank=2, max_iters=5),
+    )
+    assert all(row.scores for row in report.grid.rows)
+    assert calls == ["gram"] * 4 + ["detection_action_map", "augmented_wnmf"]
+
+
 @pytest.mark.parametrize(
     "source, target, message",
     [

@@ -344,6 +344,10 @@ def test_solver_params_settings():
     names = [f.name for f in fields(SolverParams)]
     assert names == ["rank", "lam", "max_iters", "rel_tol", "seed"]
     assert solver.STABILIZER == 1e-12
+    # numpy's generators refuse a negative seed with a message naming nothing
+    with pytest.raises(SolverError, match=r"^seed must be >= 0, got -1$"):
+        SolverParams(seed=-1)
+    assert SolverParams(seed=0).seed == 0
 
 
 def test_solver_params_reject_negative_iterations_and_stabilizer():

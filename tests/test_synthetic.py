@@ -112,6 +112,8 @@ def test_sample_demonstrations_fractions():
     assert len(sample_demonstrations(scene, 0.0, seed=9)) == 0
     with pytest.raises(GenerationError):
         sample_demonstrations(scene, 1.5, seed=9)
+    with pytest.raises(GenerationError, match=r"^seed must be >= 0, got -1$"):
+        sample_demonstrations(scene, 0.5, seed=-1)
 
 
 def test_sample_demonstrations_prefix_property():
@@ -211,6 +213,13 @@ def test_generate_dataset_rejects_scene_counts(n_scenes):
     # 0 scenes used to end in an IndexError, 27 in the scene id "scene_{"
     with pytest.raises(GenerationError, match="n_scenes must be in 1..26"):
         generate_dataset(PRESETS["mini"], seed=0, n_scenes=n_scenes)
+
+
+@pytest.mark.parametrize("generate", [generate_scene, generate_dataset])
+def test_generators_refuse_a_negative_seed(generate):
+    # numpy's generators refuse it as "expected non-negative integer"
+    with pytest.raises(GenerationError, match=r"^seed must be >= 0, got -1$"):
+        generate(PRESETS["mini"], seed=-1)
 
 
 def test_generate_dataset_names_26_scenes_a_to_z():
