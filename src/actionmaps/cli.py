@@ -252,7 +252,7 @@ def cmd_export_heatmap(args) -> int:
     dataset = _load_data(args.data)
     index = dataset.index()
     am = fileio.read_action_map(args.am, index)
-    if am.min() < 0 or am.max() > 1:
+    if am.max() > 1:
         am = normalize_action_map(am)
     print("\n".join(fileio.write_heatmaps(am, index, args.out_dir)))
     return 0

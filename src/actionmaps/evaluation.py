@@ -90,7 +90,8 @@ def f1_sweep(
         raise EvaluationError(f"shape mismatch: scores {scores.shape}, gt {gt.shape}")
     if scores.shape[0] == 0:
         raise EvaluationError("need at least one image")
-    if scores.min() < -1e-9 or scores.max() > 1.0 + 1e-9:
+    # written so that NaN fails: every comparison with NaN is False
+    if not (scores.min() >= -1e-9 and scores.max() <= 1.0 + 1e-9):
         raise EvaluationError("scores must lie in [0, 1]")
     thresholds = np.arange(1, n_thresholds + 1) / (n_thresholds + 1)
     pred = scores[None, :, :] >= thresholds[:, None, None]  # (T, N, A)
@@ -112,8 +113,9 @@ def aggregate(per_activity_f1: np.ndarray, gt_counts: np.ndarray) -> tuple[float
     """
     f1 = np.asarray(per_activity_f1, dtype=float)
     counts = np.asarray(gt_counts, dtype=float)
-    if (counts < 0).any():
-        raise EvaluationError("class counts must be >= 0")
+    # written so that NaN fails: every comparison with NaN is False
+    if not ((counts >= 0) & (counts < math.inf)).all():
+        raise EvaluationError("class counts must be finite and >= 0")
     total = counts.sum()
     if total == 0:
         raise EvaluationError("all ground-truth class counts are zero")

@@ -241,12 +241,13 @@ def run_elapse(
     """Sweep prefix-consistent demonstration fractions and re-fit each time.
 
     Subsets keep every scene's poses and labels, so one set of pose views
-    scores every fraction."""
+    scores every fraction. Every subset is drawn before the Gram, so a bad
+    fraction is refused before any basis or fit."""
+    subsets = [dataset.with_demo_fraction(fraction, subset_seed) for fraction in fractions]
     views = pose_views(dataset.index(), eval_params)
     gram = GramBasis(dataset.location_features(), floor=kernel).gram(kernel)
     out = []
-    for fraction in fractions:
-        ds = dataset.with_demo_fraction(fraction, subset_seed)
+    for fraction, ds in zip(fractions, subsets):
         am, _ = fit_action_map(ds, kernel, solver, gram=gram)
         out.append((fraction, score_action_map(views, am)))
     return out

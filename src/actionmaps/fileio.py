@@ -581,7 +581,10 @@ def read_action_map(path, index) -> np.ndarray:
             if seen[row]:
                 raise r.error(f"duplicate action map row for {toks[0]} {toks[1]},{toks[2]}")
             seen[row] = True
-            am[row] = [r.float_(t) for t in toks[3:]]
+            values = [r.float_(t) for t in toks[3:]]
+            if any(v < 0 for v in values):  # float_ has refused NaN already
+                raise r.error(f"action map values must be >= 0, got {min(values)}")
+            am[row] = values
         r.expect("end")
     return am
 

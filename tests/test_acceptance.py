@@ -14,7 +14,6 @@ from actionmaps import experiments
 from actionmaps.cli import main as cli_main
 from actionmaps.evaluation import aggregate, f1_sweep
 from actionmaps.experiments import GridSpec
-from actionmaps.geometry import Plane, RansacParams, refine_ground_plane_ransac, estimate_metric_scale, plane_distance
 from actionmaps.sideinfo import GramBasis, KernelConfig, LocationFeatures
 from actionmaps.solver import ActionMatrixBundle, SolverParams, fit, laplacian_smoothness, predict
 from actionmaps.synthetic import PRESETS, generate_dataset
@@ -165,35 +164,6 @@ def test_08_evaluation_oracle():
     weighted, _ = aggregate(np.array([1.0, 0.0]), np.array([3, 1]))
     ok = ok and weighted == 0.75
     _report(8, "evaluation-oracle", bool(ok))
-
-
-def test_09_geometry():
-    height_plane = Plane((0.0, 0.0, 1.0), 1.7)
-    ok = True
-    for seed in range(20):
-        rng = np.random.default_rng(1000 + seed)
-        floor = np.column_stack(
-            [rng.uniform(0, 10, 420), rng.uniform(0, 10, 420), rng.normal(0, 0.01, 420)]
-        )
-        ceiling = np.column_stack(
-            [rng.uniform(0, 10, 180), rng.uniform(0, 10, 180), 2.5 + rng.normal(0, 0.01, 180)]
-        )
-        pts = np.vstack([floor, ceiling])
-        plane = refine_ground_plane_ransac(
-            height_plane, pts, RansacParams(iterations=300, seed=seed), 1.7
-        )
-        angle = math.degrees(math.acos(min(1.0, abs(float(plane.n @ np.array([0.0, 0.0, 1.0]))))))
-        ok &= angle <= 1.0
-    rng = np.random.default_rng(105)
-    for _ in range(20):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        o1, gap, h = rng.uniform(-3, 3), rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.5)
-        ground = Plane(tuple(n), o1) if o1 >= 0 else Plane(tuple(-n), -o1)
-        height = Plane(tuple(n), o1 + gap) if o1 + gap >= 0 else Plane(tuple(-n), -(o1 + gap))
-        scale = estimate_metric_scale(ground, height, h)
-        ok &= abs(scale * plane_distance(ground, height) - h) <= 1e-9
-    _report(9, "geometry", bool(ok))
 
 
 def guesses_to_reach(curve_values: np.ndarray, threshold: float) -> int:

@@ -514,17 +514,26 @@ def test_evaluate_rejects_zero_thresholds(dataset_dir, am_path, tmp_path, capsys
     assert "error: need at least one threshold" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "export-heatmap"])
+NEGATIVE_AM = ("-0.25", "action map values must be >= 0, got -0.25")
+
+
+@pytest.mark.parametrize("command, token, message", [
+    pytest.param("evaluate", "nan", "expected a finite number", id="evaluate"),
+    pytest.param("export-heatmap", "nan", "expected a finite number", id="export-heatmap"),
+    # export-heatmap must refuse a negative map before it writes any table
+    pytest.param("evaluate", *NEGATIVE_AM, id="evaluate-negative"),
+    pytest.param("export-heatmap", *NEGATIVE_AM, id="export-heatmap-negative"),
+])
 def test_nan_in_action_map_fails_with_path_and_line(dataset_dir, am_path, tmp_path, capsys,
-                                                    command):
+                                                    command, token, message):
     lines = am_path.read_text().splitlines()
-    lines[3] = lines[3].rsplit(maxsplit=1)[0] + " nan"
+    lines[3] = lines[3].rsplit(maxsplit=1)[0] + " " + token
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines) + "\n")
     outs = {"evaluate": ["--out-txt", tmp_path / "e.txt", "--out-tsv", tmp_path / "e.tsv"],
             "export-heatmap": ["--out-dir", tmp_path / "maps"]}[command]
     assert run([command, "--data", dataset_dir, "--am", bad, *outs]) == 1
-    assert "bad.txt:4: expected a finite number" in capsys.readouterr().err
+    assert f"bad.txt:4: {message}" in capsys.readouterr().err
     assert not any(tmp_path.glob("e.*")) and not (tmp_path / "maps").exists()
 
 
@@ -669,9 +678,16 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 def test_cli_import_leaves_the_generator_unloaded():
     # only `generate` needs actionmaps.synthetic; the dataset record that
-    # every other command loads lives in fileio
+    # every other command loads lives in fileio. Every other module loads, so
+    # a module that no command reaches fails here.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, actionmaps.cli; print('actionmaps.synthetic' in sys.modules)"
+    code = ("import sys, actionmaps.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'actionmaps'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    loaded = set(proc.stdout.split())
+    assert "actionmaps.synthetic" not in loaded
+    package = {"actionmaps"} | {
+        f"actionmaps.{p.stem}" for p in (src / "actionmaps").glob("*.py") if p.stem != "__init__"
+    }
+    assert loaded == package - {"actionmaps.synthetic"}

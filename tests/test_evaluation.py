@@ -293,6 +293,21 @@ def test_aggregate_all_zero_counts():
         aggregate(np.array([0.5]), np.array([0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_f1_sweep_refuses_scores_out_of_range(bad):
+    # a NaN score would sit below every threshold and count as a negative
+    scores = np.array([[0.2, 0.7], [bad, 0.4]])
+    with pytest.raises(EvaluationError, match="scores must lie in"):
+        f1_sweep(scores, np.ones((2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_aggregate_refuses_counts_out_of_range(bad):
+    # a NaN count would make the weighted F1 NaN
+    with pytest.raises(EvaluationError, match="class counts must be finite and >= 0"):
+        aggregate(np.array([0.5, 0.5]), np.array([3.0, bad]))
+
+
 # -- grid harness -------------------------------------------------------------
 
 
@@ -800,6 +815,19 @@ def test_run_transfer_refuses_scene_lists_that_void_the_novel_scene_comparison(
     monkeypatch.setattr(experiments, "build_bundle", no_bundle)
     with pytest.raises(ValueError, match=message):
         experiments.run_transfer(pair_dataset, source, target)
+
+
+def test_run_elapse_refuses_a_bad_fraction_before_the_basis(mini_dataset, monkeypatch):
+    from actionmaps import experiments, sideinfo
+    from actionmaps.fileio import GenerationError
+
+    def never(*args, **kwargs):
+        raise AssertionError("basis built or fit run before the fractions were checked")
+
+    monkeypatch.setattr(sideinfo, "_chi2_block", never)
+    monkeypatch.setattr(experiments, "fit_action_map", never)
+    with pytest.raises(GenerationError, match=r"fraction must be in \[0, 1\], got 1.5"):
+        experiments.run_elapse(mini_dataset, [0.5, 1.0, 1.5])
 
 
 def test_run_elapse_rasterizes_each_pose_once(mini_dataset, monkeypatch):

@@ -510,15 +510,20 @@ def test_non_finite_scene_values_report_path_and_line(pair_dataset, tmp_path, se
         fileio.load_dataset(manifest)
 
 
-@pytest.mark.parametrize("token", ["nan", "inf"])
-def test_non_finite_action_map_values_report_path_and_line(mini_dataset, tmp_path, token):
+@pytest.mark.parametrize("token, message", [
+    ("nan", "expected a finite number"),
+    ("inf", "expected a finite number"),
+    ("-0.25", r"action map values must be >= 0, got -0\.25"),
+], ids=["nan", "inf", "negative"])
+def test_non_finite_action_map_values_report_path_and_line(mini_dataset, tmp_path, token,
+                                                           message):
     index = mini_dataset.index()
     path = tmp_path / "am.txt"
     fileio.write_action_map(np.zeros((index.total_rows, len(index.vocabulary))), index, path)
     lines = path.read_text().splitlines()
     lines[5] = lines[5].rsplit(maxsplit=1)[0] + " " + token
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(fileio.SchemaError, match=r"am\.txt:6: expected a finite number"):
+    with pytest.raises(fileio.SchemaError, match=rf"am\.txt:6: {message}"):
         fileio.read_action_map(path, index)
 
 
