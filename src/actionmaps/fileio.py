@@ -515,16 +515,28 @@ def read_factors(path) -> FactorPair:
         if len(shape) != 3:
             raise r.error("shape needs M, A, D")
         m, a, d = (r.int_(t) for t in shape)
-        r.expect("U")
-        u = np.array([[r.float_(t) for t in r.next()] for _ in range(m)])
-        v_head = r.next()
-        if v_head != ["V"]:
-            raise r.error("expected section 'V'")
-        v = np.array([[r.float_(t) for t in r.next()] for _ in range(a)])
+        if min(m, a, d) < 1:
+            raise r.error(f"shape counts must be >= 1, found {m} {a} {d}")
+        u = _read_factor_rows(r, "U", m, d)
+        v = _read_factor_rows(r, "V", a, d)
         r.expect("end")
-        if u.shape != (m, d) or v.shape != (a, d):
-            raise r.error("factor rows do not match the declared shape")
     return FactorPair(U=u, V=v)
+
+
+def _read_factor_rows(r: _Reader, name: str, n: int, d: int) -> np.ndarray:
+    """The section `name`: a line holding only its name, then n rows of d
+    non-negative values; a bad row fails at its own line."""
+    if r.next() != [name]:
+        raise r.error(f"expected section {name!r}")
+    rows = []
+    for _ in range(n):
+        row = [r.float_(t) for t in r.next()]
+        if len(row) != d:
+            raise r.error(f"{name} rows need {d} values, found {len(row)}")
+        if min(row) < 0:  # float_ has refused NaN already
+            raise r.error(f"{name} values must be >= 0, got {min(row)}")
+        rows.append(row)
+    return np.array(rows)
 
 
 def describe_fit(result: FitResult) -> str:

@@ -85,7 +85,7 @@ class SolverParams:
             raise SolverError("rel_tol must be positive")
         if not self.max_iters >= 0:
             raise SolverError("max_iters must be >= 0")
-        if self.seed < 0:  # numpy's generators refuse it with a message naming nothing
+        if self.seed < 0:  # the seed is SeedSequence entropy (see _initial_factors)
             raise SolverError(f"seed must be >= 0, got {self.seed}")
 
 
@@ -317,10 +317,7 @@ def _fit_lockstep(bundle: ActionMatrixBundle, K, ku, batch: list[SolverParams]) 
     m, n_act = bundle.shape
     runs = []
     for params in batch:
-        rng = np.random.default_rng(params.seed)
-        u = rng.uniform(0.1, 1.1, size=(m, params.rank))
-        v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
-        runs.append(_Run(params, u, v, []))
+        runs.append(_Run(params, *_initial_factors(params.seed, m, n_act, params.rank), []))
     outcomes: dict = {}
     shares: dict[int, bool] = {}
     wr = bundle.W * bundle.R
@@ -346,6 +343,87 @@ def _fit_lockstep(bundle: ActionMatrixBundle, K, ku, batch: list[SolverParams]) 
             going.append(run)
         runs = going
     return outcomes
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier a
+_POW = [pow(_PCG_MULT, r, 1 << 128) for r in range(64)]  # a^r mod 2^128
+_GEOM = [sum(_POW[:r]) & _M128 for r in range(64)]  # G_r = sum of a^j over j < r
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of 128-bit ints, as uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _M64 for v in values], dtype=np.uint64))
+
+
+_POW_HI, _POW_LO = _limbs(_POW)
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the entropy
+    is seed in little-endian 32-bit words, hashed into a 4-word pool."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        h, v = h * 0x931E8875 & _M32, v ^ h
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):  # mix every pool word into every other
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:  # then any entropy beyond the pool into each word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out, h = [], 0x8B51F9DD
+    for i in range(8):
+        h, v = h * 0x58F38DED & _M32, pool[i % 4] ^ h
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    return [out[i] | out[i + 1] << 32 for i in (0, 2, 4, 6)]
+
+
+def _initial_factors(seed: int, m: int, n_act: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """U (m x rank) and V (n_act x rank), bit for bit what
+    np.random.default_rng(seed).uniform(0.1, 1.1, size) draws for U, then V.
+
+    The stream is PCG64 (O'Neill 2014), seeded as numpy seeds it, computed
+    here so that no fit loads numpy.random. State i + r is a^r s_i + G_r inc:
+    the start of every 64th draw is stepped in Python ints, and each block
+    in numpy with (hi, lo) uint64 limbs.
+    """
+    w = _seed_words(int(seed))
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
+    n, starts = (m + n_act) * rank, []
+    for _ in range(-(-n // 64)):  # each draw steps the state, then outputs
+        state = (state * _PCG_MULT + inc) & _M128
+        starts.append(state)
+        state = (state * _POW[63] + _GEOM[63] * inc) & _M128
+    s_hi, s_lo = (a[:, None] for a in _limbs(starts))
+    c_hi, c_lo = _limbs([g * inc & _M128 for g in _GEOM])
+    # the high word of the 128-bit products _POW_LO * s_lo, from 32-bit halves
+    a0, a1, b0, b1 = _POW_LO & _M32, _POW_LO >> 32, s_lo & _M32, s_lo >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + _POW_HI * s_lo + _POW_LO * s_hi
+    lo = _POW_LO * s_lo + c_lo
+    hi += c_hi + (lo < c_lo)  # with the carry of the low words
+    x, rot = (hi ^ lo).ravel()[:n], (hi >> 58).ravel()[:n]  # XSL-RR output
+    x = x >> rot | x << (64 - rot & 63)
+    draws = 0.1 + (1.1 - 0.1) * ((x >> 11) * 2.0 ** -53)
+    # V gets a buffer of its own, as numpy's draw does, so no product of V
+    # sees another alignment
+    return draws[: m * rank].reshape(m, rank), draws[m * rank :].reshape(n_act, rank).copy()
 
 
 def _kernel_products(ku, runs: list[_Run], shares: dict[int, bool]) -> None:

@@ -498,6 +498,37 @@ def test_predict_refuses_factors_without_every_activity(dataset_dir, am_path, tm
     assert not am.exists()
 
 
+def _drop_last(row):
+    return row.rsplit(maxsplit=1)[0]
+
+
+@pytest.mark.parametrize("index, edit, message", [
+    # index counts lines from 0, or back from the end when negative
+    pytest.param(4, lambda row: "-0.25 " + row.split(maxsplit=1)[1],
+                 "U values must be >= 0, got -0.25", id="negative-U"),
+    pytest.param(-3, lambda row: _drop_last(row) + " -1e-3",
+                 "V values must be >= 0, got -0.001", id="negative-V"),
+    pytest.param(4, _drop_last, "U rows need 4 values, found 3", id="short-U"),
+    pytest.param(-2, lambda row: row + " 0.5", "V rows need 4 values, found 5", id="long-V"),
+    pytest.param(1, lambda row: _drop_last(row) + " 0", "shape counts must be >= 1, found ",
+                 id="zero-rank"),
+    pytest.param(2, lambda row: row + " 5", "expected section 'U'", id="U-header"),
+])
+def test_predict_refuses_a_malformed_factor_row_at_its_line(dataset_dir, am_path, tmp_path,
+                                                            capsys, index, edit, message):
+    # a negative value used to fail with no path, a short row at a later
+    # line, a zero count at the `end` line, and a `U` line with a count
+    # passed
+    lines = (am_path.parent / "f.txt").read_text().splitlines()
+    index %= len(lines)
+    lines[index] = edit(lines[index])
+    bad, am = tmp_path / "bad.txt", tmp_path / "am.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run(["predict", "--data", dataset_dir, "--factors", bad, "--out", am]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{index + 1}: {message}")
+    assert not am.exists()
+
+
 def test_evaluate_refuses_an_unknown_scene(dataset_dir, am_path, tmp_path, capsys):
     # the known scene used to be scored alone, with exit 0
     txt, tsv = tmp_path / "e.txt", tmp_path / "e.tsv"
@@ -666,14 +697,30 @@ def test_infinite_settings_fail_their_checks(dataset_dir, am_path, tmp_path, cap
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # numpy.random pulls in secrets and OpenSSL's _hashlib; a command loads
-    # it at its first default_rng, not at import through an annotation
+def test_fit_grid_and_transfer_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random pulls in secrets and OpenSSL's _hashlib. Neither the CLI's
+    # import nor a fit loads it: each fit draws its seeded start in the
+    # solver, so only generate and elapse's subset draw load numpy.random
+    assert run(["generate", "--preset", "mini", "--scenes", 2, "--seed", 5,
+                "--out", tmp_path]) == 0
+    data, fit = str(tmp_path / "dataset.txt"), [str(a) for a in FIT_ARGS]
+    sweep = [str(a) for a in GRID_ARGS]
+    commands = [
+        ["fit", "--data", data, *fit, "--seed", "4294967297",
+         "--out-factors", str(tmp_path / "f.txt")],
+        ["grid", "--data", data, *sweep, "--out-tsv", str(tmp_path / "g.tsv"),
+         "--out-txt", str(tmp_path / "g.txt")],
+        ["transfer", "--data", data, "--source", "scene_a", "--target", "scene_b", *sweep,
+         "--out-txt", str(tmp_path / "t.txt"), "--out-tsv", str(tmp_path / "t.tsv")],
+    ]
+    code = ("import sys; from actionmaps.cli import main; "
+            f"assert all(main(args) == 0 for args in {commands!r}); "
+            "print(*[m in sys.modules for m in ('numpy.random', '_hashlib')])")
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, actionmaps.cli; print('numpy.random' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120, check=True)
+    assert proc.stdout.split()[-2:] == ["False", "False"]
+    assert (tmp_path / "f.txt").exists() and (tmp_path / "t.tsv").exists()
 
 
 def test_cli_import_leaves_the_generator_unloaded():

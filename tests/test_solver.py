@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionmaps import solver
@@ -344,7 +344,7 @@ def test_solver_params_settings():
     names = [f.name for f in fields(SolverParams)]
     assert names == ["rank", "lam", "max_iters", "rel_tol", "seed"]
     assert solver.STABILIZER == 1e-12
-    # numpy's generators refuse a negative seed with a message naming nothing
+    # a seed is SeedSequence entropy, which has no negative value
     with pytest.raises(SolverError, match=r"^seed must be >= 0, got -1$"):
         SolverParams(seed=-1)
     assert SolverParams(seed=0).seed == 0
@@ -425,6 +425,42 @@ def test_solver_takes_only_gram_kernels(kind):
     for call in calls:
         with pytest.raises(SolverError, match="GramMatrix"):
             call()
+
+
+# -- the seeded start ----------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**130), st.integers(0, 2**63 - 1).map(np.int64),
+                   st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**128])),
+    m=st.integers(1, 150),
+    n_act=st.integers(1, 12),
+    rank=st.integers(1, 8),
+)
+@example(seed=0, m=62, n_act=1, rank=1)  # 63 draws: one short block
+@example(seed=1, m=63, n_act=1, rank=1)  # 64 draws: one full block
+@example(seed=2, m=32, n_act=1, rank=2)  # 66 draws: V starts in the second block
+def test_initial_factors_are_numpys_draws_property(seed, m, n_act, rank):
+    u, v = solver._initial_factors(seed, m, n_act, rank)
+    rng = np.random.default_rng(seed)
+    for got, want in ((u, rng.uniform(0.1, 1.1, (m, rank))),
+                      (v, rng.uniform(0.1, 1.1, (n_act, rank)))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed, first_u, last_u, first_v, last_v", [
+    (0, 0.7369616873214543, 1.0350724237877682, 0.9158535541215321, 0.275655620602559),
+    (2**64 + 5, 0.8426581154321283, 0.7808639474859559, 0.2862555760649771,
+     0.5643002254822743),
+])
+def test_initial_factors_start_the_stream_at_fixed_values(seed, first_u, last_u, first_v,
+                                                          last_v):
+    # literals, so that the fits' outputs cannot follow numpy's stream policy
+    u, v = solver._initial_factors(seed, 5, 3, 2)
+    assert (u[0, 0], u[-1, -1], v[0, 0], v[-1, -1]) == (first_u, last_u, first_v, last_v)
 
 
 # -- one K·U product per iterate ----------------------------------------------

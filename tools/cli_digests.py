@@ -6,7 +6,9 @@ Generates mini x1, mini x2, pair x2, office_a x2 and, from a `--spec-json`
 world spec, margin x2 into OUT_DIR and runs
 `fit --out-trace`, `predict`, `evaluate`, `grid` over S,SO,SP,SOP, `elapse`,
 `localize`, `export-heatmap` and, on the two-scene sets, `transfer`, each
-fit capped at 200 iterations. The margin spec takes generator branches that
+fit capped at 200 iterations. On mini x1 two more fits run, at seeds
+2^32 + 1 and 2^64 + 5, whose seeded starts take more than one 32-bit word
+of entropy. The margin spec takes generator branches that
 no preset takes: objects kept 2 cells from the walls, false-positive
 detections and missed ones, and two rows of rooms; its JSON is written to
 OUT_DIR and listed too. On office_a x2 two more grids run: one over
@@ -39,6 +41,7 @@ DATASETS = [  # (name, preset name or world-spec dict, scenes, seed)
 ]
 FIT = ["--max-iters", "200", "--rel-tol", "1e-6", "--rank", "6", "--tau", "1e-4"]
 SWEEP = ["--alphas", "0,0.5", "--lambdas", "0.001,0.01", "--gammas", "100"]
+EXTRA_FIT_SEEDS = {"mini1": [2**32 + 1, 2**64 + 5]}  # dataset name -> extra fit seeds
 EXTRA_GRIDS = {  # dataset name -> (output stem, flags that replace the defaults)
     "office2": [("grid-gammas", ["--gammas", "100,1000"]), ("grid-tau0", ["--tau", "0"])],
 }
@@ -63,6 +66,10 @@ def run_dataset(src: str, out: str, name: str, preset, scenes: int, seed: int) -
             "--seed", str(seed), "--out", name)
     run_cli(src, out, "fit", "--data", data, *FIT, "--seed", "3",
             "--out-factors", f"{name}/factors.txt", "--out-trace", f"{name}/trace.tsv")
+    for fit_seed in EXTRA_FIT_SEEDS.get(name, []):
+        run_cli(src, out, "fit", "--data", data, *FIT, "--seed", str(fit_seed),
+                "--out-factors", f"{name}/factors-{fit_seed}.txt",
+                "--out-trace", f"{name}/trace-{fit_seed}.tsv")
     run_cli(src, out, "predict", "--data", data, "--factors", f"{name}/factors.txt",
             "--out", f"{name}/am.txt")
     run_cli(src, out, "evaluate", "--data", data, "--am", f"{name}/am.txt",
