@@ -32,15 +32,11 @@ from actionmaps.solver import (
 
 
 def fit_action_map(
-    dataset,
-    kernel: KernelConfig,
-    solver: SolverParams,
-    gram=None,
+    dataset, kernel: KernelConfig, solver: SolverParams
 ) -> tuple[np.ndarray, FitResult]:
     """Fit the regularized model on a dataset; returns the normalized map."""
     bundle = build_bundle(dataset.scenes, dataset.index())
-    if gram is None:
-        gram = GramBasis(dataset.location_features(), floor=kernel).gram(kernel)
+    gram = GramBasis(dataset.location_features(), floor=kernel).gram(kernel)
     result = fit(bundle, gram, params=solver)
     return normalize_action_map(predict(result.factors)), result
 
@@ -158,7 +154,7 @@ def _run_grid(
             try:
                 if gram is None:
                     gram = basis.gram(cfg)
-                    cohort = Cohort(bundle, gram, [p for _, _, p in group[j:]])
+                    cohort = Cohort(gram, [(bundle, p) for _, _, p in group[j:]])
                 result = fit(bundle, gram, params=params, cohort=cohort)
                 row.scores = score_action_map(views, normalize_action_map(predict(result.factors)))
             except (ValueError, RuntimeError) as exc:  # recorded, not fatal
@@ -238,17 +234,19 @@ def run_elapse(
     eval_params: EvalParams = EvalParams(),
     subset_seed: int = 0,
 ) -> list[tuple[float, ScoreResult]]:
-    """Sweep prefix-consistent demonstration fractions and re-fit each time.
+    """Fit prefix-consistent demonstration fractions as one solver Cohort.
 
     Subsets keep every scene's poses and labels, so one set of pose views
-    scores every fraction. Every subset is drawn before the Gram, so a bad
-    fraction is refused before any basis or fit."""
+    scores every fraction, and their bundles share one Gram. Every subset is
+    drawn first, so a bad fraction is refused before any basis or fit."""
     subsets = [dataset.with_demo_fraction(fraction, subset_seed) for fraction in fractions]
     views = pose_views(dataset.index(), eval_params)
+    bundles = [build_bundle(ds.scenes, ds.index()) for ds in subsets]
     gram = GramBasis(dataset.location_features(), floor=kernel).gram(kernel)
+    cohort = Cohort(gram, [(bundle, solver) for bundle in bundles])
     out = []
-    for fraction, ds in zip(fractions, subsets):
-        am, _ = fit_action_map(ds, kernel, solver, gram=gram)
+    for fraction, bundle in zip(fractions, bundles):
+        am = normalize_action_map(predict(fit(bundle, gram, params=solver, cohort=cohort).factors))
         out.append((fraction, score_action_map(views, am)))
     return out
 

@@ -279,14 +279,12 @@ def read_scene(path):
             raise r.error("dims needs width, height, cell size")
         width, height = r.int_(dims[0]), r.int_(dims[1])
         cell_size = r.float_(dims[2])
+        # an empty scene of the declared shape checks the dims, then each cell, at its line
+        grid = SceneGrid(scene_id, width, height, cell_size)
         vocab = ActivityVocabulary(r.expect_names("activities"))
         class_names = r.expect_names("classes")
         category_names = r.expect_names("categories")
         n_classes, n_categories = len(class_names), len(category_names)
-
-        # an empty scene of the declared shape checks each cell as its line
-        # is read; the scene itself is built once, at the end
-        grid = SceneGrid(scene_id, width, height, cell_size, vocab)
         n_cells = grid.n_cells
         explored = np.zeros(n_cells, dtype=bool)
         for _ in range(r.expect_count("explored")):

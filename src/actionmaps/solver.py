@@ -4,8 +4,8 @@ The objective is the weighted squared reconstruction error (each weight
 multiplies its squared residual) plus one Laplacian smoothness penalty over
 the rows of U, weighted by the location kernel K (the graph-regularized NMF
 of Cai et al., TPAMI 2011). Multiplicative updates keep the factors
-non-negative and never increase the objective. Runs that share a bundle and
-a kernel are fitted in lockstep as a Cohort, sharing each pass over K.
+non-negative and never increase the objective. Runs on one kernel are
+fitted in lockstep as a Cohort, sharing each pass over K.
 """
 
 from dataclasses import dataclass
@@ -228,25 +228,25 @@ MAX_SHARED_RUNS = 4  # runs per shared K·U pass; each pass reads all of K, what
 
 
 class Cohort:
-    """Runs that share one bundle and one kernel, fitted in lockstep.
+    """Runs on one kernel, whatever their bundles, fitted in lockstep.
 
-    Each run still calls fit() once with the cohort and its own params; the
-    first call fits every run, and each call returns its own run's FitResult
-    or raises its own run's error. Runs with equal params are fitted once.
-    """
+    Each run calls fit() once with the cohort, its bundle and its params;
+    the first call fits every run, and each call returns its own run's
+    FitResult or raises its own run's error. A run is keyed by its params
+    and its bundle's id, which the cohort keeps alive; equal runs fit once."""
 
-    def __init__(self, bundle: ActionMatrixBundle, K, params: Sequence[SolverParams]):
-        self.bundle, self.K = bundle, K
-        self.params = tuple(dict.fromkeys(params))
+    def __init__(self, K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]):
+        self.K = K
+        self.runs = {(id(bundle), params): (bundle, params) for bundle, params in runs}
         self._outcomes: Optional[dict] = None
 
     def result(self, bundle: ActionMatrixBundle, K, params: SolverParams) -> FitResult:
-        if bundle is not self.bundle or K is not self.K or params not in self.params:
+        if K is not self.K or (id(bundle), params) not in self.runs:
             raise SolverError("fit() was called with a bundle, kernel or params "
                               "outside its cohort")
         if self._outcomes is None:
-            self._outcomes = _fit_cohort(bundle, K, self.params)
-        outcome = self._outcomes[params]
+            self._outcomes = _fit_cohort(K, list(self.runs.values()))
+        outcome = self._outcomes[id(bundle), params]
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
@@ -265,14 +265,16 @@ def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams,
     runs share each product (see _fit_cohort), with the same results.
     """
     if cohort is None:
-        cohort = Cohort(bundle, K, [params])
+        cohort = Cohort(K, [(bundle, params)])
     return cohort.result(bundle, K, params)
 
 
 @dataclass
 class _Run:
-    """One run of a cohort: its params, current factors, K @ U and trace."""
+    """One run of a cohort: its bundle, W * R, params, factors, K @ U, trace."""
 
+    bundle: ActionMatrixBundle
+    wr: np.ndarray
     params: SolverParams
     u: np.ndarray
     v: np.ndarray
@@ -286,59 +288,61 @@ class _Run:
         return "max_iters" if len(trace) > p.max_iters else None
 
 
-def _fit_cohort(bundle: ActionMatrixBundle, K, runs: Sequence[SolverParams]) -> dict:
-    """params -> FitResult, or the error that failed that run alone.
+def _fit_cohort(K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]) -> dict:
+    """(id(bundle), params) -> FitResult, or the error that failed that run alone.
 
     Regularized runs go in batches of up to MAX_SHARED_RUNS, the others alone.
     A failed or finished run leaves its batch; the others go on.
     """
-    m, n_act = bundle.shape
     ku, deg = _as_kernel(K)
-    if ku is not None and ku.shape != (m, m):
-        raise SolverError(f"K must be {m}x{m}, got {ku.shape}")
     # a non-finite kernel entry makes its row degree non-finite: an O(m) check
     if deg is not None and not np.isfinite(deg).all():
         raise SolverError("K must be finite")
     outcomes: dict = {}
     shared, alone = [], []
-    for params in runs:
-        if params.lam > 0 and ku is None:
-            outcomes[params] = SolverError("lam > 0 requires a location kernel")
+    for bundle, params in runs:
+        m = bundle.shape[0]
+        if ku is not None and ku.shape != (m, m):
+            outcomes[id(bundle), params] = SolverError(f"K must be {m}x{m}, got {ku.shape}")
+        elif params.lam > 0 and ku is None:
+            outcomes[id(bundle), params] = SolverError("lam > 0 requires a location kernel")
         else:
-            (shared if params.lam > 0 else alone).append(params)
+            (shared if params.lam > 0 else alone).append((bundle, params))
     batches = [shared[i : i + MAX_SHARED_RUNS] for i in range(0, len(shared), MAX_SHARED_RUNS)]
-    for batch in batches + [[params] for params in alone]:
-        outcomes.update(_fit_lockstep(bundle, K, ku, batch))
+    for batch in batches + [[run] for run in alone]:
+        outcomes.update(_fit_lockstep(K, ku, batch))
     return outcomes
 
 
-def _fit_lockstep(bundle: ActionMatrixBundle, K, ku, batch: list[SolverParams]) -> dict:
+def _fit_lockstep(K, ku, batch: list[tuple[ActionMatrixBundle, SolverParams]]) -> dict:
     """Fit the runs of one batch iteration by iteration (see _kernel_products)."""
-    m, n_act = bundle.shape
-    runs = []
-    for params in batch:
-        runs.append(_Run(params, *_initial_factors(params.seed, m, n_act, params.rank), []))
+    runs, wrs = [], {}  # W * R once per distinct bundle
+    for bundle, params in batch:
+        if id(bundle) not in wrs:
+            wrs[id(bundle)] = bundle.W * bundle.R
+        u, v = _initial_factors(params.seed, *bundle.shape, params.rank)
+        runs.append(_Run(bundle, wrs[id(bundle)], params, u, v, []))
     outcomes: dict = {}
     shares: dict[int, bool] = {}
-    wr = bundle.W * bundle.R
     while runs:
-        if batch[0].lam > 0:  # an unregularized run is alone and needs no K @ U
+        if batch[0][1].lam > 0:  # an unregularized run is alone and needs no K @ U
             _kernel_products(ku, runs, shares)
         going = []
         for run in runs:
+            key = id(run.bundle), run.params
             # the objective at this iterate and the step from it share U @ V^T
             uv = run.u @ run.v.T
-            run.trace.append(objective(run.u, run.v, bundle, K, run.params.lam, run.ku_u, uv))
+            run.trace.append(objective(run.u, run.v, run.bundle, K, run.params.lam, run.ku_u, uv))
             stop_reason = run.stop_reason()
             if stop_reason is not None:
-                outcomes[run.params] = FitResult(FactorPair(U=run.u, V=run.v),
-                                                 np.array(run.trace), stop_reason)
+                outcomes[key] = FitResult(FactorPair(U=run.u, V=run.v),
+                                          np.array(run.trace), stop_reason)
                 continue
             try:
-                run.u, run.v = multiplicative_step(run.u, run.v, bundle, K, run.params, run.ku_u,
-                                                   wr, uv)
+                run.u, run.v = multiplicative_step(run.u, run.v, run.bundle, K, run.params,
+                                                   run.ku_u, run.wr, uv)
             except (ValueError, RuntimeError) as exc:  # fails this run alone
-                outcomes[run.params] = exc
+                outcomes[key] = exc
                 continue
             going.append(run)
         runs = going

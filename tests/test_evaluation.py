@@ -826,6 +826,7 @@ def test_run_elapse_refuses_a_bad_fraction_before_the_basis(mini_dataset, monkey
 
     monkeypatch.setattr(sideinfo, "_chi2_block", never)
     monkeypatch.setattr(experiments, "fit_action_map", never)
+    monkeypatch.setattr(experiments, "fit", never)
     with pytest.raises(GenerationError, match=r"fraction must be in \[0, 1\], got 1.5"):
         experiments.run_elapse(mini_dataset, [0.5, 1.0, 1.5])
 
@@ -838,3 +839,30 @@ def test_run_elapse_rasterizes_each_pose_once(mini_dataset, monkeypatch):
     out = run_elapse(mini_dataset, [0.25, 0.5, 1.0], solver=SolverParams(rank=2, max_iters=5))
     assert [fraction for fraction, _ in out] == [0.25, 0.5, 1.0]
     assert len(calls) == _n_poses(mini_dataset)
+
+
+def test_run_elapse_fits_every_fraction_as_one_cohort(mini_dataset, monkeypatch):
+    # one Cohort on one Gram holds every fraction's bundle, and each fraction
+    # scores as its subset fitted alone
+    from actionmaps import experiments, solver
+    from actionmaps.experiments import fit_action_map, run_elapse
+    from actionmaps.sideinfo import KernelConfig
+    from actionmaps.solver import SolverParams
+
+    fractions, seed = [0.25, 0.5, 0.75, 1.0, 0.4, 0.6], 2
+    kernel, params = KernelConfig(), SolverParams(rank=3, lam=1e-2, max_iters=15)
+    cohorts = []
+
+    def recording(K, runs):
+        cohorts.append(len(runs))
+        return solver.Cohort(K, runs)
+
+    monkeypatch.setattr(experiments, "Cohort", recording)
+    out = run_elapse(mini_dataset, fractions, kernel=kernel, solver=params, subset_seed=seed)
+    assert cohorts == [len(fractions)]
+    views = pose_views(mini_dataset.index(), EvalParams())
+    for (fraction, got), want_fraction in zip(out, fractions):
+        am, _ = fit_action_map(mini_dataset.with_demo_fraction(want_fraction, seed), kernel, params)
+        want = score_action_map(views, am)
+        assert fraction == want_fraction and got.summary() == want.summary()
+        assert np.array_equal(got.per_activity_max, want.per_activity_max)

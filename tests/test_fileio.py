@@ -95,6 +95,23 @@ def test_malformed_line_reports_context(tmp_path):
         fileio.read_scene(path)
 
 
+@pytest.mark.parametrize("dims, message", [
+    ("0 5 0.25", r"grid dims must be >= 1, got 0x5"),
+    ("5 -2 0.25", r"grid dims must be >= 1, got 5x-2"),
+    ("5 5 0", r"cell size must be positive, got 0\.0"),
+    ("5 5 -1", r"cell size must be positive, got -1\.0"),
+], ids=["zero-width", "negative-height", "zero-cell-size", "negative-cell-size"])
+def test_bad_dims_report_their_own_line(tmp_path, dims, message):
+    # the dims were checked only when the empty grid was built, after the
+    # categories line, so these failed at line 6
+    lines = ["amscene 1", "scene s", f"dims {dims}", "activities 2 sit wash",
+             "classes 1 c", "categories 1 f", "explored 0"]
+    path = tmp_path / "dims.scene"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(fileio.SchemaError, match=rf"dims\.scene:3: {message}"):
+        fileio.read_scene(path)
+
+
 def test_handwritten_fixture_parses():
     import textwrap
 

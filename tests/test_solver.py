@@ -642,7 +642,7 @@ def _cohort_case(m, n_runs, seed=21, **overrides):
 
 def _fit_cohort_runs(bundle, gram, params):
     """Each run's fit() call on one cohort: its FitResult, or its error."""
-    cohort = solver.Cohort(bundle, gram, params)
+    cohort = solver.Cohort(gram, [(bundle, p) for p in params])
     out = []
     for p in params:
         try:
@@ -756,7 +756,8 @@ def test_shared_product_blocks_have_the_solo_layout():
     rng = np.random.default_rng(8)
     gram = random_gram(rng, 70)
     ku, _ = solver._as_kernel(gram)
-    runs = [solver._Run(SolverParams(rank=r), rng.uniform(0.1, 1.1, size=(70, r)), None, [])
+    runs = [solver._Run(None, None, SolverParams(rank=r), rng.uniform(0.1, 1.1, size=(70, r)),
+                        None, [])
             for r in (2, 3, 6)]
     for run, block in zip(runs, solver._shared_product(ku, runs)):
         solo = ku @ run.u
@@ -766,9 +767,94 @@ def test_shared_product_blocks_have_the_solo_layout():
 
 def test_fit_refuses_arguments_outside_its_cohort():
     bundle, gram, params = _cohort_case(20, 2)
-    cohort = solver.Cohort(bundle, gram, params)
+    cohort = solver.Cohort(gram, [(bundle, p) for p in params])
     other = SolverParams(rank=3, lam=1e-2, seed=999)
     with pytest.raises(SolverError, match="cohort"):
         fit(bundle, gram, params=other, cohort=cohort)
     with pytest.raises(SolverError, match="cohort"):
         fit(bundle, random_gram(np.random.default_rng(1), 20), params=params[0], cohort=cohort)
+
+
+# -- cohorts whose runs carry different bundles ----------------------------------
+
+
+def _subset_cohort_case(dataset, fractions, **overrides):
+    """One Gram of the dataset and, per demonstration fraction, the bundle of
+    that subset with its params; the runs differ in bundle and seed."""
+    from actionmaps.sideinfo import GramBasis, KernelConfig
+
+    kernel = KernelConfig()
+    gram = GramBasis(dataset.location_features(), floor=kernel).gram(kernel)
+    runs = []
+    for i, fraction in enumerate(fractions):
+        subset = dataset.with_demo_fraction(fraction, seed=1)
+        params = SolverParams(**{"rank": 3, "lam": 1e-2, "max_iters": 30, "rel_tol": 1e-12,
+                                 "seed": 40 + i, **overrides})
+        runs.append((build_bundle(subset.scenes, subset.index()), params))
+    return gram, runs
+
+
+def _fit_cohort_of(gram, runs):
+    """Each run's fit() call on one cohort of (bundle, params) runs."""
+    cohort = solver.Cohort(gram, runs)
+    out = []
+    for bundle, params in runs:
+        try:
+            out.append(fit(bundle, gram, params=params, cohort=cohort))
+        except (ValueError, RuntimeError) as exc:
+            out.append(exc)
+    return out
+
+
+def test_cohort_of_different_bundles_equals_solo_fits(mini_dataset):
+    gram, runs = _subset_cohort_case(mini_dataset, [0.25, 0.5, 0.75, 1.0, 0.4])
+    assert len({id(bundle) for bundle, _ in runs}) == 5
+    for got, (bundle, params) in zip(_fit_cohort_of(gram, runs), runs):
+        _assert_same_fit(got, fit(bundle, gram, params=params))
+
+
+def test_cohort_run_with_wrong_row_count_fails_alone(mini_dataset):
+    gram, runs = _subset_cohort_case(mini_dataset, [0.25, 0.5, 1.0])
+    m = gram.matrix.shape[0]
+    wrong = random_bundle(np.random.default_rng(3), m=m - 1, a=runs[0][0].shape[1])
+    runs[1] = (wrong, runs[1][1])
+    got = _fit_cohort_of(gram, runs)
+    assert isinstance(got[1], SolverError)
+    assert str(got[1]) == f"K must be {m - 1}x{m - 1}, got {(m, m)}"
+    for k in (0, 2):
+        _assert_same_fit(got[k], fit(runs[k][0], gram, params=runs[k][1]))
+
+
+def test_cohort_of_different_bundles_shares_products_where_the_probe_allows(mini_dataset,
+                                                                          monkeypatch):
+    # fewer products than the solo fits where a shared pass gives the solo
+    # blocks; otherwise the solo products plus one shared pass per probe
+    gram, runs = _subset_cohort_case(mini_dataset, [0.25, 0.5, 1.0], max_iters=12)
+    solo_total = sum(len(fit(bundle, gram, params=params).trace) for bundle, params in runs)
+    counts = _count_solver_hooks(monkeypatch)
+    verdicts = []
+    kernel_products = solver._kernel_products
+
+    def recording(ku, batch, shares):
+        kernel_products(ku, batch, shares)
+        verdicts.append(dict(shares))
+
+    monkeypatch.setattr(solver, "_kernel_products", recording)
+    got = _fit_cohort_of(gram, runs)
+    assert all(len(r.trace) == 13 for r in got)
+    shares = verdicts[-1]
+    assert list(shares) == [3]
+    if shares[3]:
+        assert counts["products"] == 3 + 1 + 12 < solo_total
+    else:
+        assert counts["products"] == solo_total + 1
+
+
+def test_fit_refuses_a_bundle_outside_its_cohort(mini_dataset):
+    gram, runs = _subset_cohort_case(mini_dataset, [0.5, 1.0])
+    cohort = solver.Cohort(gram, runs)
+    other = build_bundle(mini_dataset.scenes, mini_dataset.index())
+    with pytest.raises(SolverError, match="cohort"):
+        fit(other, gram, params=runs[0][1], cohort=cohort)
+    with pytest.raises(SolverError, match="cohort"):
+        fit(runs[0][0], gram, params=runs[1][1], cohort=cohort)

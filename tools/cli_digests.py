@@ -13,7 +13,10 @@ no preset takes: objects kept 2 cells from the walls, false-positive
 detections and missed ones, and two rows of rooms; its JSON is written to
 OUT_DIR and listed too. On office_a x2 two more grids run: one over
 gammas 100 and 1000, whose Gram basis serves a gamma above its smallest,
-and one at tau 0, whose basis keeps every pair. The CLI runs in a fresh
+and one at tau 0, whose basis keeps every pair. One more `elapse` runs there
+over 6 fractions at rel-tol 1e-4: its solver cohort fits a batch of 4 runs
+and a batch of 2, and in each one run stops on tolerance while the others
+go on to the iteration cap. The CLI runs in a fresh
 interpreter per command with SRC_DIR (default: the `src/` next to this
 script) on the import path. Prints one sorted `sha256  path` line per
 written file, with paths relative to OUT_DIR, so two runs of the same code
@@ -44,6 +47,9 @@ SWEEP = ["--alphas", "0,0.5", "--lambdas", "0.001,0.01", "--gammas", "100"]
 EXTRA_FIT_SEEDS = {"mini1": [2**32 + 1, 2**64 + 5]}  # dataset name -> extra fit seeds
 EXTRA_GRIDS = {  # dataset name -> (output stem, flags that replace the defaults)
     "office2": [("grid-gammas", ["--gammas", "100,1000"]), ("grid-tau0", ["--tau", "0"])],
+}
+EXTRA_ELAPSES = {  # dataset name -> (output stem, flags that replace the defaults)
+    "office2": [("elapse-6", ["--fractions", "0.1,0.25,0.4,0.55,0.7,1.0", "--rel-tol", "1e-4"])],
 }
 
 
@@ -79,8 +85,9 @@ def run_dataset(src: str, out: str, name: str, preset, scenes: int, seed: int) -
         run_cli(src, out, "grid", "--data", data, "--variants", "S,SO,SP,SOP", *SWEEP, *FIT,
                 *extra, "--seed", "5", "--out-tsv", f"{name}/{stem}.tsv",
                 "--out-txt", f"{name}/{stem}.txt")
-    run_cli(src, out, "elapse", "--data", data, "--fractions", "0.3,1.0", *FIT,
-            "--seed", "6", "--out", f"{name}/elapse.tsv")
+    for stem, extra in [("elapse", []), *EXTRA_ELAPSES.get(name, [])]:
+        run_cli(src, out, "elapse", "--data", data, "--fractions", "0.3,1.0", *FIT, *extra,
+                "--seed", "6", "--out", f"{name}/{stem}.tsv")
     first = "scene_a" if scenes > 1 else "scene"
     run_cli(src, out, "localize", "--data", data, "--am", f"{name}/am.txt",
             "--scene", first, "--k-max", "20", "--out", f"{name}/curve.tsv")
