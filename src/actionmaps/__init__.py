@@ -8,8 +8,6 @@ from actionmaps.scene import (
     GlobalIndex,
     GridPose,
     SceneGrid,
-    SceneStats,
-    create_scene,
 )
 from actionmaps.sideinfo import GramBasis, KernelConfig, LocationFeatures
 from actionmaps.solver import ActionMatrixBundle, FactorPair, SolverParams, fit, predict
@@ -20,8 +18,6 @@ __all__ = [
     "GlobalIndex",
     "GridPose",
     "SceneGrid",
-    "SceneStats",
-    "create_scene",
     "GramBasis",
     "KernelConfig",
     "LocationFeatures",

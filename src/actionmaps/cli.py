@@ -15,6 +15,7 @@ from dataclasses import fields
 from actionmaps import experiments, fileio
 from actionmaps.evaluation import EvalParams, pose_views, score_action_map
 from actionmaps.experiments import GridSpec
+from actionmaps.localization import discrepancy_curve
 from actionmaps.sideinfo import VARIANTS, KernelConfig
 from actionmaps.solver import SolverParams, normalize_action_map, predict
 
@@ -154,7 +155,6 @@ def cmd_generate(args) -> int:
         args.seed,
         n_scenes=args.scenes,
         scene_prefix=args.scene_prefix,
-        identical_layouts=args.identical_layouts,
     )
     manifest = fileio.write_dataset(dataset, args.out, name=args.name)
     print(manifest)
@@ -242,7 +242,7 @@ def cmd_localize(args) -> int:
     dataset = _load_data(args.data)
     index = dataset.index()
     am = normalize_action_map(fileio.read_action_map(args.am, index))
-    curve = experiments.run_localization(dataset, args.scene, am, args.k_max)
+    curve = discrepancy_curve(am[index.rows_of(args.scene)], index.scene(args.scene), args.k_max)
     fileio.write_curve(curve, index.vocabulary.names, args.out)
     print(args.out)
     return 0
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-json", default="", help="world-spec JSON (overrides preset)")
     p.add_argument("--scenes", type=int, default=1)
     p.add_argument("--scene-prefix", default="scene")
-    p.add_argument("--identical-layouts", action="store_true")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--name", default="dataset")
@@ -362,10 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_value(path: str, key: str, action: argparse.Action, value):
     """A config value converted as argparse converts the flag's text."""
-    if action.nargs == 0:  # a switch such as --identical-layouts
-        if not isinstance(value, bool):
-            raise CliError(f"{path}: config key {key!r} must be true or false")
-        return value
     if not isinstance(value, (str, int, float)):
         raise CliError(f"{path}: config key {key!r} takes one value, got {json.dumps(value)}")
     text = value if isinstance(value, str) else json.dumps(value)

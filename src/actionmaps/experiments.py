@@ -1,6 +1,6 @@
 """Fit-and-score pipelines: single fits, the parameter grid, novel-scene
-transfer, demonstration-fraction sweeps, joint-versus-single fitting, and the
-localization study."""
+transfer, demonstration-fraction sweeps and joint-versus-single fitting. The
+localization study is localization.discrepancy_curve on one scene's rows."""
 
 from dataclasses import dataclass, replace
 from itertools import product
@@ -17,7 +17,6 @@ from actionmaps.evaluation import (
     pose_views,
     score_action_map,
 )
-from actionmaps.localization import DiscrepancyCurve, discrepancy_curve
 from actionmaps.sideinfo import VARIANTS, GramBasis, KernelConfig, gram_key
 from actionmaps.solver import (
     ActionMatrixBundle,
@@ -281,9 +280,3 @@ def run_joint_vs_single(
         )
         out[sid] = (joint, single)
     return out
-
-
-def run_localization(dataset, scene_id: str, am_norm: np.ndarray, k_max: int) -> DiscrepancyCurve:
-    """Discrepancy curve over all labelled cells of one scene."""
-    index = dataset.index()
-    return discrepancy_curve(am_norm[index.rows_of(scene_id)], index.scene(scene_id), k_max)

@@ -80,6 +80,15 @@ class _Reader:
             raise self.error(f"expected section {tag!r}, found {tokens[0]!r}")
         return tokens[1:]
 
+    def expect_end(self):
+        """The closing `end` line, after which only blank lines may follow."""
+        if self.expect("end"):
+            raise self.error("'end' takes no values")
+        while self.pos < len(self.lines):
+            self.pos += 1
+            if self.lines[self.pos - 1].strip():
+                raise self.error("content after 'end'")
+
     def expect_value(self, tag: str) -> str:
         """The single value of a `tag value` line."""
         tokens = self.expect(tag)
@@ -342,9 +351,11 @@ def read_scene(path):
                 raise r.error(f"duplicate feature row for cell {toks[0]},{toks[1]}")
             seen[row] = True
             vals = [r.float_(t) for t in toks[2:]]
+            if min(vals, default=0.0) < 0:  # float_ has refused NaN already
+                raise r.error(f"feature scores must be >= 0, got {min(vals)}")
             p_scores[row] = vals[:n_classes]
             o_scores[row] = vals[n_classes:]
-        r.expect("end")
+        r.expect_end()
         pairs = np.array(list(demos), dtype=int).reshape(-1, 2)
         scene = SceneGrid(
             scene_id, width, height, cell_size, vocab, explored, labels,
@@ -397,7 +408,7 @@ def read_catmap(path):
                 if a not in activity_names:
                     raise r.error(f"unknown activity {a!r}")
             pairs[toks[0]] = list(toks[1:])
-        r.expect("end")
+        r.expect_end()
         catmap = CategoryActivityMap.from_names(pairs, category_names, activity_names)
     return catmap, category_names, activity_names
 
@@ -456,7 +467,7 @@ def load_dataset(manifest_path) -> GeneratedDataset:
         scene_files.append((toks[0], r.pos))
     catmap_file = r.expect_value("catmap")
     catmap_line = r.pos
-    r.expect("end")
+    r.expect_end()
 
     scenes = []
     features = {}
@@ -517,7 +528,7 @@ def read_factors(path) -> FactorPair:
             raise r.error(f"shape counts must be >= 1, found {m} {a} {d}")
         u = _read_factor_rows(r, "U", m, d)
         v = _read_factor_rows(r, "V", a, d)
-        r.expect("end")
+        r.expect_end()
     return FactorPair(U=u, V=v)
 
 
@@ -595,7 +606,7 @@ def read_action_map(path, index) -> np.ndarray:
             if any(v < 0 for v in values):  # float_ has refused NaN already
                 raise r.error(f"action map values must be >= 0, got {min(values)}")
             am[row] = values
-        r.expect("end")
+        r.expect_end()
     return am
 
 

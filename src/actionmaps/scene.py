@@ -9,7 +9,7 @@ pass row indices and read coordinates from grid_coords.
 
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
-from typing import Iterable, Optional, Sequence, Union, get_args, get_origin
+from typing import Optional, Sequence, Union, get_args, get_origin
 
 import numpy as np
 
@@ -140,15 +140,6 @@ class GridPose:
             raise SceneError(f"heading must be a unit vector, norm={norm}")
 
 
-@dataclass(frozen=True)
-class SceneStats:
-    """Sparsity statistics: explored ratio, action-cell ratio, demo count."""
-
-    r_e: float
-    r_a: float
-    demo_count: int
-
-
 class SceneGrid:
     """A discretized floor, fixed when it is built. explored is the (n_cells,)
     explored mask and labels the boolean (n_cells, A) ground truth, both in
@@ -219,38 +210,12 @@ class SceneGrid:
             for row in np.flatnonzero(self.labels.any(axis=1))
         ]
 
-    def stats(self) -> SceneStats:
-        total = self.n_cells
-        return SceneStats(
-            r_e=float(self.explored.sum()) / total,
-            r_a=len(set(self.demonstrations.rows.tolist())) / total,
-            demo_count=len(self.demonstrations),
-        )
-
     def with_demonstrations(self, demonstrations: Demonstrations) -> "SceneGrid":
         """This scene with the given demonstrations in place of its own."""
         return SceneGrid(
             self.scene_id, self.width, self.height, self.cell_size_m, self.vocabulary,
             self.explored, self.labels, demonstrations, self.poses,
         )
-
-
-def create_scene(
-    width: int,
-    height: int,
-    cell_size_m: float = DEFAULT_CELL_SIZE_M,
-    gt_spec: Optional[Iterable[tuple[Cell, Iterable[int]]]] = None,
-    scene_id: str = "scene",
-    vocabulary: Optional[ActivityVocabulary] = None,
-) -> SceneGrid:
-    """Build a grid with nothing explored and labels from gt_spec."""
-    empty = SceneGrid(scene_id, width, height, cell_size_m, vocabulary)
-    labels = np.zeros((empty.n_cells, empty.n_activities), dtype=bool)
-    for cell, acts in gt_spec or ():
-        for a in acts:
-            labels[empty.row_of(cell), empty.vocabulary.check(a)] = True
-    return SceneGrid(scene_id, width, height, cell_size_m, empty.vocabulary, labels=labels)
-
 
 
 class GlobalIndex:

@@ -123,18 +123,19 @@ def aggregate_object_scores(
     grid_shape: tuple[int, int],
     detections: Sequence[tuple[int, tuple[float, float]]],
     n_categories: int,
-    radius: float = OBJECT_KERNEL_RADIUS,
 ) -> np.ndarray:
     """Max Gaussian-weighted detection score per (cell, category).
 
     Detections are (category index, continuous grid point); distances are
-    taken from cell centers. Returns a (width*height, F) array.
+    taken from cell centers, and a detection reaches the cells within
+    OBJECT_KERNEL_RADIUS of it. Returns a (width*height, F) array.
     """
     width, height = grid_shape
     out = np.zeros((width * height, n_categories))
     if not detections:
         return out
     centers = grid_coords(width, height) + 0.5
+    radius = OBJECT_KERNEL_RADIUS
     r2 = radius * radius
     peak = 1.0 / math.sqrt(2.0 * r2 * math.pi)
     for cat, point in detections:

@@ -61,10 +61,6 @@ class FactorPair:
             if not np.all(np.isfinite(m)) or (m < 0).any():
                 raise SolverError(f"{name} must be finite and non-negative")
 
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
-
 
 @dataclass(frozen=True)
 class SolverParams:

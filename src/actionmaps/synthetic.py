@@ -530,21 +530,16 @@ def generate_dataset(
     seed: int,
     n_scenes: int = 1,
     scene_prefix: str = "scene",
-    identical_layouts: bool = False,
 ) -> GeneratedDataset:
-    """Generate scenes sharing vocabularies and feature channels.
-
-    identical_layouts replays the same sub-seed for every scene (useful for
-    controlled experiments); otherwise layouts are randomized per scene.
-    """
+    """Generate scenes sharing vocabularies and feature channels; scene k
+    draws its layout from seed + 1000 k."""
     if not 1 <= n_scenes <= 26:  # scene ids end in a..z
         raise GenerationError(f"n_scenes must be in 1..26, got {n_scenes}")
     scenes = []
     features = {}
     for k in range(n_scenes):
-        scene_seed = seed if identical_layouts else seed + 1000 * k
         scene_id = f"{scene_prefix}_{chr(ord('a') + k)}" if n_scenes > 1 else scene_prefix
-        scene, p, o = generate_scene(spec, scene_seed, scene_id)
+        scene, p, o = generate_scene(spec, seed + 1000 * k, scene_id)
         scenes.append(scene)
         features[scene_id] = (p, o)
     return GeneratedDataset(scenes=scenes, features=features, catmap=default_category_activity_map(),

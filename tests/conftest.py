@@ -5,6 +5,13 @@ from actionmaps.scene import ActivityVocabulary, Demonstrations, SceneGrid
 from actionmaps.synthetic import PRESETS, generate_dataset
 
 
+def sparsity(scene):
+    """(r_e, r_a): the shares of a scene's cells that are explored and that
+    hold a demonstration, which the generator's presets target."""
+    n = scene.n_cells
+    return float(scene.explored.sum()) / n, len(set(scene.demonstrations.rows.tolist())) / n
+
+
 @pytest.fixture(scope="session")
 def mini_dataset():
     return generate_dataset(PRESETS["mini"], seed=7)

@@ -173,7 +173,6 @@ def test_repeated_demo_line_keeps_the_largest_value(tmp_path):
     scene = fileio.read_scene(path)[0]
     assert _demo_triples(scene.demonstrations) == [(3, 0, 0.9), (0, 1, 0.5)]
     assert scene.explored.tolist() == [True, False, False, True]
-    assert scene.stats().demo_count == 2
 
 
 def test_factors_round_trip(tmp_path):
@@ -414,15 +413,51 @@ def test_rejected_values_report_path_and_line(pair_dataset, tmp_path):
         fileio.load_dataset(manifest)
 
 
-def test_negative_demo_value_reports_path_and_line(pair_dataset, tmp_path):
+@pytest.mark.parametrize("section, message", [
+    ("demos", "demonstration value"),
+    ("features", "feature scores"),
+], ids=["demos", "features"])
+def test_negative_scene_values_report_path_and_line(pair_dataset, tmp_path, section, message):
     manifest = _scene_files(pair_dataset, tmp_path)
     path = tmp_path / "data" / "office_b.scene"
     lines = path.read_text().splitlines()
-    first_demo = lines.index(next(line for line in lines if line.startswith("demos "))) + 1
-    lines[first_demo] = lines[first_demo].rsplit(maxsplit=1)[0] + " -0.5"
+    first = lines.index(next(line for line in lines if line.startswith(section + " "))) + 1
+    lines[first] = lines[first].rsplit(maxsplit=1)[0] + " -0.5"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(fileio.SchemaError, match=rf"office_b\.scene:{first_demo + 1}: .*>= 0"):
+    with pytest.raises(fileio.SchemaError,
+                       match=rf"office_b\.scene:{first + 1}: {message} must be >= 0, got -0\.5$"):
         fileio.load_dataset(manifest)
+
+
+@pytest.mark.parametrize("doc", ["scene.scene", "catmap.txt", "dataset.txt", "factors.txt",
+                                 "am.txt"])
+def test_content_after_end_reports_its_line(mini_dataset, tmp_path, doc):
+    # blank lines may follow `end`; the first other line, or a value on the
+    # `end` line itself, is refused where it is
+    manifest = _scene_files(mini_dataset, tmp_path)
+    base = tmp_path / "data"
+    index = mini_dataset.index()
+    m, n_act = index.total_rows, len(index.vocabulary)
+    fileio.write_factors(FactorPair(U=np.ones((m, 2)), V=np.ones((n_act, 2))), base / "factors.txt")
+    fileio.write_action_map(np.zeros((m, n_act)), index, base / "am.txt")
+    load = {
+        "factors.txt": fileio.read_factors,
+        "am.txt": lambda path: fileio.read_action_map(path, index),
+    }.get(doc, lambda _path: fileio.load_dataset(manifest))
+    path = base / doc
+    text = path.read_text()
+    path.write_text(text + "\n  \n")
+    load(path)
+    path.write_text(text + "\n  \ngarbage after end\n\n")
+    lineno = len(text.splitlines())
+    with pytest.raises(fileio.SchemaError,
+                       match=rf"{re.escape(doc)}:{lineno + 3}: content after 'end'$"):
+        load(path)
+    assert text.endswith("\nend\n")
+    path.write_text(text[: -len("end\n")] + "end garbage\n")
+    with pytest.raises(fileio.SchemaError,
+                       match=rf"{re.escape(doc)}:{lineno}: 'end' takes no values$"):
+        load(path)
 
 
 def test_repeated_catmap_category_reports_path_and_line(tmp_path):

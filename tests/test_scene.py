@@ -10,24 +10,24 @@ from actionmaps.scene import (
     SceneError,
     GlobalIndex,
     SceneGrid,
-    create_scene,
     grid_coords,
 )
 from actionmaps.synthetic import PRESETS, generate_dataset
+from tests.conftest import sparsity
 
 
 def test_create_scene_empty():
-    scene = create_scene(4, 4, 0.25)
+    scene = SceneGrid("scene", 4, 4, 0.25)
     assert scene.n_cells == 16
-    stats = scene.stats()
-    assert stats.r_a == 0.0
-    assert stats.r_e == 0.0
-    assert stats.demo_count == 0
+    assert sparsity(scene) == (0.0, 0.0)
+    assert len(scene.demonstrations) == 0
+    assert not scene.labels.any() and scene.labelled_cells() == []
 
 
 def test_create_scene_with_labels():
-    gt = [((0, 0), [0]), ((1, 2), [1, 2]), ((3, 3), [0])]
-    scene = create_scene(4, 4, 0.25, gt)
+    labels = np.zeros((16, 6), dtype=bool)
+    labels[[0, 6, 6, 15], [0, 1, 2, 0]] = True  # cells (0, 0), (1, 2) twice, (3, 3)
+    scene = SceneGrid("scene", 4, 4, 0.25, labels=labels)
     assert len(scene.labelled_cells()) == 3
     assert np.flatnonzero(scene.labels[scene.row_of((1, 2))]).tolist() == [1, 2]
     assert scene.labels.shape == (16, scene.n_activities)
@@ -35,26 +35,26 @@ def test_create_scene_with_labels():
 
 
 def test_create_scene_errors():
-    with pytest.raises(SceneError):
-        create_scene(0, 4)
-    with pytest.raises(SceneError):
-        create_scene(4, 4, gt_spec=[((0, 0), [99])])
-    with pytest.raises(SceneError):
-        create_scene(4, 4, cell_size_m=0.0)
+    with pytest.raises(SceneError, match="grid dims"):
+        SceneGrid("scene", 0, 4)
+    with pytest.raises(SceneError, match="cell size"):
+        SceneGrid("scene", 4, 4, cell_size_m=0.0)
+    with pytest.raises(SceneError, match="labels must have shape"):
+        SceneGrid("scene", 4, 4, labels=np.zeros((16, 7), dtype=bool))
 
 
 def test_office_a_like_stats_match_reference_sparsity():
     dataset = generate_dataset(PRESETS["office_a"], seed=0)
-    stats = dataset.scenes[0].stats()
-    assert abs(stats.r_e - 0.59) <= 0.05
-    assert abs(stats.r_a - 0.03) <= 0.01
-    assert stats.demo_count == 90
+    r_e, r_a = sparsity(dataset.scenes[0])
+    assert abs(r_e - 0.59) <= 0.05
+    assert abs(r_a - 0.03) <= 0.01
+    assert len(dataset.scenes[0].demonstrations) == 90
 
 
 def test_demonstrated_rows_count_as_explored():
     scene = SceneGrid("scene", 4, 4, demonstrations=Demonstrations([11], [0], [1.0]))
     assert np.flatnonzero(scene.explored).tolist() == [scene.row_of((2, 3))] == [11]
-    assert scene.stats().demo_count == 1
+    assert len(scene.demonstrations) == 1
 
 
 def test_demonstration_errors():
@@ -120,23 +120,23 @@ def test_scene_constructor_checks(data):
 
 
 def test_stack_single_scene_row_order():
-    scene = create_scene(2, 2, scene_id="s")
+    scene = SceneGrid("s", 2, 2)
     index = GlobalIndex([scene])
     assert index.total_rows == 4
     assert [index.row("s", cell) for cell in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [0, 1, 2, 3]
 
 
 def test_stack_two_scenes_offsets():
-    a = create_scene(2, 2, scene_id="a")
-    b = create_scene(2, 3, scene_id="b")
+    a = SceneGrid("a", 2, 2)
+    b = SceneGrid("b", 2, 3)
     index = GlobalIndex([a, b])
     assert index.offsets == {"a": 0, "b": 4}
     assert index.total_rows == 10
 
 
 def test_stack_round_trip_identity():
-    a = create_scene(3, 4, scene_id="a")
-    b = create_scene(2, 5, scene_id="b")
+    a = SceneGrid("a", 3, 4)
+    b = SceneGrid("b", 2, 5)
     index = GlobalIndex([a, b])
     rows = [
         index.row(scene.scene_id, (i, j))
@@ -147,14 +147,16 @@ def test_stack_round_trip_identity():
 
 
 def test_stack_vocabulary_mismatch():
-    a = create_scene(2, 2, scene_id="a")
+    a = SceneGrid("a", 2, 2)
     b = SceneGrid("b", 2, 2, vocabulary=ActivityVocabulary(("sit", "type")))
     with pytest.raises(SceneError):
         GlobalIndex([a, b])
 
 
 def test_scene_is_read_only_and_stacking_leaves_it_alone():
-    scene = create_scene(2, 2, gt_spec=[((0, 0), [1])], scene_id="s")
+    labels = np.zeros((4, 6), dtype=bool)
+    labels[0, 1] = True
+    scene = SceneGrid("s", 2, 2, labels=labels)
     explored, labels = scene.explored, scene.labels
     GlobalIndex([scene])
     assert scene.explored is explored and scene.labels is labels
@@ -169,26 +171,16 @@ def test_scene_is_read_only_and_stacking_leaves_it_alone():
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 1), (3, 5)])
 def test_grid_coords_follow_the_row_order(shape):
-    scene = create_scene(*shape)
+    scene = SceneGrid("s", *shape)
     coords = grid_coords(*shape)
     assert coords.shape == (scene.n_cells, 2) and coords.dtype.kind == "i"
     for row, (i, j) in enumerate(coords.tolist()):
         assert scene.row_of((i, j)) == row
 
 
-def test_stats_match_recount(tiny_scene):
-    stats = tiny_scene.stats()
-    explored = int(tiny_scene.explored.sum())
-    demo_cells = set(tiny_scene.demonstrations.rows.tolist())
-    assert stats.r_e == explored / tiny_scene.n_cells
-    assert stats.r_a == len(demo_cells) / tiny_scene.n_cells
-    assert stats.demo_count == len(tiny_scene.demonstrations)
-    assert 0 <= stats.r_a <= stats.r_e <= 1
-
-
 def test_with_demonstrations(tiny_scene):
     copy = tiny_scene.with_demonstrations(Demonstrations([], [], []))
-    assert copy.stats().demo_count == 0
+    assert len(copy.demonstrations) == 0
     assert np.array_equal(copy.explored, tiny_scene.explored)
     assert np.array_equal(copy.labels, tiny_scene.labels)
 

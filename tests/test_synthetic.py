@@ -6,19 +6,23 @@ from hypothesis.extra import numpy as hnp
 
 from actionmaps.baselines import detection_action_map
 from actionmaps.evaluation import pose_views, score_action_map
+from actionmaps.fileio import GeneratedDataset
 from actionmaps.sideinfo import KernelConfig
 from actionmaps.solver import normalize_action_map
 from actionmaps.synthetic import (
+    CATEGORY_NAMES,
     CLASS_NAMES,
     GenerationError,
     PRESETS,
     WorldSpec,
     _interior,
     _shifted,
+    default_category_activity_map,
     generate_dataset,
     generate_scene,
     sample_demonstrations,
 )
+from tests.conftest import sparsity
 from tests.kernel_oracles import combined_kernel, locations
 
 
@@ -78,17 +82,17 @@ def test_zero_noise_features_signature():
 
 def test_office_a_targets():
     dataset = generate_dataset(PRESETS["office_a"], seed=1)
-    stats = dataset.scenes[0].stats()
-    assert abs(stats.r_e - 0.59) <= 0.05
-    assert abs(stats.r_a - 0.03) <= 0.01
-    assert stats.demo_count == 90
+    r_e, r_a = sparsity(dataset.scenes[0])
+    assert abs(r_e - 0.59) <= 0.05
+    assert abs(r_a - 0.03) <= 0.01
+    assert len(dataset.scenes[0].demonstrations) == 90
 
 
 def test_generated_ratios_ordering():
     for seed in range(4):
         ds = generate_dataset(PRESETS["pair"], seed=seed)
-        st = ds.scenes[0].stats()
-        assert 0 <= st.r_a <= st.r_e <= 1
+        r_e, r_a = sparsity(ds.scenes[0])
+        assert 0 <= r_a <= r_e <= 1
 
 
 def test_demos_are_gt_positive_without_jitter():
@@ -127,15 +131,22 @@ def test_sample_demonstrations_prefix_property():
 def test_with_demo_fraction_dataset():
     ds = generate_dataset(PRESETS["mini"], seed=8)
     half = ds.with_demo_fraction(0.5, seed=2)
-    n_full = ds.scenes[0].stats().demo_count
-    assert half.scenes[0].stats().demo_count == round(0.5 * n_full)
+    n_full = len(ds.scenes[0].demonstrations)
+    assert len(half.scenes[0].demonstrations) == round(0.5 * n_full)
     assert np.array_equal(half.scenes[0].explored, ds.scenes[0].explored)
 
 
 def test_zero_noise_same_type_same_objects_kernel_is_one():
-    # identical layouts in two scenes: cross-scene twin cells agree exactly,
+    # one seed's layout in two scenes: cross-scene twin cells agree exactly,
     # so with alpha=1 the appearance kernels give similarity 1
-    ds = generate_dataset(ZERO_NOISE, seed=7, n_scenes=2, identical_layouts=True)
+    twins = [generate_scene(ZERO_NOISE, 7, scene_id) for scene_id in ("scene_a", "scene_b")]
+    ds = GeneratedDataset(
+        scenes=[scene for scene, _p, _o in twins],
+        features={scene.scene_id: (p, o) for scene, p, o in twins},
+        catmap=default_category_activity_map(),
+        class_names=CLASS_NAMES,
+        category_names=CATEGORY_NAMES,
+    )
     feats = locations(ds.location_features())
     index = ds.index()
     scene_a, scene_b = ds.scenes
