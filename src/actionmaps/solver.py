@@ -5,7 +5,8 @@ multiplies its squared residual) plus one Laplacian smoothness penalty over
 the rows of U, weighted by the location kernel K (the graph-regularized NMF
 of Cai et al., TPAMI 2011). Multiplicative updates keep the factors
 non-negative and never increase the objective. Runs on one kernel are
-fitted in lockstep as a Cohort, sharing each pass over K.
+fitted in lockstep as a Cohort, sharing each pass over K; a run's outputs
+equal its solo fit's at the 9 digits the files carry, not always bit for bit.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,10 @@ STABILIZER = 1e-12  # added to every update denominator
 
 class SolverError(ValueError):
     """Invalid solver input."""
+
+
+class NonFiniteError(SolverError, RuntimeError):
+    """A multiplicative update produced non-finite values."""
 
 
 @dataclass
@@ -216,7 +221,7 @@ def multiplicative_step(U, V, bundle: ActionMatrixBundle, K, params: SolverParam
     v_new = V * num_v
 
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
-        raise RuntimeError("multiplicative update produced non-finite values")
+        raise NonFiniteError("multiplicative update produced non-finite values")
     return u_new, v_new
 
 
@@ -228,8 +233,9 @@ class Cohort:
 
     Each run calls fit() once with the cohort, its bundle and its params;
     the first call fits every run, and each call returns its own run's
-    FitResult or raises its own run's error. A run is keyed by its params
-    and its bundle's id, which the cohort keeps alive; equal runs fit once."""
+    FitResult or raises its own run's error, equal to its solo fit's at the
+    9 digits the files carry. A run is keyed by its params and its bundle's
+    id, which the cohort keeps alive; equal runs fit once."""
 
     def __init__(self, K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]):
         self.K = K
@@ -258,7 +264,8 @@ def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams,
     K @ U is computed once per iterate and shared by the objective at that
     iterate and the step from it. A fit alone is a cohort of one and makes
     len(trace) products when lam > 0; in a cohort, up to MAX_SHARED_RUNS
-    runs share each product (see _fit_cohort), with the same results.
+    runs share each product (see _fit_cohort), with the results of solo fits
+    at the 9 digits the files carry.
     """
     if cohort is None:
         cohort = Cohort(K, [(bundle, params)])
@@ -311,7 +318,8 @@ def _fit_cohort(K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]) -> d
 
 
 def _fit_lockstep(K, ku, batch: list[tuple[ActionMatrixBundle, SolverParams]]) -> dict:
-    """Fit the runs of one batch iteration by iteration (see _kernel_products)."""
+    """Fit the runs of one batch iteration by iteration, with one K @ U pass
+    per iteration for all its running runs (see _kernel_products)."""
     runs, wrs = [], {}  # W * R once per distinct bundle
     for bundle, params in batch:
         if id(bundle) not in wrs:
@@ -319,10 +327,9 @@ def _fit_lockstep(K, ku, batch: list[tuple[ActionMatrixBundle, SolverParams]]) -
         u, v = _initial_factors(params.seed, *bundle.shape, params.rank)
         runs.append(_Run(bundle, wrs[id(bundle)], params, u, v, []))
     outcomes: dict = {}
-    shares: dict[int, bool] = {}
     while runs:
         if batch[0][1].lam > 0:  # an unregularized run is alone and needs no K @ U
-            _kernel_products(ku, runs, shares)
+            _kernel_products(ku, runs)
         going = []
         for run in runs:
             key = id(run.bundle), run.params
@@ -426,38 +433,19 @@ def _initial_factors(seed: int, m: int, n_act: int, rank: int) -> tuple[np.ndarr
     return draws[: m * rank].reshape(m, rank), draws[m * rank :].reshape(n_act, rank).copy()
 
 
-def _kernel_products(ku, runs: list[_Run], shares: dict[int, bool]) -> None:
-    """Set each run's K @ U from one shared (U^T K)^T pass over the stacked
-    factors, where a probe showed that pass equal to the solo products.
+def _kernel_products(ku, runs: list[_Run]) -> None:
+    """Set each run's K @ U from one (U^T K)^T pass over the stacked factors.
 
-    Whether the blocks of a shared pass equal the solo products bit for bit
-    depends on the BLAS path OpenBLAS takes for the shape and thread count,
-    not on the values. So the first time the batch has a given number of
-    runs (at the start, and after one leaves), every run takes its solo
-    product and one shared pass is compared with them; shares records the
-    verdict per number of runs, and a failed probe keeps the solo products.
-    Each run's K @ U is held C-contiguous, as U is, so the updates combine
-    the two without strided loops; every sum over their products runs in
-    the same order as with the product's own layout.
+    The kernel view computes K @ [U_1 ... U_B] as (S K)^T with S the stacked
+    U_i^T. A run's block equals its solo product at the 9 digits the files
+    carry, though not always in the last bit, which the BLAS thread count
+    already moves. Each run's K @ U is held C-contiguous, as U is, so the
+    updates combine the two without strided loops.
     """
-    if len(runs) > 1 and shares.get(len(runs)):
-        for run, block in zip(runs, _shared_product(ku, runs)):
-            run.ku_u = np.ascontiguousarray(block)
-        return
-    for run in runs:
-        run.ku_u = np.ascontiguousarray(ku @ run.u)
-    if len(runs) > 1 and len(runs) not in shares:
-        blocks = _shared_product(ku, runs)
-        shares[len(runs)] = all(np.array_equal(b, run.ku_u) for b, run in zip(blocks, runs))
-
-
-def _shared_product(ku, runs: list[_Run]) -> list[np.ndarray]:
-    """Each run's block of K @ [U_1 ... U_B]. The kernel view computes it as
-    (S K)^T with S the stacked U_i^T, so a block is rows of S K transposed:
-    the memory layout of a solo product, which later sums depend on."""
     product = ku @ np.concatenate([run.u.T for run in runs]).T
     ends = np.cumsum([run.params.rank for run in runs])
-    return [product[:, end - run.params.rank : end] for run, end in zip(runs, ends)]
+    for run, end in zip(runs, ends):
+        run.ku_u = np.ascontiguousarray(product[:, end - run.params.rank : end])
 
 
 def predict(factors: FactorPair) -> np.ndarray:

@@ -473,6 +473,23 @@ def test_fit_rejects_nan_parameters(dataset_dir, tmp_path, capsys, flag):
     assert not factors.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "elapse"])
+def test_non_finite_fit_fails_with_an_error_line(dataset_dir, tmp_path, command):
+    # a step that overflows ends the command like any refused input: exit 1
+    # and one `error:` line after numpy's warnings, with no traceback
+    out = tmp_path / "out"
+    out_flag = {"fit": "--out-factors", "elapse": "--out"}[command]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "actionmaps.cli", command, "--data", str(dataset_dir),
+         "--lam", "1e308", "--seed", "1", out_flag, str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "error: multiplicative update produced non-finite values"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def am_path(dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("am")

@@ -661,8 +661,8 @@ def _assert_same_fit(got, want):
 
 @pytest.mark.parametrize("m, n_runs", [(30, 2), (60, 3), (150, 4), (385, 2)])
 def test_cohort_runs_equal_solo_fits(m, n_runs):
-    # bit for bit at any thread count: where a shared pass would change the
-    # last bits, the probe keeps the solo products
+    # the package promises 9 digits; on these shapes a run's block of the
+    # shared pass has held its solo product's bits at 1 and 2 BLAS threads
     bundle, gram, params = _cohort_case(m, n_runs)
     for got, p in zip(_fit_cohort_runs(bundle, gram, params), params):
         _assert_same_fit(got, fit(bundle, gram, params=p))
@@ -689,16 +689,15 @@ def test_cohort_without_kernel_fails_only_regularized_runs():
 
 
 def _record_shared_widths(monkeypatch):
-    """The number of runs of every shared pass, probes included; a solo fit
-    makes none."""
+    """The number of runs of every K @ U pass; a solo fit's passes have 1."""
     widths = []
-    shared_product = solver._shared_product
+    kernel_products = solver._kernel_products
 
     def recording(ku, runs):
         widths.append(len(runs))
-        return shared_product(ku, runs)
+        kernel_products(ku, runs)
 
-    monkeypatch.setattr(solver, "_shared_product", recording)
+    monkeypatch.setattr(solver, "_kernel_products", recording)
     return widths
 
 
@@ -709,7 +708,7 @@ def test_cohort_run_stopping_on_tolerance_leaves_the_batch(monkeypatch):
     got = _fit_cohort_runs(bundle, gram, params)
     assert got[2].stop_reason == "tolerance" and len(got[2].trace) < 201
     assert [r.stop_reason for k, r in enumerate(got) if k != 2] == ["max_iters"] * 3
-    # the probe runs again at the new width: 3 runs after the one leaves
+    # the batch passes the 3 runs that go on after the one leaves
     assert 4 in widths and widths[-1] == 3
     for got_run, p in zip(got, params):
         _assert_same_fit(got_run, fit(bundle, gram, params=p))
@@ -732,24 +731,17 @@ def test_cohort_is_reproducible():
 
 
 def test_cohort_counts_one_product_per_shared_pass(monkeypatch):
-    # each run's solo product at the start, one probe pass, then one product
-    # per iteration where the probe showed equal blocks and one per run where
-    # it did not; the trace lengths and factors do not depend on which
+    # one product per iterate, 13 for 12 iterations, whether the pass holds
+    # 3 runs or a lone fit's 1
     bundle, gram, params = _cohort_case(60, 3, max_iters=12)
     counts = _count_solver_hooks(monkeypatch)
-    verdicts = []
-    kernel_products = solver._kernel_products
-
-    def recording(ku, runs, shares):
-        kernel_products(ku, runs, shares)
-        verdicts.append(shares.get(len(runs)))
-
-    monkeypatch.setattr(solver, "_kernel_products", recording)
     got = _fit_cohort_runs(bundle, gram, params)
-    per_pass = 1 if verdicts[-1] else 3
-    assert counts["products"] == 3 + 1 + 12 * per_pass
+    assert counts["products"] == 13
     assert counts["multiplicative_step"] == 3 * 12 and counts["objective"] == 3 * 13
     assert all(len(r.trace) == 13 for r in got)
+    counts.clear()
+    assert len(fit(bundle, gram, params=params[0]).trace) == 13
+    assert counts["products"] == 13
 
 
 def test_shared_product_blocks_have_the_solo_layout():
@@ -759,10 +751,11 @@ def test_shared_product_blocks_have_the_solo_layout():
     runs = [solver._Run(None, None, SolverParams(rank=r), rng.uniform(0.1, 1.1, size=(70, r)),
                         None, [])
             for r in (2, 3, 6)]
-    for run, block in zip(runs, solver._shared_product(ku, runs)):
-        solo = ku @ run.u
-        assert block.shape == solo.shape and block.strides == solo.strides
-        np.testing.assert_allclose(block, solo, rtol=1e-12, atol=0)
+    solver._kernel_products(ku, runs)
+    for run in runs:
+        solo = np.ascontiguousarray(ku @ run.u)
+        assert run.ku_u.shape == solo.shape and run.ku_u.strides == solo.strides
+        np.testing.assert_allclose(run.ku_u, solo, rtol=1e-12, atol=0)
 
 
 def test_fit_refuses_arguments_outside_its_cohort():
@@ -825,29 +818,17 @@ def test_cohort_run_with_wrong_row_count_fails_alone(mini_dataset):
         _assert_same_fit(got[k], fit(runs[k][0], gram, params=runs[k][1]))
 
 
-def test_cohort_of_different_bundles_shares_products_where_the_probe_allows(mini_dataset,
-                                                                          monkeypatch):
-    # fewer products than the solo fits where a shared pass gives the solo
-    # blocks; otherwise the solo products plus one shared pass per probe
+def test_cohort_of_different_bundles_shares_products(mini_dataset, monkeypatch):
+    # one product per iterate for the 3 runs, against one per run per
+    # iterate for their solo fits
     gram, runs = _subset_cohort_case(mini_dataset, [0.25, 0.5, 1.0], max_iters=12)
-    solo_total = sum(len(fit(bundle, gram, params=params).trace) for bundle, params in runs)
     counts = _count_solver_hooks(monkeypatch)
-    verdicts = []
-    kernel_products = solver._kernel_products
-
-    def recording(ku, batch, shares):
-        kernel_products(ku, batch, shares)
-        verdicts.append(dict(shares))
-
-    monkeypatch.setattr(solver, "_kernel_products", recording)
     got = _fit_cohort_of(gram, runs)
     assert all(len(r.trace) == 13 for r in got)
-    shares = verdicts[-1]
-    assert list(shares) == [3]
-    if shares[3]:
-        assert counts["products"] == 3 + 1 + 12 < solo_total
-    else:
-        assert counts["products"] == solo_total + 1
+    assert counts["products"] == 13
+    counts.clear()
+    assert sum(len(fit(bundle, gram, params=params).trace) for bundle, params in runs) == 39
+    assert counts["products"] == 39
 
 
 def test_fit_refuses_a_bundle_outside_its_cohort(mini_dataset):
