@@ -225,9 +225,6 @@ def multiplicative_step(U, V, bundle: ActionMatrixBundle, K, params: SolverParam
     return u_new, v_new
 
 
-MAX_SHARED_RUNS = 4  # runs per shared K·U pass; each pass reads all of K, whatever its width
-
-
 class Cohort:
     """Runs on one kernel, whatever their bundles, fitted in lockstep.
 
@@ -247,7 +244,7 @@ class Cohort:
             raise SolverError("fit() was called with a bundle, kernel or params "
                               "outside its cohort")
         if self._outcomes is None:
-            self._outcomes = _fit_cohort(K, list(self.runs.values()))
+            self._outcomes = _fit_lockstep(K, list(self.runs.values()))
         outcome = self._outcomes[id(bundle), params]
         if isinstance(outcome, Exception):
             raise outcome
@@ -263,9 +260,9 @@ def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams,
     (the initial objective is trace[0]) and which rule stopped the fit.
     K @ U is computed once per iterate and shared by the objective at that
     iterate and the step from it. A fit alone is a cohort of one and makes
-    len(trace) products when lam > 0; in a cohort, up to MAX_SHARED_RUNS
-    runs share each product (see _fit_cohort), with the results of solo fits
-    at the 9 digits the files carry.
+    len(trace) products when lam > 0; in a cohort, every running run with
+    lam > 0 shares each product (see _fit_lockstep), with the results of solo
+    fits at the 9 digits the files carry.
     """
     if cohort is None:
         cohort = Cohort(K, [(bundle, params)])
@@ -291,18 +288,21 @@ class _Run:
         return "max_iters" if len(trace) > p.max_iters else None
 
 
-def _fit_cohort(K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]) -> dict:
+def _fit_lockstep(K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]) -> dict:
     """(id(bundle), params) -> FitResult, or the error that failed that run alone.
 
-    Regularized runs go in batches of up to MAX_SHARED_RUNS, the others alone.
-    A failed or finished run leaves its batch; the others go on.
+    Every valid run iterates in one batch, with one K @ U pass per iteration
+    for all its running runs with lam > 0 (see _kernel_products); runs with
+    lam = 0 take no product. A failed or finished run leaves the batch; the
+    others go on. Overflow shows as the step's NonFiniteError, not as numpy
+    warnings.
     """
     ku, deg = _as_kernel(K)
     # a non-finite kernel entry makes its row degree non-finite: an O(m) check
     if deg is not None and not np.isfinite(deg).all():
         raise SolverError("K must be finite")
     outcomes: dict = {}
-    shared, alone = [], []
+    running, wrs = [], {}  # W * R once per distinct bundle
     for bundle, params in runs:
         m = bundle.shape[0]
         if ku is not None and ku.shape != (m, m):
@@ -310,45 +310,35 @@ def _fit_cohort(K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]) -> d
         elif params.lam > 0 and ku is None:
             outcomes[id(bundle), params] = SolverError("lam > 0 requires a location kernel")
         else:
-            (shared if params.lam > 0 else alone).append((bundle, params))
-    batches = [shared[i : i + MAX_SHARED_RUNS] for i in range(0, len(shared), MAX_SHARED_RUNS)]
-    for batch in batches + [[run] for run in alone]:
-        outcomes.update(_fit_lockstep(K, ku, batch))
-    return outcomes
-
-
-def _fit_lockstep(K, ku, batch: list[tuple[ActionMatrixBundle, SolverParams]]) -> dict:
-    """Fit the runs of one batch iteration by iteration, with one K @ U pass
-    per iteration for all its running runs (see _kernel_products)."""
-    runs, wrs = [], {}  # W * R once per distinct bundle
-    for bundle, params in batch:
-        if id(bundle) not in wrs:
-            wrs[id(bundle)] = bundle.W * bundle.R
-        u, v = _initial_factors(params.seed, *bundle.shape, params.rank)
-        runs.append(_Run(bundle, wrs[id(bundle)], params, u, v, []))
-    outcomes: dict = {}
-    while runs:
-        if batch[0][1].lam > 0:  # an unregularized run is alone and needs no K @ U
-            _kernel_products(ku, runs)
-        going = []
-        for run in runs:
-            key = id(run.bundle), run.params
-            # the objective at this iterate and the step from it share U @ V^T
-            uv = run.u @ run.v.T
-            run.trace.append(objective(run.u, run.v, run.bundle, K, run.params.lam, run.ku_u, uv))
-            stop_reason = run.stop_reason()
-            if stop_reason is not None:
-                outcomes[key] = FitResult(FactorPair(U=run.u, V=run.v),
-                                          np.array(run.trace), stop_reason)
-                continue
-            try:
-                run.u, run.v = multiplicative_step(run.u, run.v, run.bundle, K, run.params,
-                                                   run.ku_u, run.wr, uv)
-            except (ValueError, RuntimeError) as exc:  # fails this run alone
-                outcomes[key] = exc
-                continue
-            going.append(run)
-        runs = going
+            if id(bundle) not in wrs:
+                wrs[id(bundle)] = bundle.W * bundle.R
+            u, v = _initial_factors(params.seed, *bundle.shape, params.rank)
+            running.append(_Run(bundle, wrs[id(bundle)], params, u, v, []))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while running:
+            regularized = [run for run in running if run.params.lam > 0]
+            if regularized:
+                _kernel_products(ku, regularized)
+            going = []
+            for run in running:
+                key = id(run.bundle), run.params
+                # the objective at this iterate and the step from it share U @ V^T
+                uv = run.u @ run.v.T
+                run.trace.append(objective(run.u, run.v, run.bundle, K, run.params.lam,
+                                           run.ku_u, uv))
+                stop_reason = run.stop_reason()
+                if stop_reason is not None:
+                    outcomes[key] = FitResult(FactorPair(U=run.u, V=run.v),
+                                              np.array(run.trace), stop_reason)
+                    continue
+                try:
+                    run.u, run.v = multiplicative_step(run.u, run.v, run.bundle, K, run.params,
+                                                       run.ku_u, run.wr, uv)
+                except (ValueError, RuntimeError) as exc:  # fails this run alone
+                    outcomes[key] = exc
+                    continue
+                going.append(run)
+            running = going
     return outcomes
 
 

@@ -473,21 +473,28 @@ def test_fit_rejects_nan_parameters(dataset_dir, tmp_path, capsys, flag):
     assert not factors.exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "elapse"])
-def test_non_finite_fit_fails_with_an_error_line(dataset_dir, tmp_path, command):
+NON_FINITE_STEP = "multiplicative update produced non-finite values"
+
+
+@pytest.mark.parametrize("command, args, error", [
+    ("fit", ["--lam", "1e308", "--out-factors", "out"], NON_FINITE_STEP),
+    ("elapse", ["--lam", "1e308", "--out", "out"], NON_FINITE_STEP),
+    ("grid", [*GRID_ARGS, "--lambdas", "1e308", "--alphas", "0.3,0.5", "--out-tsv", "out",
+              "--out-txt", "out.txt"], "all 2 runs failed"),
+], ids=["fit", "elapse", "grid"])
+def test_non_finite_fit_fails_with_an_error_line(dataset_dir, tmp_path, command, args, error):
     # a step that overflows ends the command like any refused input: exit 1
-    # and one `error:` line after numpy's warnings, with no traceback
-    out = tmp_path / "out"
-    out_flag = {"fit": "--out-factors", "elapse": "--out"}[command]
+    # and one `error:` line on stderr, with no numpy warning and no traceback
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "actionmaps.cli", command, "--data", str(dataset_dir),
-         "--lam", "1e308", "--seed", "1", out_flag, str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+         "--seed", "1", *map(str, args)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == "error: multiplicative update produced non-finite values"
-    assert not out.exists()
+    assert proc.stderr == f"error: {error}\n"
+    # a grid writes its failed rows; a failed fit or elapse writes nothing
+    assert (tmp_path / "out").exists() == (command == "grid")
 
 
 @pytest.fixture(scope="module")

@@ -688,39 +688,61 @@ def test_cohort_without_kernel_fails_only_regularized_runs():
     assert isinstance(got[1], SolverError) and "requires a location kernel" in str(got[1])
 
 
-def _record_shared_widths(monkeypatch):
-    """The number of runs of every K @ U pass; a solo fit's passes have 1."""
-    widths = []
+def _record_passes(monkeypatch):
+    """The params of the runs of every K @ U pass; a solo fit's passes hold 1."""
+    passes = []
     kernel_products = solver._kernel_products
 
     def recording(ku, runs):
-        widths.append(len(runs))
+        passes.append([run.params for run in runs])
         kernel_products(ku, runs)
 
     monkeypatch.setattr(solver, "_kernel_products", recording)
-    return widths
+    return passes
 
 
 def test_cohort_run_stopping_on_tolerance_leaves_the_batch(monkeypatch):
     bundle, gram, params = _cohort_case(80, 4, max_iters=200)
     params[2] = SolverParams(rank=3, lam=1e-2, max_iters=200, rel_tol=1e-2, seed=9)
-    widths = _record_shared_widths(monkeypatch)
+    passes = _record_passes(monkeypatch)
     got = _fit_cohort_runs(bundle, gram, params)
     assert got[2].stop_reason == "tolerance" and len(got[2].trace) < 201
     assert [r.stop_reason for k, r in enumerate(got) if k != 2] == ["max_iters"] * 3
     # the batch passes the 3 runs that go on after the one leaves
-    assert 4 in widths and widths[-1] == 3
+    assert len(passes[0]) == 4 and len(passes[-1]) == 3
     for got_run, p in zip(got, params):
         _assert_same_fit(got_run, fit(bundle, gram, params=p))
 
 
-def test_cohort_of_six_runs_passes_at_most_four(monkeypatch):
-    bundle, gram, params = _cohort_case(50, 6)
-    widths = _record_shared_widths(monkeypatch)
+def test_cohort_of_six_runs_passes_them_in_one_batch(monkeypatch):
+    bundle, gram, params = _cohort_case(50, 6, max_iters=60)
+    params[4] = SolverParams(rank=3, lam=1e-2, max_iters=60, rel_tol=1e-2, seed=9)
+    passes = _record_passes(monkeypatch)
     got = _fit_cohort_runs(bundle, gram, params)
-    assert max(widths) == solver.MAX_SHARED_RUNS == 4 and 2 in widths
+    assert got[4].stop_reason == "tolerance" and len(got[4].trace) < 61
+    # every run is in the first pass, and there is one pass per iterate
+    assert passes[0] == params
+    assert len(passes) == max(len(r.trace) for r in got) == 61
     for got_run, p in zip(got, params):
         _assert_same_fit(got_run, fit(bundle, gram, params=p))
+
+
+def test_cohort_passes_only_regularized_runs(monkeypatch):
+    bundle, gram, params = _cohort_case(40, 4, max_iters=15)
+    params[1] = SolverParams(rank=3, lam=0.0, max_iters=15, seed=3)
+    params[3] = SolverParams(rank=2, lam=0.0, max_iters=20, rel_tol=1e-12, seed=4)
+    passes = _record_passes(monkeypatch)
+    got = _fit_cohort_runs(bundle, gram, params)
+    assert passes and all(p.lam > 0 for ran in passes for p in ran)
+    assert passes[0] == [params[0], params[2]]
+    for got_run, p in zip(got, params):
+        _assert_same_fit(got_run, fit(bundle, gram, params=p))
+    # unregularized runs alone make no product at all
+    counts = _count_solver_hooks(monkeypatch)
+    passes.clear()
+    got = _fit_cohort_runs(bundle, gram, [params[1], params[3]])
+    assert passes == [] and counts["products"] == 0
+    assert counts["objective"] == sum(len(r.trace) for r in got)
 
 
 def test_cohort_is_reproducible():
