@@ -59,30 +59,33 @@ def _solver_from_args(args) -> SolverParams:
                         rel_tol=args.rel_tol, seed=args.seed)
 
 
+# every default below is its dataclass field's, so the two cannot drift apart
 def _add_kernel_args(p: argparse.ArgumentParser):
-    p.add_argument("--sigma-s", type=float, default=2.0)
-    p.add_argument("--tau", type=float, default=1e-4, help="Gram sparsification threshold")
+    p.add_argument("--sigma-s", type=float, default=KernelConfig.sigma_s)
+    p.add_argument("--tau", type=float, default=KernelConfig.tau,
+                   help="Gram sparsification threshold")
 
 
 def _add_single_fit_args(p: argparse.ArgumentParser):
     """The settings that grid and transfer sweep as lists instead."""
-    p.add_argument("--variant", default="SOP", choices=VARIANTS)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=1.0, help="chi-squared bandwidth")
-    p.add_argument("--lam", type=float, default=1e-3)
+    p.add_argument("--variant", default=KernelConfig.variant, choices=VARIANTS)
+    p.add_argument("--alpha", type=float, default=KernelConfig.alpha)
+    p.add_argument("--gamma", type=float, default=KernelConfig.gamma,
+                   help="chi-squared bandwidth")
+    p.add_argument("--lam", type=float, default=SolverParams.lam)
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
-    p.add_argument("--rank", type=int, default=6)
+    p.add_argument("--rank", type=int, default=SolverParams.rank)
     p.add_argument("--mu", type=float, default=0.0, help="activity-kernel weight; only 0")
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=SolverParams.max_iters)
+    p.add_argument("--rel-tol", type=float, default=SolverParams.rel_tol)
 
 
 def _add_eval_args(p: argparse.ArgumentParser):
-    p.add_argument("--fov-deg", type=float, default=60.0)
-    p.add_argument("--range-cells", type=float, default=6.0)
-    p.add_argument("--thresholds", type=int, default=100)
+    p.add_argument("--fov-deg", type=float, default=EvalParams.fov_deg)
+    p.add_argument("--range-cells", type=float, default=EvalParams.range_cells)
+    p.add_argument("--thresholds", type=int, default=EvalParams.n_thresholds)
 
 
 def _eval_from_args(args) -> EvalParams:
@@ -122,9 +125,9 @@ def _check_runs(report) -> None:
 
 
 def _add_grid_args(p: argparse.ArgumentParser):
-    p.add_argument("--alphas", default="0,0.1,0.3,0.5,0.7,0.9,1")
-    p.add_argument("--lambdas", default="0.001,0.01")
-    p.add_argument("--gammas", default="100,1000")
+    for flag, values in (("--alphas", GridSpec.alphas), ("--lambdas", GridSpec.lambdas),
+                         ("--gammas", GridSpec.gammas)):
+        p.add_argument(flag, default=",".join(map(str, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ def cmd_evaluate(args) -> int:
     dataset = _load_data(args.data)
     index = dataset.index()
     am = normalize_action_map(fileio.read_action_map(args.am, index))
-    scene_ids = _str_list(args.scenes) if args.scenes else None
+    scene_ids = _sweep(args, "--scenes", _str_list) if args.scenes else None
     views = pose_views(index, _eval_from_args(args), scene_ids)
     scores = score_action_map(views, am)
     fileio.write_evaluation(scores, index.vocabulary.names, args.out_txt, args.out_tsv)
@@ -364,10 +367,13 @@ def _config_value(path: str, key: str, action: argparse.Action, value):
     if not isinstance(value, (str, int, float)):
         raise CliError(f"{path}: config key {key!r} takes one value, got {json.dumps(value)}")
     text = value if isinstance(value, str) else json.dumps(value)
+    invalid = CliError(f"{path}: config key {key!r} has an invalid value {text!r}")
+    if isinstance(value, bool):  # no flag takes a JSON true or false
+        raise invalid
     try:
         converted = action.type(text) if action.type else text
     except ValueError:
-        raise CliError(f"{path}: config key {key!r} has an invalid value {text!r}") from None
+        raise invalid from None
     if action.choices is not None and converted not in action.choices:
         raise CliError(f"{path}: config key {key!r} must be one of {list(action.choices)}")
     return converted

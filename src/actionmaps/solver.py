@@ -157,59 +157,31 @@ def _as_kernel(k: Optional[GramMatrix]) -> tuple[Optional[np.ndarray], Optional[
     return k.matrix.view(_SymmetricKernel), k.degrees
 
 
-def laplacian_smoothness(
-    mat: np.ndarray, kernel: np.ndarray, degrees: np.ndarray, k_mat=None
-) -> float:
-    """trace(M^T (Diag(deg) - K) M); equals the half-sum of pairwise
-    kernel-weighted squared row differences for symmetric K.
-
-    k_mat, when given, must be kernel @ mat; it spares the O(m^2) product.
-    """
-    if k_mat is None:
-        k_mat = kernel @ mat
+def laplacian_smoothness(mat: np.ndarray, degrees: np.ndarray, k_mat: np.ndarray) -> float:
+    """trace(M^T (Diag(deg) - K) M) from k_mat = K @ M; equals the half-sum
+    of pairwise kernel-weighted squared row differences for symmetric K."""
     return float(np.sum(mat * mat * degrees[:, None]) - np.sum(mat * k_mat))
 
 
-def objective(U, V, bundle: ActionMatrixBundle, K, lam: float, ku_u=None, uv=None) -> float:
-    """Weighted squared error plus lam times the Laplacian smoothness of U.
-
-    ku_u, when given, must be K @ U (see laplacian_smoothness), and uv,
-    when given, U @ V^T.
-    """
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
-        raise SolverError("factors must be finite")
-    if U.shape[0] != bundle.R.shape[0] or V.shape[0] != bundle.R.shape[1]:
-        raise SolverError(
-            f"factor shapes {U.shape}/{V.shape} incompatible with R {bundle.R.shape}"
-        )
-    err = bundle.R - (U @ V.T if uv is None else uv)
+def objective(U, uv, bundle: ActionMatrixBundle, lam: float, ku_u, degrees) -> float:
+    """Weighted squared error of uv = U @ V^T plus lam times the Laplacian
+    smoothness of U, from ku_u = K @ U; a run with no kernel term passes
+    ku_u None."""
+    err = bundle.R - uv
     j = float(np.sum(bundle.W * err * err))
-    ku, deg = _as_kernel(K)
-    if lam > 0 and ku is not None:
-        j += lam * laplacian_smoothness(U, ku, deg, ku_u)
+    if ku_u is not None:
+        j += lam * laplacian_smoothness(U, degrees, ku_u)
     return j
 
 
-def multiplicative_step(U, V, bundle: ActionMatrixBundle, K, params: SolverParams, ku_u=None,
-                        wr=None, uv=None):
-    """One regularized multiplicative update of U then V (V sees the new U).
-
-    ku_u, wr and uv, when given, must be K @ U, W * R and U @ V^T; otherwise
-    the step computes them.
-    """
-    if wr is None:
-        wr = bundle.W * bundle.R
-    if uv is None:
-        uv = U @ V.T
-    ku, deg = _as_kernel(K)
-
+def multiplicative_step(U, V, bundle: ActionMatrixBundle, wr, uv, lam: float, ku_u, degrees):
+    """One regularized multiplicative update of U then V (V sees the new U),
+    from wr = W * R, uv = U @ V^T and ku_u = K @ U (None: no kernel term)."""
     num_u = wr @ V
     den_u = (bundle.W * uv) @ V
-    if params.lam > 0 and ku is not None:
-        if ku_u is None:
-            ku_u = ku @ U
-        num_u += params.lam * ku_u
-        den_u += params.lam * deg[:, None] * U
+    if ku_u is not None:
+        num_u += lam * ku_u
+        den_u += lam * degrees[:, None] * U
     den_u += STABILIZER
     num_u /= den_u
     u_new = U * num_u
@@ -258,11 +230,11 @@ def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams,
     Stops when the relative objective decrease falls below rel_tol or after
     max_iters steps; returns the factors, the per-iteration objective trace
     (the initial objective is trace[0]) and which rule stopped the fit.
-    K @ U is computed once per iterate and shared by the objective at that
-    iterate and the step from it. A fit alone is a cohort of one and makes
-    len(trace) products when lam > 0; in a cohort, every running run with
-    lam > 0 shares each product (see _fit_lockstep), with the results of solo
-    fits at the 9 digits the files carry.
+    Only the cohort's loop (_fit_lockstep) unwraps K: it forms each iterate's
+    K @ U and U @ V^T once, for the objective at that iterate and the step
+    from it. A fit alone is a cohort of one and makes len(trace) products
+    when lam > 0; in a cohort, every running run with lam > 0 shares each
+    product, with the results of solo fits at the 9 digits the files carry.
     """
     if cohort is None:
         cohort = Cohort(K, [(bundle, params)])
@@ -271,7 +243,8 @@ def fit(bundle: ActionMatrixBundle, K, *, params: SolverParams,
 
 @dataclass
 class _Run:
-    """One run of a cohort: its bundle, W * R, params, factors, K @ U, trace."""
+    """One run of a cohort: its bundle, W * R, params, factors, K @ U (None
+    while lam = 0, which drops the kernel term), trace."""
 
     bundle: ActionMatrixBundle
     wr: np.ndarray
@@ -294,8 +267,9 @@ def _fit_lockstep(K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]) ->
     Every valid run iterates in one batch, with one K @ U pass per iteration
     for all its running runs with lam > 0 (see _kernel_products); runs with
     lam = 0 take no product. A failed or finished run leaves the batch; the
-    others go on. Overflow shows as the step's NonFiniteError, not as numpy
-    warnings.
+    others go on. K is unwrapped here once; the objective and the step see
+    only each iterate's products. Overflow shows as the step's
+    NonFiniteError, not as numpy warnings.
     """
     ku, deg = _as_kernel(K)
     # a non-finite kernel entry makes its row degree non-finite: an O(m) check
@@ -324,16 +298,16 @@ def _fit_lockstep(K, runs: Sequence[tuple[ActionMatrixBundle, SolverParams]]) ->
                 key = id(run.bundle), run.params
                 # the objective at this iterate and the step from it share U @ V^T
                 uv = run.u @ run.v.T
-                run.trace.append(objective(run.u, run.v, run.bundle, K, run.params.lam,
-                                           run.ku_u, uv))
+                run.trace.append(objective(run.u, uv, run.bundle, run.params.lam, run.ku_u,
+                                           deg))
                 stop_reason = run.stop_reason()
                 if stop_reason is not None:
                     outcomes[key] = FitResult(FactorPair(U=run.u, V=run.v),
                                               np.array(run.trace), stop_reason)
                     continue
                 try:
-                    run.u, run.v = multiplicative_step(run.u, run.v, run.bundle, K, run.params,
-                                                       run.ku_u, run.wr, uv)
+                    run.u, run.v = multiplicative_step(run.u, run.v, run.bundle, run.wr, uv,
+                                                       run.params.lam, run.ku_u, deg)
                 except (ValueError, RuntimeError) as exc:  # fails this run alone
                     outcomes[key] = exc
                     continue

@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actionmaps import cli
 from actionmaps.cli import main
+from actionmaps.evaluation import EvalParams
+from actionmaps.experiments import GridSpec
+from actionmaps.sideinfo import KernelConfig
+from actionmaps.solver import SolverParams
 
 
 def run(args):
@@ -249,17 +254,34 @@ def test_fit_mu_zero_writes_the_same_bytes(dataset_dir, tmp_path):
         ("fit", {"max_iters": 2.5}, "config key 'max_iters' has an invalid value '2.5'"),
         ("fit", {"alpha": None}, "config key 'alpha' takes one value, got null"),
         ("fit", {"variant": "SPO"}, "config key 'variant' must be one of ['S', 'SO',"),
+        ("fit", {"out_factors": True}, "config key 'out_factors' has an invalid value 'true'"),
     ],
 )
 def test_config_values_fail_like_flags(dataset_dir, tmp_path, capsys, monkeypatch,
                                        command, config, message):
-    # a list used to end in AttributeError and a string count in TypeError
+    # a list used to end in AttributeError and a string count in TypeError,
+    # and a boolean was read as the text "true" or "false"
     _fail_on_load(monkeypatch)
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     args = {"fit": ["fit", "--data", dataset_dir, "--seed", 1, "--out-factors", tmp_path / "f"],
             "grid": _sweep_command("grid", dataset_dir, None, tmp_path)}[command]
     assert run([*args, "--config", tmp_path / "cfg.json"]) == 1
     assert f"cfg.json: {message}" in capsys.readouterr().err
+
+
+def test_flag_defaults_are_the_library_defaults():
+    # only the required flags: every setting takes its dataclass field's default
+    parse = cli.build_parser().parse_args
+    fit_args = parse(["fit", "--data", "d", "--seed", "3", "--out-factors", "f"])
+    assert cli._kernel_from_args(fit_args) == KernelConfig()
+    assert cli._solver_from_args(fit_args) == SolverParams(seed=3)
+    eval_args = parse(["evaluate", "--data", "d", "--am", "a", "--out-txt", "t", "--out-tsv", "v"])
+    assert cli._eval_from_args(eval_args) == EvalParams()
+    grid = cli._grid_from_args(parse(["grid", "--data", "d", "--seed", "3",
+                                      "--out-tsv", "t", "--out-txt", "x"]))
+    assert grid["grid_spec"] == GridSpec()
+    assert (grid["solver"], grid["kernel"], grid["eval_params"]) == (
+        SolverParams(), KernelConfig(), EvalParams())
 
 
 def test_config_string_value_converts_like_the_flag(dataset_dir, tmp_path):
@@ -553,12 +575,18 @@ def test_predict_refuses_a_malformed_factor_row_at_its_line(dataset_dir, am_path
     assert not am.exists()
 
 
-def test_evaluate_refuses_an_unknown_scene(dataset_dir, am_path, tmp_path, capsys):
+@pytest.mark.parametrize("scenes, message", [
     # the known scene used to be scored alone, with exit 0
+    ("scene,typo", "unknown scene 'typo'"),
+    # a filter of commas alone kept no scene, and failed for want of camera poses
+    (",", "--scenes needs at least one value"),
+], ids=["unknown", "empty"])
+def test_evaluate_refuses_an_unknown_scene(dataset_dir, am_path, tmp_path, capsys, scenes,
+                                           message):
     txt, tsv = tmp_path / "e.txt", tmp_path / "e.tsv"
-    assert run(["evaluate", "--data", dataset_dir, "--am", am_path, "--scenes", "scene,typo",
+    assert run(["evaluate", "--data", dataset_dir, "--am", am_path, "--scenes", scenes,
                 "--out-txt", txt, "--out-tsv", tsv]) == 1
-    assert capsys.readouterr().err == "error: unknown scene 'typo'\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not txt.exists() and not tsv.exists()
 
 

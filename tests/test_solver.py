@@ -56,6 +56,24 @@ def unregularized_step_oracle(u, v, bundle, eps):
     return u2, v2
 
 
+def iterate_products(u, v, bundle, k, lam):
+    """What fit's loop forms for one iterate: U @ V^T, W * R, K @ U held
+    C-contiguous (None when lam = 0 or there is no kernel) and the degrees."""
+    ku, deg = solver._as_kernel(k)
+    ku_u = np.ascontiguousarray(ku @ u) if lam > 0 and ku is not None else None
+    return u @ v.T, bundle.W * bundle.R, ku_u, deg
+
+
+def objective_at(u, v, bundle, k, lam):
+    uv, _, ku_u, deg = iterate_products(u, v, bundle, k, lam)
+    return objective(u, uv, bundle, lam, ku_u, deg)
+
+
+def step_from(u, v, bundle, k, lam):
+    uv, wr, ku_u, deg = iterate_products(u, v, bundle, k, lam)
+    return multiplicative_step(u, v, bundle, wr, uv, lam, ku_u, deg)
+
+
 # -- weight matrix ------------------------------------------------------------
 
 
@@ -151,7 +169,7 @@ def test_objective_zero_factors():
     bundle = random_bundle(rng)
     u = np.zeros((bundle.R.shape[0], 3))
     v = np.zeros((bundle.R.shape[1], 3))
-    j = objective(u, v, bundle, None, 0.0)
+    j = objective_at(u, v, bundle, None, 0.0)
     assert j == pytest.approx(float(np.sum(bundle.W * bundle.R**2)))
 
 
@@ -161,7 +179,7 @@ def test_objective_exact_factorization_is_zero():
     v = rng.uniform(0.1, 1, (4, 2))
     r = u @ v.T
     bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
-    assert objective(u, v, bundle, None, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert objective_at(u, v, bundle, None, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_matches_loop_oracle():
@@ -171,7 +189,7 @@ def test_objective_matches_loop_oracle():
         k_u = random_gram(rng, 10)
         u = rng.uniform(0.1, 1, (10, 3))
         v = rng.uniform(0.1, 1, (4, 3))
-        got = objective(u, v, bundle, k_u, 0.3)
+        got = objective_at(u, v, bundle, k_u, 0.3)
         want = objective_oracle(u, v, bundle, k_u.matrix, 0.3)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -182,7 +200,7 @@ def test_laplacian_identity_pairwise_vs_trace():
         m = int(rng.integers(5, 25))
         k = random_kernel(rng, m)
         u = rng.uniform(0, 2, (m, 4))
-        trace_form = laplacian_smoothness(u, k, k.sum(axis=1))
+        trace_form = laplacian_smoothness(u, k.sum(axis=1), k @ u)
         assert trace_form == pytest.approx(pairwise_smoothness_oracle(u, k), abs=1e-8)
 
 
@@ -195,8 +213,7 @@ def test_step_fixed_point_on_noiseless_instance():
     v0 = rng.uniform(0.5, 1.5, (4, 2))
     r = u0 @ v0.T
     bundle = ActionMatrixBundle(R=r, W=np.ones_like(r))
-    params = SolverParams(rank=2, lam=0.0)
-    u1, v1 = multiplicative_step(u0, v0, bundle, None, params)
+    u1, v1 = step_from(u0, v0, bundle, None, 0.0)
     assert np.abs(u1 - u0).max() < 1e-8
     assert np.abs(v1 - v0).max() < 1e-8
 
@@ -206,13 +223,12 @@ def test_step_never_increases_objective():
     for _ in range(10):
         bundle = random_bundle(rng, m=15, a=5)
         k_u = random_gram(rng, 15)
-        params = SolverParams(rank=3, lam=0.05, seed=0)
         u = rng.uniform(0.1, 1.1, (15, 3))
         v = rng.uniform(0.1, 1.1, (5, 3))
-        j0 = objective(u, v, bundle, k_u, params.lam)
+        j0 = objective_at(u, v, bundle, k_u, 0.05)
         for _ in range(5):
-            u, v = multiplicative_step(u, v, bundle, k_u, params)
-            j1 = objective(u, v, bundle, k_u, params.lam)
+            u, v = step_from(u, v, bundle, k_u, 0.05)
+            j1 = objective_at(u, v, bundle, k_u, 0.05)
             assert j1 <= j0 + 1e-9 * max(j0, 1.0)
             j0 = j1
 
@@ -220,10 +236,9 @@ def test_step_never_increases_objective():
 def test_step_reduces_to_plain_weighted_nmf():
     rng = np.random.default_rng(7)
     bundle = random_bundle(rng, m=12, a=4)
-    params = SolverParams(rank=3, lam=0.0)
     u = rng.uniform(0.1, 1.1, (12, 3))
     v = rng.uniform(0.1, 1.1, (4, 3))
-    got_u, got_v = multiplicative_step(u, v, bundle, None, params)
+    got_u, got_v = step_from(u, v, bundle, None, 0.0)
     want_u, want_v = unregularized_step_oracle(u, v, bundle, solver.STABILIZER)
     assert np.allclose(got_u, want_u, atol=1e-14)
     assert np.allclose(got_v, want_v, atol=1e-14)
@@ -233,11 +248,10 @@ def test_step_preserves_nonnegativity():
     rng = np.random.default_rng(8)
     bundle = random_bundle(rng, m=15, a=5)
     k_u = random_gram(rng, 15)
-    params = SolverParams(rank=3, lam=0.1)
     u = rng.uniform(0.1, 1.1, (15, 3))
     v = rng.uniform(0.1, 1.1, (5, 3))
     for _ in range(20):
-        u, v = multiplicative_step(u, v, bundle, k_u, params)
+        u, v = step_from(u, v, bundle, k_u, 0.1)
         assert (u >= 0).all() and (v >= 0).all()
 
 
@@ -295,8 +309,8 @@ def test_weight_scaling_behavior():
     v = rng.uniform(0.1, 1.1, (4, 3))
     c = 3.7
     scaled = ActionMatrixBundle(R=bundle.R, W=c * bundle.W)
-    j1 = objective(u, v, bundle, k_u, 0.02)
-    j2 = objective(u, v, scaled, k_u, c * 0.02)
+    j1 = objective_at(u, v, bundle, k_u, 0.02)
+    j2 = objective_at(u, v, scaled, k_u, c * 0.02)
     assert j2 == pytest.approx(c * j1, rel=1e-12)
 
 
@@ -415,16 +429,8 @@ def test_solver_takes_only_gram_kernels(kind):
         with pytest.raises(TypeError, match="only by GramBasis.gram"):
             GramMatrix(matrix=k)
     raw = k.tolist() if kind == "list" else k
-    params = SolverParams(rank=2, lam=0.1)
-    u, v = rng.uniform(0.1, 1.1, (6, 2)), rng.uniform(0.1, 1.1, (3, 2))
-    calls = [
-        lambda: fit(bundle, raw, params=params),
-        lambda: objective(u, v, bundle, raw, params.lam),
-        lambda: multiplicative_step(u, v, bundle, raw, params),
-    ]
-    for call in calls:
-        with pytest.raises(SolverError, match="GramMatrix"):
-            call()
+    with pytest.raises(SolverError, match="GramMatrix"):
+        fit(bundle, raw, params=SolverParams(rank=2, lam=0.1))
 
 
 # -- the seeded start ----------------------------------------------------------
@@ -467,15 +473,16 @@ def test_initial_factors_start_the_stream_at_fixed_values(seed, first_u, last_u,
 
 
 def fit_loop_oracle(bundle, k_u, params):
-    """fit's loop with every function computing K @ U itself."""
+    """fit's loop for one run, with each iterate's products formed by
+    iterate_products."""
     m, n_act = bundle.shape
     rng = np.random.default_rng(params.seed)
     u = rng.uniform(0.1, 1.1, size=(m, params.rank))
     v = rng.uniform(0.1, 1.1, size=(n_act, params.rank))
-    trace = [objective(u, v, bundle, k_u, params.lam)]
+    trace = [objective_at(u, v, bundle, k_u, params.lam)]
     for _ in range(params.max_iters):
-        u, v = multiplicative_step(u, v, bundle, k_u, params)
-        trace.append(objective(u, v, bundle, k_u, params.lam))
+        u, v = step_from(u, v, bundle, k_u, params.lam)
+        trace.append(objective_at(u, v, bundle, k_u, params.lam))
         if trace[-2] - trace[-1] < params.rel_tol * max(abs(trace[-2]), 1e-30):
             break
     return u, v, np.array(trace)
@@ -510,25 +517,23 @@ def test_fit_matches_loop_oracle_property(m, n_act, rank, lam, seed):
     lam=st.one_of(st.just(0.0), st.floats(1e-4, 10.0)),
     seed=st.integers(0, 2**16),
 )
-def test_shared_products_leave_objective_and_step_bits_unchanged_property(m, n_act, rank, lam,
-                                                                           seed):
-    # a fit passes K @ U (held C-contiguous), W * R and U @ V^T to the
-    # objective and the step; each must return the bits it computes alone
+@example(m=5, n_act=2, rank=2, lam=0.0, seed=1)
+@example(m=5, n_act=2, rank=2, lam=0.5, seed=1)
+def test_objective_and_step_leave_the_iterate_unchanged_property(m, n_act, rank, lam, seed):
+    # a fit hands one iterate's U, V, U @ V^T, W * R and K @ U to both the
+    # objective and the step, so neither may write to them
     rng = np.random.default_rng(seed)
     bundle = random_bundle(rng, m=m, a=n_act)
-    k_u = random_gram(rng, m)
+    k = random_gram(rng, m)
     u = rng.uniform(0.1, 1.1, (m, rank))
     v = rng.uniform(0.1, 1.1, (n_act, rank))
-    params = SolverParams(rank=rank, lam=lam)
-    ku_u = np.ascontiguousarray(solver._as_kernel(k_u)[0] @ u)
-    wr, uv = bundle.W * bundle.R, u @ v.T
-    alone = objective(u, v, bundle, k_u, lam)
-    assert alone == objective(u, v, bundle, k_u, lam, ku_u, uv)
-    u_alone, v_alone = multiplicative_step(u, v, bundle, k_u, params)
-    u_shared, v_shared = multiplicative_step(u, v, bundle, k_u, params, ku_u, wr, uv)
-    assert np.array_equal(u_alone, u_shared) and np.array_equal(v_alone, v_shared)
-    # the shared products are read, never written
-    assert np.array_equal(uv, u @ v.T) and np.array_equal(wr, bundle.W * bundle.R)
+    uv, wr, ku_u, deg = iterate_products(u, v, bundle, k, lam)
+    assert (ku_u is None) == (lam == 0)
+    inputs = [a for a in (u, v, uv, wr, ku_u) if a is not None]
+    before = [a.copy() for a in inputs]
+    assert type(objective(u, uv, bundle, lam, ku_u, deg)) is float
+    multiplicative_step(u, v, bundle, wr, uv, lam, ku_u, deg)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
 def _count_solver_hooks(monkeypatch):
@@ -611,7 +616,7 @@ def test_fit_results_carry_no_kernel_subclass():
     u, v = result.factors.U, result.factors.V
     assert type(u) is np.ndarray and type(v) is np.ndarray
     assert type(result.trace) is np.ndarray
-    assert type(objective(u, v, bundle, k, 0.1)) is float
+    assert type(objective_at(u, v, bundle, k, 0.1)) is float
 
 
 def test_fit_stop_reason():
