@@ -254,9 +254,7 @@ def cmd_localize(args) -> int:
 def cmd_export_heatmap(args) -> int:
     dataset = _load_data(args.data)
     index = dataset.index()
-    am = fileio.read_action_map(args.am, index)
-    if am.max() > 1:
-        am = normalize_action_map(am)
+    am = normalize_action_map(fileio.read_action_map(args.am, index))
     print("\n".join(fileio.write_heatmaps(am, index, args.out_dir)))
     return 0
 

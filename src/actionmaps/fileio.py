@@ -135,6 +135,33 @@ class _Reader:
             raise self.error(f"expected a finite number, found {tok!r}")
         return value
 
+    def entries(self, n: int, width: Optional[int] = None, need: str = ""):
+        """The tokens of each of the next n lines, yielded while that line is
+        current, so an error raised on them names it. A line with other than
+        width tokens (None: any count) fails with `{need} need N values`."""
+        for _ in range(n):
+            tokens = self.next()
+            if width is not None and len(tokens) != width:
+                noun = "value" if width == 1 else "values"
+                raise self.error(f"{need} need {width} {noun}, found {len(tokens)}")
+            yield tokens
+
+    def cell(self, grid: SceneGrid, i: str, j: str) -> int:
+        """The row of the cell `i j` of grid."""
+        return grid.row_of((self.int_(i), self.int_(j)))
+
+    def values(self, tokens: Sequence[str], what: str) -> list[float]:
+        """Finite numbers >= 0, one per token."""
+        try:
+            values = list(map(float, tokens))
+        except ValueError:
+            values = None
+        if values is None or not math.isfinite(sum(values)):
+            values = [self.float_(t) for t in tokens]  # names the first bad token
+        if min(values, default=0.0) < 0:
+            raise self.error(f"{what} must be >= 0, got {min(values)}")
+        return values
+
 
 def _check_token(name: str):
     if not name or any(c.isspace() for c in name):
@@ -296,63 +323,39 @@ def read_scene(path):
         n_classes, n_categories = len(class_names), len(category_names)
         n_cells = grid.n_cells
         explored = np.zeros(n_cells, dtype=bool)
-        for _ in range(r.expect_count("explored")):
-            toks = r.next()
-            if len(toks) != 2:
-                raise r.error("explored entries need two cell coordinates")
-            explored[grid.row_of((r.int_(toks[0]), r.int_(toks[1])))] = True
+        for i, j in r.entries(r.expect_count("explored"), 2, "explored entries"):
+            explored[r.cell(grid, i, j)] = True
         labels = np.zeros((n_cells, len(vocab)), dtype=bool)
-        for _ in range(r.expect_count("gt")):
-            toks = r.next()
+        for toks in r.entries(r.expect_count("gt")):
             if len(toks) < 3:
                 raise r.error("gt entries need cell, count, and activity indices")
-            i, j, k = r.int_(toks[0]), r.int_(toks[1]), r.int_(toks[2])
+            k = r.int_(toks[2])
             if len(toks) != 3 + k:
                 raise r.error(f"gt entry announces {k} labels but has {len(toks) - 3}")
-            row = grid.row_of((i, j))
+            row = r.cell(grid, toks[0], toks[1])
             for tok in toks[3:]:
                 labels[row, vocab.check(r.int_(tok))] = True
         demos: dict[tuple[int, int], float] = {}  # (row, activity) -> value, in file order
-        for _ in range(r.expect_count("demos")):
-            toks = r.next()
-            if len(toks) != 4:
-                raise r.error("demo entries need cell, activity, value")
-            i, j, act, value = r.int_(toks[0]), r.int_(toks[1]), r.int_(toks[2]), r.float_(toks[3])
-            if not value >= 0:
-                raise r.error(f"demonstration value must be >= 0, got {value}")
-            key = (grid.row_of((i, j)), vocab.check(act))
+        for i, j, act, value in r.entries(r.expect_count("demos"), 4, "demo entries"):
+            key = (r.cell(grid, i, j), vocab.check(r.int_(act)))
+            (value,) = r.values([value], "demonstration value")
             if key not in demos or value > demos[key]:  # a repeated pair keeps its largest value
                 demos[key] = value
-        poses = []
-        for _ in range(r.expect_count("poses")):
-            toks = r.next()
-            if len(toks) != 4:
-                raise r.error("pose entries need position and heading")
-            poses.append(
-                GridPose(
-                    position=(r.float_(toks[0]), r.float_(toks[1])),
-                    heading=(r.float_(toks[2]), r.float_(toks[3])),
-                )
-            )
+        poses = [
+            GridPose(position=(r.float_(x), r.float_(y)), heading=(r.float_(hx), r.float_(hy)))
+            for x, y, hx, hy in r.entries(r.expect_count("poses"), 4, "pose entries")
+        ]
         if r.expect_count("features") != n_cells:
             raise r.error(f"feature section must cover all {n_cells} cells")
         p_scores = np.zeros((n_cells, n_classes))
         o_scores = np.zeros((n_cells, n_categories))
         seen = np.zeros(n_cells, dtype=bool)
-        for _ in range(n_cells):
-            toks = r.next()
-            if len(toks) != 2 + n_classes + n_categories:
-                raise r.error(
-                    f"feature rows need cell_x, cell_y, {n_classes} class scores, "
-                    f"{n_categories} object scores"
-                )
-            row = grid.row_of((r.int_(toks[0]), r.int_(toks[1])))
+        for toks in r.entries(n_cells, 2 + n_classes + n_categories, "feature rows"):
+            row = r.cell(grid, toks[0], toks[1])
             if seen[row]:
                 raise r.error(f"duplicate feature row for cell {toks[0]},{toks[1]}")
             seen[row] = True
-            vals = [r.float_(t) for t in toks[2:]]
-            if min(vals, default=0.0) < 0:  # float_ has refused NaN already
-                raise r.error(f"feature scores must be >= 0, got {min(vals)}")
+            vals = r.values(toks[2:], "feature scores")
             p_scores[row] = vals[:n_classes]
             o_scores[row] = vals[n_classes:]
         r.expect_end()
@@ -398,16 +401,15 @@ def read_catmap(path):
         category_names = r.expect_names("categories")
         activity_names = r.expect_names("activities")
         pairs: dict[str, list[str]] = {}
-        for _ in range(r.expect_count("map")):
-            toks = r.next()
-            if toks[0] not in category_names:
-                raise r.error(f"unknown category {toks[0]!r}")
-            if toks[0] in pairs:
-                raise r.error(f"category {toks[0]!r} is mapped twice")
-            for a in toks[1:]:
+        for cat, *acts in r.entries(r.expect_count("map")):
+            if cat not in category_names:
+                raise r.error(f"unknown category {cat!r}")
+            if cat in pairs:
+                raise r.error(f"category {cat!r} is mapped twice")
+            for a in acts:
                 if a not in activity_names:
                     raise r.error(f"unknown activity {a!r}")
-            pairs[toks[0]] = list(toks[1:])
+            pairs[cat] = acts
         r.expect_end()
         catmap = CategoryActivityMap.from_names(pairs, category_names, activity_names)
     return catmap, category_names, activity_names
@@ -459,12 +461,8 @@ def load_dataset(manifest_path) -> GeneratedDataset:
     if n_scenes == 0:
         raise r.error("a dataset needs at least one scene")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    scene_files = []  # (file name, manifest line)
-    for _ in range(n_scenes):
-        toks = r.next()
-        if len(toks) != 1:
-            raise r.error("scene entries need one file name")
-        scene_files.append((toks[0], r.pos))
+    # (file name, manifest line) of each scene
+    scene_files = [(fname, r.pos) for (fname,) in r.entries(n_scenes, 1, "scene entries")]
     catmap_file = r.expect_value("catmap")
     catmap_line = r.pos
     r.expect_end()
@@ -537,15 +535,7 @@ def _read_factor_rows(r: _Reader, name: str, n: int, d: int) -> np.ndarray:
     non-negative values; a bad row fails at its own line."""
     if r.next() != [name]:
         raise r.error(f"expected section {name!r}")
-    rows = []
-    for _ in range(n):
-        row = [r.float_(t) for t in r.next()]
-        if len(row) != d:
-            raise r.error(f"{name} rows need {d} values, found {len(row)}")
-        if min(row) < 0:  # float_ has refused NaN already
-            raise r.error(f"{name} values must be >= 0, got {min(row)}")
-        rows.append(row)
-    return np.array(rows)
+    return np.array([r.values(row, f"{name} values") for row in r.entries(n, d, f"{name} rows")])
 
 
 def describe_fit(result: FitResult) -> str:
@@ -592,20 +582,14 @@ def read_action_map(path, index) -> np.ndarray:
             )
         am = np.zeros((index.total_rows, n_act))
         seen = np.zeros(index.total_rows, dtype=bool)
-        for _ in range(index.total_rows):
-            toks = r.next()
-            if len(toks) != 3 + n_act:
-                raise r.error("action map rows need scene, cell, and per-activity values")
+        for toks in r.entries(index.total_rows, 3 + n_act, "action map rows"):
             if toks[0] not in index.offsets:
                 raise r.error(f"unknown scene {toks[0]!r}")
             row = index.row(toks[0], (r.int_(toks[1]), r.int_(toks[2])))
             if seen[row]:
                 raise r.error(f"duplicate action map row for {toks[0]} {toks[1]},{toks[2]}")
             seen[row] = True
-            values = [r.float_(t) for t in toks[3:]]
-            if any(v < 0 for v in values):  # float_ has refused NaN already
-                raise r.error(f"action map values must be >= 0, got {min(values)}")
-            am[row] = values
+            am[row] = r.values(toks[3:], "action map values")
         r.expect_end()
     return am
 

@@ -88,6 +88,11 @@ class KernelConfig:
                 f"kernel bandwidths must be positive and finite, got sigma_s {self.sigma_s}, "
                 f"gamma {self.gamma}"
             )
+        # gram() divides by 2 sigma_s^2: 0 below about 1.6e-162, inf above about 9.5e153
+        if not 0 < 2.0 * self.sigma_s * self.sigma_s < math.inf:
+            raise SideInfoError(
+                f"sigma_s must keep 2 * sigma_s^2 positive and finite, got {self.sigma_s}"
+            )
         if self.variant not in VARIANTS:
             raise SideInfoError(f"variant must be one of {VARIANTS}, got {self.variant}")
         if not 0 <= self.tau < math.inf:
@@ -306,6 +311,7 @@ class GramBasis:
         return _gram_matrix(k, degrees)
 
 
+@np.errstate(over="ignore")  # an exponent that overflows to -inf gives exp() its 0
 def _entries(cfg: KernelConfig, chi2_p, spatial_sq, chi2_o, objects, out, scratch) -> None:
     """Thresholded Gram entries of one block into out, from chi2_p (out's
     shape), spatial_sq at out's leading columns (it may be scratch's own

@@ -188,6 +188,25 @@ def test_export_heatmap_codec(dataset_dir, tmp_path):
     assert table[0].split("\t")[:2] == ["i", "j"]
 
 
+def test_export_heatmap_normalizes_every_map(dataset_dir, tmp_path):
+    # evaluate and localize score the normalized map, and so do the greymaps:
+    # a map and its half write the same files (eighths halve exactly in text)
+    from actionmaps import fileio
+
+    index = fileio.load_dataset(dataset_dir).index()
+    am = np.arange(index.total_rows * len(index.vocabulary)).reshape(index.total_rows, -1)
+    am = am * 7 % 9 / 8.0
+    am[0] = 1.0
+    written = []
+    for scale in (1.0, 0.5):
+        fileio.write_action_map(am * scale, index, tmp_path / f"am-{scale}.txt")
+        out_dir = tmp_path / f"maps-{scale}"
+        assert run(["export-heatmap", "--data", dataset_dir, "--am", tmp_path / f"am-{scale}.txt",
+                    "--out-dir", out_dir]) == 0
+        written.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert written[0] == written[1] and len(written[0]) == 1 + len(index.vocabulary)
+
+
 def test_config_file_overrides_flags(dataset_dir, tmp_path):
     factors_a = tmp_path / "a.txt"
     factors_b = tmp_path / "b.txt"
@@ -498,6 +517,14 @@ def test_fit_rejects_nan_parameters(dataset_dir, tmp_path, capsys, flag):
 NON_FINITE_STEP = "multiplicative update produced non-finite values"
 
 
+def _run_cli_process(args, cwd):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "actionmaps.cli", *map(str, args)], capture_output=True,
+        text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+
+
 @pytest.mark.parametrize("command, args, error", [
     ("fit", ["--lam", "1e308", "--out-factors", "out"], NON_FINITE_STEP),
     ("elapse", ["--lam", "1e308", "--out", "out"], NON_FINITE_STEP),
@@ -507,16 +534,32 @@ NON_FINITE_STEP = "multiplicative update produced non-finite values"
 def test_non_finite_fit_fails_with_an_error_line(dataset_dir, tmp_path, command, args, error):
     # a step that overflows ends the command like any refused input: exit 1
     # and one `error:` line on stderr, with no numpy warning and no traceback
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "actionmaps.cli", command, "--data", str(dataset_dir),
-         "--seed", "1", *map(str, args)],
-        capture_output=True, text=True, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    proc = _run_cli_process([command, "--data", dataset_dir, "--seed", 1, *args], tmp_path)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {error}\n"
     # a grid writes its failed rows; a failed fit or elapse writes nothing
     assert (tmp_path / "out").exists() == (command == "grid")
+
+
+SIGMA_S_RANGE = "sigma_s must keep 2 * sigma_s^2 positive and finite, got "
+
+
+@pytest.mark.parametrize("data, flag, value, error", [
+    ("mini", "--sigma-s", "1e-200", SIGMA_S_RANGE + "1e-200"),
+    ("mini_pair", "--sigma-s", "1e160", SIGMA_S_RANGE + "1e+160"),
+    ("mini", "--sigma-s", "1e-160", None),
+    ("mini", "--gamma", "1e308", None),
+], ids=["tiny-sigma_s", "huge-sigma_s", "small-sigma_s", "huge-gamma"])
+def test_extreme_bandwidths_print_no_numpy_warning(dataset_dir, mini_pair_dir, tmp_path, data,
+                                                   flag, value, error):
+    # 2 sigma_s^2 is 0 below about 1.6e-162 and inf above about 9.5e153, which
+    # the config refuses by name; inside that range an exponent that overflows
+    # gives exp() its 0 without a warning
+    manifest = {"mini": dataset_dir, "mini_pair": mini_pair_dir}[data]
+    proc = _run_cli_process(["fit", "--data", manifest, *FIT_ARGS, "--max-iters", 5, flag, value,
+                             "--seed", 1, "--out-factors", "f.txt"], tmp_path)
+    assert proc.returncode == (0 if error is None else 1)
+    assert proc.stderr == ("" if error is None else f"error: {error}\n")
 
 
 @pytest.fixture(scope="module")

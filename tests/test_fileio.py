@@ -586,9 +586,25 @@ def pair_documents(pair_dataset, tmp_path_factory):
     return {name: open(os.path.join(base, name)).read().splitlines() for name in os.listdir(base)}
 
 
+COUNTED_SECTIONS = ("scenes", "map", "explored", "gt", "demos", "poses", "features")
+
+
+def _entry_lines(lines):
+    """The 0-based numbers of the entry lines of a document's counted sections."""
+    entries = set()
+    for k, line in enumerate(lines):
+        tokens = line.split()
+        if tokens[0] in COUNTED_SECTIONS:
+            entries.update(range(k + 1, k + 1 + int(tokens[1])))
+    return entries
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_truncated_or_garbled_documents_raise_schema_error(pair_documents, data):
+    # a set, drop or add on an entry line that raises names that document and
+    # line, unless it leaves the line blank: blank lines are skipped, so the
+    # section reads on
     docs = dict(pair_documents)
     name = data.draw(st.sampled_from(sorted(docs)), label="document")
     lines = list(docs[name])
@@ -621,3 +637,6 @@ def test_truncated_or_garbled_documents_raise_schema_error(pair_documents, data)
             fileio.load_dataset(os.path.join(base, "dataset.txt"))
         except fileio.SchemaError as exc:
             assert re.match(rf"{re.escape(base + os.sep)}[^:]+:\d+: ", str(exc)), str(exc)
+            garbled_entry = action != "truncate" and lines[at].strip()
+            if garbled_entry and at in _entry_lines(pair_documents[name]):
+                assert str(exc).startswith(f"{os.path.join(base, name)}:{at + 1}: "), str(exc)

@@ -896,3 +896,16 @@ def test_kernel_config_rejects_infinite_settings(name, value):
     # fail its range check, or zero every entry
     with pytest.raises(SideInfoError, match="finite"):
         KernelConfig(**{name: value})
+
+
+@pytest.mark.parametrize("sigma_s, refused", [
+    (1e-200, True), (1e-163, True), (1e-160, False), (1e153, False), (1e154, True), (1e160, True),
+])
+def test_kernel_config_takes_sigma_s_only_where_its_square_is_a_float(sigma_s, refused):
+    # gram() divides by 2 sigma_s^2, which is 0 or inf at the refused values
+    # although each of them is positive and finite
+    if refused:
+        with pytest.raises(SideInfoError, match=r"^sigma_s must keep 2 \* sigma_s\^2 positive"):
+            KernelConfig(sigma_s=sigma_s)
+    else:
+        assert KernelConfig(sigma_s=sigma_s).sigma_s == sigma_s
